@@ -6,26 +6,28 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import datagen, evaluate as ev
+from . import evaluate as ev
 from .config import ExperimentConfig, atomic_write_text, load_config, save_config
 from .datagen import (
     IN_DISTRIBUTION_PROFILE,
     OOD_PROFILE,
+    Dataset,
+    dataset_text,
     file_hash,
     generate_dataset,
     load_dataset,
     mask_peer,
     relabel,
-    sample_record,
     split,
 )
 from .domain import BatteryConfig, Scenario, TimeOfDay
 from .policy import BASELINE_NAMES, HeadPolicy, make_baseline
-from .reward import RewardConfig, RewardMode
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train as train_head_raw
+from .reward import RewardMode
+from .train import load_checkpoint, save_checkpoint, train as train_head_raw
 from .evaluate import cooperative_slice, evaluate, flat_table, replay_snapshot, train_head
 
 OOD_STREAM = 1
@@ -33,14 +35,6 @@ OOD_STREAM = 1
 
 class CliError(RuntimeError):
     pass
-
-
-def _dataset_text(samples) -> str:
-    return "".join(json.dumps(sample_record(s)) + "\n" for s in samples)
-
-
-def _write_dataset(path, samples) -> None:
-    atomic_write_text(path, _dataset_text(samples))
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -63,21 +57,16 @@ def cmd_gen(args) -> int:
     train_set, test_set = split(full, cfg.dataset.split_fraction, rng)
     ood = generate_dataset(OOD_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=OOD_STREAM)
 
-    paths = {k: os.path.join(out, f"{k}.jsonl") for k in ("train", "test", "ood")}
-    _write_dataset(paths["train"], train_set)
-    _write_dataset(paths["test"], test_set)
-    _write_dataset(paths["ood"], ood)
+    parts = {"train": train_set, "test": test_set, "ood": ood}
+    paths = {k: os.path.join(out, f"{k}.jsonl") for k in parts}
+    for k, data in parts.items():
+        atomic_write_text(paths[k], dataset_text(data))
     save_config(os.path.join(out, "config.json"), cfg)
 
     manifest = {
         "config_hash": chash,
         "seed": cfg.seed,
-        "counts": {
-            "in_distribution": len(full),
-            "train": len(train_set),
-            "test": len(test_set),
-            "ood": len(ood),
-        },
+        "counts": {"in_distribution": len(full), **{k: len(v) for k, v in parts.items()}},
         "hashes": {k: file_hash(p) for k, p in paths.items()},
     }
     atomic_write_text(os.path.join(out, "manifest.json"),
@@ -98,23 +87,10 @@ def _resolve_data(path: str, which: str = "test") -> str:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    tcfg = TrainConfig(
-        loss=args.loss,
-        epochs=cfg.train.epochs,
-        effective_batch=cfg.train.effective_batch,
-        learning_rate=cfg.train.learning_rate,
-        weight_decay=cfg.train.weight_decay,
-        dpo_beta=cfg.train.dpo_beta,
-        seed=cfg.seed,
-        soft_temp=cfg.reward.soft_temp,
-        layers=args.layers,
-        hidden=cfg.train.hidden,
-    )
+    tcfg = replace(cfg.train, loss=args.loss, layers=args.layers)
     data = load_dataset(_resolve_data(args.data, "train"))
     if args.reward == "naive":
-        naive = RewardConfig(w_l=cfg.reward.w_l, w_p=cfg.reward.w_p,
-                             mode=RewardMode.naive, soft_temp=cfg.reward.soft_temp)
-        data = relabel(data, naive)
+        data = relabel(data, replace(cfg.reward, mode=RewardMode.naive))
     if args.no_peer:
         data = mask_peer(data)
 
@@ -166,8 +142,8 @@ def cmd_eval(args) -> int:
     policy = _make_policy(args)
 
     if args.single:
-        full = load_dataset(_resolve_data(args.data, "train")) + load_dataset(
-            _resolve_data(args.data, "test"))
+        full = Dataset.concat([load_dataset(_resolve_data(args.data, which))
+                               for which in ("train", "test")])
         policies = [make_baseline(n) for n in BASELINE_NAMES]
         reports = ev.single_objective_eval(full, args.single, policies, cfg.train,
                                            cfg.dataset, cfg.reward)
@@ -180,10 +156,14 @@ def cmd_eval(args) -> int:
         rep = evaluate(policy, data, config_hash=cfg.config_hash())
         out = {policy.name: rep.__dict__}
 
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-        print(f"report -> {args.out}")
+    return _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n", "report")
+
+
+def _emit(path: str | None, text: str, what: str) -> int:
+    """Write `text` to `path` atomically, or to stdout without one."""
+    if path:
+        atomic_write_text(path, text)
+        print(f"{what} -> {path}")
     else:
         sys.stdout.write(text)
     return 0
@@ -198,17 +178,10 @@ COMPARE_METRICS = ("objective", "latency", "energy")
 def _head_variants(train_set, cfg: ExperimentConfig, out: str, chash: str) -> dict:
     """Train (or reload) the four head rows of the comparison table."""
     variants = {}
-    base = dict(epochs=cfg.train.epochs, effective_batch=cfg.train.effective_batch,
-                learning_rate=cfg.train.learning_rate, weight_decay=cfg.train.weight_decay,
-                dpo_beta=cfg.train.dpo_beta, seed=cfg.seed, soft_temp=cfg.reward.soft_temp,
-                layers=cfg.train.layers, hidden=cfg.train.hidden)
-    specs = {
-        "head-ce": (TrainConfig(loss="ce", **base), False),
-        "head-kl": (TrainConfig(loss="kl", **base), False),
-        "head-kl+dpo": (TrainConfig(loss="dpo", **base), False),
-        "head-kl-no-peer": (TrainConfig(loss="kl", **base), True),
-    }
-    for name, (tcfg, masked) in specs.items():
+    specs = {"head-ce": ("ce", False), "head-kl": ("kl", False),
+             "head-kl+dpo": ("dpo", False), "head-kl-no-peer": ("kl", True)}
+    for name, (loss, masked) in specs.items():
+        tcfg = replace(cfg.train, loss=loss)
         ckpt = os.path.join(out, name + ".ckpt.json")
         if os.path.exists(ckpt):
             model, meta = load_checkpoint(ckpt)
@@ -244,9 +217,8 @@ def cmd_compare(args) -> int:
         cmd_gen(argparse.Namespace(config=getattr(args, "config", None),
                                    seed=getattr(args, "seed", None), out=out))
 
-    train_set = load_dataset(os.path.join(out, "train.jsonl"))
-    test_set = load_dataset(os.path.join(out, "test.jsonl"))
-    ood_set = load_dataset(os.path.join(out, "ood.jsonl"))
+    train_set, test_set, ood_set = (load_dataset(os.path.join(out, f"{k}.jsonl"))
+                                    for k in ("train", "test", "ood"))
     coop_set = cooperative_slice(test_set)
 
     policies = {name: make_baseline(name) for name in BASELINE_NAMES}
@@ -258,13 +230,8 @@ def cmd_compare(args) -> int:
     for row in COMPARE_ROWS:
         reps = {s: evaluate(policies[row], data, config_hash=chash) for s, data in slices.items()}
         reports[row] = reps
-        cells = []
-        for metric in COMPARE_METRICS:
-            for s in COMPARE_SLICES:
-                value = {"objective": reps[s].objective_score,
-                         "latency": reps[s].latency_score,
-                         "energy": reps[s].energy_score}[metric]
-                cells.append(f"{value:.6f}")
+        cells = [f"{getattr(reps[s], metric + '_score'):.6f}"
+                 for metric in COMPARE_METRICS for s in COMPARE_SLICES]
         lines.append(row + "\t" + "\t".join(cells))
     table = f"# config_hash: {chash}\n" + "\n".join(lines) + "\n"
     table_path = os.path.join(out, "compare.tsv")
@@ -278,25 +245,11 @@ def cmd_compare(args) -> int:
 
 def cmd_replay(args) -> int:
     data = load_dataset(_resolve_data(args.data, "test"))
-    policies = []
-    for name in args.policies.split(","):
-        name = name.strip()
-        if name == "head":
-            policies.append(_make_policy(argparse.Namespace(policy="head",
-                                                            checkpoint=args.checkpoint)))
-        else:
-            try:
-                policies.append(make_baseline(name))
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
+    policies = [_make_policy(argparse.Namespace(policy=name.strip(), checkpoint=args.checkpoint))
+                for name in args.policies.split(",")]
     scenario = _parse_scenario(args.scenario) if args.scenario else None
     transcript = replay_snapshot(data, policies, scenario=scenario, max_steps=args.steps)
-    if args.out:
-        atomic_write_text(args.out, transcript)
-        print(f"transcript -> {args.out}")
-    else:
-        sys.stdout.write(transcript)
-    return 0
+    return _emit(args.out, transcript, "transcript")
 
 
 def build_parser() -> argparse.ArgumentParser:

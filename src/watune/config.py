@@ -20,6 +20,17 @@ ENV_CONFIG = "WATUNE_CONFIG"
 REQUIRED_KEYS = ("seed", "dataset", "link", "reward", "train")
 
 
+# The scalar fields of each config section, stored under their own names.
+# The remaining keys (tables, enums) are mapped by hand below.
+SECTION_FIELDS = {
+    "dataset": ("logs_per_session", "sample_interval_s", "window", "split_fraction"),
+    "link": ("latency_noise_sigma", "energy_noise_sigma"),
+    "reward": ("w_l", "w_p", "soft_temp"),
+    "train": ("loss", "epochs", "effective_batch", "learning_rate", "weight_decay",
+              "dpo_beta", "layers", "hidden"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 1
@@ -35,44 +46,21 @@ class ExperimentConfig:
         self.train.soft_temp = self.reward.soft_temp
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "dataset": {
-                "logs_per_session": self.dataset.logs_per_session,
-                "sample_interval_s": self.dataset.sample_interval_s,
-                "window": self.dataset.window,
-                "split_fraction": self.dataset.split_fraction,
-                "battery_class_ranges": {
-                    c.name: list(self.dataset.battery_class_ranges[c]) for c in BatteryClass
-                },
-            },
-            "link": {
-                "base_latency_ms": list(self.link.base_latency_ms),
-                "base_energy_pct_h": list(self.link.base_energy_pct_h),
-                "time_latency_multiplier": {
-                    t.name: self.link.time_latency_multiplier[t] for t in TimeOfDay
-                },
-                "latency_noise_sigma": self.link.latency_noise_sigma,
-                "energy_noise_sigma": self.link.energy_noise_sigma,
-            },
-            "reward": {
-                "w_l": self.reward.w_l,
-                "w_p": self.reward.w_p,
-                "reward_mode": self.reward.mode.value,
-                "soft_temp": self.reward.soft_temp,
-            },
-            "train": {
-                "loss": self.train.loss,
-                "epochs": self.train.epochs,
-                "effective_batch": self.train.effective_batch,
-                "learning_rate": self.train.learning_rate,
-                "weight_decay": self.train.weight_decay,
-                "dpo_beta": self.train.dpo_beta,
-                "layers": self.train.layers,
-                "hidden": self.train.hidden,
-            },
+        out = {"seed": self.seed, "out_dir": self.out_dir}
+        for section, keys in SECTION_FIELDS.items():
+            out[section] = {k: getattr(getattr(self, section), k) for k in keys}
+        out["dataset"]["battery_class_ranges"] = {
+            c.name: list(self.dataset.battery_class_ranges[c]) for c in BatteryClass
         }
+        out["link"].update(
+            base_latency_ms=list(self.link.base_latency_ms),
+            base_energy_pct_h=list(self.link.base_energy_pct_h),
+            time_latency_multiplier={
+                t.name: self.link.time_latency_multiplier[t] for t in TimeOfDay
+            },
+        )
+        out["reward"]["reward_mode"] = self.reward.mode.value
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -88,54 +76,29 @@ def _require(obj: dict, key: str, where: str):
 def from_dict(obj: dict) -> ExperimentConfig:
     for key in REQUIRED_KEYS:
         _require(obj, key, "")
-    ds = obj["dataset"]
+    plain = {section: {k: _require(obj[section], k, f"{section}.") for k in keys}
+             for section, keys in SECTION_FIELDS.items()}
+    ds, lk, rw = obj["dataset"], obj["link"], obj["reward"]
     ranges = {
         BatteryClass[name]: tuple(lo_hi)
         for name, lo_hi in _require(ds, "battery_class_ranges", "dataset.").items()
     }
-    dataset = DatasetConfig(
-        logs_per_session=_require(ds, "logs_per_session", "dataset."),
-        sample_interval_s=_require(ds, "sample_interval_s", "dataset."),
-        window=_require(ds, "window", "dataset."),
-        split_fraction=_require(ds, "split_fraction", "dataset."),
-        battery_class_ranges=ranges,
-    )
-    lk = obj["link"]
     link = LinkModelConfig(
+        **plain["link"],
         base_latency_ms=tuple(_require(lk, "base_latency_ms", "link.")),
         base_energy_pct_h=tuple(_require(lk, "base_energy_pct_h", "link.")),
         time_latency_multiplier={
             TimeOfDay[name]: float(v)
             for name, v in _require(lk, "time_latency_multiplier", "link.").items()
         },
-        latency_noise_sigma=_require(lk, "latency_noise_sigma", "link."),
-        energy_noise_sigma=_require(lk, "energy_noise_sigma", "link."),
-    )
-    rw = obj["reward"]
-    reward = RewardConfig(
-        w_l=_require(rw, "w_l", "reward."),
-        w_p=_require(rw, "w_p", "reward."),
-        mode=RewardMode(_require(rw, "reward_mode", "reward.")),
-        soft_temp=_require(rw, "soft_temp", "reward."),
-    )
-    tr = obj["train"]
-    train = TrainConfig(
-        loss=_require(tr, "loss", "train."),
-        epochs=_require(tr, "epochs", "train."),
-        effective_batch=_require(tr, "effective_batch", "train."),
-        learning_rate=_require(tr, "learning_rate", "train."),
-        weight_decay=_require(tr, "weight_decay", "train."),
-        dpo_beta=_require(tr, "dpo_beta", "train."),
-        layers=_require(tr, "layers", "train."),
-        hidden=_require(tr, "hidden", "train."),
     )
     return ExperimentConfig(
         seed=int(obj["seed"]),
         out_dir=obj.get("out_dir", "artifacts"),
-        dataset=dataset,
+        dataset=DatasetConfig(**plain["dataset"], battery_class_ranges=ranges),
         link=link,
-        reward=reward,
-        train=train,
+        reward=RewardConfig(**plain["reward"], mode=RewardMode(_require(rw, "reward_mode", "reward."))),
+        train=TrainConfig(**plain["train"]),
     )
 
 

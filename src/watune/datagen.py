@@ -1,12 +1,13 @@
 """Synthetic dataset pipeline: scenario grid, app-usage sampling, session
 simulation sweeping all 8 actions per step, reward annotation, stratified
-split, peer masking, and the OOD variant."""
+split, peer masking, the OOD variant, and the column-wise `Dataset` they
+all produce and consume."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .domain import (
     BatteryClass,
     BatteryConfig,
     Context,
+    Contexts,
+    NUM_ACTIONS,
     Scenario,
     TimeOfDay,
 )
@@ -134,10 +137,131 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class Sample:
+    """One row of a Dataset, as domain objects."""
+
     context: Context
     measurements: MeasurementVector
     rewards: RewardVector
     scenario: Scenario
+
+
+class DatasetError(ValueError):
+    """A Dataset column failed validation; `row` is the first offending row."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row, self.message = row, message
+
+
+APPS = tuple(AppType)
+
+# Per-action columns and their JSONL keys, in record order.
+_VECTORS = {"lat": "latency_ms", "eng": "energy_pct_h", "rewards": "rewards",
+            "lat_scores": "lat_scores", "eng_scores": "eng_scores"}
+# Columns, the condition every (finite) entry must meet, and the message.
+_CHECKS = (
+    ("step", lambda v: v >= 0, "step must be non-negative"),
+    ("pub", lambda v: (v >= 0) & (v <= 100), "publisher battery must be in [0,100]"),
+    ("sub", lambda v: (v >= 0) & (v <= 100), "subscriber battery must be in [0,100]"),
+    ("lat", lambda v: v >= 0, "latency must be finite and non-negative"),
+    ("eng", lambda v: v > 0, "energy must be finite and strictly positive"),
+    ("rewards", lambda v: True, "rewards must be finite"),
+    ("lat_scores", lambda v: (v >= 0) & (v <= 100), "latency scores must be in [0,100]"),
+    ("eng_scores", lambda v: v > 0, "energy scores must be finite and positive"),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Struct-of-arrays dataset, one row per decision step.
+
+    The context columns are those of `Contexts` (time, pub, sub, peer, hist);
+    lat/eng and rewards/lat_scores/eng_scores are (N, 8) per-action arrays;
+    scenario holds indices into ALL_SCENARIOS. An int index (or iteration)
+    yields a `Sample` row view; a slice, mask or index array yields a Dataset.
+    """
+
+    time: np.ndarray
+    pub: np.ndarray
+    sub: np.ndarray
+    peer: np.ndarray
+    hist: np.ndarray
+    step: np.ndarray
+    lat: np.ndarray
+    eng: np.ndarray
+    rewards: np.ndarray
+    lat_scores: np.ndarray
+    eng_scores: np.ndarray
+    scenario: np.ndarray
+    pub_device: np.ndarray
+    sub_device: np.ndarray
+
+    def __post_init__(self):
+        if len(self.pub) and self.hist.shape[1] < 1:
+            raise ValueError("app histories must be non-empty")
+        for name, cond, message in _CHECKS:
+            col = getattr(self, name)
+            bad = ~(np.isfinite(col) & cond(col))
+            if bad.ndim == 2:
+                bad = bad.any(axis=1)
+            if bad.any():
+                raise DatasetError(int(np.argmax(bad)), message)
+
+    def __len__(self) -> int:
+        return len(self.pub)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._row(int(key))
+        return Dataset(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    @property
+    def contexts(self) -> Contexts:
+        return Contexts(self.time, self.pub, self.sub, self.peer, self.hist)
+
+    def _row(self, i: int) -> Sample:
+        ctx = Context(
+            time=TimeOfDay(int(self.time[i])),
+            publisher_battery=float(self.pub[i]),
+            subscriber_battery=float(self.sub[i]) if self.peer[i] else None,
+            app_history=tuple(APPS[a] for a in self.hist[i].tolist()),
+            step_index=int(self.step[i]),
+            pub_device=self.pub_device[i],
+            sub_device=self.sub_device[i],
+        )
+        return Sample(ctx, MeasurementVector(self.lat[i], self.eng[i]),
+                      RewardVector(self.rewards[i], self.lat_scores[i], self.eng_scores[i]),
+                      ALL_SCENARIOS[self.scenario[i]])
+
+    @classmethod
+    def from_samples(cls, samples) -> "Dataset":
+        samples = list(samples)
+        ctxs = [s.context for s in samples]
+        return cls(
+            **Contexts.of(*ctxs)._asdict(),
+            step=np.array([c.step_index for c in ctxs]),
+            lat=np.array([s.measurements.latency_ms for s in samples]),
+            eng=np.array([s.measurements.energy_pct_h for s in samples]),
+            rewards=np.array([s.rewards.objective for s in samples]),
+            lat_scores=np.array([s.rewards.latency_score for s in samples]),
+            eng_scores=np.array([s.rewards.energy_score for s in samples]),
+            scenario=np.array([ALL_SCENARIOS.index(s.scenario) for s in samples]),
+            pub_device=np.array([c.pub_device for c in ctxs], dtype=object),
+            sub_device=np.array([c.sub_device for c in ctxs], dtype=object),
+        )
+
+    @staticmethod
+    def concat(parts) -> "Dataset":
+        return Dataset(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                          for f in fields(Dataset)})
+
+
+def as_dataset(data) -> Dataset:
+    """A Dataset as is, or a sequence of Samples stacked into one."""
+    return data if isinstance(data, Dataset) else Dataset.from_samples(data)
 
 
 def sample_app(profile: AppUsageProfile, time: TimeOfDay, rng: np.random.Generator) -> AppType:
@@ -151,6 +275,14 @@ def battery_classes(bc: BatteryConfig) -> tuple[BatteryClass, BatteryClass]:
     return _CONFIG_CLASSES[bc]
 
 
+def _battery_levels(start: float, drain: np.ndarray) -> np.ndarray:
+    """Battery at each step: `start`, then each step's drain taken off in
+    turn, floored at 5% (the same float operations as a per-step loop)."""
+    levels = np.subtract.accumulate(np.concatenate(([start], drain[:-1])))
+    levels[1:] = np.maximum(BATTERY_FLOOR, levels[1:])
+    return levels
+
+
 def generate_session(
     scenario: Scenario,
     profile: AppUsageProfile,
@@ -158,46 +290,53 @@ def generate_session(
     cfg: DatasetConfig,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
-) -> list[Sample]:
-    """Simulate one 5 s-interval session, sweeping all 8 actions per step."""
-    pub_class, sub_class = battery_classes(scenario.battery_config)
-    pub_lo, pub_hi = cfg.battery_class_ranges[pub_class]
-    sub_lo, sub_hi = cfg.battery_class_ranges[sub_class]
-    pub_batt = rng.uniform(pub_lo, pub_hi)
-    sub_batt = rng.uniform(sub_lo, sub_hi)
+) -> Dataset:
+    """Simulate one 5 s-interval session, sweeping all 8 actions per step.
+
+    Both devices pay the oracle-best action's energy for one sampling
+    interval per step, so each step's battery depends on the rewards of the
+    steps before it. The batteries are solved as a fixed point of
+    "rewards under these batteries pick these actions": each pass computes
+    the rewards on whole columns, and a pass that reproduces its input
+    actions has reproduced the step-by-step simulation, so it is exact.
+    """
+    pub_batt, sub_batt = (rng.uniform(*cfg.battery_class_ranges[c])
+                          for c in battery_classes(scenario.battery_config))
 
     dist = profile[scenario.time]
-    apps = list(dist.keys())
-    probs = np.array([dist[a] for a in apps])
-    app_stream = [apps[i] for i in rng.choice(len(apps), size=cfg.logs_per_session, p=probs / probs.sum())]
+    apps = np.array([int(a) for a in dist])
+    probs = np.array(list(dist.values()))
+    n = cfg.logs_per_session
+    app_stream = apps[rng.choice(len(apps), size=n, p=probs / probs.sum())]
+    # Rolling window, oldest first; early steps repeat the first app.
+    steps = np.arange(n)
+    hist = app_stream[np.maximum(0, steps[:, None] - (cfg.window - 1) + np.arange(cfg.window))]
 
-    drain_scale = cfg.sample_interval_s / 3600.0
-    history: list[AppType] = []
-    samples: list[Sample] = []
-    for step, app in enumerate(app_stream):
-        history.append(app)
-        if len(history) > cfg.window:
-            history.pop(0)
-        padded = tuple([history[0]] * (cfg.window - len(history)) + history)
-        ctx = Context(
-            time=scenario.time,
-            publisher_battery=pub_batt,
-            subscriber_battery=sub_batt,
-            app_history=padded,
-            step_index=step,
-            pub_device="iPadPro-pub",
-            sub_device="iPadPro-sub",
-        )
-        mv = measure(link, ctx, rng)
-        rv = objective(ctx, mv, reward_cfg)
-        samples.append(Sample(context=ctx, measurements=mv, rewards=rv, scenario=scenario))
-        # Small intra-session drain: both devices pay the oracle-best
-        # action's energy for one sampling interval, floored at 5%.
-        best = int(np.argmax(rv.objective))
-        drain = mv.energy_pct_h[best] * drain_scale
-        pub_batt = max(BATTERY_FLOOR, pub_batt - drain)
-        sub_batt = max(BATTERY_FLOOR, sub_batt - drain)
-    return samples
+    sweeps = [measure(link, scenario, rng) for _ in steps]
+    mv = MeasurementVector(np.array([m.latency_ms for m in sweeps]),
+                           np.array([m.energy_pct_h for m in sweeps]))
+
+    contexts = Contexts(time=np.full(n, int(scenario.time)), pub=None, sub=None,
+                        peer=np.ones(n, dtype=bool), hist=hist)
+    drain = np.zeros(n)
+    best = None
+    while True:
+        contexts = contexts._replace(pub=_battery_levels(pub_batt, drain),
+                                     sub=_battery_levels(sub_batt, drain))
+        rv = objective(contexts, mv, reward_cfg)
+        chosen = np.argmax(rv.objective, axis=1)
+        if best is not None and np.array_equal(chosen, best):
+            break
+        best = chosen
+        drain = mv.energy_pct_h[steps, best] * (cfg.sample_interval_s / 3600.0)
+
+    return Dataset(
+        **contexts._asdict(), step=steps, lat=mv.latency_ms, eng=mv.energy_pct_h,
+        rewards=rv.objective, lat_scores=rv.latency_score, eng_scores=rv.energy_score,
+        scenario=np.full(n, ALL_SCENARIOS.index(scenario)),
+        pub_device=np.full(n, "iPadPro-pub", dtype=object),
+        sub_device=np.full(n, "iPadPro-sub", dtype=object),
+    )
 
 
 def generate_dataset(
@@ -206,7 +345,7 @@ def generate_dataset(
     cfg: DatasetConfig,
     reward_cfg: RewardConfig,
     stream: int = 0,
-) -> list[Sample]:
+) -> Dataset:
     """Full 16-scenario grid in canonical order (scenario-major, step-minor).
 
     `stream` separates independent datasets under the same seed (e.g. the
@@ -214,127 +353,122 @@ def generate_dataset(
     """
     validate_profile(profile)
     link.validate()
-    out: list[Sample] = []
-    for idx, scenario in enumerate(ALL_SCENARIOS):
-        rng = np.random.default_rng([cfg.seed, stream, idx])
-        out.extend(generate_session(scenario, profile, link, cfg, reward_cfg, rng))
-    return out
+    return Dataset.concat([
+        generate_session(scenario, profile, link, cfg, reward_cfg,
+                         np.random.default_rng([cfg.seed, stream, idx]))
+        for idx, scenario in enumerate(ALL_SCENARIOS)
+    ])
 
 
-def split(dataset: list[Sample], fraction: float, rng: np.random.Generator) -> tuple[list[Sample], list[Sample]]:
+def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Stratified-by-scenario split; train and test are disjoint, union is the input."""
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0,1)")
-    by_scenario: dict[Scenario, list[int]] = {}
-    for i, s in enumerate(dataset):
-        by_scenario.setdefault(s.scenario, []).append(i)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for scen in sorted(by_scenario, key=lambda s: (int(s.time), int(s.battery_config))):
-        idxs = by_scenario[scen]
+    train_idx, test_idx = [], []
+    for code in np.unique(dataset.scenario):  # (time, battery config) order
+        idxs = np.flatnonzero(dataset.scenario == code)
         perm = rng.permutation(len(idxs))
         n_train = int(len(idxs) * fraction)
-        train_idx.extend(idxs[p] for p in perm[:n_train])
-        test_idx.extend(idxs[p] for p in perm[n_train:])
-    train_idx.sort()
-    test_idx.sort()
-    return [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]
+        train_idx.append(idxs[perm[:n_train]])
+        test_idx.append(idxs[perm[n_train:]])
+    return dataset[np.sort(np.concatenate(train_idx))], dataset[np.sort(np.concatenate(test_idx))]
 
 
-def mask_peer(dataset: list[Sample]) -> list[Sample]:
+def mask_peer(dataset: Dataset) -> Dataset:
     """Hide subscriber battery from every context; rewards stay untouched."""
-    return [
-        Sample(
-            context=s.context.without_peer(),
-            measurements=s.measurements,
-            rewards=s.rewards,
-            scenario=s.scenario,
-        )
-        for s in dataset
-    ]
+    return replace(dataset, sub=np.zeros_like(dataset.sub), peer=np.zeros_like(dataset.peer))
 
 
-def relabel(dataset: list[Sample], reward_cfg: RewardConfig) -> list[Sample]:
+def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
     """Recompute reward annotations from raw measurements under a new config.
 
     Reward computation always sees the unmasked context stored at
     generation time (masking affects policy input only), so relabeling a
     masked dataset is not supported.
     """
-    out = []
-    for s in dataset:
-        out.append(
-            Sample(
-                context=s.context,
-                measurements=s.measurements,
-                rewards=objective(s.context, s.measurements, reward_cfg),
-                scenario=s.scenario,
-            )
-        )
-    return out
+    rv = objective(dataset.contexts, MeasurementVector(dataset.lat, dataset.eng), reward_cfg)
+    return replace(dataset, rewards=rv.objective, lat_scores=rv.latency_score,
+                   eng_scores=rv.energy_score)
 
 
-def sample_record(s: Sample) -> dict:
-    ctx, mv = s.context, s.measurements
-    return {
-        "step": ctx.step_index,
-        "time": ctx.time.name,
-        "app": ctx.app_history[-1].name,
-        "app_history": [a.name for a in ctx.app_history],
-        "pub_battery": ctx.publisher_battery,
-        "sub_battery": ctx.subscriber_battery,
-        "pub_device": ctx.pub_device,
-        "sub_device": ctx.sub_device,
-        "latency_ms": [float(v) for v in mv.latency_ms],
-        "energy_pct_h": [float(v) for v in mv.energy_pct_h],
-        "rewards": [float(v) for v in s.rewards.objective],
-        "lat_scores": [float(v) for v in s.rewards.latency_score],
-        "eng_scores": [float(v) for v in s.rewards.energy_score],
-        "scenario": {"time": s.scenario.time.name, "battery_config": s.scenario.battery_config.name},
-    }
+_TIME_CODE = {t.name: int(t) for t in TimeOfDay}
+_APP_CODE = {a.name: int(a) for a in AppType}
+_CONFIG_CODE = {b.name: int(b) for b in BatteryConfig}
 
 
-def save_dataset(path, dataset: list[Sample]) -> None:
+def dataset_text(dataset: Dataset) -> str:
+    """The JSONL form of a dataset: one record per row."""
+    lines = []
+    rows = zip(dataset.step.tolist(), dataset.time.tolist(), map(np.ndarray.tolist, dataset.hist),
+               dataset.pub.tolist(), dataset.sub.tolist(), dataset.peer.tolist(),
+               dataset.pub_device, dataset.sub_device, dataset.scenario.tolist(),
+               zip(*(map(np.ndarray.tolist, getattr(dataset, k)) for k in _VECTORS)))
+    for step, time, hist, pub, sub, peer, pub_device, sub_device, scenario, vectors in rows:
+        apps = [APPS[a].name for a in hist]
+        rec = {"step": step, "time": TimeOfDay(time).name, "app": apps[-1], "app_history": apps,
+               "pub_battery": pub, "sub_battery": sub if peer else None,
+               "pub_device": pub_device, "sub_device": sub_device}
+        rec.update(zip(_VECTORS.values(), vectors))
+        scenario = ALL_SCENARIOS[scenario]
+        rec["scenario"] = {"time": scenario.time.name,
+                           "battery_config": scenario.battery_config.name}
+        lines.append(json.dumps(rec) + "\n")
+    return "".join(lines)
+
+
+def save_dataset(path, dataset: Dataset) -> None:
     with open(path, "w") as fh:
-        for s in dataset:
-            fh.write(json.dumps(sample_record(s)) + "\n")
+        fh.write(dataset_text(dataset))
 
 
-def load_dataset(path) -> list[Sample]:
-    out: list[Sample] = []
+def load_dataset(path) -> Dataset:
+    """Parse a JSONL dataset straight into columns. Errors name the file and
+    the line of the offending record."""
+    cols = {f.name: [] for f in fields(Dataset)}
+    linenos: list[int] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                scen = Scenario(
-                    TimeOfDay[rec["scenario"]["time"]],
-                    BatteryConfig[rec["scenario"]["battery_config"]],
-                )
-                ctx = Context(
-                    time=TimeOfDay[rec["time"]],
-                    publisher_battery=float(rec["pub_battery"]),
-                    subscriber_battery=None if rec["sub_battery"] is None else float(rec["sub_battery"]),
-                    app_history=tuple(AppType[a] for a in rec["app_history"]),
-                    step_index=int(rec["step"]),
-                    pub_device=rec.get("pub_device"),
-                    sub_device=rec.get("sub_device"),
-                )
-                mv = MeasurementVector(
-                    latency_ms=np.asarray(rec["latency_ms"], dtype=float),
-                    energy_pct_h=np.asarray(rec["energy_pct_h"], dtype=float),
-                )
-                rv = RewardVector(
-                    objective=np.asarray(rec["rewards"], dtype=float),
-                    latency_score=np.asarray(rec["lat_scores"], dtype=float),
-                    energy_score=np.asarray(rec["eng_scores"], dtype=float),
-                )
+                sub, scenario = rec["sub_battery"], rec["scenario"]
+                row = {
+                    "time": _TIME_CODE[rec["time"]],
+                    "pub": float(rec["pub_battery"]),
+                    "sub": 0.0 if sub is None else float(sub),
+                    "peer": sub is not None,
+                    "hist": [_APP_CODE[a] for a in rec["app_history"]],
+                    "step": int(rec["step"]),
+                    "scenario": (_TIME_CODE[scenario["time"]] * len(BatteryConfig)
+                                 + _CONFIG_CODE[scenario["battery_config"]]),
+                    "pub_device": rec.get("pub_device"),
+                    "sub_device": rec.get("sub_device"),
+                }
+                if cols["hist"] and len(row["hist"]) != len(cols["hist"][0]):
+                    raise ValueError("app_history length differs from the first record")
+                vectors = {k: rec[key] for k, key in _VECTORS.items()}
+                if any(len(v) != NUM_ACTIONS for v in vectors.values()):
+                    raise ValueError(f"per-action arrays must have {NUM_ACTIONS} entries")
             except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"line {lineno}: malformed dataset record: {exc}") from None
-            out.append(Sample(context=ctx, measurements=mv, rewards=rv, scenario=scen))
-    return out
+                raise ValueError(f"{path}: line {lineno}: malformed dataset record: {exc}") from None
+            for k, v in row.items():
+                cols[k].append(v)
+            for k, v in vectors.items():
+                cols[k].extend(v)
+            linenos.append(lineno)
+    n = len(linenos)
+    dtypes = dict.fromkeys(_VECTORS, float) | {"pub_device": object, "sub_device": object}
+    try:
+        arrays = {k: np.array(v, dtype=dtypes.get(k)) for k, v in cols.items()}
+        for k in _VECTORS:
+            arrays[k] = arrays[k].reshape(n, NUM_ACTIONS)
+        arrays["hist"] = arrays["hist"].reshape(n, -1 if n else 0)
+        return Dataset(**arrays)
+    except DatasetError as exc:
+        raise ValueError(f"{path}: line {linenos[exc.row]}: {exc.message}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed dataset: {exc}") from None
 
 
 def file_hash(path) -> str:

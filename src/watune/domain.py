@@ -6,9 +6,11 @@ lower-camel names ("interactiveVoice", "photoTransfer") in every file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 
 class PerformanceMode(IntEnum):
@@ -125,14 +127,29 @@ class Context:
             raise ValueError("step_index must be non-negative")
 
     def without_peer(self) -> "Context":
-        if self.subscriber_battery is None:
-            return self
-        return Context(
-            time=self.time,
-            publisher_battery=self.publisher_battery,
-            subscriber_battery=None,
-            app_history=self.app_history,
-            step_index=self.step_index,
-            pub_device=self.pub_device,
-            sub_device=self.sub_device,
-        )
+        return self if self.subscriber_battery is None else replace(self, subscriber_battery=None)
+
+
+class Contexts(NamedTuple):
+    """A batch of contexts as columns: time[N] codes, pub[N] and sub[N]
+    batteries (sub is 0 where peer[N] is False, i.e. masked), hist[N,W] app
+    codes oldest first. The batch form of `Context`, minus its metadata."""
+
+    time: np.ndarray
+    pub: np.ndarray
+    sub: np.ndarray
+    peer: np.ndarray
+    hist: np.ndarray
+
+    @classmethod
+    def of(cls, *contexts: Context) -> "Contexts":
+        """Stack Context rows; their app histories must share one length."""
+        subs = [c.subscriber_battery for c in contexts]
+        return cls(np.array([int(c.time) for c in contexts]),
+                   np.array([c.publisher_battery for c in contexts], dtype=float),
+                   np.array([s or 0.0 for s in subs], dtype=float),
+                   np.array([s is not None for s in subs]),
+                   np.array([[int(a) for a in c.app_history] for c in contexts]))
+
+    def without_peer(self) -> "Contexts":
+        return self._replace(sub=np.zeros_like(self.sub), peer=np.zeros_like(self.peer))

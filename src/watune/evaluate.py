@@ -4,15 +4,15 @@ runs, and qualitative replay transcripts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import DatasetConfig, Sample, mask_peer, relabel, split
-from .domain import BatteryConfig, Scenario
+from .datagen import Dataset, DatasetConfig, mask_peer, relabel, split
+from .domain import ALL_SCENARIOS, BatteryConfig, Scenario
 from .policy import Policy
 from .reward import RewardConfig, RewardMode
-from .train import TrainConfig, encode_batch, forward, init_head, train
+from .train import TrainConfig, init_head, train
 
 
 @dataclass
@@ -31,28 +31,26 @@ class EvalReport:
     config_hash: str = ""
 
 
-def decisions(policy: Policy, dataset: list[Sample]) -> np.ndarray:
-    return np.array([policy.decide(s.context, s.rewards).index for s in dataset])
+def decisions(policy: Policy, dataset: Dataset) -> np.ndarray:
+    return policy.decide(dataset)
 
 
-def evaluate(policy: Policy, dataset: list[Sample],
+def evaluate(policy: Policy, dataset: Dataset,
              dataset_hash: str = "", config_hash: str = "") -> EvalReport:
     """Score one policy. Metrics always use the stored ground-truth rewards
     (both devices), regardless of what the policy was allowed to see."""
-    if not dataset:
+    if not len(dataset):
         raise ValueError("cannot evaluate on an empty dataset slice")
     chosen = decisions(policy, dataset)
-    obj = np.array([s.rewards.objective[a] for s, a in zip(dataset, chosen)])
-    lat = np.array([s.rewards.latency_score[a] for s, a in zip(dataset, chosen)])
-    eng = np.array([s.rewards.energy_score[a] for s, a in zip(dataset, chosen)])
-    raw = np.array([s.measurements.energy_pct_h[a] for s, a in zip(dataset, chosen)])
+    rows = np.arange(len(dataset))
+    obj, lat, eng, raw = (col[rows, chosen] for col in
+                          (dataset.rewards, dataset.lat_scores, dataset.eng_scores, dataset.eng))
 
     per_scenario: dict[str, dict] = {}
-    scen_keys = [s.scenario for s in dataset]
-    for scen in sorted(set(scen_keys), key=lambda s: (int(s.time), int(s.battery_config))):
-        idx = np.array([i for i, k in enumerate(scen_keys) if k == scen])
-        per_scenario[scen.key()] = {
-            "n": int(len(idx)),
+    for code in np.unique(dataset.scenario):  # (time, battery config) order
+        idx = dataset.scenario == code
+        per_scenario[ALL_SCENARIOS[code].key()] = {
+            "n": int(idx.sum()),
             "objective": float(obj[idx].mean()),
             "latency": float(lat[idx].mean()),
             "energy": float(eng[idx].mean()),
@@ -74,13 +72,14 @@ def evaluate(policy: Policy, dataset: list[Sample],
     )
 
 
-def cooperative_slice(dataset: list[Sample]) -> list[Sample]:
+def cooperative_slice(dataset: Dataset) -> Dataset:
     """Publisher-high / subscriber-low scenarios only."""
-    return [s for s in dataset if s.scenario.battery_config is BatteryConfig.pubHighSubLow]
+    battery_config = dataset.scenario % len(BatteryConfig)  # scenario-major grid order
+    return dataset[battery_config == BatteryConfig.pubHighSubLow]
 
 
-def train_head(train_set: list[Sample], cfg: TrainConfig,
-               masked: bool = False, test_set: list[Sample] | None = None,
+def train_head(train_set: Dataset, cfg: TrainConfig,
+               masked: bool = False, test_set: Dataset | None = None,
                ref_cfg: TrainConfig | None = None):
     """Train a head per config; with masked=True the policy input hides the
     subscriber battery (labels still come from both devices). For DPO the
@@ -92,7 +91,7 @@ def train_head(train_set: list[Sample], cfg: TrainConfig,
     model = init_head(cfg.layers, cfg.hidden, seed=cfg.seed)
     if cfg.loss == "dpo":
         if ref_cfg is None:
-            ref_cfg = TrainConfig(**{**cfg.__dict__, "loss": "kl"})
+            ref_cfg = replace(cfg, loss="kl")
         ref_model, _ = train(data, model, ref_cfg, test_set=test_set)
         trained, report = train(data, ref_model, cfg, ref_model=ref_model, test_set=test_set)
     else:
@@ -102,41 +101,28 @@ def train_head(train_set: list[Sample], cfg: TrainConfig,
     return policy, trained, report
 
 
-def ablate_peer_info(train_set: list[Sample], test_set: list[Sample],
+def ablate_peer_info(train_set: Dataset, test_set: Dataset,
                      cfg: TrainConfig) -> dict:
     """Same seed/config, with vs without subscriber battery in the input."""
-    with_peer, _, _ = train_head(train_set, cfg, masked=False)
-    without_peer, _, _ = train_head(train_set, cfg, masked=True)
-    coop = cooperative_slice(test_set)
-    reports = {
-        "with_peer": {
-            "aggregate": evaluate(with_peer, test_set),
-            "cooperative": evaluate(with_peer, coop),
-        },
-        "without_peer": {
-            "aggregate": evaluate(without_peer, test_set),
-            "cooperative": evaluate(without_peer, coop),
-        },
-    }
+    slices = {"aggregate": test_set, "cooperative": cooperative_slice(test_set)}
+    reports = {}
+    for arm, masked in (("with_peer", False), ("without_peer", True)):
+        policy, _, _ = train_head(train_set, cfg, masked=masked)
+        reports[arm] = {name: evaluate(policy, data) for name, data in slices.items()}
+    with_peer, without_peer = reports["with_peer"], reports["without_peer"]
     reports["delta"] = {
-        slice_name: {
-            "objective": reports["with_peer"][slice_name].objective_score
-            - reports["without_peer"][slice_name].objective_score,
-            "raw_energy_pct_h": reports["with_peer"][slice_name].raw_energy_pct_h
-            - reports["without_peer"][slice_name].raw_energy_pct_h,
-        }
-        for slice_name in ("aggregate", "cooperative")
+        name: {"objective": with_peer[name].objective_score - without_peer[name].objective_score,
+               "raw_energy_pct_h": with_peer[name].raw_energy_pct_h - without_peer[name].raw_energy_pct_h}
+        for name in slices
     }
     return reports
 
 
-def ablate_reward(train_set: list[Sample], test_set: list[Sample],
+def ablate_reward(train_set: Dataset, test_set: Dataset,
                   cfg: TrainConfig, reward_cfg: RewardConfig) -> dict:
     """Context-aware vs naive reward labels; both arms scored under the
     context-aware objective on the identical test slice."""
-    naive_cfg = RewardConfig(w_l=reward_cfg.w_l, w_p=reward_cfg.w_p,
-                             mode=RewardMode.naive, soft_temp=reward_cfg.soft_temp)
-    naive_train = relabel(train_set, naive_cfg)
+    naive_train = relabel(train_set, replace(reward_cfg, mode=RewardMode.naive))
     ctx_policy, _, _ = train_head(train_set, cfg)
     naive_policy, _, _ = train_head(naive_train, cfg)
     naive_policy.name = "head-" + cfg.loss + "-naive"
@@ -146,21 +132,16 @@ def ablate_reward(train_set: list[Sample], test_set: list[Sample],
     }
 
 
-def single_objective_eval(dataset: list[Sample], which: str,
+def single_objective_eval(dataset: Dataset, which: str,
                           policies: list[Policy], cfg: TrainConfig,
                           dataset_cfg: DatasetConfig,
                           base_reward_cfg: RewardConfig) -> dict:
     """Relabel under latency-only (w_P=0) or energy-only (w_L=0) weights,
     retrain the head, and score every policy under the same objective."""
-    if which == "latency":
-        rcfg = RewardConfig(w_l=base_reward_cfg.w_l, w_p=0.0,
-                            mode=base_reward_cfg.mode, soft_temp=base_reward_cfg.soft_temp)
-    elif which == "energy":
-        rcfg = RewardConfig(w_l=0.0, w_p=base_reward_cfg.w_p,
-                            mode=base_reward_cfg.mode, soft_temp=base_reward_cfg.soft_temp)
-    else:
+    zeroed = {"latency": {"w_p": 0.0}, "energy": {"w_l": 0.0}}
+    if which not in zeroed:
         raise ValueError("which must be 'latency' or 'energy'")
-    data = relabel(dataset, rcfg)
+    data = relabel(dataset, replace(base_reward_cfg, **zeroed[which]))
     rng = np.random.default_rng([dataset_cfg.seed, 9973])
     tr, te = split(data, dataset_cfg.split_fraction, rng)
     head, _, _ = train_head(tr, cfg)
@@ -170,13 +151,14 @@ def single_objective_eval(dataset: list[Sample], which: str,
     return reports
 
 
-def replay_snapshot(dataset: list[Sample], policies: list[Policy],
+def replay_snapshot(dataset: Dataset, policies: list[Policy],
                     scenario: Scenario | None = None, max_steps: int = 10) -> str:
     """Human-readable transcript of context, each policy's decision, and the
     per-decision objective."""
-    rows = [s for s in dataset if scenario is None or s.scenario == scenario]
+    if scenario is not None:
+        dataset = dataset[dataset.scenario == ALL_SCENARIOS.index(scenario)]
     lines = []
-    for s in rows[:max_steps]:
+    for s in dataset[:max_steps]:
         ctx = s.context
         sub = "--" if ctx.subscriber_battery is None else f"{ctx.subscriber_battery:.0f}%"
         lines.append(
@@ -195,7 +177,7 @@ def flat_table(reports: dict[str, dict[str, EvalReport]]) -> str:
     rows = [header]
     for policy_name in reports:
         for slice_name, rep in reports[policy_name].items():
-            rows.append(f"{policy_name}\t{slice_name}\tobjective\t{rep.objective_score!r}\t{rep.scenario_mean_objective!r}")
-            rows.append(f"{policy_name}\t{slice_name}\tlatency\t{rep.latency_score!r}\t{rep.scenario_mean_latency!r}")
-            rows.append(f"{policy_name}\t{slice_name}\tenergy\t{rep.energy_score!r}\t{rep.scenario_mean_energy!r}")
+            for metric in ("objective", "latency", "energy"):
+                rows.append(f"{policy_name}\t{slice_name}\t{metric}\t{getattr(rep, metric + '_score')!r}"
+                            f"\t{getattr(rep, 'scenario_mean_' + metric)!r}")
     return "\n".join(rows) + "\n"

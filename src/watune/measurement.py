@@ -8,18 +8,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .domain import (
     NUM_ACTIONS,
     AccessCategory,
+    Action,
     AppType,
     Context,
     PerformanceMode,
     TimeOfDay,
-    action_from_index,
 )
 
 ENERGY_NOISE_FLOOR = 0.1
@@ -37,7 +36,8 @@ DEFAULT_TIME_MULTIPLIER = {
 
 @dataclass(frozen=True)
 class MeasurementVector:
-    """Measured latency/energy for all 8 actions at one decision step."""
+    """Measured latency/energy for all 8 actions at one decision step ((8,)
+    arrays) or at N steps ((N, 8) arrays)."""
 
     latency_ms: np.ndarray
     energy_pct_h: np.ndarray
@@ -47,12 +47,12 @@ class MeasurementVector:
         eng = np.asarray(self.energy_pct_h, dtype=float)
         object.__setattr__(self, "latency_ms", lat)
         object.__setattr__(self, "energy_pct_h", eng)
-        if lat.shape != (NUM_ACTIONS,) or eng.shape != (NUM_ACTIONS,):
-            raise ValueError("measurement arrays must have shape (8,)")
-        if np.any(lat < 0):
-            raise ValueError("latency must be non-negative")
-        if np.any(eng <= 0):
-            raise ValueError("energy must be strictly positive")
+        if lat.shape[-1:] != (NUM_ACTIONS,) or lat.ndim > 2 or eng.shape != lat.shape:
+            raise ValueError("measurement arrays must have shape (8,) or (N, 8)")
+        if not np.all(np.isfinite(lat) & (lat >= 0)):
+            raise ValueError("latency must be finite and non-negative")
+        if not np.all(np.isfinite(eng) & (eng > 0)):
+            raise ValueError("energy must be finite and strictly positive")
 
 
 @dataclass
@@ -75,29 +75,27 @@ class LinkModelConfig:
         for t in TimeOfDay:
             if self.time_latency_multiplier.get(t, 0) <= 0:
                 raise ValueError(f"missing/invalid time multiplier for {t.name}")
+        # Rows: performance mode; columns: access category (index order).
+        lat_mc, eng_mc = lat.reshape(2, 4), eng.reshape(2, 4)
         for c in AccessCategory:
-            rt = lat[int(PerformanceMode.realtime) * 4 + int(c)]
-            bk = lat[int(PerformanceMode.bulk) * 4 + int(c)]
-            if not rt < bk:
+            if not lat_mc[PerformanceMode.realtime, c] < lat_mc[PerformanceMode.bulk, c]:
                 raise ValueError(f"latency ordering violated for category {c.name}")
-        for m in PerformanceMode:
-            bg = eng[int(m) * 4 + int(AccessCategory.background)]
-            for c in AccessCategory:
-                if not bg <= eng[int(m) * 4 + int(c)]:
-                    raise ValueError(f"energy ordering violated within mode {m.name}")
-        for c in AccessCategory:
-            if not eng[int(PerformanceMode.bulk) * 4 + int(c)] <= eng[int(PerformanceMode.realtime) * 4 + int(c)]:
+            if not eng_mc[PerformanceMode.bulk, c] <= eng_mc[PerformanceMode.realtime, c]:
                 raise ValueError(f"energy ordering violated for category {c.name}")
-        bulk_bg = int(PerformanceMode.bulk) * 4 + int(AccessCategory.background)
-        rt_iv = int(PerformanceMode.realtime) * 4 + int(AccessCategory.interactiveVoice)
-        if not all(eng[bulk_bg] < eng[i] for i in range(NUM_ACTIONS) if i != bulk_bg):
+        for m in PerformanceMode:
+            if not np.all(eng_mc[m, AccessCategory.background] <= eng_mc[m]):
+                raise ValueError(f"energy ordering violated within mode {m.name}")
+        bulk_bg = Action(PerformanceMode.bulk, AccessCategory.background).index
+        rt_iv = Action(PerformanceMode.realtime, AccessCategory.interactiveVoice).index
+        if np.sum(eng <= eng[bulk_bg]) != 1:
             raise ValueError("(bulk, background) must have the strictly minimal base energy")
-        if not all(lat[rt_iv] < lat[i] for i in range(NUM_ACTIONS) if i != rt_iv):
+        if np.sum(lat <= lat[rt_iv]) != 1:
             raise ValueError("(realtime, interactiveVoice) must have the strictly minimal base latency")
 
 
-def measure(config: LinkModelConfig, context: Context, rng: np.random.Generator) -> MeasurementVector:
-    """Draw one 8-action measurement sweep for a context."""
+def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> MeasurementVector:
+    """Draw one 8-action measurement sweep at the time of day of a context
+    (anything with a `.time`: a Context, or the Scenario of a session)."""
     base_lat = np.asarray(config.base_latency_ms, dtype=float)
     base_eng = np.asarray(config.base_energy_pct_h, dtype=float)
     mult = config.time_latency_multiplier[context.time]
@@ -113,12 +111,6 @@ def measure(config: LinkModelConfig, context: Context, rng: np.random.Generator)
         latency_ms=base_lat * mult * lat_noise,
         energy_pct_h=base_eng * eng_noise,
     )
-
-
-LOG_FIELDS = (
-    "step", "time", "app", "pub_battery", "sub_battery",
-    "pub_device", "sub_device", "latency_ms", "energy_pct_h",
-)
 
 
 def log_record(step: int, context: Context, mv: MeasurementVector) -> dict:
@@ -141,57 +133,33 @@ def write_log(path, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def _parse_record(obj: dict, lineno: int) -> dict:
-    try:
-        known = {k: obj[k] for k in LOG_FIELDS}
-    except KeyError as exc:
-        raise ValueError(f"line {lineno}: missing field {exc.args[0]!r}") from None
-    # Extra fields (charging status, signal strength, ...) are dropped.
-    return known
-
-
 def ingest_log(path, window: int = 10) -> list[tuple[Context, MeasurementVector]]:
     """Parse a measurement log, rebuilding the rolling app-history window.
 
     Records must appear in step order. The first window-1 steps pad the
-    history by repeating the earliest observed app.
+    history by repeating the earliest observed app. Fields beyond those
+    `log_record` writes (charging status, signal strength, ...) are dropped.
     """
     out: list[tuple[Context, MeasurementVector]] = []
     history: list[AppType] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed record: {exc}") from None
-            rec = _parse_record(obj, lineno)
-            try:
-                app = AppType[rec["app"]]
-                time = TimeOfDay[rec["time"]]
-            except KeyError as exc:
-                raise ValueError(f"line {lineno}: unknown enum value {exc.args[0]!r}") from None
-            history.append(app)
-            if len(history) > window:
-                history.pop(0)
-            padded = [history[0]] * (window - len(history)) + history
-            try:
-                mv = MeasurementVector(
-                    latency_ms=np.asarray(rec["latency_ms"], dtype=float),
-                    energy_pct_h=np.asarray(rec["energy_pct_h"], dtype=float),
-                )
+                rec = json.loads(line)
+                history = (history + [AppType[rec["app"]]])[-window:]
+                sub = rec["sub_battery"]
                 ctx = Context(
-                    time=time,
+                    time=TimeOfDay[rec["time"]],
                     publisher_battery=float(rec["pub_battery"]),
-                    subscriber_battery=None if rec["sub_battery"] is None else float(rec["sub_battery"]),
-                    app_history=tuple(padded),
+                    subscriber_battery=None if sub is None else float(sub),
+                    app_history=tuple([history[0]] * (window - len(history)) + history),
                     step_index=int(rec["step"]),
                     pub_device=rec["pub_device"],
                     sub_device=rec["sub_device"],
                 )
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            out.append((ctx, mv))
+                out.append((ctx, MeasurementVector(rec["latency_ms"], rec["energy_pct_h"])))
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValueError(f"{path}: line {lineno}: bad log record: {exc!r}") from None
     return out

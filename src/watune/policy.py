@@ -3,16 +3,17 @@ trained-head wrapper."""
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .domain import (
+    NUM_ACTIONS,
     AccessCategory,
     Action,
     AppType,
     Context,
+    Contexts,
     PerformanceMode,
     action_from_index,
 )
@@ -36,14 +37,22 @@ def oracle_decide(rewards: RewardVector) -> Action:
     return action_from_index(int(np.argmax(rewards.objective)))
 
 
+def rule_choices(hist: np.ndarray, table: Mapping[AppType, Action] | None = None) -> np.ndarray:
+    """Modal preferred tuple over each (N, W) app-history row; lowest index wins ties."""
+    table = PREFERRED_TUPLE if table is None else table
+    preferred = np.array([table[app].index for app in AppType])[hist]
+    rows = np.arange(len(hist))
+    counts = np.zeros((len(hist), NUM_ACTIONS), dtype=int)
+    for w in range(hist.shape[1]):
+        counts[rows, preferred[:, w]] += 1
+    return np.argmax(counts, axis=1)
+
+
 def rule_decide(history: Sequence[AppType], table: Mapping[AppType, Action] | None = None) -> Action:
     """Modal preferred tuple over the app-history window; lowest index wins ties."""
     if len(history) == 0:
         raise ValueError("history must be non-empty")
-    table = PREFERRED_TUPLE if table is None else table
-    counts = Counter(table[app].index for app in history)
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return action_from_index(best[0])
+    return action_from_index(int(rule_choices(np.array([[int(a) for a in history]]), table)[0]))
 
 
 def fixed_decide(variant: str) -> Action:
@@ -55,25 +64,33 @@ def fixed_decide(variant: str) -> Action:
 
 
 class Policy:
-    """Base interface: decide(context) -> Action.
+    """Base interface: choose(contexts, rewards) -> one action index per row.
 
-    The oracle additionally receives the sample's ground-truth reward
-    vector; every other policy must ignore it.
+    The oracle additionally receives the ground-truth (N, 8) objective
+    values; every other policy must ignore them.
     """
 
     name = "base"
 
-    def decide(self, context: Context, rewards: Optional[RewardVector] = None) -> Action:
+    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
+
+    def decide(self, context, rewards=None):
+        """The Action for one Context (given its RewardVector), or the action
+        index of every row of a Dataset."""
+        if isinstance(context, Context):
+            objective = None if rewards is None else np.atleast_2d(rewards.objective)
+            return action_from_index(int(self.choose(Contexts.of(context), objective)[0]))
+        return self.choose(context.contexts, context.rewards)
 
 
 class OraclePolicy(Policy):
     name = "oracle"
 
-    def decide(self, context: Context, rewards: Optional[RewardVector] = None) -> Action:
+    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
         if rewards is None:
             raise ValueError("oracle requires the sample's reward vector")
-        return oracle_decide(rewards)
+        return np.argmax(rewards, axis=1)
 
 
 class RulePolicy(Policy):
@@ -82,8 +99,8 @@ class RulePolicy(Policy):
     def __init__(self, table: Mapping[AppType, Action] | None = None):
         self.table = PREFERRED_TUPLE if table is None else table
 
-    def decide(self, context: Context, rewards: Optional[RewardVector] = None) -> Action:
-        return rule_decide(context.app_history, self.table)
+    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
+        return rule_choices(contexts.hist, self.table)
 
 
 class FixedPolicy(Policy):
@@ -92,23 +109,25 @@ class FixedPolicy(Policy):
         self.action = fixed_decide(variant)
         self.name = "fix-rt-iv" if variant == "rt_iv" else "fix-bulk-bg"
 
-    def decide(self, context: Context, rewards: Optional[RewardVector] = None) -> Action:
-        return self.action
+    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
+        return np.full(len(contexts.pub), self.action.index)
 
 
 class HeadPolicy(Policy):
-    """Trained classification head; argmax over a single forward pass."""
+    """Trained classification head; argmax over one forward pass of the batch."""
 
     def __init__(self, model, name: str = "head", mask_peer: bool = False):
         self.model = model
         self.name = name
         self.mask_peer = mask_peer
 
-    def decide(self, context: Context, rewards: Optional[RewardVector] = None) -> Action:
-        from .train import head_decide
+    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
+        from .train import encode_batch, forward
 
-        ctx = context.without_peer() if self.mask_peer else context
-        return head_decide(self.model, ctx)
+        x = encode_batch(contexts.without_peer() if self.mask_peer else contexts)
+        # 64-row blocks keep the activations small and BLAS single-threaded.
+        return np.concatenate([np.argmax(forward(self.model, x[i:i + 64]), axis=1)
+                               for i in range(0, len(x), 64)])
 
 
 BASELINE_NAMES = ("oracle", "rule", "fix-rt-iv", "fix-bulk-bg")

@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import NUM_ACTIONS, AppType, Context
+from .domain import NUM_ACTIONS, AppType, Context, Contexts
 from .measurement import MeasurementVector
 
 # Per-application latency tolerance L_a in ms.
@@ -51,8 +51,9 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class RewardVector:
-    """Per-action scores for one context: overall objective, mean latency
-    score over active apps, mean energy score over devices."""
+    """Per-action scores for one context ((8,) arrays) or N contexts ((N, 8)
+    arrays): overall objective, mean latency score over active apps, mean
+    energy score over devices."""
 
     objective: np.ndarray
     latency_score: np.ndarray
@@ -62,8 +63,8 @@ class RewardVector:
         for name in ("objective", "latency_score", "energy_score"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.shape != (NUM_ACTIONS,):
-                raise ValueError(f"{name} must have shape (8,)")
+            if arr.shape[-1:] != (NUM_ACTIONS,) or arr.ndim > 2:
+                raise ValueError(f"{name} must have shape (8,) or (N, 8)")
         if np.any(self.latency_score < 0) or np.any(self.latency_score > 100):
             raise ValueError("latency_score must lie in [0,100]")
         if np.any(self.energy_score <= 0):
@@ -88,22 +89,22 @@ def energy_score(battery_pct: float, energy: float) -> float:
 
 
 def objective(
-    context: Context,
+    context: Context | Contexts,
     mv: MeasurementVector,
     cfg: RewardConfig,
     tol: Mapping[AppType, float] | None = None,
 ) -> RewardVector:
-    """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b."""
-    tol = DEFAULT_TOLERANCE_MS if tol is None else tol
-    lat = mv.latency_ms
-    eng = mv.energy_pct_h
+    """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b.
 
-    batteries = [context.publisher_battery]
-    if context.subscriber_battery is not None:
-        batteries.append(context.subscriber_battery)
-    for b in batteries:
-        if b <= 0:
-            raise ValueError("battery must be strictly positive for reward computation")
+    For one Context `mv` holds (8,) arrays; for a Contexts batch it holds
+    (N, 8) arrays, and the result has the same shape.
+    """
+    one = isinstance(context, Context)
+    ctx = Contexts.of(context) if one else context
+    lat = np.atleast_2d(mv.latency_ms)
+    eng = np.atleast_2d(mv.energy_pct_h)
+    if np.any(ctx.pub <= 0) or np.any(ctx.peer & (ctx.sub <= 0)):
+        raise ValueError("battery must be strictly positive for reward computation")
 
     if cfg.mode is RewardMode.naive:
         lat_scores = np.maximum(100.0 - 100.0 * lat / NAIVE_TOLERANCE_MS, 0.0)
@@ -111,30 +112,32 @@ def objective(
         eng_scores = NAIVE_BATTERY / eng
     else:
         # Mean over the app-history multiset A; repeats weight the mean.
-        per_app = np.zeros(NUM_ACTIONS)
-        for app in context.app_history:
-            per_app += np.maximum(100.0 - 100.0 * lat / tol[app], 0.0)
-        lat_scores = per_app / len(context.app_history)
-        inv = np.zeros(NUM_ACTIONS)
-        sco = np.zeros(NUM_ACTIONS)
-        for b in batteries:
-            inv += eng / b
-            sco += b / eng
-        energy_penalty = inv / len(batteries)
-        eng_scores = sco / len(batteries)
+        tol = DEFAULT_TOLERANCE_MS if tol is None else tol
+        tol_ms = np.array([tol[app] for app in AppType])[ctx.hist]
+        window = ctx.hist.shape[1]
+        lat_scores = np.zeros_like(lat)
+        for w in range(window):
+            lat_scores += np.maximum(100.0 - 100.0 * lat / tol_ms[:, w, None], 0.0)
+        lat_scores /= window
+        # Mean over the devices whose battery is visible: the publisher, and
+        # the subscriber unless masked.
+        peer = ctx.peer[:, None]
+        pub = ctx.pub[:, None]
+        sub = np.where(peer, ctx.sub[:, None], 1.0)
+        devices = 1 + peer
+        energy_penalty = (eng / pub + np.where(peer, eng / sub, 0.0)) / devices
+        eng_scores = (pub / eng + np.where(peer, sub / eng, 0.0)) / devices
 
-    return RewardVector(
-        objective=cfg.w_l * lat_scores - cfg.w_p * energy_penalty,
-        latency_score=lat_scores,
-        energy_score=eng_scores,
-    )
+    scores = (cfg.w_l * lat_scores - cfg.w_p * energy_penalty, lat_scores, eng_scores)
+    return RewardVector(*(s[0] if one else s for s in scores))
 
 
 def soft_labels(objective_values: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax over per-action objectives (max-subtracted)."""
+    """Temperature softmax over per-action objectives (max-subtracted), along
+    the last axis of (8,) or (N, 8) values."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     r = np.asarray(objective_values, dtype=float)
-    z = (r - r.max()) / temperature
+    z = (r - r.max(axis=-1, keepdims=True)) / temperature
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)

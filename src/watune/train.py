@@ -5,12 +5,12 @@ gradients, AdamW, and the deterministic training loop."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Sample
-from .domain import NUM_ACTIONS, Action, AppType, Context, TimeOfDay, action_from_index
+from .datagen import Dataset, as_dataset
+from .domain import NUM_ACTIONS, Action, Context, Contexts, action_from_index
 from .reward import soft_labels
 
 FEATURE_DIM = 15  # one-hot time (4) | pub batt (1) | sub batt (1) | peer flag (1) | app histogram (8)
@@ -20,23 +20,27 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def encode(context: Context, window: int | None = None) -> np.ndarray:
-    """15-dim feature vector; masked peer zeroes positions 5 and 6."""
-    x = np.zeros(FEATURE_DIM)
-    x[int(context.time)] = 1.0
-    x[4] = context.publisher_battery / 100.0
-    if context.subscriber_battery is not None:
-        x[5] = context.subscriber_battery / 100.0
-        x[6] = 1.0
-    hist = np.zeros(NUM_ACTIONS)
-    for app in context.app_history:
-        hist[int(app)] += 1.0
-    x[7:] = hist / len(context.app_history)
+def encode_batch(contexts: Contexts | list[Context]) -> np.ndarray:
+    """(N, 15) features; a masked peer zeroes positions 5 and 6."""
+    if not isinstance(contexts, Contexts):
+        contexts = Contexts.of(*contexts)
+    n, window = contexts.hist.shape
+    rows = np.arange(n)
+    x = np.zeros((n, FEATURE_DIM))
+    x[rows, contexts.time] = 1.0
+    x[:, 4] = contexts.pub / 100.0
+    x[:, 5] = np.where(contexts.peer, contexts.sub / 100.0, 0.0)
+    x[:, 6] = contexts.peer
+    hist = np.zeros((n, NUM_ACTIONS))
+    for w in range(window):
+        hist[rows, contexts.hist[:, w]] += 1.0
+    x[:, 7:] = hist / window
     return x
 
 
-def encode_batch(contexts: list[Context]) -> np.ndarray:
-    return np.stack([encode(c) for c in contexts])
+def encode(context: Context) -> np.ndarray:
+    """15-dim feature vector of one context."""
+    return encode_batch(Contexts.of(context))[0]
 
 
 @dataclass
@@ -80,9 +84,10 @@ def forward(model: HeadModel, x: np.ndarray) -> np.ndarray:
     """Affine-rectifier chain; final layer affine. Accepts (d,) or (N, d)."""
     h = np.asarray(x, dtype=float)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if i < model.n_layers - 1:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -120,62 +125,84 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def loss_and_grad(kind: str, logits: np.ndarray, target) -> tuple[float, np.ndarray]:
+    """Mean loss over a batch of (B, 8) logits and its gradient w.r.t. them.
+
+    ce: `target` is the hard labels (B,); kl: the soft labels (B, 8); dpo:
+    (reference logits (B, 8), preferred (B,), dispreferred (B,), beta), with
+    both actions of a pair scored on the same row.
+    """
+    rows = np.arange(len(logits))
+    if kind == "ce":
+        logq = log_softmax(logits)
+        loss = -np.mean(logq[rows, target])
+        d = softmax(logits)
+        d[rows, target] -= 1.0
+    elif kind == "kl":
+        logq = log_softmax(logits)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(target > 0, target * (np.log(np.where(target > 0, target, 1.0)) - logq), 0.0)
+        loss = float(np.mean(terms.sum(axis=1)))
+        d = softmax(logits) - target
+    else:  # dpo
+        ref, y_w, y_l, beta = target
+        lp = log_softmax(logits)
+        rp = log_softmax(ref)
+        margin = beta * ((lp[rows, y_w] - rp[rows, y_w]) - (lp[rows, y_l] - rp[rows, y_l]))
+        loss = float(np.mean(np.where(
+            margin >= 0, np.log1p(np.exp(-margin)), -margin + np.log1p(np.exp(margin)))))
+        coef = 1.0 / (1.0 + np.exp(-margin)) - 1.0
+        d = np.zeros_like(logits)
+        d[rows, y_w] += coef * beta
+        d[rows, y_l] -= coef * beta
+    d /= len(rows)
+    return loss, d
+
+
 def loss_ce(logits: np.ndarray, label: int) -> float:
     """Negative log softmax probability of the hard label."""
-    return float(-log_softmax(logits)[label])
+    return float(loss_and_grad("ce", np.atleast_2d(logits), [label])[0])
 
 
 def grad_ce(logits: np.ndarray, label: int) -> np.ndarray:
-    g = softmax(logits)
-    g[label] -= 1.0
-    return g
+    return loss_and_grad("ce", np.atleast_2d(logits), [label])[1][0]
 
 
 def loss_kl(logits: np.ndarray, soft: np.ndarray) -> float:
     """KL(soft || softmax(logits)); zero-probability targets contribute 0."""
-    soft = np.asarray(soft, dtype=float)
-    logq = log_softmax(logits)
-    mask = soft > 0
-    return float(np.sum(soft[mask] * (np.log(soft[mask]) - logq[mask])))
+    return loss_and_grad("kl", np.atleast_2d(logits), np.atleast_2d(np.asarray(soft, dtype=float)))[0]
 
 
 def grad_kl(logits: np.ndarray, soft: np.ndarray) -> np.ndarray:
-    return softmax(logits) - np.asarray(soft, dtype=float)
+    return loss_and_grad("kl", np.atleast_2d(logits), np.atleast_2d(np.asarray(soft, dtype=float)))[1][0]
 
 
-def _log_sigmoid(m: float) -> float:
-    if m >= 0:
-        return -np.log1p(np.exp(-m))
-    return m - np.log1p(np.exp(m))
+def _dpo_pair(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l, y_w, y_l, beta):
+    """A pair scored on two sets of logits, as one row of the batched loss:
+    log-probabilities of the first set, the dispreferred entry from the
+    second (the row's own log-softmax shift cancels in the margin)."""
+    if y_w == y_l:
+        raise ValueError("degenerate pair: preferred == dispreferred")
+    lp, rp = log_softmax(policy_logits_w), log_softmax(ref_logits_w)
+    lp[y_l] = log_softmax(policy_logits_l)[y_l]
+    rp[y_l] = log_softmax(ref_logits_l)[y_l]
+    return loss_and_grad("dpo", lp[None], (rp[None], [y_w], [y_l], beta))
 
 
 def loss_dpo(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l,
              y_w: int, y_l: int, beta: float) -> float:
     """-log sigmoid(beta * [(logpi(y_w) - logref(y_w)) - (logpi(y_l) - logref(y_l))])."""
-    if y_w == y_l:
-        raise ValueError("degenerate pair: preferred == dispreferred")
-    m = beta * (
-        (log_softmax(policy_logits_w)[y_w] - log_softmax(ref_logits_w)[y_w])
-        - (log_softmax(policy_logits_l)[y_l] - log_softmax(ref_logits_l)[y_l])
-    )
-    return float(-_log_sigmoid(m))
+    return _dpo_pair(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l, y_w, y_l, beta)[0]
 
 
 def grad_dpo(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l,
              y_w: int, y_l: int, beta: float):
-    """Gradients w.r.t. the two policy logits arrays (reference is frozen)."""
-    m = beta * (
-        (log_softmax(policy_logits_w)[y_w] - log_softmax(ref_logits_w)[y_w])
-        - (log_softmax(policy_logits_l)[y_l] - log_softmax(ref_logits_l)[y_l])
-    )
-    coef = float(1.0 / (1.0 + np.exp(-m)) - 1.0)  # sigmoid(m) - 1
-    e_w = np.zeros(NUM_ACTIONS)
-    e_w[y_w] = 1.0
-    e_l = np.zeros(NUM_ACTIONS)
-    e_l[y_l] = 1.0
-    d_w = coef * beta * (e_w - softmax(policy_logits_w))
-    d_l = -coef * beta * (e_l - softmax(policy_logits_l))
-    return d_w, d_l
+    """Gradients w.r.t. the two policy logits arrays (reference is frozen),
+    through d log softmax(z)[y] / dz = onehot(y) - softmax(z)."""
+    _, d = _dpo_pair(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l, y_w, y_l, beta)
+    onehot = np.eye(NUM_ACTIONS)
+    return (d[0, y_w] * (onehot[y_w] - softmax(policy_logits_w)),
+            d[0, y_l] * (onehot[y_l] - softmax(policy_logits_l)))
 
 
 @dataclass
@@ -226,12 +253,12 @@ class AdamW:
             p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p)
 
 
-def hard_labels(dataset: list[Sample]) -> np.ndarray:
-    return np.array([int(np.argmax(s.rewards.objective)) for s in dataset])
+def hard_labels(dataset: Dataset) -> np.ndarray:
+    return np.argmax(as_dataset(dataset).rewards, axis=1)
 
 
-def soft_targets(dataset: list[Sample], temperature: float) -> np.ndarray:
-    return np.stack([soft_labels(s.rewards.objective, temperature) for s in dataset])
+def soft_targets(dataset: Dataset, temperature: float) -> np.ndarray:
+    return soft_labels(as_dataset(dataset).rewards, temperature)
 
 
 def accuracy_vs_oracle(model: HeadModel, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -239,25 +266,25 @@ def accuracy_vs_oracle(model: HeadModel, feats: np.ndarray, labels: np.ndarray) 
     return float(np.mean(pred == labels))
 
 
-def train(dataset: list[Sample], model: HeadModel, cfg: TrainConfig,
+def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
           ref_model: HeadModel | None = None,
-          test_set: list[Sample] | None = None) -> tuple[HeadModel, dict]:
+          test_set: Dataset | None = None) -> tuple[HeadModel, dict]:
     """Deterministic mini-batch AdamW training of the head."""
-    if not dataset:
+    if not len(dataset):
         raise ValueError("empty training set")
     if cfg.loss == "dpo" and ref_model is None:
         raise ValueError("dpo training requires a frozen reference model")
     model = model.copy()
     model.validate()
+    data = as_dataset(dataset)
 
-    feats = encode_batch([s.context for s in dataset])
-    labels = hard_labels(dataset)
-    if cfg.loss == "kl":
-        targets = soft_targets(dataset, cfg.soft_temp)
+    all_feats = feats = encode_batch(data.contexts)
+    labels = hard_labels(data)
+    targets = soft_targets(data, cfg.soft_temp) if cfg.loss == "kl" else labels
     skipped = 0
     if cfg.loss == "dpo":
         y_w = labels
-        y_l = np.array([int(np.argmin(s.rewards.objective)) for s in dataset])
+        y_l = np.argmin(data.rewards, axis=1)
         keep = y_w != y_l
         skipped = int(np.sum(~keep))
         feats, y_w, y_l = feats[keep], y_w[keep], y_l[keep]
@@ -275,35 +302,10 @@ def train(dataset: list[Sample], model: HeadModel, cfg: TrainConfig,
         total, batches = 0.0, 0
         for start in range(0, n, cfg.effective_batch):
             idx = order[start:start + cfg.effective_batch]
-            xb = feats[idx]
-            logits, acts, pre = _forward_cached(model, xb)
-            if cfg.loss == "ce":
-                logq = log_softmax(logits)
-                loss = -np.mean(logq[np.arange(len(idx)), labels[idx]])
-                d = softmax(logits)
-                d[np.arange(len(idx)), labels[idx]] -= 1.0
-                d /= len(idx)
-            elif cfg.loss == "kl":
-                tb = targets[idx]
-                logq = log_softmax(logits)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    terms = np.where(tb > 0, tb * (np.log(np.where(tb > 0, tb, 1.0)) - logq), 0.0)
-                loss = float(np.mean(terms.sum(axis=1)))
-                d = (softmax(logits) - tb) / len(idx)
-            else:  # dpo
-                rb = ref_logits_all[idx]
-                lw, ll = y_w[idx], y_l[idx]
-                rows = np.arange(len(idx))
-                lp = log_softmax(logits)
-                rp = log_softmax(rb)
-                margin = cfg.dpo_beta * ((lp[rows, lw] - rp[rows, lw]) - (lp[rows, ll] - rp[rows, ll]))
-                loss = float(np.mean(np.where(
-                    margin >= 0, np.log1p(np.exp(-margin)), -margin + np.log1p(np.exp(margin)))))
-                coef = 1.0 / (1.0 + np.exp(-margin)) - 1.0
-                d = np.zeros_like(logits)
-                d[rows, lw] += coef * cfg.dpo_beta
-                d[rows, ll] -= coef * cfg.dpo_beta
-                d /= len(idx)
+            logits, acts, pre = _forward_cached(model, feats[idx])
+            target = (targets[idx] if cfg.loss != "dpo"
+                      else (ref_logits_all[idx], y_w[idx], y_l[idx], cfg.dpo_beta))
+            loss, d = loss_and_grad(cfg.loss, logits, target)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite {cfg.loss} loss at epoch {epoch}, step {batches}")
@@ -317,15 +319,15 @@ def train(dataset: list[Sample], model: HeadModel, cfg: TrainConfig,
         "loss": cfg.loss,
         "epochs": cfg.epochs,
         "seed": cfg.seed,
-        "samples": len(dataset),
+        "samples": len(data),
         "skipped_pairs": skipped,
         "epoch_loss": epoch_loss,
-        "train_accuracy_vs_oracle": accuracy_vs_oracle(
-            model, encode_batch([s.context for s in dataset]), hard_labels(dataset)),
+        "train_accuracy_vs_oracle": accuracy_vs_oracle(model, all_feats, labels),
     }
     if test_set:
+        test_set = as_dataset(test_set)
         report["test_accuracy_vs_oracle"] = accuracy_vs_oracle(
-            model, encode_batch([s.context for s in test_set]), hard_labels(test_set))
+            model, encode_batch(test_set.contexts), hard_labels(test_set))
     return model, report
 
 
@@ -338,6 +340,8 @@ CHECKPOINT_FORMAT = "watune-head-v1"
 
 
 def save_checkpoint(path, model: HeadModel, metadata: dict | None = None) -> None:
+    from .config import atomic_write_text
+
     obj = {
         "format": CHECKPOINT_FORMAT,
         "layers": model.n_layers,
@@ -346,19 +350,21 @@ def save_checkpoint(path, model: HeadModel, metadata: dict | None = None) -> Non
         "biases": [b.tolist() for b in model.biases],
         "metadata": metadata or {},
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+    atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[HeadModel, dict]:
-    with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format: {obj.get('format')!r}")
-    weights = [np.array(flat, dtype=float).reshape(shape)
-               for flat, shape in zip(obj["weights"], obj["shapes"])]
-    biases = [np.array(b, dtype=float) for b in obj["biases"]]
-    model = HeadModel(weights, biases)
-    model.validate()
+    """Read a checkpoint; a malformed one raises ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if obj.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"unsupported checkpoint format: {obj.get('format')!r}")
+        weights = [np.array(flat, dtype=float).reshape(shape)
+                   for flat, shape in zip(obj["weights"], obj["shapes"])]
+        biases = [np.array(b, dtype=float) for b in obj["biases"]]
+        model = HeadModel(weights, biases)
+        model.validate()
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None
     return model, obj.get("metadata", {})

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -142,9 +143,9 @@ def test_split_stratified(small_dataset, small_split):
     for part, expected in ((train, 80), (test, 20)):
         counts = Counter(s.scenario for s in part)
         assert set(counts.values()) == {expected}
-    # disjoint by identity
-    train_ids = {id(s) for s in train}
-    assert not any(id(s) in train_ids for s in test)
+    # disjoint: (scenario, step) identifies a row of the grid
+    train_keys = {(s.scenario, s.context.step_index) for s in train}
+    assert not any((s.scenario, s.context.step_index) in train_keys for s in test)
 
 
 def test_split_bad_fraction(small_dataset):
@@ -192,4 +193,16 @@ def test_load_dataset_names_bad_line(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"step": 0}\n')
     with pytest.raises(ValueError, match="line 1"):
+        load_dataset(p)
+
+
+def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):
+    p = tmp_path / "test.jsonl"
+    save_dataset(p, small_dataset[:3])
+    lines = p.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["latency_ms"] = [float("nan")] + rec["latency_ms"][1:]
+    lines[1] = json.dumps(rec)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"test\.jsonl: line 2: latency"):
         load_dataset(p)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,13 @@ def test_accuracy_helpers(toy_split):
     acc = accuracy_vs_oracle(init_head(1, seed=0), feats, labels)
     assert 0.0 <= acc <= 1.0
     assert log_softmax(np.zeros(8))[0] == pytest.approx(-np.log(8))
+
+
+def test_load_checkpoint_names_truncated_file(tmp_path):
+    p = tmp_path / "head-kl.ckpt.json"
+    save_checkpoint(p, init_head(1, seed=0), {"loss": "kl"})
+    text = p.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    p.write_text(text[: len(text) // 2])
+    with pytest.raises(ValueError, match=r"head-kl\.ckpt\.json"):
+        load_checkpoint(p)
