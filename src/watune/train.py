@@ -325,7 +325,6 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
         "train_accuracy_vs_oracle": accuracy_vs_oracle(model, all_feats, labels),
     }
     if test_set:
-        test_set = as_dataset(test_set)
         report["test_accuracy_vs_oracle"] = accuracy_vs_oracle(
             model, encode_batch(test_set.contexts), hard_labels(test_set))
     return model, report
