@@ -27,7 +27,7 @@ from .datagen import (
 from .domain import BatteryConfig, Scenario, TimeOfDay
 from .policy import BASELINE_NAMES, HeadPolicy, make_baseline
 from .reward import RewardMode
-from .train import load_checkpoint, save_checkpoint, train as train_head_raw
+from .train import init_head, load_checkpoint, save_checkpoint, train as train_head_raw
 from .evaluate import cooperative_slice, evaluate, flat_table, replay_snapshot, train_head
 
 OOD_STREAM = 1
@@ -40,9 +40,7 @@ class CliError(RuntimeError):
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.dataset.seed = args.seed
-        cfg.train.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # __post_init__ hands the seed to each section
     return cfg
 
 
@@ -93,8 +91,6 @@ def cmd_train(args) -> int:
         data = relabel(data, replace(cfg.reward, mode=RewardMode.naive))
     if args.no_peer:
         data = mask_peer(data)
-
-    from .train import init_head
     if tcfg.loss == "dpo":
         if not args.ref:
             raise CliError("--loss dpo requires --ref <sft-checkpoint>")
@@ -175,6 +171,12 @@ COMPARE_SLICES = ("aggregate", "coop", "ood")
 COMPARE_METRICS = ("objective", "latency", "energy")
 
 
+def _check_config(what: str, found: str | None, chash: str) -> None:
+    if found != chash:
+        raise CliError(f"{what} came from config {found}, current config is {chash}; "
+                       "remove stale artifacts or use a fresh out dir")
+
+
 def _head_variants(train_set, cfg: ExperimentConfig, out: str, chash: str) -> dict:
     """Train (or reload) the four head rows of the comparison table."""
     variants = {}
@@ -185,19 +187,14 @@ def _head_variants(train_set, cfg: ExperimentConfig, out: str, chash: str) -> di
         ckpt = os.path.join(out, name + ".ckpt.json")
         if os.path.exists(ckpt):
             model, meta = load_checkpoint(ckpt)
-            if meta.get("config_hash") != chash:
-                raise CliError(
-                    f"checkpoint {ckpt} was built from config {meta.get('config_hash')}, "
-                    f"current config is {chash}; remove stale artifacts or use a fresh out dir")
-            variants[name] = HeadPolicy(model, name=name, mask_peer=masked)
-            continue
-        policy, model, _ = train_head(train_set, tcfg, masked=masked)
-        policy.name = name
-        save_checkpoint(ckpt, model, {
-            "loss": tcfg.loss, "layers": tcfg.layers, "seed": tcfg.seed,
-            "config_hash": chash, "no_peer": masked, "reward_mode": "context",
-        })
-        variants[name] = policy
+            _check_config(f"checkpoint {ckpt}", meta.get("config_hash"), chash)
+        else:
+            _, model, _ = train_head(train_set, tcfg, masked=masked)
+            save_checkpoint(ckpt, model, {
+                "loss": tcfg.loss, "layers": tcfg.layers, "seed": tcfg.seed,
+                "config_hash": chash, "no_peer": masked, "reward_mode": "context",
+            })
+        variants[name] = HeadPolicy(model, name=name, mask_peer=masked)
     return variants
 
 
@@ -208,11 +205,7 @@ def cmd_compare(args) -> int:
     manifest_path = os.path.join(out, "manifest.json")
     if os.path.exists(manifest_path):
         with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        if manifest.get("config_hash") != chash:
-            raise CliError(
-                f"artifacts in {out} were generated from config {manifest.get('config_hash')}, "
-                f"current config is {chash}; remove them or use a fresh out dir")
+            _check_config(f"artifacts in {out}", json.load(fh).get("config_hash"), chash)
     else:
         cmd_gen(argparse.Namespace(config=getattr(args, "config", None),
                                    seed=getattr(args, "seed", None), out=out))

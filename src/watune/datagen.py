@@ -236,39 +236,19 @@ class Dataset:
                       RewardVector(self.rewards[i], self.lat_scores[i], self.eng_scores[i]),
                       ALL_SCENARIOS[self.scenario[i]])
 
-    @classmethod
-    def from_samples(cls, samples) -> "Dataset":
-        samples = list(samples)
-        ctxs = [s.context for s in samples]
-        return cls(
-            **Contexts.of(*ctxs)._asdict(),
-            step=np.array([c.step_index for c in ctxs]),
-            lat=np.array([s.measurements.latency_ms for s in samples]),
-            eng=np.array([s.measurements.energy_pct_h for s in samples]),
-            rewards=np.array([s.rewards.objective for s in samples]),
-            lat_scores=np.array([s.rewards.latency_score for s in samples]),
-            eng_scores=np.array([s.rewards.energy_score for s in samples]),
-            scenario=np.array([ALL_SCENARIOS.index(s.scenario) for s in samples]),
-            pub_device=np.array([c.pub_device for c in ctxs], dtype=object),
-            sub_device=np.array([c.sub_device for c in ctxs], dtype=object),
-        )
-
     @staticmethod
     def concat(parts) -> "Dataset":
         return Dataset(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
                           for f in fields(Dataset)})
 
 
-def as_dataset(data) -> Dataset:
-    """A Dataset as is, or a sequence of Samples stacked into one."""
-    return data if isinstance(data, Dataset) else Dataset.from_samples(data)
-
-
-def sample_app(profile: AppUsageProfile, time: TimeOfDay, rng: np.random.Generator) -> AppType:
+def sample_app(profile: AppUsageProfile, time: TimeOfDay, rng: np.random.Generator, size=None):
+    """One app drawn from the profile at `time`, or an array of `size` app codes."""
     dist = profile[time]
     apps = list(dist.keys())
     probs = np.array([dist[a] for a in apps])
-    return apps[rng.choice(len(apps), p=probs / probs.sum())]
+    drawn = rng.choice(len(apps), size=size, p=probs / probs.sum())
+    return apps[drawn] if size is None else np.array(apps)[drawn]
 
 
 def battery_classes(bc: BatteryConfig) -> tuple[BatteryClass, BatteryClass]:
@@ -303,18 +283,15 @@ def generate_session(
     pub_batt, sub_batt = (rng.uniform(*cfg.battery_class_ranges[c])
                           for c in battery_classes(scenario.battery_config))
 
-    dist = profile[scenario.time]
-    apps = np.array([int(a) for a in dist])
-    probs = np.array(list(dist.values()))
     n = cfg.logs_per_session
-    app_stream = apps[rng.choice(len(apps), size=n, p=probs / probs.sum())]
+    app_stream = sample_app(profile, scenario.time, rng, size=n)
     # Rolling window, oldest first; early steps repeat the first app.
     steps = np.arange(n)
     hist = app_stream[np.maximum(0, steps[:, None] - (cfg.window - 1) + np.arange(cfg.window))]
 
     sweeps = [measure(link, scenario, rng) for _ in steps]
-    mv = MeasurementVector(np.array([m.latency_ms for m in sweeps]),
-                           np.array([m.energy_pct_h for m in sweeps]))
+    lat = np.array([m.latency_ms for m in sweeps])
+    eng = np.array([m.energy_pct_h for m in sweeps])
 
     contexts = Contexts(time=np.full(n, int(scenario.time)), pub=None, sub=None,
                         peer=np.ones(n, dtype=bool), hist=hist)
@@ -323,17 +300,17 @@ def generate_session(
     while True:
         contexts = contexts._replace(pub=_battery_levels(pub_batt, drain),
                                      sub=_battery_levels(sub_batt, drain))
-        rv = objective(contexts, mv, reward_cfg)
-        chosen = np.argmax(rv.objective, axis=1)
+        rewards, lat_scores, eng_scores = objective(contexts, (lat, eng), reward_cfg)
+        chosen = np.argmax(rewards, axis=1)
         if best is not None and np.array_equal(chosen, best):
             break
         best = chosen
-        drain = mv.energy_pct_h[steps, best] * (cfg.sample_interval_s / 3600.0)
+        drain = eng[steps, best] * (cfg.sample_interval_s / 3600.0)
 
     return Dataset(
-        **contexts._asdict(), step=steps, lat=mv.latency_ms, eng=mv.energy_pct_h,
-        rewards=rv.objective, lat_scores=rv.latency_score, eng_scores=rv.energy_score,
-        scenario=np.full(n, ALL_SCENARIOS.index(scenario)),
+        **contexts._asdict(), step=steps, lat=lat, eng=eng,
+        rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores,
+        scenario=np.full(n, scenario.code),
         pub_device=np.full(n, "iPadPro-pub", dtype=object),
         sub_device=np.full(n, "iPadPro-sub", dtype=object),
     )
@@ -386,14 +363,13 @@ def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
     generation time (masking affects policy input only), so relabeling a
     masked dataset is not supported.
     """
-    rv = objective(dataset.contexts, MeasurementVector(dataset.lat, dataset.eng), reward_cfg)
-    return replace(dataset, rewards=rv.objective, lat_scores=rv.latency_score,
-                   eng_scores=rv.energy_score)
+    rewards, lat_scores, eng_scores = objective(dataset.contexts, (dataset.lat, dataset.eng), reward_cfg)
+    return replace(dataset, rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores)
 
 
 _TIME_CODE = {t.name: int(t) for t in TimeOfDay}
 _APP_CODE = {a.name: int(a) for a in AppType}
-_CONFIG_CODE = {b.name: int(b) for b in BatteryConfig}
+_SCENARIO_CODE = {(s.time.name, s.battery_config.name): s.code for s in ALL_SCENARIOS}
 
 
 def dataset_text(dataset: Dataset) -> str:
@@ -440,8 +416,7 @@ def load_dataset(path) -> Dataset:
                     "peer": sub is not None,
                     "hist": [_APP_CODE[a] for a in rec["app_history"]],
                     "step": int(rec["step"]),
-                    "scenario": (_TIME_CODE[scenario["time"]] * len(BatteryConfig)
-                                 + _CONFIG_CODE[scenario["battery_config"]]),
+                    "scenario": _SCENARIO_CODE[scenario["time"], scenario["battery_config"]],
                     "pub_device": rec.get("pub_device"),
                     "sub_device": rec.get("sub_device"),
                 }

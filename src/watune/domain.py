@@ -94,6 +94,11 @@ class Scenario:
     def key(self) -> str:
         return f"{self.time.name}/{self.battery_config.name}"
 
+    @property
+    def code(self) -> int:
+        """Index in ALL_SCENARIOS; codes sort time-major, battery-config-minor."""
+        return int(self.time) * len(BatteryConfig) + int(self.battery_config)
+
 
 ALL_SCENARIOS: tuple[Scenario, ...] = tuple(
     Scenario(t, b) for t in TimeOfDay for b in BatteryConfig

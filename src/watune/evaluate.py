@@ -74,8 +74,8 @@ def evaluate(policy: Policy, dataset: Dataset,
 
 def cooperative_slice(dataset: Dataset) -> Dataset:
     """Publisher-high / subscriber-low scenarios only."""
-    battery_config = dataset.scenario % len(BatteryConfig)  # scenario-major grid order
-    return dataset[battery_config == BatteryConfig.pubHighSubLow]
+    return dataset[np.isin(dataset.scenario, [s.code for s in ALL_SCENARIOS
+                                              if s.battery_config is BatteryConfig.pubHighSubLow])]
 
 
 def train_head(train_set: Dataset, cfg: TrainConfig,
@@ -156,7 +156,7 @@ def replay_snapshot(dataset: Dataset, policies: list[Policy],
     """Human-readable transcript of context, each policy's decision, and the
     per-decision objective."""
     if scenario is not None:
-        dataset = dataset[dataset.scenario == ALL_SCENARIOS.index(scenario)]
+        dataset = dataset[dataset.scenario == scenario.code]
     lines = []
     for s in dataset[:max_steps]:
         ctx = s.context

@@ -36,8 +36,7 @@ DEFAULT_TIME_MULTIPLIER = {
 
 @dataclass(frozen=True)
 class MeasurementVector:
-    """Measured latency/energy for all 8 actions at one decision step ((8,)
-    arrays) or at N steps ((N, 8) arrays)."""
+    """Measured latency/energy for all 8 actions at one decision step."""
 
     latency_ms: np.ndarray
     energy_pct_h: np.ndarray
@@ -47,8 +46,8 @@ class MeasurementVector:
         eng = np.asarray(self.energy_pct_h, dtype=float)
         object.__setattr__(self, "latency_ms", lat)
         object.__setattr__(self, "energy_pct_h", eng)
-        if lat.shape[-1:] != (NUM_ACTIONS,) or lat.ndim > 2 or eng.shape != lat.shape:
-            raise ValueError("measurement arrays must have shape (8,) or (N, 8)")
+        if lat.shape != (NUM_ACTIONS,) or eng.shape != (NUM_ACTIONS,):
+            raise ValueError("measurement arrays must have shape (8,)")
         if not np.all(np.isfinite(lat) & (lat >= 0)):
             raise ValueError("latency must be finite and non-negative")
         if not np.all(np.isfinite(eng) & (eng > 0)):

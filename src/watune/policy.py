@@ -18,6 +18,7 @@ from .domain import (
     action_from_index,
 )
 from .reward import RewardVector
+from .train import head_choices
 
 # Heuristic app -> preferred WA parameter tuple.
 PREFERRED_TUPLE: dict[AppType, Action] = {
@@ -34,7 +35,7 @@ PREFERRED_TUPLE: dict[AppType, Action] = {
 
 def oracle_decide(rewards: RewardVector) -> Action:
     """Reward-maximizing action; ties break to the lowest index."""
-    return action_from_index(int(np.argmax(rewards.objective)))
+    return action_from_index(int(OraclePolicy().choose(None, rewards.objective[None])[0]))
 
 
 def rule_choices(hist: np.ndarray, table: Mapping[AppType, Action] | None = None) -> np.ndarray:
@@ -90,7 +91,7 @@ class OraclePolicy(Policy):
     def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
         if rewards is None:
             raise ValueError("oracle requires the sample's reward vector")
-        return np.argmax(rewards, axis=1)
+        return np.argmax(rewards, axis=1)  # ties break to the lowest index
 
 
 class RulePolicy(Policy):
@@ -122,24 +123,15 @@ class HeadPolicy(Policy):
         self.mask_peer = mask_peer
 
     def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
-        from .train import encode_batch, forward
-
-        x = encode_batch(contexts.without_peer() if self.mask_peer else contexts)
-        # 64-row blocks keep the activations small and BLAS single-threaded.
-        return np.concatenate([np.argmax(forward(self.model, x[i:i + 64]), axis=1)
-                               for i in range(0, len(x), 64)])
+        return head_choices(self.model, contexts.without_peer() if self.mask_peer else contexts)
 
 
-BASELINE_NAMES = ("oracle", "rule", "fix-rt-iv", "fix-bulk-bg")
+BASELINES = {"oracle": OraclePolicy, "rule": RulePolicy,
+             "fix-rt-iv": lambda: FixedPolicy("rt_iv"), "fix-bulk-bg": lambda: FixedPolicy("bulk_bg")}
+BASELINE_NAMES = tuple(BASELINES)
 
 
 def make_baseline(name: str) -> Policy:
-    if name == "oracle":
-        return OraclePolicy()
-    if name == "rule":
-        return RulePolicy()
-    if name == "fix-rt-iv":
-        return FixedPolicy("rt_iv")
-    if name == "fix-bulk-bg":
-        return FixedPolicy("bulk_bg")
-    raise ValueError(f"unknown policy {name!r}; valid: {', '.join(BASELINE_NAMES + ('head',))}")
+    if name not in BASELINES:
+        raise ValueError(f"unknown policy {name!r}; valid: {', '.join(BASELINE_NAMES + ('head',))}")
+    return BASELINES[name]()

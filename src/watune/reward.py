@@ -10,7 +10,6 @@ from typing import Mapping
 import numpy as np
 
 from .domain import NUM_ACTIONS, AppType, Context, Contexts
-from .measurement import MeasurementVector
 
 # Per-application latency tolerance L_a in ms.
 DEFAULT_TOLERANCE_MS: dict[AppType, float] = {
@@ -51,9 +50,8 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class RewardVector:
-    """Per-action scores for one context ((8,) arrays) or N contexts ((N, 8)
-    arrays): overall objective, mean latency score over active apps, mean
-    energy score over devices."""
+    """Per-action scores for one context: overall objective, mean latency
+    score over active apps, mean energy score over devices."""
 
     objective: np.ndarray
     latency_score: np.ndarray
@@ -63,8 +61,8 @@ class RewardVector:
         for name in ("objective", "latency_score", "energy_score"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.shape[-1:] != (NUM_ACTIONS,) or arr.ndim > 2:
-                raise ValueError(f"{name} must have shape (8,) or (N, 8)")
+            if arr.shape != (NUM_ACTIONS,):
+                raise ValueError(f"{name} must have shape (8,)")
         if np.any(self.latency_score < 0) or np.any(self.latency_score > 100):
             raise ValueError("latency_score must lie in [0,100]")
         if np.any(self.energy_score <= 0):
@@ -88,22 +86,20 @@ def energy_score(battery_pct: float, energy: float) -> float:
     return battery_pct / energy
 
 
-def objective(
-    context: Context | Contexts,
-    mv: MeasurementVector,
-    cfg: RewardConfig,
-    tol: Mapping[AppType, float] | None = None,
-) -> RewardVector:
+def objective(context: Context | Contexts, mv, cfg: RewardConfig,
+              tol: Mapping[AppType, float] | None = None):
     """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b.
 
-    For one Context `mv` holds (8,) arrays; for a Contexts batch it holds
-    (N, 8) arrays, and the result has the same shape.
+    For one Context, `mv` is its MeasurementVector and the result is a
+    RewardVector. For a Contexts batch, `mv` is the (latency, energy) pair
+    of (N, 8) arrays and the result is the (objective, latency score,
+    energy score) triple of (N, 8) arrays.
     """
-    one = isinstance(context, Context)
-    ctx = Contexts.of(context) if one else context
-    lat = np.atleast_2d(mv.latency_ms)
-    eng = np.atleast_2d(mv.energy_pct_h)
-    if np.any(ctx.pub <= 0) or np.any(ctx.peer & (ctx.sub <= 0)):
+    if isinstance(context, Context):
+        columns = objective(Contexts.of(context), (mv.latency_ms[None], mv.energy_pct_h[None]), cfg, tol)
+        return RewardVector(*(c[0] for c in columns))
+    lat, eng = mv
+    if np.any(context.pub <= 0) or np.any(context.peer & (context.sub <= 0)):
         raise ValueError("battery must be strictly positive for reward computation")
 
     if cfg.mode is RewardMode.naive:
@@ -113,23 +109,22 @@ def objective(
     else:
         # Mean over the app-history multiset A; repeats weight the mean.
         tol = DEFAULT_TOLERANCE_MS if tol is None else tol
-        tol_ms = np.array([tol[app] for app in AppType])[ctx.hist]
-        window = ctx.hist.shape[1]
+        tol_ms = np.array([tol[app] for app in AppType])[context.hist]
+        window = context.hist.shape[1]
         lat_scores = np.zeros_like(lat)
         for w in range(window):
             lat_scores += np.maximum(100.0 - 100.0 * lat / tol_ms[:, w, None], 0.0)
         lat_scores /= window
         # Mean over the devices whose battery is visible: the publisher, and
         # the subscriber unless masked.
-        peer = ctx.peer[:, None]
-        pub = ctx.pub[:, None]
-        sub = np.where(peer, ctx.sub[:, None], 1.0)
+        peer = context.peer[:, None]
+        pub = context.pub[:, None]
+        sub = np.where(peer, context.sub[:, None], 1.0)
         devices = 1 + peer
         energy_penalty = (eng / pub + np.where(peer, eng / sub, 0.0)) / devices
         eng_scores = (pub / eng + np.where(peer, sub / eng, 0.0)) / devices
 
-    scores = (cfg.w_l * lat_scores - cfg.w_p * energy_penalty, lat_scores, eng_scores)
-    return RewardVector(*(s[0] if one else s for s in scores))
+    return cfg.w_l * lat_scores - cfg.w_p * energy_penalty, lat_scores, eng_scores
 
 
 def soft_labels(objective_values: np.ndarray, temperature: float) -> np.ndarray:

@@ -37,41 +37,39 @@ def context_batches(draw):
         for _ in range(n)
     ]
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    mv = MeasurementVector(latency_ms=rng.uniform(0.0, 12_000.0, (n, 8)),
-                           energy_pct_h=rng.uniform(0.1, 8.0, (n, 8)))
-    return contexts, mv
+    return contexts, (rng.uniform(0.0, 12_000.0, (n, 8)), rng.uniform(0.1, 8.0, (n, 8)))
 
 
 @given(context_batches(), st.sampled_from(list(RewardMode)))
 @settings(max_examples=150, deadline=None)
 def test_columnar_reward_equals_row_objective(batch, mode):
-    contexts, mv = batch
+    contexts, (lat, eng) = batch
     cfg = RewardConfig(mode=mode)
-    columns = objective(Contexts.of(*contexts), mv, cfg)
+    rewards, lat_scores, eng_scores = objective(Contexts.of(*contexts), (lat, eng), cfg)
     for i, ctx in enumerate(contexts):
-        row = objective(ctx, MeasurementVector(mv.latency_ms[i], mv.energy_pct_h[i]), cfg)
-        np.testing.assert_array_equal(columns.objective[i], row.objective)
-        np.testing.assert_array_equal(columns.latency_score[i], row.latency_score)
-        np.testing.assert_array_equal(columns.energy_score[i], row.energy_score)
+        row = objective(ctx, MeasurementVector(lat[i], eng[i]), cfg)
+        np.testing.assert_array_equal(rewards[i], row.objective)
+        np.testing.assert_array_equal(lat_scores[i], row.latency_score)
+        np.testing.assert_array_equal(eng_scores[i], row.energy_score)
 
 
 @given(context_batches())
 @settings(max_examples=150, deadline=None)
 def test_batched_encode_equals_row_encode(batch):
     contexts, _ = batch
-    np.testing.assert_array_equal(encode_batch(contexts),
+    np.testing.assert_array_equal(encode_batch(Contexts.of(*contexts)),
                                   np.stack([encode(c) for c in contexts]))
 
 
 @given(context_batches(), st.sampled_from(BASELINE_NAMES))
 @settings(max_examples=150, deadline=None)
 def test_baseline_batch_decision_equals_row_decide(batch, name):
-    contexts, mv = batch
+    contexts, (lat, eng) = batch
     policy = make_baseline(name)
-    rewards = objective(Contexts.of(*contexts), mv, RewardConfig())
-    chosen = policy.choose(Contexts.of(*contexts), rewards.objective)
+    rewards, _, _ = objective(Contexts.of(*contexts), (lat, eng), RewardConfig())
+    chosen = policy.choose(Contexts.of(*contexts), rewards)
     for i, ctx in enumerate(contexts):
-        row = objective(ctx, MeasurementVector(mv.latency_ms[i], mv.energy_pct_h[i]), RewardConfig())
+        row = objective(ctx, MeasurementVector(lat[i], eng[i]), RewardConfig())
         assert chosen[i] == policy.decide(ctx, row).index
 
 

@@ -66,6 +66,11 @@ def test_scenario_grid():
     assert ALL_SCENARIOS[0] == Scenario(TimeOfDay.morning, BatteryConfig.bothHigh)
 
 
+def test_scenario_code_indexes_grid():
+    assert [s.code for s in ALL_SCENARIOS] == list(range(16))
+    assert ALL_SCENARIOS[Scenario(TimeOfDay.night, BatteryConfig.bothLow).code].key() == "night/bothLow"
+
+
 def test_context_validation():
     ok = Context(TimeOfDay.morning, 50.0, 80.0, (AppType.voiceChat,) * 10)
     assert ok.subscriber_battery == 80.0

@@ -144,3 +144,13 @@ def test_ingest_errors_name_line(tmp_path):
     p.write_text(json.dumps(bad) + "\n")
     with pytest.raises(ValueError, match="line 1"):
         ingest_log(p)
+
+
+def test_ingest_rejects_nested_measurement_arrays(tmp_path):
+    import json
+    rec = log_record(0, ctx(), measure(LinkModelConfig(), ctx(), np.random.default_rng(1)))
+    p = tmp_path / "nested.jsonl"
+    lines = [json.dumps(rec), json.dumps(dict(rec, latency_ms=[rec["latency_ms"]]))]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"nested\.jsonl: line 2"):
+        ingest_log(p)

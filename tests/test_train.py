@@ -214,8 +214,8 @@ def test_overfit_single_sample(toy_split):
     train_set, _ = toy_split
     s = train_set[0]
     cfg = TrainConfig(loss="kl", epochs=60, seed=0, layers=2, learning_rate=5e-3, weight_decay=0.0)
-    model, _ = train([s] * 64, init_head(2, seed=0), cfg)
-    soft = soft_targets([s], cfg.soft_temp)[0]
+    model, _ = train(train_set[[0] * 64], init_head(2, seed=0), cfg)
+    soft = soft_targets(train_set[:1], cfg.soft_temp)[0]
     assert head_decide(model, s.context).index == int(np.argmax(soft))
 
 
@@ -244,7 +244,7 @@ def test_load_checkpoint_rejects_unknown_format(tmp_path):
 
 def test_accuracy_helpers(toy_split):
     train_set, _ = toy_split
-    feats = encode_batch([s.context for s in train_set[:50]])
+    feats = encode_batch(train_set[:50].contexts)
     labels = hard_labels(train_set[:50])
     acc = accuracy_vs_oracle(init_head(1, seed=0), feats, labels)
     assert 0.0 <= acc <= 1.0
