@@ -21,7 +21,6 @@ from .datagen import (
     generate_dataset,
     load_dataset,
     mask_peer,
-    relabel,
     split,
 )
 from .domain import BatteryConfig, Scenario, TimeOfDay
@@ -86,9 +85,8 @@ def _resolve_data(path: str, which: str = "test") -> str:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     tcfg = replace(cfg.train, loss=args.loss, layers=args.layers)
-    data = load_dataset(_resolve_data(args.data, "train"))
-    if args.reward == "naive":
-        data = relabel(data, replace(cfg.reward, mode=RewardMode.naive))
+    reward_cfg = replace(cfg.reward, mode=RewardMode.naive) if args.reward == "naive" else cfg.reward
+    data = load_dataset(_resolve_data(args.data, "train"), reward_cfg)
     if args.no_peer:
         data = mask_peer(data)
     if tcfg.loss == "dpo":
@@ -135,18 +133,17 @@ def _make_policy(args):
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    policy = _make_policy(args)
-
     if args.single:
-        full = Dataset.concat([load_dataset(_resolve_data(args.data, which))
+        full = Dataset.concat([load_dataset(_resolve_data(args.data, which), cfg.reward)
                                for which in ("train", "test")])
         policies = [make_baseline(n) for n in BASELINE_NAMES]
         reports = ev.single_objective_eval(full, args.single, policies, cfg.train,
                                            cfg.dataset, cfg.reward)
         out = {name: rep.__dict__ for name, rep in reports.items()}
     else:
+        policy = _make_policy(args)
         which = "ood" if args.ood else "test"
-        data = load_dataset(_resolve_data(args.data, which))
+        data = load_dataset(_resolve_data(args.data, which), cfg.reward)
         if args.scenario == "coop":
             data = cooperative_slice(data)
         rep = evaluate(policy, data, config_hash=cfg.config_hash())
@@ -203,15 +200,20 @@ def cmd_compare(args) -> int:
     out = args.out or cfg.out_dir
     chash = cfg.config_hash()
     manifest_path = os.path.join(out, "manifest.json")
+    paths = {k: os.path.join(out, f"{k}.jsonl") for k in ("train", "test", "ood")}
     if os.path.exists(manifest_path):
         with open(manifest_path) as fh:
-            _check_config(f"artifacts in {out}", json.load(fh).get("config_hash"), chash)
+            manifest = json.load(fh)
+        _check_config(f"artifacts in {out}", manifest.get("config_hash"), chash)
+        for k, path in paths.items():
+            if file_hash(path) != manifest.get("hashes", {}).get(k):
+                raise CliError(f"{path} does not match its hash in {manifest_path}; "
+                               "remove stale artifacts or use a fresh out dir")
     else:
         cmd_gen(argparse.Namespace(config=getattr(args, "config", None),
                                    seed=getattr(args, "seed", None), out=out))
 
-    train_set, test_set, ood_set = (load_dataset(os.path.join(out, f"{k}.jsonl"))
-                                    for k in ("train", "test", "ood"))
+    train_set, test_set, ood_set = (load_dataset(path, cfg.reward) for path in paths.values())
     coop_set = cooperative_slice(test_set)
 
     policies = {name: make_baseline(name) for name in BASELINE_NAMES}
@@ -237,7 +239,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    data = load_dataset(_resolve_data(args.data, "test"))
+    data = load_dataset(_resolve_data(args.data, "test"), _load_cfg(args).reward)
     policies = [_make_policy(argparse.Namespace(policy=name.strip(), checkpoint=args.checkpoint))
                 for name in args.policies.split(",")]
     scenario = _parse_scenario(args.scenario) if args.scenario else None
@@ -268,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="evaluate a policy")
     e.add_argument("--data", required=True, help="dataset file or gen output directory")
-    e.add_argument("--policy", required=True,
-                   help="oracle | rule | fix-rt-iv | fix-bulk-bg | head")
+    what = e.add_mutually_exclusive_group(required=True)
+    what.add_argument("--policy", help="oracle | rule | fix-rt-iv | fix-bulk-bg | head")
+    what.add_argument("--single", choices=("latency", "energy"),
+                      help="single-objective run (retrains the head)")
     e.add_argument("--checkpoint", help="head checkpoint (for --policy head)")
     e.add_argument("--scenario", choices=("all", "coop"), default="all")
     e.add_argument("--ood", action="store_true", help="evaluate on the OOD test file")
-    e.add_argument("--single", choices=("latency", "energy"),
-                   help="single-objective run (retrains the head)")
     e.add_argument("--out", help="report path (default: stdout)")
     e.set_defaults(func=cmd_eval)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from .domain import (
     BatteryConfig,
     Context,
     Contexts,
+    DatasetError,
     NUM_ACTIONS,
     Scenario,
     TimeOfDay,
@@ -133,6 +135,16 @@ class DatasetConfig:
             raise ValueError("window must be >= 1")
         if self.logs_per_session < self.window:
             raise ValueError("logs_per_session must be >= window")
+        if not 0 < self.sample_interval_s < math.inf:
+            raise ValueError("sample_interval_s must be finite and positive")
+        for c in BatteryClass:
+            try:
+                lo, hi = map(float, self.battery_class_ranges[c])
+            except (KeyError, TypeError, ValueError):
+                lo = hi = math.nan
+            if not 0 < lo <= hi <= 100:
+                raise ValueError(f"battery_class_ranges.{c.name} must be a (lo, hi) pair "
+                                 "with 0 < lo <= hi <= 100")
 
 
 @dataclass(frozen=True)
@@ -145,19 +157,12 @@ class Sample:
     scenario: Scenario
 
 
-class DatasetError(ValueError):
-    """A Dataset column failed validation; `row` is the first offending row."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
-        self.row, self.message = row, message
-
-
 APPS = tuple(AppType)
 
-# Per-action columns and their JSONL keys, in record order.
-_VECTORS = {"lat": "latency_ms", "eng": "energy_pct_h", "rewards": "rewards",
-            "lat_scores": "lat_scores", "eng_scores": "eng_scores"}
+# Per-action measurement columns and their JSONL keys, in record order.
+_VECTORS = {"lat": "latency_ms", "eng": "energy_pct_h"}
+# Columns derived from the observed ones by `objective`; files do not hold them.
+_REWARDS = ("rewards", "lat_scores", "eng_scores")
 # Columns, the condition every (finite) entry must meet, and the message.
 _CHECKS = (
     ("step", lambda v: v >= 0, "step must be non-negative"),
@@ -363,8 +368,8 @@ def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
     generation time (masking affects policy input only), so relabeling a
     masked dataset is not supported.
     """
-    rewards, lat_scores, eng_scores = objective(dataset.contexts, (dataset.lat, dataset.eng), reward_cfg)
-    return replace(dataset, rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores)
+    derived = objective(dataset.contexts, (dataset.lat, dataset.eng), reward_cfg)
+    return replace(dataset, **dict(zip(_REWARDS, derived)))
 
 
 _TIME_CODE = {t.name: int(t) for t in TimeOfDay}
@@ -373,15 +378,16 @@ _SCENARIO_CODE = {(s.time.name, s.battery_config.name): s.code for s in ALL_SCEN
 
 
 def dataset_text(dataset: Dataset) -> str:
-    """The JSONL form of a dataset: one record per row."""
+    """The JSONL form of a dataset: one record per row, holding what was
+    observed (context and measurements) and no rewards."""
     lines = []
     rows = zip(dataset.step.tolist(), dataset.time.tolist(), map(np.ndarray.tolist, dataset.hist),
                dataset.pub.tolist(), dataset.sub.tolist(), dataset.peer.tolist(),
                dataset.pub_device, dataset.sub_device, dataset.scenario.tolist(),
                zip(*(map(np.ndarray.tolist, getattr(dataset, k)) for k in _VECTORS)))
     for step, time, hist, pub, sub, peer, pub_device, sub_device, scenario, vectors in rows:
-        apps = [APPS[a].name for a in hist]
-        rec = {"step": step, "time": TimeOfDay(time).name, "app": apps[-1], "app_history": apps,
+        rec = {"step": step, "time": TimeOfDay(time).name,
+               "app_history": [APPS[a].name for a in hist],
                "pub_battery": pub, "sub_battery": sub if peer else None,
                "pub_device": pub_device, "sub_device": sub_device}
         rec.update(zip(_VECTORS.values(), vectors))
@@ -392,15 +398,11 @@ def dataset_text(dataset: Dataset) -> str:
     return "".join(lines)
 
 
-def save_dataset(path, dataset: Dataset) -> None:
-    with open(path, "w") as fh:
-        fh.write(dataset_text(dataset))
-
-
-def load_dataset(path) -> Dataset:
-    """Parse a JSONL dataset straight into columns. Errors name the file and
-    the line of the offending record."""
-    cols = {f.name: [] for f in fields(Dataset)}
+def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
+    """Parse a JSONL dataset straight into columns and derive its reward
+    columns under `reward_cfg`. Errors name the file and the line of the
+    offending record; keys other than the observed ones are ignored."""
+    cols = {f.name: [] for f in fields(Dataset) if f.name not in _REWARDS}
     linenos: list[int] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -433,13 +435,17 @@ def load_dataset(path) -> Dataset:
                 cols[k].extend(v)
             linenos.append(lineno)
     n = len(linenos)
-    dtypes = dict.fromkeys(_VECTORS, float) | {"pub_device": object, "sub_device": object}
+    dtypes = dict.fromkeys(_VECTORS, float) | {"peer": bool, "hist": int,
+                                                "pub_device": object, "sub_device": object}
     try:
         arrays = {k: np.array(v, dtype=dtypes.get(k)) for k, v in cols.items()}
         for k in _VECTORS:
             arrays[k] = arrays[k].reshape(n, NUM_ACTIONS)
         arrays["hist"] = arrays["hist"].reshape(n, -1 if n else 0)
-        return Dataset(**arrays)
+        contexts = Contexts(*(arrays[k] for k in Contexts._fields))
+        with np.errstate(divide="ignore", invalid="ignore"):  # the Dataset checks name bad input
+            derived = objective(contexts, (arrays["lat"], arrays["eng"]), reward_cfg)
+        return Dataset(**arrays, **dict(zip(_REWARDS, derived)))
     except DatasetError as exc:
         raise ValueError(f"{path}: line {linenos[exc.row]}: {exc.message}") from None
     except (ValueError, TypeError) as exc:

@@ -135,6 +135,14 @@ class Context:
         return self if self.subscriber_battery is None else replace(self, subscriber_battery=None)
 
 
+class DatasetError(ValueError):
+    """A column of a batch failed validation; `row` is the first offending row."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row, self.message = row, message
+
+
 class Contexts(NamedTuple):
     """A batch of contexts as columns: time[N] codes, pub[N] and sub[N]
     batteries (sub is 0 where peer[N] is False, i.e. masked), hist[N,W] app

@@ -6,7 +6,6 @@ downstream check that depends on it is directional, never exact-value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +14,6 @@ from .domain import (
     NUM_ACTIONS,
     AccessCategory,
     Action,
-    AppType,
-    Context,
     PerformanceMode,
     TimeOfDay,
 )
@@ -111,54 +108,3 @@ def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> Measu
         energy_pct_h=base_eng * eng_noise,
     )
 
-
-def log_record(step: int, context: Context, mv: MeasurementVector) -> dict:
-    return {
-        "step": step,
-        "time": context.time.name,
-        "app": context.app_history[-1].name,
-        "pub_battery": context.publisher_battery,
-        "sub_battery": context.subscriber_battery,
-        "pub_device": context.pub_device,
-        "sub_device": context.sub_device,
-        "latency_ms": [float(v) for v in mv.latency_ms],
-        "energy_pct_h": [float(v) for v in mv.energy_pct_h],
-    }
-
-
-def write_log(path, records: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def ingest_log(path, window: int = 10) -> list[tuple[Context, MeasurementVector]]:
-    """Parse a measurement log, rebuilding the rolling app-history window.
-
-    Records must appear in step order. The first window-1 steps pad the
-    history by repeating the earliest observed app. Fields beyond those
-    `log_record` writes (charging status, signal strength, ...) are dropped.
-    """
-    out: list[tuple[Context, MeasurementVector]] = []
-    history: list[AppType] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                history = (history + [AppType[rec["app"]]])[-window:]
-                sub = rec["sub_battery"]
-                ctx = Context(
-                    time=TimeOfDay[rec["time"]],
-                    publisher_battery=float(rec["pub_battery"]),
-                    subscriber_battery=None if sub is None else float(sub),
-                    app_history=tuple([history[0]] * (window - len(history)) + history),
-                    step_index=int(rec["step"]),
-                    pub_device=rec["pub_device"],
-                    sub_device=rec["sub_device"],
-                )
-                out.append((ctx, MeasurementVector(rec["latency_ms"], rec["energy_pct_h"])))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: bad log record: {exc!r}") from None
-    return out

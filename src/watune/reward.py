@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import NUM_ACTIONS, AppType, Context, Contexts
+from .domain import NUM_ACTIONS, AppType, Context, Contexts, DatasetError
 
 # Per-application latency tolerance L_a in ms.
 DEFAULT_TOLERANCE_MS: dict[AppType, float] = {
@@ -99,8 +99,10 @@ def objective(context: Context | Contexts, mv, cfg: RewardConfig,
         columns = objective(Contexts.of(context), (mv.latency_ms[None], mv.energy_pct_h[None]), cfg, tol)
         return RewardVector(*(c[0] for c in columns))
     lat, eng = mv
-    if np.any(context.pub <= 0) or np.any(context.peer & (context.sub <= 0)):
-        raise ValueError("battery must be strictly positive for reward computation")
+    flat = (context.pub <= 0) | (context.peer & (context.sub <= 0))
+    if flat.any():
+        raise DatasetError(int(np.argmax(flat)),
+                           "battery must be strictly positive for reward computation")
 
     if cfg.mode is RewardMode.naive:
         lat_scores = np.maximum(100.0 - 100.0 * lat / NAIVE_TOLERANCE_MS, 0.0)

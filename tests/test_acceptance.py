@@ -17,10 +17,10 @@ from watune.datagen import (
     DatasetConfig,
     IN_DISTRIBUTION_PROFILE,
     OOD_PROFILE,
+    dataset_text,
     file_hash,
     generate_dataset,
     relabel,
-    save_dataset,
     split,
 )
 from watune.domain import (
@@ -291,10 +291,10 @@ def test_accept_6_dataset_statistics(full_dataset, tmp_path):
 
     # identical seed => identical file hash
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_dataset(p1, full_dataset[:2000])
+    p1.write_text(dataset_text(full_dataset[:2000]))
     again = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
                              DatasetConfig(), RewardConfig())
-    save_dataset(p2, again[:2000])
+    p2.write_text(dataset_text(again[:2000]))
     assert file_hash(p1) == file_hash(p2)
     _ok(6, "32k samples, 16 equal blocks, stratified 80/20, profile freqs, hash")
 

@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from watune.cli import main
-from watune.config import ExperimentConfig, save_config
+from watune.config import ExperimentConfig, load_config, save_config
 from watune.datagen import file_hash, load_dataset
 
 
@@ -28,7 +30,7 @@ def gen_dir(tiny_config, tmp_path_factory):
     return out
 
 
-def test_gen_outputs(gen_dir):
+def test_gen_outputs(tiny_config, gen_dir):
     names = set(os.listdir(gen_dir))
     assert {"train.jsonl", "test.jsonl", "ood.jsonl", "config.json", "manifest.json"} <= names
     with open(os.path.join(gen_dir, "manifest.json")) as fh:
@@ -39,7 +41,7 @@ def test_gen_outputs(gen_dir):
     for k in ("train", "test", "ood"):
         path = os.path.join(gen_dir, f"{k}.jsonl")
         assert manifest["hashes"][k] == file_hash(path)
-        assert len(load_dataset(path)) == manifest["counts"][k]
+        assert len(load_dataset(path, load_config(tiny_config).reward)) == manifest["counts"][k]
 
 
 def test_gen_deterministic(tiny_config, gen_dir, tmp_path):
@@ -67,6 +69,20 @@ def test_train_and_eval_head(tiny_config, gen_dir, tmp_path, capsys):
     assert rep["head"]["n_samples"] > 0
 
 
+def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    checkpoints = []
+    for threads in ("1", "2"):
+        ckpt = tmp_path / f"kl-{threads}.ckpt.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        subprocess.run([sys.executable, "-m", "watune.cli", "--config", tiny_config, "train",
+                        "--data", gen_dir, "--loss", "kl", "--out", str(ckpt)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        checkpoints.append(ckpt.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 def test_train_dpo_requires_ref(tiny_config, gen_dir, tmp_path, capsys):
     ckpt = str(tmp_path / "dpo.ckpt.json")
     assert main(["--config", tiny_config, "train", "--data", gen_dir,
@@ -92,6 +108,14 @@ def test_eval_unknown_policy(tiny_config, gen_dir, capsys):
     assert main(["--config", tiny_config, "eval", "--data", gen_dir,
                  "--policy", "bogus"]) == 1
     assert "unknown policy" in capsys.readouterr().err
+
+
+def test_eval_single_and_policy_exclusive(tiny_config, gen_dir, capsys):
+    for choice in (["--policy", "oracle", "--single", "latency"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", tiny_config, "eval", "--data", gen_dir, *choice])
+        assert exc.value.code == 2
+        assert "--policy" in capsys.readouterr().err
 
 
 def test_eval_missing_data(tiny_config, tmp_path, capsys):
@@ -136,3 +160,16 @@ def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, capsys):
     # a different seed must refuse the stale artifacts
     assert main(["--config", tiny_config, "--seed", "2", "compare", "--out", out]) == 1
     assert "remove" in capsys.readouterr().err
+
+    # so must a dataset file edited after `gen` wrote its hash to the manifest
+    test_path = os.path.join(out, "test.jsonl")
+    with open(test_path) as fh:
+        lines = fh.readlines()
+    rec = json.loads(lines[0])
+    rec["latency_ms"][0] += 1.0
+    lines[0] = json.dumps(rec) + "\n"
+    with open(test_path, "w") as fh:
+        fh.writelines(lines)
+    assert main(["--config", tiny_config, "compare", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "test.jsonl" in err and "remove" in err

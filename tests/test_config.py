@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -49,6 +50,35 @@ def test_missing_key_named():
     d = ExperimentConfig().to_dict()
     del d["reward"]["w_l"]
     with pytest.raises(KeyError, match="reward.*w_l"):
+        from_dict(d)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample_interval_s", -5000.0),
+    ("sample_interval_s", 0.0),
+    ("sample_interval_s", math.nan),
+    ("sample_interval_s", math.inf),
+    ("battery_class_ranges.low", [0.0, 0.0]),
+    ("battery_class_ranges.low", MISSING),
+    ("battery_class_ranges.medium", [math.nan, 70.0]),
+    ("battery_class_ranges.medium", [70.0, 30.0]),
+    ("battery_class_ranges.high", [70.0, math.inf]),
+    ("battery_class_ranges.high", [70.0, 101.0]),
+])
+def test_dataset_config_rejects_bad_values(key, value):
+    d = ExperimentConfig().to_dict()
+    *parents, leaf = ["dataset", *key.split(".")]
+    node = d
+    for name in parents:
+        node = node[name]
+    if value is MISSING:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    with pytest.raises(ValueError, match=key):
         from_dict(d)
 
 

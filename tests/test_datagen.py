@@ -11,6 +11,7 @@ from watune.datagen import (
     OOD_PROFILE,
     DatasetConfig,
     battery_classes,
+    dataset_text,
     file_hash,
     generate_dataset,
     generate_session,
@@ -18,7 +19,6 @@ from watune.datagen import (
     mask_peer,
     relabel,
     sample_app,
-    save_dataset,
     split,
     validate_profile,
 )
@@ -175,34 +175,55 @@ def test_relabel_naive(small_dataset):
 
 def test_save_load_round_trip(tmp_path, small_dataset):
     p = tmp_path / "data.jsonl"
-    save_dataset(p, small_dataset[:200])
-    back = load_dataset(p)
-    assert len(back) == 200
-    for a, b in zip(small_dataset, back):
-        assert a.context == b.context
-        assert a.scenario == b.scenario
-        np.testing.assert_array_equal(a.measurements.latency_ms, b.measurements.latency_ms)
-        np.testing.assert_array_equal(a.rewards.objective, b.rewards.objective)
+    text = dataset_text(small_dataset[:200])
+    # Keys the loader does not know (from another logger) are ignored.
+    extra = "".join(json.dumps(dict(json.loads(line), charging=True, signal_strength=-40)) + "\n"
+                    for line in text.splitlines())
+    for body, n in ((text, 200), (extra, 200), ("", 0)):
+        p.write_text(body)
+        back = load_dataset(p, RewardConfig())
+        assert len(back) == n
+        for a, b in zip(small_dataset, back):
+            assert a.context == b.context
+            assert a.scenario == b.scenario
+            np.testing.assert_array_equal(a.measurements.latency_ms, b.measurements.latency_ms)
+            np.testing.assert_array_equal(a.measurements.energy_pct_h, b.measurements.energy_pct_h)
+            np.testing.assert_array_equal(a.rewards.objective, b.rewards.objective)
     # identical content => identical hash
+    p.write_text(text)
     p2 = tmp_path / "data2.jsonl"
-    save_dataset(p2, small_dataset[:200])
+    p2.write_text(dataset_text(small_dataset[:200]))
     assert file_hash(p) == file_hash(p2)
 
 
-def test_load_dataset_names_bad_line(tmp_path):
+def test_dataset_record_holds_observed_fields_only(small_dataset):
+    rec = json.loads(dataset_text(small_dataset[:1]))
+    assert set(rec) == {"step", "time", "app_history", "pub_battery", "sub_battery",
+                        "pub_device", "sub_device", "latency_ms", "energy_pct_h", "scenario"}
+
+
+def test_load_dataset_names_bad_line(tmp_path, small_dataset):
     p = tmp_path / "bad.jsonl"
-    p.write_text('{"step": 0}\n')
-    with pytest.raises(ValueError, match="line 1"):
-        load_dataset(p)
+    good = dataset_text(small_dataset[:1])
+    rec = json.loads(good)
+    nested = json.dumps(dict(rec, latency_ms=[rec["latency_ms"]])) + "\n"
+    for text, line in (('{"step": 0}\n', 1), (good + "{not json\n", 2), (good + nested, 2)):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.jsonl: line {line}"):
+            load_dataset(p, RewardConfig())
 
 
 def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):
     p = tmp_path / "test.jsonl"
-    save_dataset(p, small_dataset[:3])
-    lines = p.read_text().splitlines()
+    lines = dataset_text(small_dataset[:3]).splitlines()
     rec = json.loads(lines[1])
-    rec["latency_ms"] = [float("nan")] + rec["latency_ms"][1:]
-    lines[1] = json.dumps(rec)
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"test\.jsonl: line 2: latency"):
-        load_dataset(p)
+    for edit, message in (
+        ({"latency_ms": [float("nan")] + rec["latency_ms"][1:]}, "latency"),
+        ({"energy_pct_h": [0.0] * 8}, "energy"),
+        ({"pub_battery": 0}, "battery must be strictly positive"),
+        ({"sub_battery": 0}, "battery must be strictly positive"),
+    ):
+        lines[1] = json.dumps(dict(rec, **edit))
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"test\.jsonl: line 2: {message}"):
+            load_dataset(p, RewardConfig())

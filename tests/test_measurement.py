@@ -1,15 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from watune.datagen import load_dataset
 from watune.domain import AppType, Context, TimeOfDay
-from watune.measurement import (
-    LinkModelConfig,
-    MeasurementVector,
-    ingest_log,
-    log_record,
-    measure,
-    write_log,
-)
+from watune.measurement import LinkModelConfig, MeasurementVector, measure
+from watune.reward import RewardConfig, objective
 
 
 def ctx(time=TimeOfDay.morning, pub=80.0, sub=60.0):
@@ -87,16 +84,32 @@ def test_measurement_vector_validation():
         MeasurementVector(latency_ms=np.ones(4), energy_pct_h=np.ones(8))
 
 
+
+def log_line(step, c, mv, **extra):
+    """One measurement-log record, in the dataset format `load_dataset` reads."""
+    rec = {"step": step, "time": c.time.name,
+           "app_history": [a.name for a in c.app_history],
+           "pub_battery": c.publisher_battery, "sub_battery": c.subscriber_battery,
+           "pub_device": c.pub_device, "sub_device": c.sub_device,
+           "latency_ms": mv.latency_ms.tolist(), "energy_pct_h": mv.energy_pct_h.tolist(),
+           "scenario": {"time": c.time.name, "battery_config": "bothHigh"}}
+    return json.dumps(rec | extra) + "\n"
+
+
+def one_line(**extra):
+    return log_line(0, ctx(), measure(LinkModelConfig(), ctx(), np.random.default_rng(1)), **extra)
+
+
 def test_ingest_empty_file(tmp_path):
     p = tmp_path / "empty.jsonl"
     p.write_text("")
-    assert ingest_log(p) == []
+    assert len(load_dataset(p, RewardConfig())) == 0
 
 
 def test_log_round_trip(tmp_path):
     cfg = LinkModelConfig()
     rng = np.random.default_rng(5)
-    records = []
+    lines = []
     contexts = []
     history = []
     for step in range(25):
@@ -108,49 +121,42 @@ def test_log_round_trip(tmp_path):
                     pub_device="iPadPro-pub", sub_device="iPadPro-sub")
         mv = measure(cfg, c, rng)
         contexts.append((c, mv))
-        records.append(log_record(step, c, mv))
+        lines.append(log_line(step, c, mv))
     p = tmp_path / "log.jsonl"
-    write_log(p, records)
-    parsed = ingest_log(p, window=10)
+    p.write_text("".join(lines))
+    parsed = load_dataset(p, RewardConfig())
     assert len(parsed) == 25
-    for (c0, m0), (c1, m1) in zip(contexts, parsed):
-        assert c0.app_history == c1.app_history
-        assert c0.publisher_battery == c1.publisher_battery
-        np.testing.assert_array_equal(m0.latency_ms, m1.latency_ms)
-        np.testing.assert_array_equal(m0.energy_pct_h, m1.energy_pct_h)
+    for (c0, m0), row in zip(contexts, parsed):
+        assert c0 == row.context
+        np.testing.assert_array_equal(m0.latency_ms, row.measurements.latency_ms)
+        np.testing.assert_array_equal(m0.energy_pct_h, row.measurements.energy_pct_h)
+        np.testing.assert_array_equal(objective(c0, m0, RewardConfig()).objective,
+                                      row.rewards.objective)
 
 
 def test_ingest_extra_fields_dropped(tmp_path):
-    rec = log_record(0, ctx(), measure(LinkModelConfig(), ctx(), np.random.default_rng(1)))
-    rec["charging"] = True
-    rec["signal_strength"] = -40
     p = tmp_path / "log.jsonl"
-    import json
-    p.write_text(json.dumps(rec) + "\n")
-    [(c, mv)] = ingest_log(p)
-    assert not hasattr(c, "charging")
+    p.write_text(one_line(charging=True, signal_strength=-40))
+    [row] = load_dataset(p, RewardConfig())
+    assert not hasattr(row.context, "charging")
+    assert row.context == ctx()
 
 
 def test_ingest_errors_name_line(tmp_path):
-    import json
-    good = json.dumps(log_record(0, ctx(), measure(LinkModelConfig(), ctx(), np.random.default_rng(1))))
+    good = one_line()
     p = tmp_path / "bad.jsonl"
-    p.write_text(good + "\n{not json\n")
+    p.write_text(good + "{not json\n")
     with pytest.raises(ValueError, match="line 2"):
-        ingest_log(p)
+        load_dataset(p, RewardConfig())
 
-    bad = json.loads(good)
-    bad["energy_pct_h"] = [0.0] * 8
-    p.write_text(json.dumps(bad) + "\n")
+    p.write_text(one_line(energy_pct_h=[0.0] * 8))
     with pytest.raises(ValueError, match="line 1"):
-        ingest_log(p)
+        load_dataset(p, RewardConfig())
 
 
 def test_ingest_rejects_nested_measurement_arrays(tmp_path):
-    import json
-    rec = log_record(0, ctx(), measure(LinkModelConfig(), ctx(), np.random.default_rng(1)))
+    rec = json.loads(one_line())
     p = tmp_path / "nested.jsonl"
-    lines = [json.dumps(rec), json.dumps(dict(rec, latency_ms=[rec["latency_ms"]]))]
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text(one_line() + one_line(latency_ms=[rec["latency_ms"]]))
     with pytest.raises(ValueError, match=r"nested\.jsonl: line 2"):
-        ingest_log(p)
+        load_dataset(p, RewardConfig())
