@@ -7,7 +7,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .datagen import DatasetConfig
 from .domain import BatteryClass, TimeOfDay
@@ -29,6 +29,9 @@ SECTION_FIELDS = {
     "train": ("loss", "epochs", "effective_batch", "learning_rate", "weight_decay",
               "dpo_beta", "layers", "hidden"),
 }
+# The class of each section; its field annotations give each scalar's type.
+SECTION_TYPES = {"dataset": DatasetConfig, "link": LinkModelConfig,
+                 "reward": RewardConfig, "train": TrainConfig}
 
 
 @dataclass
@@ -41,9 +44,10 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        self.dataset.seed = self.seed
-        self.train.seed = self.seed
-        self.train.soft_temp = self.reward.soft_temp
+        # New section objects: `dataclasses.replace` passes in the sections
+        # of the config it copies, which must keep their own values.
+        self.dataset = replace(self.dataset, seed=self.seed)
+        self.train = replace(self.train, seed=self.seed, soft_temp=self.reward.soft_temp)
 
     def to_dict(self) -> dict:
         out = {"seed": self.seed, "out_dir": self.out_dir}
@@ -73,11 +77,27 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+# JSON value types a scalar field accepts, and how to name them, by the
+# field's declared type; a bool is not an int here.
+SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "str": ((str,), "a string")}
+
+
+def _scalar(value, kind: str, where: str):
+    types, what = SCALAR_TYPES[kind]
+    if type(value) not in types:
+        raise ValueError(f"config {where} must be {what}, not {value!r}")
+    return value
+
+
 def from_dict(obj: dict) -> ExperimentConfig:
     for key in REQUIRED_KEYS:
         _require(obj, key, "")
-    plain = {section: {k: _require(obj[section], k, f"{section}.") for k in keys}
-             for section, keys in SECTION_FIELDS.items()}
+    plain = {}
+    for section, keys in SECTION_FIELDS.items():
+        kinds = {f.name: f.type for f in fields(SECTION_TYPES[section])}
+        plain[section] = {k: _scalar(_require(obj[section], k, f"{section}."), kinds[k], f"{section}.{k}")
+                          for k in keys}
     ds, lk, rw = obj["dataset"], obj["link"], obj["reward"]
     ranges = {
         BatteryClass[name]: tuple(lo_hi)
@@ -93,7 +113,7 @@ def from_dict(obj: dict) -> ExperimentConfig:
         },
     )
     return ExperimentConfig(
-        seed=int(obj["seed"]),
+        seed=_scalar(obj["seed"], "int", "seed"),
         out_dir=obj.get("out_dir", "artifacts"),
         dataset=DatasetConfig(**plain["dataset"], battery_class_ranges=ranges),
         link=link,

@@ -17,15 +17,14 @@ from .domain import (
     AppType,
     BatteryClass,
     BatteryConfig,
-    Context,
     Contexts,
     DatasetError,
     NUM_ACTIONS,
     Scenario,
     TimeOfDay,
 )
-from .measurement import LinkModelConfig, MeasurementVector, measure
-from .reward import RewardConfig, RewardVector, objective
+from .measurement import LinkModelConfig, measure
+from .reward import RewardConfig, objective
 
 AppUsageProfile = dict  # TimeOfDay -> {AppType: probability}
 
@@ -147,16 +146,6 @@ class DatasetConfig:
                                  "with 0 < lo <= hi <= 100")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One row of a Dataset, as domain objects."""
-
-    context: Context
-    measurements: MeasurementVector
-    rewards: RewardVector
-    scenario: Scenario
-
-
 APPS = tuple(AppType)
 
 # Per-action measurement columns and their JSONL keys, in record order.
@@ -182,8 +171,9 @@ class Dataset:
 
     The context columns are those of `Contexts` (time, pub, sub, peer, hist);
     lat/eng and rewards/lat_scores/eng_scores are (N, 8) per-action arrays;
-    scenario holds indices into ALL_SCENARIOS. An int index (or iteration)
-    yields a `Sample` row view; a slice, mask or index array yields a Dataset.
+    scenario holds indices into ALL_SCENARIOS. Device labels are opaque
+    metadata; they never enter features or rewards. A slice, mask or index
+    array yields a Dataset of those rows; there is no one-row form.
     """
 
     time: np.ndarray
@@ -216,30 +206,11 @@ class Dataset:
         return len(self.pub)
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return self._row(int(key))
         return Dataset(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
-
-    def __iter__(self):
-        return map(self._row, range(len(self)))
 
     @property
     def contexts(self) -> Contexts:
         return Contexts(self.time, self.pub, self.sub, self.peer, self.hist)
-
-    def _row(self, i: int) -> Sample:
-        ctx = Context(
-            time=TimeOfDay(int(self.time[i])),
-            publisher_battery=float(self.pub[i]),
-            subscriber_battery=float(self.sub[i]) if self.peer[i] else None,
-            app_history=tuple(APPS[a] for a in self.hist[i].tolist()),
-            step_index=int(self.step[i]),
-            pub_device=self.pub_device[i],
-            sub_device=self.sub_device[i],
-        )
-        return Sample(ctx, MeasurementVector(self.lat[i], self.eng[i]),
-                      RewardVector(self.rewards[i], self.lat_scores[i], self.eng_scores[i]),
-                      ALL_SCENARIOS[self.scenario[i]])
 
     @staticmethod
     def concat(parts) -> "Dataset":
@@ -294,9 +265,7 @@ def generate_session(
     steps = np.arange(n)
     hist = app_stream[np.maximum(0, steps[:, None] - (cfg.window - 1) + np.arange(cfg.window))]
 
-    sweeps = [measure(link, scenario, rng) for _ in steps]
-    lat = np.array([m.latency_ms for m in sweeps])
-    eng = np.array([m.energy_pct_h for m in sweeps])
+    lat, eng = map(np.array, zip(*[measure(link, scenario, rng) for _ in steps]))
 
     contexts = Contexts(time=np.full(n, int(scenario.time)), pub=None, sub=None,
                         peer=np.ones(n, dtype=bool), hist=hist)
@@ -435,6 +404,12 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                 cols[k].extend(v)
             linenos.append(lineno)
     n = len(linenos)
+    for k, key in _VECTORS.items():
+        # One pass over all values; the line is only looked for on failure.
+        if not set(map(type, cols[k])) <= {float, int}:
+            bad = next(i for i, v in enumerate(cols[k]) if type(v) not in (float, int))
+            raise ValueError(f"{path}: line {linenos[bad // NUM_ACTIONS]}: malformed dataset "
+                             f"record: {key} must hold numbers, not {cols[k][bad]!r}")
     dtypes = dict.fromkeys(_VECTORS, float) | {"peer": bool, "hist": int,
                                                 "pub_device": object, "sub_device": object}
     try:

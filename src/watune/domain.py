@@ -6,7 +6,7 @@ lower-camel names ("interactiveVoice", "photoTransfer") in every file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
 
@@ -82,10 +82,6 @@ def action_from_index(index: int) -> Action:
 ALL_ACTIONS: tuple[Action, ...] = tuple(action_from_index(i) for i in range(NUM_ACTIONS))
 
 
-def all_actions() -> tuple[Action, ...]:
-    return ALL_ACTIONS
-
-
 @dataclass(frozen=True)
 class Scenario:
     time: TimeOfDay
@@ -107,19 +103,14 @@ ALL_SCENARIOS: tuple[Scenario, ...] = tuple(
 
 @dataclass(frozen=True)
 class Context:
-    """One decision step's observable state.
-
-    subscriber_battery is None when peer info is masked. Device labels are
-    opaque metadata; they never enter features or rewards.
-    """
+    """One decision step's observable state, and the validated way to build
+    a `Contexts` batch by hand (`Contexts.of`). subscriber_battery is None
+    when peer info is masked."""
 
     time: TimeOfDay
     publisher_battery: float
     subscriber_battery: Optional[float]
     app_history: tuple[AppType, ...]
-    step_index: int = 0
-    pub_device: Optional[str] = None
-    sub_device: Optional[str] = None
 
     def __post_init__(self):
         if not 0.0 <= self.publisher_battery <= 100.0:
@@ -128,11 +119,6 @@ class Context:
             raise ValueError(f"subscriber battery out of [0,100]: {self.subscriber_battery}")
         if len(self.app_history) < 1:
             raise ValueError("app_history must be non-empty")
-        if self.step_index < 0:
-            raise ValueError("step_index must be non-negative")
-
-    def without_peer(self) -> "Context":
-        return self if self.subscriber_battery is None else replace(self, subscriber_battery=None)
 
 
 class DatasetError(ValueError):
@@ -146,7 +132,7 @@ class DatasetError(ValueError):
 class Contexts(NamedTuple):
     """A batch of contexts as columns: time[N] codes, pub[N] and sub[N]
     batteries (sub is 0 where peer[N] is False, i.e. masked), hist[N,W] app
-    codes oldest first. The batch form of `Context`, minus its metadata."""
+    codes oldest first. The batch form of `Context`."""
 
     time: np.ndarray
     pub: np.ndarray

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datagen import Dataset, DatasetConfig, mask_peer, relabel, split
-from .domain import ALL_SCENARIOS, BatteryConfig, Scenario
+from .domain import ALL_SCENARIOS, AppType, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from .policy import Policy
 from .reward import RewardConfig, RewardMode
 from .train import TrainConfig, init_head, train
@@ -31,17 +31,13 @@ class EvalReport:
     config_hash: str = ""
 
 
-def decisions(policy: Policy, dataset: Dataset) -> np.ndarray:
-    return policy.decide(dataset)
-
-
 def evaluate(policy: Policy, dataset: Dataset,
              dataset_hash: str = "", config_hash: str = "") -> EvalReport:
     """Score one policy. Metrics always use the stored ground-truth rewards
     (both devices), regardless of what the policy was allowed to see."""
     if not len(dataset):
         raise ValueError("cannot evaluate on an empty dataset slice")
-    chosen = decisions(policy, dataset)
+    chosen = policy.decide(dataset)
     rows = np.arange(len(dataset))
     obj, lat, eng, raw = (col[rows, chosen] for col in
                           (dataset.rewards, dataset.lat_scores, dataset.eng_scores, dataset.eng))
@@ -157,17 +153,19 @@ def replay_snapshot(dataset: Dataset, policies: list[Policy],
     per-decision objective."""
     if scenario is not None:
         dataset = dataset[dataset.scenario == scenario.code]
+    dataset = dataset[:max_steps]
+    chosen = [p.decide(dataset) for p in policies]
     lines = []
-    for s in dataset[:max_steps]:
-        ctx = s.context
-        sub = "--" if ctx.subscriber_battery is None else f"{ctx.subscriber_battery:.0f}%"
+    for i in range(len(dataset)):
+        sub = f"{dataset.sub[i]:.0f}%" if dataset.peer[i] else "--"
         lines.append(
-            f"step {ctx.step_index:>4}  {ctx.time.name:<9} pub {ctx.publisher_battery:.0f}%  "
-            f"sub {sub}  app {ctx.app_history[-1].name}"
+            f"step {dataset.step[i]:>4}  {TimeOfDay(dataset.time[i]).name:<9} "
+            f"pub {dataset.pub[i]:.0f}%  sub {sub}  app {AppType(dataset.hist[i, -1]).name}"
         )
-        for p in policies:
-            a = p.decide(ctx, s.rewards)
-            lines.append(f"    {p.name:<16} -> {a}  objective {s.rewards.objective[a.index]:+.3f}")
+        for p, actions in zip(policies, chosen):
+            a = actions[i]
+            lines.append(f"    {p.name:<16} -> {action_from_index(a)}  "
+                         f"objective {dataset.rewards[i, a]:+.3f}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -31,26 +31,6 @@ DEFAULT_TIME_MULTIPLIER = {
 }
 
 
-@dataclass(frozen=True)
-class MeasurementVector:
-    """Measured latency/energy for all 8 actions at one decision step."""
-
-    latency_ms: np.ndarray
-    energy_pct_h: np.ndarray
-
-    def __post_init__(self):
-        lat = np.asarray(self.latency_ms, dtype=float)
-        eng = np.asarray(self.energy_pct_h, dtype=float)
-        object.__setattr__(self, "latency_ms", lat)
-        object.__setattr__(self, "energy_pct_h", eng)
-        if lat.shape != (NUM_ACTIONS,) or eng.shape != (NUM_ACTIONS,):
-            raise ValueError("measurement arrays must have shape (8,)")
-        if not np.all(np.isfinite(lat) & (lat >= 0)):
-            raise ValueError("latency must be finite and non-negative")
-        if not np.all(np.isfinite(eng) & (eng > 0)):
-            raise ValueError("energy must be finite and strictly positive")
-
-
 @dataclass
 class LinkModelConfig:
     base_latency_ms: tuple[float, ...] = DEFAULT_BASE_LATENCY_MS
@@ -89,9 +69,12 @@ class LinkModelConfig:
             raise ValueError("(realtime, interactiveVoice) must have the strictly minimal base latency")
 
 
-def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> MeasurementVector:
+def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one 8-action measurement sweep at the time of day of a context
-    (anything with a `.time`: a Context, or the Scenario of a session)."""
+    (anything with a `.time`: a Context, or the Scenario of a session): the
+    (latency_ms, energy_pct_h) pair of (8,) arrays that `objective` takes.
+    The values are positive for a validated config, and the Dataset
+    constructor checks them again."""
     base_lat = np.asarray(config.base_latency_ms, dtype=float)
     base_eng = np.asarray(config.base_energy_pct_h, dtype=float)
     mult = config.time_latency_multiplier[context.time]
@@ -103,8 +86,5 @@ def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> Measu
         eng_noise = np.maximum(ENERGY_NOISE_FLOOR, 1.0 + rng.normal(0.0, config.energy_noise_sigma, NUM_ACTIONS))
     else:
         eng_noise = np.ones(NUM_ACTIONS)
-    return MeasurementVector(
-        latency_ms=base_lat * mult * lat_noise,
-        energy_pct_h=base_eng * eng_noise,
-    )
+    return base_lat * mult * lat_noise, base_eng * eng_noise
 

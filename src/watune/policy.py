@@ -3,7 +3,7 @@ trained-head wrapper."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -12,12 +12,9 @@ from .domain import (
     AccessCategory,
     Action,
     AppType,
-    Context,
     Contexts,
     PerformanceMode,
-    action_from_index,
 )
-from .reward import RewardVector
 from .train import head_choices
 
 # Heuristic app -> preferred WA parameter tuple.
@@ -32,10 +29,11 @@ PREFERRED_TUPLE: dict[AppType, Action] = {
     AppType.mapSync: Action(PerformanceMode.realtime, AccessCategory.bestEffort),
 }
 
-
-def oracle_decide(rewards: RewardVector) -> Action:
-    """Reward-maximizing action; ties break to the lowest index."""
-    return action_from_index(int(OraclePolicy().choose(None, rewards.objective[None])[0]))
+# The fixed-tuple baselines by variant.
+FIXED_ACTIONS: dict[str, Action] = {
+    "rt_iv": Action(PerformanceMode.realtime, AccessCategory.interactiveVoice),
+    "bulk_bg": Action(PerformanceMode.bulk, AccessCategory.background),
+}
 
 
 def rule_choices(hist: np.ndarray, table: Mapping[AppType, Action] | None = None) -> np.ndarray:
@@ -47,21 +45,6 @@ def rule_choices(hist: np.ndarray, table: Mapping[AppType, Action] | None = None
     for w in range(hist.shape[1]):
         counts[rows, preferred[:, w]] += 1
     return np.argmax(counts, axis=1)
-
-
-def rule_decide(history: Sequence[AppType], table: Mapping[AppType, Action] | None = None) -> Action:
-    """Modal preferred tuple over the app-history window; lowest index wins ties."""
-    if len(history) == 0:
-        raise ValueError("history must be non-empty")
-    return action_from_index(int(rule_choices(np.array([[int(a) for a in history]]), table)[0]))
-
-
-def fixed_decide(variant: str) -> Action:
-    if variant == "rt_iv":
-        return Action(PerformanceMode.realtime, AccessCategory.interactiveVoice)
-    if variant == "bulk_bg":
-        return Action(PerformanceMode.bulk, AccessCategory.background)
-    raise ValueError(f"unknown fixed variant: {variant}")
 
 
 class Policy:
@@ -76,13 +59,9 @@ class Policy:
     def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
-    def decide(self, context, rewards=None):
-        """The Action for one Context (given its RewardVector), or the action
-        index of every row of a Dataset."""
-        if isinstance(context, Context):
-            objective = None if rewards is None else np.atleast_2d(rewards.objective)
-            return action_from_index(int(self.choose(Contexts.of(context), objective)[0]))
-        return self.choose(context.contexts, context.rewards)
+    def decide(self, dataset) -> np.ndarray:
+        """The action index of every row of a Dataset."""
+        return self.choose(dataset.contexts, dataset.rewards)
 
 
 class OraclePolicy(Policy):
@@ -106,8 +85,10 @@ class RulePolicy(Policy):
 
 class FixedPolicy(Policy):
     def __init__(self, variant: str):
+        if variant not in FIXED_ACTIONS:
+            raise ValueError(f"unknown fixed variant: {variant}")
         self.variant = variant
-        self.action = fixed_decide(variant)
+        self.action = FIXED_ACTIONS[variant]
         self.name = "fix-rt-iv" if variant == "rt_iv" else "fix-bulk-bg"
 
     def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import NUM_ACTIONS, AppType, Context, Contexts, DatasetError
+from .domain import AppType, Contexts, DatasetError
 
 # Per-application latency tolerance L_a in ms.
 DEFAULT_TOLERANCE_MS: dict[AppType, float] = {
@@ -48,58 +48,19 @@ class RewardConfig:
             raise ValueError("soft_temp must be positive")
 
 
-@dataclass(frozen=True)
-class RewardVector:
-    """Per-action scores for one context: overall objective, mean latency
-    score over active apps, mean energy score over devices."""
-
-    objective: np.ndarray
-    latency_score: np.ndarray
-    energy_score: np.ndarray
-
-    def __post_init__(self):
-        for name in ("objective", "latency_score", "energy_score"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            if arr.shape != (NUM_ACTIONS,):
-                raise ValueError(f"{name} must have shape (8,)")
-        if np.any(self.latency_score < 0) or np.any(self.latency_score > 100):
-            raise ValueError("latency_score must lie in [0,100]")
-        if np.any(self.energy_score <= 0):
-            raise ValueError("energy_score must be positive")
-
-
-def latency_score(app: AppType, latency_ms: float, tol: Mapping[AppType, float] | None = None) -> float:
-    """Score in [0,100]: how well the latency fits the app's tolerance."""
-    if latency_ms < 0:
-        raise ValueError("latency must be non-negative")
-    tol = DEFAULT_TOLERANCE_MS if tol is None else tol
-    return max(100.0 - 100.0 * latency_ms / tol[app], 0.0)
-
-
-def energy_score(battery_pct: float, energy: float) -> float:
-    """b_d / E(p): battery headroom per unit energy drain."""
-    if energy <= 0:
-        raise ValueError("energy must be strictly positive")
-    if battery_pct <= 0:
-        raise ValueError("battery must be strictly positive")
-    return battery_pct / energy
-
-
-def objective(context: Context | Contexts, mv, cfg: RewardConfig,
+def objective(contexts: Contexts, measured, cfg: RewardConfig,
               tol: Mapping[AppType, float] | None = None):
     """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b.
 
-    For one Context, `mv` is its MeasurementVector and the result is a
-    RewardVector. For a Contexts batch, `mv` is the (latency, energy) pair
-    of (N, 8) arrays and the result is the (objective, latency score,
-    energy score) triple of (N, 8) arrays.
+    `measured` is the (latency, energy) pair of (N, 8) arrays. The result is
+    the (objective, latency score, energy score) triple of (N, 8) arrays:
+    the latency score lies in [0, 100] (how well the latency fits each
+    active app's tolerance L_a, averaged over the app history), the energy
+    score is the mean over visible devices of battery headroom per unit
+    drain, b_d / E(p).
     """
-    if isinstance(context, Context):
-        columns = objective(Contexts.of(context), (mv.latency_ms[None], mv.energy_pct_h[None]), cfg, tol)
-        return RewardVector(*(c[0] for c in columns))
-    lat, eng = mv
-    flat = (context.pub <= 0) | (context.peer & (context.sub <= 0))
+    lat, eng = measured
+    flat = (contexts.pub <= 0) | (contexts.peer & (contexts.sub <= 0))
     if flat.any():
         raise DatasetError(int(np.argmax(flat)),
                            "battery must be strictly positive for reward computation")
@@ -111,17 +72,17 @@ def objective(context: Context | Contexts, mv, cfg: RewardConfig,
     else:
         # Mean over the app-history multiset A; repeats weight the mean.
         tol = DEFAULT_TOLERANCE_MS if tol is None else tol
-        tol_ms = np.array([tol[app] for app in AppType])[context.hist]
-        window = context.hist.shape[1]
+        tol_ms = np.array([tol[app] for app in AppType])[contexts.hist]
+        window = contexts.hist.shape[1]
         lat_scores = np.zeros_like(lat)
         for w in range(window):
             lat_scores += np.maximum(100.0 - 100.0 * lat / tol_ms[:, w, None], 0.0)
         lat_scores /= window
         # Mean over the devices whose battery is visible: the publisher, and
         # the subscriber unless masked.
-        peer = context.peer[:, None]
-        pub = context.pub[:, None]
-        sub = np.where(peer, context.sub[:, None], 1.0)
+        peer = contexts.peer[:, None]
+        pub = contexts.pub[:, None]
+        sub = np.where(peer, contexts.sub[:, None], 1.0)
         devices = 1 + peer
         energy_penalty = (eng / pub + np.where(peer, eng / sub, 0.0)) / devices
         eng_scores = (pub / eng + np.where(peer, sub / eng, 0.0)) / devices

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Dataset
-from .domain import NUM_ACTIONS, Action, Context, Contexts, action_from_index
+from .domain import NUM_ACTIONS, Contexts
 from .reward import soft_labels
 
 FEATURE_DIM = 15  # one-hot time (4) | pub batt (1) | sub batt (1) | peer flag (1) | app histogram (8)
@@ -34,11 +34,6 @@ def encode_batch(contexts: Contexts) -> np.ndarray:
         hist[rows, contexts.hist[:, w]] += 1.0
     x[:, 7:] = hist / window
     return x
-
-
-def encode(context: Context) -> np.ndarray:
-    """15-dim feature vector of one context."""
-    return encode_batch(Contexts.of(context))[0]
 
 
 @dataclass
@@ -150,57 +145,13 @@ def loss_and_grad(kind: str, logits: np.ndarray, target) -> tuple[float, np.ndar
         loss = float(np.mean(np.where(
             margin >= 0, np.log1p(np.exp(-margin)), -margin + np.log1p(np.exp(margin)))))
         coef = 1.0 / (1.0 + np.exp(-margin)) - 1.0
+        # d(loss)/d(log-probabilities); each row sums to 0, so it is also
+        # the gradient w.r.t. the logits.
         d = np.zeros_like(logits)
         d[rows, y_w] += coef * beta
         d[rows, y_l] -= coef * beta
     d /= len(rows)
     return loss, d
-
-
-def loss_ce(logits: np.ndarray, label: int) -> float:
-    """Negative log softmax probability of the hard label."""
-    return float(loss_and_grad("ce", np.atleast_2d(logits), [label])[0])
-
-
-def grad_ce(logits: np.ndarray, label: int) -> np.ndarray:
-    return loss_and_grad("ce", np.atleast_2d(logits), [label])[1][0]
-
-
-def loss_kl(logits: np.ndarray, soft: np.ndarray) -> float:
-    """KL(soft || softmax(logits)); zero-probability targets contribute 0."""
-    return loss_and_grad("kl", np.atleast_2d(logits), np.atleast_2d(np.asarray(soft, dtype=float)))[0]
-
-
-def grad_kl(logits: np.ndarray, soft: np.ndarray) -> np.ndarray:
-    return loss_and_grad("kl", np.atleast_2d(logits), np.atleast_2d(np.asarray(soft, dtype=float)))[1][0]
-
-
-def _dpo_pair(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l, y_w, y_l, beta):
-    """A pair scored on two sets of logits, as one row of the batched loss:
-    log-probabilities of the first set, the dispreferred entry from the
-    second (the row's own log-softmax shift cancels in the margin)."""
-    if y_w == y_l:
-        raise ValueError("degenerate pair: preferred == dispreferred")
-    lp, rp = log_softmax(policy_logits_w), log_softmax(ref_logits_w)
-    lp[y_l] = log_softmax(policy_logits_l)[y_l]
-    rp[y_l] = log_softmax(ref_logits_l)[y_l]
-    return loss_and_grad("dpo", lp[None], (rp[None], [y_w], [y_l], beta))
-
-
-def loss_dpo(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l,
-             y_w: int, y_l: int, beta: float) -> float:
-    """-log sigmoid(beta * [(logpi(y_w) - logref(y_w)) - (logpi(y_l) - logref(y_l))])."""
-    return _dpo_pair(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l, y_w, y_l, beta)[0]
-
-
-def grad_dpo(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l,
-             y_w: int, y_l: int, beta: float):
-    """Gradients w.r.t. the two policy logits arrays (reference is frozen),
-    through d log softmax(z)[y] / dz = onehot(y) - softmax(z)."""
-    _, d = _dpo_pair(policy_logits_w, policy_logits_l, ref_logits_w, ref_logits_l, y_w, y_l, beta)
-    onehot = np.eye(NUM_ACTIONS)
-    return (d[0, y_w] * (onehot[y_w] - softmax(policy_logits_w)),
-            d[0, y_l] * (onehot[y_l] - softmax(policy_logits_l)))
 
 
 @dataclass
@@ -334,11 +285,6 @@ def head_choices(model: HeadModel, contexts: Contexts) -> np.ndarray:
     x = encode_batch(contexts)
     return np.concatenate([np.argmax(forward(model, x[i:i + 64]), axis=1)
                            for i in range(0, len(x), 64)])
-
-
-def head_decide(model: HeadModel, context: Context) -> Action:
-    """The head's action for one context."""
-    return action_from_index(int(head_choices(model, Contexts.of(context))[0]))
 
 
 CHECKPOINT_FORMAT = "watune-head-v1"

@@ -29,6 +29,7 @@ from watune.domain import (
     Action,
     AppType,
     Context,
+    Contexts,
     PerformanceMode,
     TimeOfDay,
 )
@@ -39,22 +40,17 @@ from watune.evaluate import (
     evaluate,
     train_head,
 )
-from watune.measurement import LinkModelConfig, MeasurementVector, measure
-from watune.policy import OraclePolicy, RulePolicy, FixedPolicy, make_baseline, rule_decide
-from watune.reward import RewardConfig, energy_score, latency_score, objective, soft_labels
+from watune.measurement import LinkModelConfig, measure
+from watune.policy import OraclePolicy, RulePolicy, FixedPolicy, make_baseline, rule_choices
+from watune.reward import RewardConfig, objective, soft_labels
 from watune.train import (
     HeadModel,
     TrainConfig,
     _forward_cached,
     backward,
     forward,
-    grad_ce,
-    grad_dpo,
-    grad_kl,
     init_head,
-    loss_ce,
-    loss_dpo,
-    loss_kl,
+    loss_and_grad,
     softmax,
 )
 
@@ -75,11 +71,19 @@ def full_dataset():
 
 # --- 1. reward golden values + brute-force equivalence ---------------------
 
+def _scores(app, latency_ms, battery, energy):
+    """(latency score, energy score) of one app, one visible battery and one
+    measurement shared by every action."""
+    ctx = Contexts.of(Context(TimeOfDay.morning, battery, None, (app,)))
+    _, lat, eng = objective(ctx, (np.full((1, 8), latency_ms), np.full((1, 8), energy)), RewardConfig())
+    return lat[0, 0], eng[0, 0]
+
+
 def test_accept_1_reward_golden_values():
     t0 = time.monotonic()
-    assert latency_score(AppType.voiceChat, 5.0) == 90.0
-    assert latency_score(AppType.textMessage, 200.0) == 0.0
-    assert abs(energy_score(50.0, 3.24) - 15.4321) < 1e-4
+    assert _scores(AppType.voiceChat, 5.0, 50.0, 1.0)[0] == 90.0
+    assert _scores(AppType.textMessage, 200.0, 50.0, 1.0)[0] == 0.0
+    assert abs(_scores(AppType.voiceChat, 1.0, 50.0, 3.24)[1] - 15.4321) < 1e-4
 
     from watune.reward import DEFAULT_TOLERANCE_MS
 
@@ -89,18 +93,17 @@ def test_accept_1_reward_golden_values():
         apps = tuple(AppType(i) for i in rng.integers(0, 8, size=int(rng.integers(1, 11))))
         sub = None if rng.random() < 0.25 else float(rng.uniform(5, 100))
         ctx = Context(TimeOfDay(int(rng.integers(0, 4))), float(rng.uniform(5, 100)), sub, apps)
-        mv = MeasurementVector(latency_ms=rng.uniform(0, 500, 8),
-                               energy_pct_h=rng.uniform(0.2, 8.0, 8))
-        got = objective(ctx, mv, cfg).objective
+        lat_ms, eng_pct_h = rng.uniform(0, 500, 8), rng.uniform(0.2, 8.0, 8)
+        got = objective(Contexts.of(ctx), (lat_ms[None], eng_pct_h[None]), cfg)[0][0]
         batts = [ctx.publisher_battery] + ([] if sub is None else [sub])
         ref = np.empty(8)
         for a in range(8):
             lat = 0.0
             for app in apps:
-                lat += max(100.0 - 100.0 * mv.latency_ms[a] / DEFAULT_TOLERANCE_MS[app], 0.0)
+                lat += max(100.0 - 100.0 * lat_ms[a] / DEFAULT_TOLERANCE_MS[app], 0.0)
             pen = 0.0
             for b in batts:
-                pen += mv.energy_pct_h[a] / b
+                pen += eng_pct_h[a] / b
             ref[a] = cfg.w_l * lat / len(apps) - cfg.w_p * pen / len(batts)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     assert time.monotonic() - t0 < 5.0
@@ -112,34 +115,38 @@ def test_accept_1_reward_golden_values():
 def test_accept_2_oracle_dominance(full_dataset):
     t0 = time.monotonic()
     assert len(full_dataset) == 32_000
-    oracle = OraclePolicy()
-    others = [RulePolicy(), FixedPolicy("rt_iv"), FixedPolicy("bulk_bg")]
-    for s in full_dataset:
-        best = s.rewards.objective[oracle.decide(s.context, s.rewards).index]
-        assert best == s.rewards.objective.max()
-        for p in others:
-            assert best >= s.rewards.objective[p.decide(s.context, s.rewards).index]
+    rows = np.arange(len(full_dataset))
+    rewards = full_dataset.rewards
+    best = rewards[rows, OraclePolicy().decide(full_dataset)]
+    assert np.array_equal(best, rewards.max(axis=1))
+    for p in (RulePolicy(), FixedPolicy("rt_iv"), FixedPolicy("bulk_bg")):
+        assert np.all(best >= rewards[rows, p.decide(full_dataset)])
     assert time.monotonic() - t0 < 30.0
     _ok(2, "oracle dominance on every sample of a full 32k dataset")
 
 
 # --- 3. rule baseline determinism -------------------------------------------
 
+def _rule(history):
+    """The rule baseline's action index for one app history."""
+    return int(rule_choices(np.array([[int(a) for a in history]]))[0])
+
+
 def test_accept_3_rule_determinism():
     h1 = [AppType.voiceChat] * 6 + [AppType.textMessage] * 4
-    assert rule_decide(h1) == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice)
-    assert rule_decide([AppType.firmwareUpdate] * 10) == Action(
-        PerformanceMode.bulk, AccessCategory.background)
+    assert _rule(h1) == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice).index
+    assert _rule([AppType.firmwareUpdate] * 10) == Action(
+        PerformanceMode.bulk, AccessCategory.background).index
     tie = [AppType.videoCall] * 5 + [AppType.sensorSync] * 5
-    assert rule_decide(tie).index == 2
+    assert _rule(tie) == 2
 
     rng = np.random.default_rng(33)
     for _ in range(1000):
         hist = [AppType(i) for i in rng.integers(0, 8, size=int(rng.integers(1, 11)))]
-        base = rule_decide(hist)
+        base = _rule(hist)
         shuffled = list(hist)
         rng.shuffle(shuffled)
-        assert rule_decide(shuffled) == base
+        assert _rule(shuffled) == base
     _ok(3, "rule baseline examples (incl. tie) + 1e3 permutation fuzz")
 
 
@@ -173,32 +180,17 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
     soft = softmax(rng.normal(size=8))
     y_l = (y + 1 + int(rng.integers(7))) % 8
     ref = init_head(layers, hidden=8, seed=int(rng.integers(1 << 30)))
-    x_l = rng.normal(0, 1, model.weights[0].shape[1])
+    # One row, as in training; a DPO pair scores both actions on it.
+    target = {"ce": [y], "kl": soft[None],
+              "dpo": (forward(ref, x)[None], [y], [y_l], 0.1)}[loss_name]
 
     def loss_of(m):
         logits, _, _ = _forward_cached(m, x)
-        if loss_name == "ce":
-            return loss_ce(logits[0], y)
-        if loss_name == "kl":
-            return loss_kl(logits[0], soft)
-        logits_l = forward(m, x_l)
-        return loss_dpo(logits[0], logits_l, forward(ref, x), forward(ref, x_l), y, y_l, 0.1)
+        return loss_and_grad(loss_name, logits, target)[0]
 
     # analytic full gradient via backprop
     logits, acts, pre = _forward_cached(model, x)
-    if loss_name == "ce":
-        d = grad_ce(logits[0], y)
-        gw, gb = backward(model, acts, pre, d[None, :])
-    elif loss_name == "kl":
-        d = grad_kl(logits[0], soft)
-        gw, gb = backward(model, acts, pre, d[None, :])
-    else:
-        logits_l, acts_l, pre_l = _forward_cached(model, x_l)
-        d_w, d_l = grad_dpo(logits[0], logits_l[0], forward(ref, x), forward(ref, x_l), y, y_l, 0.1)
-        gw, gb = backward(model, acts, pre, d_w[None, :])
-        gw2, gb2 = backward(model, acts_l, pre_l, d_l[None, :])
-        gw = [a + b for a, b in zip(gw, gw2)]
-        gb = [a + b for a, b in zip(gb, gb2)]
+    gw, gb = backward(model, acts, pre, loss_and_grad(loss_name, logits, target)[1])
     grad = np.concatenate([g.reshape(-1) for g in gw + gb])
 
     theta = _flatten(model)
@@ -216,11 +208,7 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
         near_kink = False
         for m in (model, mp, mm):
             _, _, pres = _forward_cached(m, x)
-            pres_all = pres[:-1]
-            if loss_name == "dpo":
-                _, _, pres_l = _forward_cached(m, x_l)
-                pres_all = pres_all + pres_l[:-1]
-            if any(np.any(np.abs(z) < 1e-3) for z in pres_all):
+            if any(np.any(np.abs(z) < 1e-3) for z in pres[:-1]):
                 near_kink = True
                 break
         if near_kink:
@@ -246,15 +234,18 @@ def test_accept_4_gradient_checks():
 
 def test_accept_5_loss_identities():
     rng = np.random.default_rng(55)
-    logits = rng.normal(size=8)
-    assert abs(loss_kl(logits, softmax(logits))) < 1e-9
+    logits = rng.normal(size=8)[None]
+
+    def loss(kind, target, z=logits):
+        return loss_and_grad(kind, z, target)[0]
+
+    assert abs(loss("kl", softmax(logits))) < 1e-9
     for y in range(8):
-        onehot = np.zeros(8)
-        onehot[y] = 1.0
-        assert loss_ce(logits, y) == loss_kl(logits, onehot)
-    assert abs(loss_ce(np.zeros(8), 5) - np.log(8)) < 1e-9
-    other = rng.normal(size=8)
-    assert abs(loss_dpo(logits, other, logits, other, 1, 4, 0.1) - np.log(2)) < 1e-9
+        onehot = np.zeros((1, 8))
+        onehot[0, y] = 1.0
+        assert loss("ce", [y]) == loss("kl", onehot)
+    assert abs(loss("ce", [5], np.zeros((1, 8))) - np.log(8)) < 1e-9
+    assert abs(loss("dpo", (logits, [1], [4], 0.1)) - np.log(2)) < 1e-9
     _ok(5, "loss identities (KL=0 at match, CE==KL(onehot), ln8, ln2)")
 
 
@@ -263,30 +254,28 @@ def test_accept_5_loss_identities():
 def test_accept_6_dataset_statistics(full_dataset, tmp_path):
     assert len(full_dataset) == 32_000
 
-    from collections import Counter
-    scen_counts = Counter(s.scenario for s in full_dataset)
-    assert set(scen_counts) == set(ALL_SCENARIOS)
-    assert set(scen_counts.values()) == {2000}
+    scen_counts = np.bincount(full_dataset.scenario, minlength=len(ALL_SCENARIOS))
+    assert len(scen_counts) == len(ALL_SCENARIOS)
+    assert set(scen_counts.tolist()) == {2000}
 
     rng = np.random.default_rng([1, 9973])
     train_set, test_set = split(full_dataset, 0.8, rng)
     assert abs(len(train_set) - 25_600) <= 16
     assert abs(len(test_set) - 6_400) <= 16
     for part, frac in ((train_set, 0.8), (test_set, 0.2)):
-        per = Counter(s.scenario for s in part)
+        per = np.bincount(part.scenario, minlength=len(ALL_SCENARIOS))
         for scen in ALL_SCENARIOS:
-            assert abs(per[scen] - 2000 * frac) <= 1
+            assert abs(per[scen.code] - 2000 * frac) <= 1
 
     # per-time-of-day app frequencies within +/-0.01 of the generating profile
-    by_time: dict = {t: Counter() for t in TimeOfDay}
-    for s in full_dataset:
-        by_time[s.context.time][s.context.app_history[-1]] += 1
+    by_time = np.zeros((len(TimeOfDay), len(AppType)), dtype=int)
+    np.add.at(by_time, (full_dataset.time, full_dataset.hist[:, -1]), 1)
     for t in TimeOfDay:
-        total = sum(by_time[t].values())
+        total = by_time[t].sum()
         profile = IN_DISTRIBUTION_PROFILE[t]
         for app in AppType:
             expected = profile.get(app, 0.0)
-            got = by_time[t].get(app, 0) / total
+            got = by_time[t, app] / total
             assert abs(got - expected) <= 0.01, (t.name, app.name, got, expected)
 
     # identical seed => identical file hash
@@ -348,16 +337,13 @@ def test_accept_8_single_objective_sanity():
     dcfg = DatasetConfig(logs_per_session=250, seed=1)
     lat_cfg = RewardConfig(w_l=0.1, w_p=0.0)
     data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), dcfg, lat_cfg)
-    for s in data:
-        a = OraclePolicy().decide(s.context, s.rewards).index
-        assert a == int(np.argmin(s.measurements.latency_ms))
+    assert np.array_equal(OraclePolicy().decide(data), np.argmin(data.lat, axis=1))
 
     # energy-only (w_L = 0), noiseless: oracle == (bulk, background) everywhere
     quiet = LinkModelConfig(latency_noise_sigma=0.0, energy_noise_sigma=0.0)
     eng_cfg = RewardConfig(w_l=0.0, w_p=1.0)
     data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, eng_cfg)
-    for s in data:
-        assert OraclePolicy().decide(s.context, s.rewards).index == 5
+    assert np.all(OraclePolicy().decide(data) == 5)
 
     # fix-rt-iv within 1% of the oracle under the noiseless latency-only model
     data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, lat_cfg)

@@ -124,6 +124,16 @@ def test_eval_missing_data(tiny_config, tmp_path, capsys):
     assert "run `watune gen` first" in capsys.readouterr().err
 
 
+def test_gen_names_mistyped_config_field(tmp_path, capsys):
+    d = ExperimentConfig().to_dict()
+    d["dataset"]["window"] = 2.5
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(d))
+    assert main(["--config", str(p), "gen", "--out", str(tmp_path / "out")]) == 1
+    assert "dataset.window" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay(tiny_config, gen_dir, capsys):
     assert main(["--config", tiny_config, "replay", "--data", gen_dir,
                  "--policies", "oracle,rule,fix-bulk-bg",

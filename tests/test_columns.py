@@ -1,4 +1,8 @@
-"""Property tests: every column-wise path equals its one-row counterpart."""
+"""Property tests: the column-wise reward, features and baseline decisions
+equal independent straight-loop references written per context, and a
+dataset survives a save/load round trip."""
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,10 +18,12 @@ from watune.datagen import (
     relabel,
 )
 from watune.domain import AppType, Context, Contexts, TimeOfDay
-from watune.measurement import LinkModelConfig, MeasurementVector
-from watune.policy import BASELINE_NAMES, make_baseline
+from watune.measurement import LinkModelConfig
+from watune.policy import BASELINE_NAMES, PREFERRED_TUPLE, make_baseline
 from watune.reward import RewardConfig, RewardMode, objective
-from watune.train import encode, encode_batch
+from watune.train import FEATURE_DIM, encode_batch
+
+from test_reward import brute_objective
 
 battery = st.floats(min_value=0.5, max_value=100.0)
 
@@ -41,17 +47,45 @@ def context_batches(draw):
     return contexts, (rng.uniform(0.0, 12_000.0, (n, 8)), rng.uniform(0.1, 8.0, (n, 8)))
 
 
+def row_features(ctx):
+    """Straight-loop reference for one context's 15 features."""
+    x = np.zeros(FEATURE_DIM)
+    x[int(ctx.time)] = 1.0
+    x[4] = ctx.publisher_battery / 100.0
+    if ctx.subscriber_battery is not None:
+        x[5] = ctx.subscriber_battery / 100.0
+        x[6] = 1.0
+    for app in ctx.app_history:
+        x[7 + int(app)] += 1.0
+    x[7:] /= len(ctx.app_history)
+    return x
+
+
+def first_max(values):
+    """Index of the largest value, the lowest index among ties."""
+    return max(range(len(values)), key=lambda a: (values[a], -a))
+
+
+def row_choice(name, ctx, rewards):
+    """Straight-loop reference for one baseline's action on one context."""
+    if name == "oracle":
+        return first_max(rewards)
+    if name == "rule":
+        counts = Counter(PREFERRED_TUPLE[app].index for app in ctx.app_history)
+        return first_max([counts[a] for a in range(8)])
+    return {"fix-rt-iv": 3, "fix-bulk-bg": 5}[name]  # (realtime, interactiveVoice), (bulk, background)
+
+
 @given(context_batches(), st.sampled_from(list(RewardMode)))
 @settings(max_examples=150, deadline=None)
 def test_columnar_reward_equals_row_objective(batch, mode):
     contexts, (lat, eng) = batch
     cfg = RewardConfig(mode=mode)
-    rewards, lat_scores, eng_scores = objective(Contexts.of(*contexts), (lat, eng), cfg)
+    columns = objective(Contexts.of(*contexts), (lat, eng), cfg)
     for i, ctx in enumerate(contexts):
-        row = objective(ctx, MeasurementVector(lat[i], eng[i]), cfg)
-        np.testing.assert_array_equal(rewards[i], row.objective)
-        np.testing.assert_array_equal(lat_scores[i], row.latency_score)
-        np.testing.assert_array_equal(eng_scores[i], row.energy_score)
+        # The reference sums in another order: equal to within float64 rounding.
+        for got, want in zip(columns, brute_objective(ctx, (lat[i], eng[i]), cfg)):
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12)
 
 
 @given(context_batches())
@@ -59,19 +93,16 @@ def test_columnar_reward_equals_row_objective(batch, mode):
 def test_batched_encode_equals_row_encode(batch):
     contexts, _ = batch
     np.testing.assert_array_equal(encode_batch(Contexts.of(*contexts)),
-                                  np.stack([encode(c) for c in contexts]))
+                                  np.stack([row_features(c) for c in contexts]))
 
 
 @given(context_batches(), st.sampled_from(BASELINE_NAMES))
 @settings(max_examples=150, deadline=None)
 def test_baseline_batch_decision_equals_row_decide(batch, name):
     contexts, (lat, eng) = batch
-    policy = make_baseline(name)
     rewards, _, _ = objective(Contexts.of(*contexts), (lat, eng), RewardConfig())
-    chosen = policy.choose(Contexts.of(*contexts), rewards)
-    for i, ctx in enumerate(contexts):
-        row = objective(ctx, MeasurementVector(lat[i], eng[i]), RewardConfig())
-        assert chosen[i] == policy.decide(ctx, row).index
+    chosen = make_baseline(name).choose(Contexts.of(*contexts), rewards)
+    assert chosen.tolist() == [row_choice(name, ctx, rewards[i]) for i, ctx in enumerate(contexts)]
 
 
 @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=10, max_value=14),

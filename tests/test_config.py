@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -40,6 +41,44 @@ def test_seed_propagates():
     assert cfg.dataset.seed == 7
     assert cfg.train.seed == 7
     assert cfg.train.soft_temp == cfg.reward.soft_temp
+
+
+def test_replace_keeps_the_original_sections():
+    a = ExperimentConfig()
+    before = a.config_hash()
+    b = replace(a, seed=7)
+    assert a.dataset.seed == a.train.seed == 1
+    assert b.dataset.seed == b.train.seed == 7
+    assert a.dataset is not b.dataset and a.train is not b.train
+    assert a.config_hash() == before == ExperimentConfig(seed=1).config_hash()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dataset.sample_interval_s", "5"),
+    ("dataset.window", 2.5),
+    ("dataset.window", True),
+    ("dataset.logs_per_session", None),
+    ("link.latency_noise_sigma", [0.6]),
+    ("reward.w_l", False),
+    ("train.epochs", "5"),
+    ("train.loss", 1),
+    ("seed", "1"),
+])
+def test_from_dict_rejects_mistyped_scalars(key, value):
+    d = ExperimentConfig().to_dict()
+    *parents, leaf = key.split(".")
+    node = d
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    with pytest.raises(ValueError, match=rf"config {key} must be"):
+        from_dict(d)
+
+
+def test_from_dict_takes_ints_for_floats():
+    d = ExperimentConfig().to_dict()
+    d["dataset"]["sample_interval_s"] = 5
+    assert from_dict(d).dataset.sample_interval_s == 5
 
 
 def test_missing_key_named():

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from watune.datagen import (
     DEFAULT_BATTERY_RANGES,
     IN_DISTRIBUTION_PROFILE,
     OOD_PROFILE,
+    Dataset,
     DatasetConfig,
     battery_classes,
     dataset_text,
@@ -83,12 +85,11 @@ def test_session_shape_and_window(small_dataset):
     scen = Scenario(TimeOfDay.night, BatteryConfig.bothLow)
     samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
     assert len(samples) == 50
-    for i, s in enumerate(samples):
-        assert s.context.step_index == i
-        assert len(s.context.app_history) == cfg.window
-        assert s.scenario == scen
+    np.testing.assert_array_equal(samples.step, np.arange(50))
+    assert samples.hist.shape == (50, cfg.window)
+    assert np.all(samples.scenario == scen.code)
     # early steps pad by repeating the earliest app
-    assert len(set(samples[0].context.app_history)) == 1
+    assert len(set(samples.hist[0].tolist())) == 1
 
 
 def test_battery_ranges_respected():
@@ -98,24 +99,38 @@ def test_battery_ranges_respected():
     samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
     hi_lo, hi_hi = DEFAULT_BATTERY_RANGES[BatteryClass.high]
     lo_lo, lo_hi = DEFAULT_BATTERY_RANGES[BatteryClass.low]
-    assert hi_lo <= samples[0].context.publisher_battery <= hi_hi
-    assert lo_lo <= samples[0].context.subscriber_battery <= lo_hi
-    pubs = [s.context.publisher_battery for s in samples]
+    assert hi_lo <= samples.pub[0] <= hi_hi
+    assert samples.peer[0] and lo_lo <= samples.sub[0] <= lo_hi
+    pubs = samples.pub.tolist()
     assert all(a >= b for a, b in zip(pubs, pubs[1:]))  # monotone drain
     assert all(p >= BATTERY_FLOOR for p in pubs)
 
 
+def scenario_counts(data):
+    """Rows per scenario of the grid, keyed by Scenario."""
+    return Counter(ALL_SCENARIOS[code] for code in data.scenario.tolist())
+
+
+def assert_same_rows(a, b, names=None):
+    """Every column (or those named) of two datasets is equal."""
+    for name in names or [f.name for f in fields(Dataset)]:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+# The columns a context and its measurement are made of.
+OBSERVED = ("time", "pub", "sub", "peer", "hist", "step", "pub_device", "sub_device",
+            "scenario", "lat", "eng")
+
+
 def test_grid_coverage_and_determinism(small_dataset):
-    counts = Counter(s.scenario for s in small_dataset)
+    counts = scenario_counts(small_dataset)
     assert set(counts) == set(ALL_SCENARIOS)
     assert set(counts.values()) == {100}
     again = generate_dataset(
         IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
         DatasetConfig(logs_per_session=100, seed=1), RewardConfig(),
     )
-    for a, b in zip(small_dataset, again):
-        np.testing.assert_array_equal(a.measurements.latency_ms, b.measurements.latency_ms)
-        assert a.context == b.context
+    assert_same_rows(small_dataset, again, OBSERVED)
 
 
 def test_stream_changes_draws(small_dataset):
@@ -123,17 +138,14 @@ def test_stream_changes_draws(small_dataset):
         IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
         DatasetConfig(logs_per_session=100, seed=1), RewardConfig(), stream=1,
     )
-    assert any(
-        not np.array_equal(a.measurements.latency_ms, b.measurements.latency_ms)
-        for a, b in zip(small_dataset, other)
-    )
+    assert other.lat.shape == small_dataset.lat.shape
+    assert np.any(other.lat != small_dataset.lat)
 
 
 def test_reward_annotation_consistency(small_dataset):
-    cfg = RewardConfig()
-    for s in small_dataset[::37]:
-        rv = objective(s.context, s.measurements, cfg)
-        np.testing.assert_allclose(s.rewards.objective, rv.objective, atol=1e-12)
+    rows = small_dataset[::37]
+    rewards, _, _ = objective(rows.contexts, (rows.lat, rows.eng), RewardConfig())
+    np.testing.assert_allclose(rows.rewards, rewards, atol=1e-12)
 
 
 def test_split_stratified(small_dataset, small_split):
@@ -141,11 +153,11 @@ def test_split_stratified(small_dataset, small_split):
     assert len(train) + len(test) == len(small_dataset)
     assert len(train) == 1280 and len(test) == 320
     for part, expected in ((train, 80), (test, 20)):
-        counts = Counter(s.scenario for s in part)
+        counts = scenario_counts(part)
         assert set(counts.values()) == {expected}
     # disjoint: (scenario, step) identifies a row of the grid
-    train_keys = {(s.scenario, s.context.step_index) for s in train}
-    assert not any((s.scenario, s.context.step_index) in train_keys for s in test)
+    train_keys = set(zip(train.scenario.tolist(), train.step.tolist()))
+    assert not any(key in train_keys for key in zip(test.scenario.tolist(), test.step.tolist()))
 
 
 def test_split_bad_fraction(small_dataset):
@@ -155,22 +167,16 @@ def test_split_bad_fraction(small_dataset):
 
 def test_mask_peer(small_dataset):
     masked = mask_peer(small_dataset[:64])
-    assert all(s.context.subscriber_battery is None for s in masked)
-    for a, b in zip(small_dataset, masked):
-        np.testing.assert_array_equal(a.rewards.objective, b.rewards.objective)
-    twice = mask_peer(masked)
-    assert all(s.context == t.context for s, t in zip(masked, twice))
+    assert not masked.peer.any()
+    np.testing.assert_array_equal(small_dataset[:64].rewards, masked.rewards)
+    assert_same_rows(masked, mask_peer(masked))
 
 
 def test_relabel_naive(small_dataset):
     naive = relabel(small_dataset[:64], RewardConfig(mode=RewardMode.naive))
-    changed = sum(
-        not np.allclose(a.rewards.objective, b.rewards.objective)
-        for a, b in zip(small_dataset, naive)
-    )
+    changed = sum(not np.allclose(a, b) for a, b in zip(small_dataset[:64].rewards, naive.rewards))
     assert changed > 0
-    for a, b in zip(small_dataset, naive):
-        np.testing.assert_array_equal(a.measurements.latency_ms, b.measurements.latency_ms)
+    np.testing.assert_array_equal(small_dataset[:64].lat, naive.lat)
 
 
 def test_save_load_round_trip(tmp_path, small_dataset):
@@ -183,12 +189,8 @@ def test_save_load_round_trip(tmp_path, small_dataset):
         p.write_text(body)
         back = load_dataset(p, RewardConfig())
         assert len(back) == n
-        for a, b in zip(small_dataset, back):
-            assert a.context == b.context
-            assert a.scenario == b.scenario
-            np.testing.assert_array_equal(a.measurements.latency_ms, b.measurements.latency_ms)
-            np.testing.assert_array_equal(a.measurements.energy_pct_h, b.measurements.energy_pct_h)
-            np.testing.assert_array_equal(a.rewards.objective, b.rewards.objective)
+        if n:
+            assert_same_rows(small_dataset[:n], back, OBSERVED + ("rewards",))
     # identical content => identical hash
     p.write_text(text)
     p2 = tmp_path / "data2.jsonl"
@@ -207,7 +209,11 @@ def test_load_dataset_names_bad_line(tmp_path, small_dataset):
     good = dataset_text(small_dataset[:1])
     rec = json.loads(good)
     nested = json.dumps(dict(rec, latency_ms=[rec["latency_ms"]])) + "\n"
-    for text, line in (('{"step": 0}\n', 1), (good + "{not json\n", 2), (good + nested, 2)):
+    three = dataset_text(small_dataset[:2])
+    bad_third = [three + json.dumps(dict(rec, latency_ms=values)) + "\n" for values in (
+        [[v] for v in rec["latency_ms"]], ["1"] * 8, [True] + rec["latency_ms"][1:])]
+    for text, line in (('{"step": 0}\n', 1), (good + "{not json\n", 2), (good + nested, 2),
+                       *((text, 3) for text in bad_third)):
         p.write_text(text)
         with pytest.raises(ValueError, match=rf"bad\.jsonl: line {line}"):
             load_dataset(p, RewardConfig())

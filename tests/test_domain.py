@@ -1,18 +1,22 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from watune.domain import (
+    ALL_ACTIONS,
     AccessCategory,
     Action,
     AppType,
     BatteryClass,
     BatteryConfig,
     Context,
+    Contexts,
     PerformanceMode,
     Scenario,
     TimeOfDay,
     ALL_SCENARIOS,
     action_from_index,
-    all_actions,
 )
 
 
@@ -42,7 +46,7 @@ def test_action_from_index_examples():
 def test_action_index_round_trip():
     for i in range(8):
         assert action_from_index(i).index == i
-    for a in all_actions():
+    for a in ALL_ACTIONS:
         assert action_from_index(a.index) == a
 
 
@@ -53,7 +57,7 @@ def test_action_from_index_range_error(bad):
 
 
 def test_all_actions_contract():
-    actions = all_actions()
+    actions = ALL_ACTIONS
     assert len(actions) == 8
     assert len(set(actions)) == 8
     assert [a.index for a in actions] == list(range(8))
@@ -71,7 +75,7 @@ def test_scenario_code_indexes_grid():
     assert ALL_SCENARIOS[Scenario(TimeOfDay.night, BatteryConfig.bothLow).code].key() == "night/bothLow"
 
 
-def test_context_validation():
+def test_context_validation(small_dataset):
     ok = Context(TimeOfDay.morning, 50.0, 80.0, (AppType.voiceChat,) * 10)
     assert ok.subscriber_battery == 80.0
     with pytest.raises(ValueError):
@@ -80,13 +84,16 @@ def test_context_validation():
         Context(TimeOfDay.morning, 50.0, -1.0, (AppType.voiceChat,))
     with pytest.raises(ValueError):
         Context(TimeOfDay.morning, 50.0, 80.0, ())
-    with pytest.raises(ValueError):
-        Context(TimeOfDay.morning, 50.0, 80.0, (AppType.voiceChat,), step_index=-1)
+    # The step index is a dataset column; the Dataset constructor checks it.
+    with pytest.raises(ValueError, match="step must be non-negative"):
+        replace(small_dataset[:1], step=np.array([-1]))
 
 
 def test_without_peer_idempotent():
-    ctx = Context(TimeOfDay.night, 50.0, 10.0, (AppType.mapSync,) * 10)
-    masked = ctx.without_peer()
-    assert masked.subscriber_battery is None
-    assert masked.without_peer() is masked
-    assert masked.app_history == ctx.app_history
+    contexts = Contexts.of(Context(TimeOfDay.night, 50.0, 10.0, (AppType.mapSync,) * 10),
+                           Context(TimeOfDay.morning, 70.0, None, (AppType.voiceChat,) * 10))
+    masked = contexts.without_peer()
+    assert not masked.peer.any() and not masked.sub.any()
+    for a, b in zip(masked.without_peer(), masked):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(masked.hist, contexts.hist)

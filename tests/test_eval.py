@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from watune.datagen import DatasetConfig
-from watune.domain import BatteryConfig, Scenario, TimeOfDay
+from watune.domain import ALL_SCENARIOS, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from watune.evaluate import (
     EvalReport,
     ablate_peer_info,
     ablate_reward,
     cooperative_slice,
-    decisions,
     evaluate,
     flat_table,
     replay_snapshot,
@@ -33,10 +32,10 @@ def test_evaluate_matches_independent_pass(small_split):
     _, test = small_split
     policy = RulePolicy()
     rep = evaluate(policy, test)
-    chosen = decisions(policy, test)
-    manual = np.mean([s.rewards.objective[a] for s, a in zip(test, chosen)])
+    chosen = policy.decide(test)
+    manual = np.mean([test.rewards[i, a] for i, a in enumerate(chosen)])
     assert rep.objective_score == pytest.approx(manual, abs=1e-9)
-    manual_raw = np.mean([s.measurements.energy_pct_h[a] for s, a in zip(test, chosen)])
+    manual_raw = np.mean([test.eng[i, a] for i, a in enumerate(chosen)])
     assert rep.raw_energy_pct_h == pytest.approx(manual_raw, abs=1e-9)
 
 
@@ -58,7 +57,8 @@ def test_cooperative_slice(small_split):
     _, test = small_split
     coop = cooperative_slice(test)
     assert coop
-    assert all(s.scenario.battery_config is BatteryConfig.pubHighSubLow for s in coop)
+    assert all(ALL_SCENARIOS[code].battery_config is BatteryConfig.pubHighSubLow
+               for code in coop.scenario)
     assert len(coop) == len(test) // 4
 
 
@@ -125,10 +125,9 @@ def test_replay_snapshot(small_split):
         assert text.count(p.name) == 5
     assert "night" in text
     # decisions in the transcript match evaluate's decisions
-    rows = [s for s in test if s.scenario == scen][:5]
-    for s, line_block in zip(rows, text.split("step ")[1:]):
-        a = OraclePolicy().decide(s.context, s.rewards)
-        assert str(a) in line_block
+    rows = test[test.scenario == scen.code][:5]
+    for a, line_block in zip(OraclePolicy().decide(rows), text.split("step ")[1:]):
+        assert str(action_from_index(a)) in line_block
 
 
 def test_flat_table_shape(small_split):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from watune.datagen import load_dataset
-from watune.domain import AppType, Context, TimeOfDay
-from watune.measurement import LinkModelConfig, MeasurementVector, measure
+from watune.domain import AppType, Context, Contexts, TimeOfDay
+from watune.measurement import LinkModelConfig, measure
 from watune.reward import RewardConfig, objective
 
 
@@ -25,33 +25,34 @@ def test_noiseless_measure_exact():
     cfg = noiseless()
     rng = np.random.default_rng(0)
     for time in TimeOfDay:
-        mv = measure(cfg, ctx(time=time), rng)
+        lat, eng = measure(cfg, ctx(time=time), rng)
         expected = np.asarray(cfg.base_latency_ms) * cfg.time_latency_multiplier[time]
-        np.testing.assert_array_equal(mv.latency_ms, expected)
-        np.testing.assert_array_equal(mv.energy_pct_h, np.asarray(cfg.base_energy_pct_h))
+        np.testing.assert_array_equal(lat, expected)
+        np.testing.assert_array_equal(eng, np.asarray(cfg.base_energy_pct_h))
 
 
 def test_measure_deterministic_given_seed():
     cfg = LinkModelConfig()
     a = measure(cfg, ctx(), np.random.default_rng(42))
     b = measure(cfg, ctx(), np.random.default_rng(42))
-    np.testing.assert_array_equal(a.latency_ms, b.latency_ms)
-    np.testing.assert_array_equal(a.energy_pct_h, b.energy_pct_h)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_measure_outputs_always_valid():
     cfg = LinkModelConfig(latency_noise_sigma=1.5, energy_noise_sigma=0.8)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        mv = measure(cfg, ctx(), rng)  # constructor enforces invariants
-        assert np.all(mv.latency_ms >= 0)
-        assert np.all(mv.energy_pct_h > 0)
+        lat, eng = measure(cfg, ctx(), rng)
+        assert lat.shape == eng.shape == (8,)
+        assert np.all(lat >= 0)
+        assert np.all(eng > 0)
 
 
 def test_noiseless_argmin_actions():
-    mv = measure(noiseless(), ctx(), np.random.default_rng(0))
-    assert int(np.argmin(mv.latency_ms)) == 3   # (realtime, interactiveVoice)
-    assert int(np.argmin(mv.energy_pct_h)) == 5  # (bulk, background)
+    lat, eng = measure(noiseless(), ctx(), np.random.default_rng(0))
+    assert int(np.argmin(lat)) == 3   # (realtime, interactiveVoice)
+    assert int(np.argmin(eng)) == 5  # (bulk, background)
 
 
 def test_night_latency_exceeds_morning_on_average():
@@ -59,7 +60,7 @@ def test_night_latency_exceeds_morning_on_average():
     rng = np.random.default_rng(3)
     means = {}
     for time in (TimeOfDay.morning, TimeOfDay.night):
-        total = sum(measure(cfg, ctx(time=time), rng).latency_ms.mean() for _ in range(10_000))
+        total = sum(measure(cfg, ctx(time=time), rng)[0].mean() for _ in range(10_000))
         means[time] = total / 10_000
     assert means[TimeOfDay.night] > means[TimeOfDay.morning]
 
@@ -75,25 +76,21 @@ def test_ordering_invariants_rejected():
         LinkModelConfig(base_energy_pct_h=tuple(bad_eng)).validate()
 
 
-def test_measurement_vector_validation():
-    with pytest.raises(ValueError):
-        MeasurementVector(latency_ms=np.ones(8) * -1, energy_pct_h=np.ones(8))
-    with pytest.raises(ValueError):
-        MeasurementVector(latency_ms=np.ones(8), energy_pct_h=np.zeros(8))
-    with pytest.raises(ValueError):
-        MeasurementVector(latency_ms=np.ones(4), energy_pct_h=np.ones(8))
-
-
-
-def log_line(step, c, mv, **extra):
+def log_line(step, c, measured, **extra):
     """One measurement-log record, in the dataset format `load_dataset` reads."""
+    lat, eng = measured
     rec = {"step": step, "time": c.time.name,
            "app_history": [a.name for a in c.app_history],
            "pub_battery": c.publisher_battery, "sub_battery": c.subscriber_battery,
-           "pub_device": c.pub_device, "sub_device": c.sub_device,
-           "latency_ms": mv.latency_ms.tolist(), "energy_pct_h": mv.energy_pct_h.tolist(),
+           "pub_device": "iPadPro-pub", "sub_device": "iPadPro-sub",
+           "latency_ms": lat.tolist(), "energy_pct_h": eng.tolist(),
            "scenario": {"time": c.time.name, "battery_config": "bothHigh"}}
     return json.dumps(rec | extra) + "\n"
+
+
+def assert_contexts_equal(a: Contexts, b: Contexts):
+    for name, x, y in zip(Contexts._fields, a, b):
+        np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 def one_line(**extra):
@@ -111,35 +108,40 @@ def test_log_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     lines = []
     contexts = []
+    sweeps = []
     history = []
     for step in range(25):
         history.append(AppType(step % 8))
         if len(history) > 10:
             history.pop(0)
         padded = tuple([history[0]] * (10 - len(history)) + history)
-        c = Context(TimeOfDay.evening, 70.0, 20.0, padded, step_index=step,
-                    pub_device="iPadPro-pub", sub_device="iPadPro-sub")
-        mv = measure(cfg, c, rng)
-        contexts.append((c, mv))
-        lines.append(log_line(step, c, mv))
+        c = Context(TimeOfDay.evening, 70.0, 20.0, padded)
+        measured = measure(cfg, c, rng)
+        contexts.append(c)
+        sweeps.append(measured)
+        lines.append(log_line(step, c, measured))
     p = tmp_path / "log.jsonl"
     p.write_text("".join(lines))
     parsed = load_dataset(p, RewardConfig())
     assert len(parsed) == 25
-    for (c0, m0), row in zip(contexts, parsed):
-        assert c0 == row.context
-        np.testing.assert_array_equal(m0.latency_ms, row.measurements.latency_ms)
-        np.testing.assert_array_equal(m0.energy_pct_h, row.measurements.energy_pct_h)
-        np.testing.assert_array_equal(objective(c0, m0, RewardConfig()).objective,
-                                      row.rewards.objective)
+    assert_contexts_equal(Contexts.of(*contexts), parsed.contexts)
+    np.testing.assert_array_equal(parsed.step, np.arange(25))
+    assert list(parsed.pub_device) == ["iPadPro-pub"] * 25
+    assert list(parsed.sub_device) == ["iPadPro-sub"] * 25
+    lat, eng = map(np.array, zip(*sweeps))
+    np.testing.assert_array_equal(lat, parsed.lat)
+    np.testing.assert_array_equal(eng, parsed.eng)
+    np.testing.assert_array_equal(objective(Contexts.of(*contexts), (lat, eng), RewardConfig())[0],
+                                  parsed.rewards)
 
 
 def test_ingest_extra_fields_dropped(tmp_path):
     p = tmp_path / "log.jsonl"
     p.write_text(one_line(charging=True, signal_strength=-40))
-    [row] = load_dataset(p, RewardConfig())
-    assert not hasattr(row.context, "charging")
-    assert row.context == ctx()
+    data = load_dataset(p, RewardConfig())
+    assert len(data) == 1
+    assert not hasattr(data, "charging")
+    assert_contexts_equal(data.contexts, Contexts.of(ctx()))
 
 
 def test_ingest_errors_name_line(tmp_path):

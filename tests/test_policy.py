@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from watune.domain import (
     Action,
     AppType,
     Context,
+    Contexts,
     PerformanceMode,
     TimeOfDay,
-    action_from_index,
 )
 from watune.policy import (
     BASELINE_NAMES,
@@ -18,37 +20,42 @@ from watune.policy import (
     OraclePolicy,
     PREFERRED_TUPLE,
     RulePolicy,
-    fixed_decide,
     make_baseline,
-    oracle_decide,
-    rule_decide,
 )
-from watune.reward import RewardVector
 
 
-def rv(values):
-    ones = np.ones(8)
-    return RewardVector(objective=np.asarray(values, dtype=float), latency_score=ones, energy_score=ones)
+def oracle(*rows):
+    """The oracle's action for each row of per-action objectives."""
+    return OraclePolicy().choose(None, np.array(rows, dtype=float)).tolist()
+
+
+def ctx(apps):
+    return Context(TimeOfDay.morning, 80.0, 60.0, tuple(apps))
+
+
+def rule(history):
+    return int(RulePolicy().choose(Contexts.of(ctx(history)), None)[0])
 
 
 def test_oracle_unique_max():
-    assert oracle_decide(rv([0, 0, 0, 9, 0, 0, 0, 0])).index == 3
+    assert oracle([0, 0, 0, 9, 0, 0, 0, 0]) == [3]
 
 
 def test_oracle_tie_lowest_index():
-    assert oracle_decide(rv([1.0] * 8)).index == 0
-    assert oracle_decide(rv([0, 5, 5, 0, 0, 0, 0, 0])).index == 1
+    assert oracle([1.0] * 8, [0, 5, 5, 0, 0, 0, 0, 0]) == [0, 1]
 
 
 def test_oracle_matches_linear_scan():
     rng = np.random.default_rng(13)
-    for _ in range(300):
-        vals = rng.normal(size=8)
+    rows = rng.normal(size=(300, 8))
+    expected = []
+    for vals in rows:
         best, best_i = -np.inf, 0
         for i, v in enumerate(vals):
             if v > best:
                 best, best_i = v, i
-        assert oracle_decide(rv(vals)).index == best_i
+        expected.append(best_i)
+    assert oracle(*rows) == expected
 
 
 def test_preferred_tuple_table_complete():
@@ -59,16 +66,19 @@ def test_preferred_tuple_table_complete():
 
 def test_rule_examples():
     h = [AppType.voiceChat] * 6 + [AppType.textMessage] * 4
-    assert rule_decide(h) == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice)
-    assert rule_decide([AppType.firmwareUpdate] * 10) == Action(PerformanceMode.bulk, AccessCategory.background)
+    assert rule(h) == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice).index
+    assert rule([AppType.firmwareUpdate] * 10) == Action(PerformanceMode.bulk, AccessCategory.background).index
     # tie: videoCall -> index 2, sensorSync -> index 5; lowest index wins
     tie = [AppType.videoCall] * 5 + [AppType.sensorSync] * 5
-    assert rule_decide(tie).index == 2
+    assert rule(tie) == 2
 
 
-def test_rule_empty_history():
+def test_rule_empty_history(small_dataset):
+    # Neither a Context nor a Dataset row can carry an empty history.
     with pytest.raises(ValueError):
-        rule_decide([])
+        rule([])
+    with pytest.raises(ValueError, match="app histories must be non-empty"):
+        replace(small_dataset[:1], hist=np.zeros((1, 0), dtype=int))
 
 
 @given(st.lists(st.sampled_from(list(AppType)), min_size=1, max_size=10), st.randoms())
@@ -76,29 +86,30 @@ def test_rule_empty_history():
 def test_rule_permutation_invariant(history, rnd):
     shuffled = list(history)
     rnd.shuffle(shuffled)
-    assert rule_decide(history) == rule_decide(shuffled)
+    assert rule(history) == rule(shuffled)
 
 
 def test_fixed_decide():
-    assert fixed_decide("rt_iv") == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice)
-    assert fixed_decide("bulk_bg") == Action(PerformanceMode.bulk, AccessCategory.background)
+    assert FixedPolicy("rt_iv").action == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice)
+    assert FixedPolicy("bulk_bg").action == Action(PerformanceMode.bulk, AccessCategory.background)
     with pytest.raises(ValueError):
-        fixed_decide("nope")
+        FixedPolicy("nope")
 
 
-def ctx(apps):
-    return Context(TimeOfDay.morning, 80.0, 60.0, tuple(apps))
-
-
-def test_policy_wrappers():
-    r = rv([0, 0, 7, 0, 0, 0, 0, 0])
-    assert OraclePolicy().decide(ctx([AppType.voiceChat]), r).index == 2
+def test_policy_wrappers(small_dataset):
+    r = np.array([[0, 0, 7, 0, 0, 0, 0, 0]], dtype=float)
+    c = Contexts.of(ctx([AppType.voiceChat]))
+    assert OraclePolicy().choose(c, r).tolist() == [2]
     with pytest.raises(ValueError):
-        OraclePolicy().decide(ctx([AppType.voiceChat]))
+        OraclePolicy().choose(c, None)
     # rule/fixed ignore the reward vector entirely
-    c = ctx([AppType.videoCall] * 10)
-    assert RulePolicy().decide(c, r).index == 2
-    assert FixedPolicy("bulk_bg").decide(c, r).index == 5
+    c = Contexts.of(ctx([AppType.videoCall] * 10))
+    assert RulePolicy().choose(c, r).tolist() == [2]
+    assert FixedPolicy("bulk_bg").choose(c, r).tolist() == [5]
+    # decide() hands a dataset's contexts and stored rewards to choose()
+    data = small_dataset[:64]
+    np.testing.assert_array_equal(OraclePolicy().decide(data), np.argmax(data.rewards, axis=1))
+    np.testing.assert_array_equal(FixedPolicy("rt_iv").decide(data), np.full(64, 3))
 
 
 def test_make_baseline():
@@ -111,4 +122,4 @@ def test_make_baseline():
 def test_fixed_constant_across_contexts():
     p = FixedPolicy("rt_iv")
     for apps in ([AppType.firmwareUpdate] * 3, [AppType.voiceChat]):
-        assert p.decide(ctx(apps)) == action_from_index(3)
+        assert p.choose(Contexts.of(ctx(apps)), None).tolist() == [3]

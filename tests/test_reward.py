@@ -1,145 +1,166 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from watune.domain import AppType, Context, TimeOfDay
-from watune.measurement import MeasurementVector
+from watune.domain import AppType, Context, Contexts, TimeOfDay
 from watune.reward import (
     DEFAULT_TOLERANCE_MS,
     NAIVE_BATTERY,
     NAIVE_TOLERANCE_MS,
     RewardConfig,
     RewardMode,
-    RewardVector,
-    energy_score,
-    latency_score,
     objective,
     soft_labels,
 )
 
 
-def brute_objective(context, mv, cfg):
-    """Independent straight-loop reference for the per-action objective."""
-    apps = list(context.app_history)
-    batts = [context.publisher_battery]
-    if context.subscriber_battery is not None:
-        batts.append(context.subscriber_battery)
-    out = []
+def brute_objective(context, measured, cfg):
+    """Independent straight-loop reference for the per-action objective,
+    latency score and energy score of one context."""
+    lat, eng = measured
+    if cfg.mode is RewardMode.naive:
+        tols, batts = [NAIVE_TOLERANCE_MS], [NAIVE_BATTERY]
+    else:
+        tols = [DEFAULT_TOLERANCE_MS[app] for app in context.app_history]
+        batts = [context.publisher_battery]
+        if context.subscriber_battery is not None:
+            batts.append(context.subscriber_battery)
+    out, lat_scores, eng_scores = [], [], []
     for a in range(8):
         lat_total = 0.0
-        for app in apps:
-            lat_total += max(100.0 - 100.0 * mv.latency_ms[a] / DEFAULT_TOLERANCE_MS[app], 0.0)
-        pen_total = 0.0
+        for tol in tols:
+            lat_total += max(100.0 - 100.0 * lat[a] / tol, 0.0)
+        pen_total = score_total = 0.0
         for b in batts:
-            pen_total += mv.energy_pct_h[a] / b
-        out.append(cfg.w_l * lat_total / len(apps) - cfg.w_p * pen_total / len(batts))
-    return np.array(out)
+            pen_total += eng[a] / b
+            score_total += b / eng[a]
+        out.append(cfg.w_l * lat_total / len(tols) - cfg.w_p * pen_total / len(batts))
+        lat_scores.append(lat_total / len(tols))
+        eng_scores.append(score_total / len(batts))
+    return np.array(out), np.array(lat_scores), np.array(eng_scores)
 
 
-def random_context_and_mv(rng):
+def random_context_and_measured(rng):
     apps = tuple(AppType(i) for i in rng.integers(0, 8, size=int(rng.integers(1, 11))))
     sub = None if rng.random() < 0.2 else float(rng.uniform(5, 100))
     ctx = Context(TimeOfDay(int(rng.integers(0, 4))), float(rng.uniform(5, 100)), sub, apps)
-    mv = MeasurementVector(
-        latency_ms=rng.uniform(0.0, 400.0, 8),
-        energy_pct_h=rng.uniform(0.2, 8.0, 8),
-    )
-    return ctx, mv
+    return ctx, (rng.uniform(0.0, 400.0, 8), rng.uniform(0.2, 8.0, 8))
+
+
+def row_objective(ctx, measured, cfg):
+    """`objective` on the one-row batch of `ctx`: its three (8,) rows."""
+    lat, eng = measured
+    return [col[0] for col in objective(Contexts.of(ctx), (lat[None], eng[None]), cfg)]
+
+
+def scores(app, latency_ms=1.0, battery=50.0, energy=1.0):
+    """Latency and energy score of the first action for one app and one
+    visible battery, every action measuring the same."""
+    ctx = Context(TimeOfDay.morning, battery, None, (app,))
+    _, lat_scores, eng_scores = row_objective(ctx, (np.full(8, latency_ms), np.full(8, energy)),
+                                              RewardConfig())
+    return lat_scores[0], eng_scores[0]
 
 
 def test_latency_score_golden():
-    assert latency_score(AppType.voiceChat, 5.0) == 90.0
-    assert latency_score(AppType.textMessage, 200.0) == 0.0
-    assert latency_score(AppType.firmwareUpdate, 0.0) == 100.0
+    assert scores(AppType.voiceChat, 5.0)[0] == 90.0
+    assert scores(AppType.textMessage, 200.0)[0] == 0.0
+    assert scores(AppType.firmwareUpdate, 0.0)[0] == 100.0
 
 
-def test_latency_score_clamps_and_errors():
-    assert latency_score(AppType.voiceChat, 1e6) == 0.0
-    with pytest.raises(ValueError):
-        latency_score(AppType.voiceChat, -1.0)
+def test_latency_score_clamps_and_errors(small_dataset):
+    assert scores(AppType.voiceChat, 1e6)[0] == 0.0
+    # A negative latency never reaches the reward, nor a score above 100 a
+    # dataset: the Dataset refuses both.
+    with pytest.raises(ValueError, match="latency"):
+        replace(small_dataset[:1], lat=np.full((1, 8), -1.0))
+    with pytest.raises(ValueError, match="latency scores"):
+        replace(small_dataset[:1], lat_scores=np.full((1, 8), 101.0))
 
 
 def test_latency_score_non_increasing():
     xs = np.linspace(0, 600, 50)
-    ys = [latency_score(AppType.mapSync, x) for x in xs]
+    contexts = Contexts.of(*[Context(TimeOfDay.morning, 50.0, None, (AppType.mapSync,))] * len(xs))
+    _, lat_scores, _ = objective(contexts, (np.repeat(xs[:, None], 8, axis=1), np.ones((50, 8))),
+                                 RewardConfig())
+    ys = lat_scores[:, 0]
     assert all(a >= b for a, b in zip(ys, ys[1:]))
 
 
 def test_energy_score_golden():
-    assert abs(energy_score(50.0, 3.24) - 15.4321) < 1e-4
+    assert abs(scores(AppType.voiceChat, battery=50.0, energy=3.24)[1] - 15.4321) < 1e-4
 
 
-def test_energy_score_errors():
-    with pytest.raises(ValueError):
-        energy_score(50.0, 0.0)
-    with pytest.raises(ValueError):
-        energy_score(0.0, 1.0)
+def test_energy_score_errors(small_dataset):
+    # Zero energy never reaches the reward, nor a zero score a dataset: the
+    # Dataset refuses both.
+    with pytest.raises(ValueError, match="energy"):
+        replace(small_dataset[:1], eng=np.zeros((1, 8)))
+    with pytest.raises(ValueError, match="energy scores"):
+        replace(small_dataset[:1], eng_scores=np.zeros((1, 8)))
+    with pytest.raises(ValueError, match="battery must be strictly positive"):
+        scores(AppType.voiceChat, battery=0.0)
 
 
 def test_objective_matches_brute_force():
     cfg = RewardConfig()
     rng = np.random.default_rng(11)
     for _ in range(500):
-        ctx, mv = random_context_and_mv(rng)
-        rv = objective(ctx, mv, cfg)
-        np.testing.assert_allclose(rv.objective, brute_objective(ctx, mv, cfg), rtol=0, atol=1e-12)
+        ctx, measured = random_context_and_measured(rng)
+        got = row_objective(ctx, measured, cfg)[0]
+        np.testing.assert_allclose(got, brute_objective(ctx, measured, cfg)[0], rtol=0, atol=1e-12)
 
 
 def test_objective_weight_reductions():
     rng = np.random.default_rng(3)
-    ctx, mv = random_context_and_mv(rng)
-    lat_only = objective(ctx, mv, RewardConfig(w_l=1.0, w_p=0.0))
-    np.testing.assert_allclose(lat_only.objective, lat_only.latency_score, atol=1e-12)
-    eng_only = objective(ctx, mv, RewardConfig(w_l=0.0, w_p=1.0))
-    assert np.all(eng_only.objective <= 0)
-    assert int(np.argmax(eng_only.objective)) == int(np.argmin(mv.energy_pct_h))
+    ctx, measured = random_context_and_measured(rng)
+    lat_only, lat_scores, _ = row_objective(ctx, measured, RewardConfig(w_l=1.0, w_p=0.0))
+    np.testing.assert_allclose(lat_only, lat_scores, atol=1e-12)
+    eng_only = row_objective(ctx, measured, RewardConfig(w_l=0.0, w_p=1.0))[0]
+    assert np.all(eng_only <= 0)
+    assert int(np.argmax(eng_only)) == int(np.argmin(measured[1]))
 
 
 def test_objective_argmax_scale_invariant():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        ctx, mv = random_context_and_mv(rng)
-        a = objective(ctx, mv, RewardConfig(w_l=0.1, w_p=1.0))
-        b = objective(ctx, mv, RewardConfig(w_l=0.7, w_p=7.0))
-        assert int(np.argmax(a.objective)) == int(np.argmax(b.objective))
+        ctx, measured = random_context_and_measured(rng)
+        a = row_objective(ctx, measured, RewardConfig(w_l=0.1, w_p=1.0))[0]
+        b = row_objective(ctx, measured, RewardConfig(w_l=0.7, w_p=7.0))[0]
+        assert int(np.argmax(a)) == int(np.argmax(b))
 
 
 def test_objective_monotone_in_battery():
     rng = np.random.default_rng(5)
-    _, mv = random_context_and_mv(rng)
+    _, measured = random_context_and_measured(rng)
     apps = (AppType.videoCall,) * 10
-    lo = objective(Context(TimeOfDay.morning, 20.0, 20.0, apps), mv, RewardConfig())
-    hi = objective(Context(TimeOfDay.morning, 90.0, 90.0, apps), mv, RewardConfig())
-    assert np.all(hi.objective >= lo.objective)
+    lo = row_objective(Context(TimeOfDay.morning, 20.0, 20.0, apps), measured, RewardConfig())[0]
+    hi = row_objective(Context(TimeOfDay.morning, 90.0, 90.0, apps), measured, RewardConfig())[0]
+    assert np.all(hi >= lo)
 
 
 def test_naive_mode_ignores_context():
     cfg = RewardConfig(mode=RewardMode.naive)
     rng = np.random.default_rng(6)
-    _, mv = random_context_and_mv(rng)
-    a = objective(Context(TimeOfDay.morning, 90.0, 90.0, (AppType.voiceChat,)), mv, cfg)
-    b = objective(Context(TimeOfDay.night, 10.0, None, (AppType.firmwareUpdate,) * 10), mv, cfg)
-    np.testing.assert_array_equal(a.objective, b.objective)
-    expected = cfg.w_l * np.maximum(100 - 100 * mv.latency_ms / NAIVE_TOLERANCE_MS, 0.0) - cfg.w_p * mv.energy_pct_h / NAIVE_BATTERY
-    np.testing.assert_allclose(a.objective, expected, atol=1e-12)
+    _, (lat, eng) = random_context_and_measured(rng)
+    a = row_objective(Context(TimeOfDay.morning, 90.0, 90.0, (AppType.voiceChat,)), (lat, eng), cfg)[0]
+    b = row_objective(Context(TimeOfDay.night, 10.0, None, (AppType.firmwareUpdate,) * 10),
+                      (lat, eng), cfg)[0]
+    np.testing.assert_array_equal(a, b)
+    expected = cfg.w_l * np.maximum(100 - 100 * lat / NAIVE_TOLERANCE_MS, 0.0) - cfg.w_p * eng / NAIVE_BATTERY
+    np.testing.assert_allclose(a, expected, atol=1e-12)
 
 
 def test_objective_zero_battery_rejected():
     rng = np.random.default_rng(7)
-    _, mv = random_context_and_mv(rng)
+    _, measured = random_context_and_measured(rng)
     # Context admits 0% battery but the reward divides by it.
     ctx = Context(TimeOfDay.morning, 0.0, None, (AppType.voiceChat,))
     with pytest.raises(ValueError):
-        objective(ctx, mv, RewardConfig())
-
-
-def test_reward_vector_validation():
-    ones = np.ones(8)
-    with pytest.raises(ValueError):
-        RewardVector(objective=ones, latency_score=ones * 101, energy_score=ones)
-    with pytest.raises(ValueError):
-        RewardVector(objective=ones, latency_score=ones, energy_score=ones * 0)
+        row_objective(ctx, measured, RewardConfig())
 
 
 def test_reward_config_validation():

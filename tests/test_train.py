@@ -1,29 +1,24 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from watune.domain import AppType, Context, TimeOfDay
+from watune.domain import AppType, Context, Contexts, TimeOfDay
 from watune.train import (
     FEATURE_DIM,
     HeadModel,
     TrainConfig,
     TrainingDiverged,
     accuracy_vs_oracle,
-    encode,
     encode_batch,
     forward,
-    grad_ce,
-    grad_dpo,
-    grad_kl,
     hard_labels,
-    head_decide,
+    head_choices,
     init_head,
     load_checkpoint,
     log_softmax,
-    loss_ce,
-    loss_dpo,
-    loss_kl,
+    loss_and_grad,
     save_checkpoint,
     soft_targets,
     softmax,
@@ -35,8 +30,25 @@ def ctx(sub=60.0, apps=None):
     return Context(TimeOfDay.evening, 80.0, sub, tuple(apps or [AppType.voiceChat] * 10))
 
 
+def features(c):
+    return encode_batch(Contexts.of(c))[0]
+
+
+def loss(kind, logits, target):
+    """The loss of one row of logits (`target` is that row's target)."""
+    return loss_and_grad(kind, logits[None], target)[0]
+
+
+def grad(kind, logits, target):
+    return loss_and_grad(kind, logits[None], target)[1][0]
+
+
+def dpo_target(ref, y_w, y_l, beta=0.1):
+    return ref[None], [y_w], [y_l], beta
+
+
 def test_encode_layout():
-    x = encode(ctx())
+    x = features(ctx())
     assert x.shape == (FEATURE_DIM,)
     assert x[:4].tolist() == [0, 0, 1, 0]  # evening one-hot
     assert x[4] == 0.8
@@ -47,13 +59,13 @@ def test_encode_layout():
 
 
 def test_encode_masked_peer():
-    x = encode(ctx(sub=None))
+    x = features(ctx(sub=None))
     assert x[5] == 0.0 and x[6] == 0.0
 
 
 def test_encode_histogram_mixed():
     apps = [AppType.textMessage] * 3 + [AppType.mapSync] * 7
-    x = encode(ctx(apps=apps))
+    x = features(ctx(apps=apps))
     assert x[7 + int(AppType.textMessage)] == pytest.approx(0.3)
     assert x[7 + int(AppType.mapSync)] == pytest.approx(0.7)
 
@@ -82,16 +94,16 @@ def test_forward_single_layer_is_affine():
 def test_forward_zero_model():
     m = HeadModel([np.zeros((8, FEATURE_DIM))], [np.zeros(8)])
     assert np.all(forward(m, np.ones(FEATURE_DIM)) == 0.0)
-    assert head_decide(m, ctx()).index == 0  # tie rule
+    assert head_choices(m, Contexts.of(ctx())).tolist() == [0]  # tie rule
 
 
 def test_head_decide_shift_invariant():
     m = init_head(2, seed=1)
-    c = ctx()
-    base = head_decide(m, c)
+    c = Contexts.of(ctx(), ctx(sub=None), ctx(apps=[AppType.firmwareUpdate] * 10))
+    base = head_choices(m, c)
     m2 = m.copy()
     m2.biases[-1] += 13.7
-    assert head_decide(m2, c) == base
+    np.testing.assert_array_equal(head_choices(m2, c), base)
 
 
 def test_validate_catches_bad_chain():
@@ -108,20 +120,22 @@ def test_loss_identities():
     for y in range(8):
         onehot = np.zeros(8)
         onehot[y] = 1.0
-        assert loss_ce(logits, y) == pytest.approx(loss_kl(logits, onehot), abs=1e-12)
+        assert loss("ce", logits, [y]) == pytest.approx(loss("kl", logits, onehot[None]), abs=1e-12)
     # uniform logits -> ln 8
-    assert loss_ce(np.zeros(8), 3) == pytest.approx(np.log(8), abs=1e-9)
+    assert loss("ce", np.zeros(8), [3]) == pytest.approx(np.log(8), abs=1e-9)
     # KL = 0 at exact match
-    assert loss_kl(logits, softmax(logits)) == pytest.approx(0.0, abs=1e-9)
+    assert loss("kl", logits, softmax(logits)[None]) == pytest.approx(0.0, abs=1e-9)
     # DPO at policy == reference -> ln 2
-    other = rng.normal(size=8)
-    assert loss_dpo(logits, other, logits, other, 2, 5, 0.1) == pytest.approx(np.log(2), abs=1e-9)
+    assert loss("dpo", logits, dpo_target(logits, 2, 5)) == pytest.approx(np.log(2), abs=1e-9)
 
 
-def test_dpo_degenerate_pair():
-    z = np.zeros(8)
-    with pytest.raises(ValueError):
-        loss_dpo(z, z, z, z, 3, 3, 0.1)
+def test_dpo_degenerate_pair(small_split):
+    # A row whose best and worst action coincide is no preference pair;
+    # training skips it, and refuses a set made only of such rows.
+    flat = replace(small_split[0][:64], rewards=np.zeros((64, 8)))
+    ref = init_head(1, seed=0)
+    with pytest.raises(ValueError, match="no usable preference pairs"):
+        train(flat, ref, TrainConfig(loss="dpo", epochs=1, layers=1), ref_model=ref)
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -137,14 +151,11 @@ def finite_diff(fn, x, eps=1e-6):
 def test_grad_ce_kl_dpo_vs_logits_fd():
     rng = np.random.default_rng(12)
     logits = rng.normal(size=8)
-    np.testing.assert_allclose(grad_ce(logits, 2), finite_diff(lambda z: loss_ce(z, 2), logits), atol=1e-6)
-    soft = softmax(rng.normal(size=8))
-    np.testing.assert_allclose(grad_kl(logits, soft), finite_diff(lambda z: loss_kl(z, soft), logits), atol=1e-6)
-    lw, ll = rng.normal(size=8), rng.normal(size=8)
-    rw, rl = rng.normal(size=8), rng.normal(size=8)
-    d_w, d_l = grad_dpo(lw, ll, rw, rl, 1, 6, 0.1)
-    np.testing.assert_allclose(d_w, finite_diff(lambda z: loss_dpo(z, ll, rw, rl, 1, 6, 0.1), lw), atol=1e-6)
-    np.testing.assert_allclose(d_l, finite_diff(lambda z: loss_dpo(lw, z, rw, rl, 1, 6, 0.1), ll), atol=1e-6)
+    soft = softmax(rng.normal(size=8))[None]
+    ref = rng.normal(size=8)
+    for kind, target in (("ce", [2]), ("kl", soft), ("dpo", dpo_target(ref, 1, 6))):
+        np.testing.assert_allclose(grad(kind, logits, target),
+                                   finite_diff(lambda z: loss(kind, z, target), logits), atol=1e-6)
 
 
 def test_permutation_equivariance():
@@ -155,11 +166,12 @@ def test_permutation_equivariance():
     soft = softmax(rng.normal(size=8))
     y = 5
     inv = np.argsort(perm)
-    assert loss_ce(logits[perm], int(inv[y])) == pytest.approx(loss_ce(logits, y), abs=1e-12)
-    assert loss_kl(logits[perm], soft[perm]) == pytest.approx(loss_kl(logits, soft), abs=1e-12)
-    lw, ll, rw, rl = (rng.normal(size=8) for _ in range(4))
-    assert loss_dpo(lw[perm], ll[perm], rw[perm], rl[perm], int(inv[2]), int(inv[7]), 0.1) == pytest.approx(
-        loss_dpo(lw, ll, rw, rl, 2, 7, 0.1), abs=1e-12)
+    assert loss("ce", logits[perm], [inv[y]]) == pytest.approx(loss("ce", logits, [y]), abs=1e-12)
+    assert loss("kl", logits[perm], soft[perm][None]) == pytest.approx(
+        loss("kl", logits, soft[None]), abs=1e-12)
+    ref = rng.normal(size=8)
+    assert loss("dpo", logits[perm], dpo_target(ref[perm], inv[2], inv[7])) == pytest.approx(
+        loss("dpo", logits, dpo_target(ref, 2, 7)), abs=1e-12)
 
 
 def test_train_config_validation():
@@ -212,11 +224,10 @@ def test_train_rejects_empty():
 
 def test_overfit_single_sample(toy_split):
     train_set, _ = toy_split
-    s = train_set[0]
     cfg = TrainConfig(loss="kl", epochs=60, seed=0, layers=2, learning_rate=5e-3, weight_decay=0.0)
     model, _ = train(train_set[[0] * 64], init_head(2, seed=0), cfg)
     soft = soft_targets(train_set[:1], cfg.soft_temp)[0]
-    assert head_decide(model, s.context).index == int(np.argmax(soft))
+    assert head_choices(model, train_set[:1].contexts).tolist() == [int(np.argmax(soft))]
 
 
 def test_checkpoint_round_trip(tmp_path, toy_split):
