@@ -26,7 +26,7 @@ from .datagen import (
 from .domain import BatteryConfig, Scenario, TimeOfDay
 from .policy import BASELINE_NAMES, HeadPolicy, make_baseline
 from .reward import RewardMode
-from .train import init_head, load_checkpoint, save_checkpoint, train as train_head_raw
+from .train import TrainingDiverged, init_head, load_checkpoint, save_checkpoint, train as train_head_raw
 from .evaluate import cooperative_slice, evaluate, flat_table, replay_snapshot, train_head
 
 OOD_STREAM = 1
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

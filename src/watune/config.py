@@ -10,7 +10,7 @@ import tempfile
 from dataclasses import dataclass, field, fields, replace
 
 from .datagen import DatasetConfig
-from .domain import BatteryClass, TimeOfDay
+from .domain import NUM_ACTIONS, BatteryClass, TimeOfDay
 from .measurement import LinkModelConfig
 from .reward import RewardConfig, RewardMode
 from .train import TrainConfig
@@ -90,6 +90,21 @@ def _scalar(value, kind: str, where: str):
     return value
 
 
+def _numbers(value, n: int, where: str) -> tuple:
+    """A list of `n` values that `_scalar` takes as numbers, as a tuple."""
+    numbers = SCALAR_TYPES["float"][0]
+    if type(value) is not list or len(value) != n or any(type(v) not in numbers for v in value):
+        raise ValueError(f"config {where} must be a list of {n} numbers, not {value!r}")
+    return tuple(value)
+
+
+def _table(obj: dict, key: str, section: str) -> dict:
+    value = _require(obj, key, f"{section}.")
+    if type(value) is not dict:
+        raise ValueError(f"config {section}.{key} must be an object, not {value!r}")
+    return value
+
+
 def from_dict(obj: dict) -> ExperimentConfig:
     for key in REQUIRED_KEYS:
         _require(obj, key, "")
@@ -100,16 +115,16 @@ def from_dict(obj: dict) -> ExperimentConfig:
                           for k in keys}
     ds, lk, rw = obj["dataset"], obj["link"], obj["reward"]
     ranges = {
-        BatteryClass[name]: tuple(lo_hi)
-        for name, lo_hi in _require(ds, "battery_class_ranges", "dataset.").items()
+        BatteryClass[name]: _numbers(lo_hi, 2, f"dataset.battery_class_ranges.{name}")
+        for name, lo_hi in _table(ds, "battery_class_ranges", "dataset").items()
     }
     link = LinkModelConfig(
         **plain["link"],
-        base_latency_ms=tuple(_require(lk, "base_latency_ms", "link.")),
-        base_energy_pct_h=tuple(_require(lk, "base_energy_pct_h", "link.")),
+        **{key: _numbers(_require(lk, key, "link."), NUM_ACTIONS, f"link.{key}")
+           for key in ("base_latency_ms", "base_energy_pct_h")},
         time_latency_multiplier={
-            TimeOfDay[name]: float(v)
-            for name, v in _require(lk, "time_latency_multiplier", "link.").items()
+            TimeOfDay[name]: float(_scalar(v, "float", f"link.time_latency_multiplier.{name}"))
+            for name, v in _table(lk, "time_latency_multiplier", "link").items()
         },
     )
     return ExperimentConfig(

@@ -150,6 +150,14 @@ APPS = tuple(AppType)
 
 # Per-action measurement columns and their JSONL keys, in record order.
 _VECTORS = {"lat": "latency_ms", "eng": "energy_pct_h"}
+# Columns read as JSON numbers: their JSONL keys, the types allowed (a bool
+# is not a number here; a null sub_battery was read as 0.0) and the rule.
+_NUMBERS = {
+    "step": ("step", {int}, "be an integer"),
+    "pub": ("pub_battery", {int, float}, "be a number"),
+    "sub": ("sub_battery", {int, float}, "be a number or null"),
+    **{k: (key, {int, float}, "hold numbers") for k, key in _VECTORS.items()},
+}
 # Columns derived from the observed ones by `objective`; files do not hold them.
 _REWARDS = ("rewards", "lat_scores", "eng_scores")
 # Columns, the condition every (finite) entry must meet, and the message.
@@ -382,11 +390,11 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                 sub, scenario = rec["sub_battery"], rec["scenario"]
                 row = {
                     "time": _TIME_CODE[rec["time"]],
-                    "pub": float(rec["pub_battery"]),
-                    "sub": 0.0 if sub is None else float(sub),
+                    "pub": rec["pub_battery"],
+                    "sub": 0.0 if sub is None else sub,
                     "peer": sub is not None,
                     "hist": [_APP_CODE[a] for a in rec["app_history"]],
-                    "step": int(rec["step"]),
+                    "step": rec["step"],
                     "scenario": _SCENARIO_CODE[scenario["time"], scenario["battery_config"]],
                     "pub_device": rec.get("pub_device"),
                     "sub_device": rec.get("sub_device"),
@@ -404,14 +412,15 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                 cols[k].extend(v)
             linenos.append(lineno)
     n = len(linenos)
-    for k, key in _VECTORS.items():
+    for k, (key, types, rule) in _NUMBERS.items():
         # One pass over all values; the line is only looked for on failure.
-        if not set(map(type, cols[k])) <= {float, int}:
-            bad = next(i for i, v in enumerate(cols[k]) if type(v) not in (float, int))
-            raise ValueError(f"{path}: line {linenos[bad // NUM_ACTIONS]}: malformed dataset "
-                             f"record: {key} must hold numbers, not {cols[k][bad]!r}")
-    dtypes = dict.fromkeys(_VECTORS, float) | {"peer": bool, "hist": int,
-                                                "pub_device": object, "sub_device": object}
+        if not set(map(type, cols[k])) <= types:
+            bad = next(i for i, v in enumerate(cols[k]) if type(v) not in types)
+            row = bad // NUM_ACTIONS if k in _VECTORS else bad
+            raise ValueError(f"{path}: line {linenos[row]}: malformed dataset "
+                             f"record: {key} must {rule}, not {cols[k][bad]!r}")
+    dtypes = dict.fromkeys(["pub", "sub", *_VECTORS], float) | {
+        "peer": bool, "hist": int, "pub_device": object, "sub_device": object}
     try:
         arrays = {k: np.array(v, dtype=dtypes.get(k)) for k, v in cols.items()}
         for k in _VECTORS:

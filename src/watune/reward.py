@@ -44,8 +44,8 @@ class RewardConfig:
         self.mode = RewardMode(self.mode)
         if self.w_l < 0 or self.w_p < 0 or self.w_l + self.w_p <= 0:
             raise ValueError("weights must be non-negative with positive sum")
-        if self.soft_temp <= 0:
-            raise ValueError("soft_temp must be positive")
+        if not 0 < self.soft_temp < np.inf:
+            raise ValueError(f"reward.soft_temp must be finite and positive, not {self.soft_temp!r}")
 
 
 def objective(contexts: Contexts, measured, cfg: RewardConfig,

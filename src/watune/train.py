@@ -1,10 +1,12 @@
 """Training core: explicit feature encoding, a compact rectifier MLP head
 over the 8 actions, CE / KL-soft-label / DPO objectives with hand-derived
-gradients, AdamW, and the deterministic training loop."""
+gradients, AdamW over one flat parameter buffer, and the deterministic
+training loop."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,19 @@ class HeadModel:
     def copy(self) -> "HeadModel":
         return HeadModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
+    def flat(self) -> np.ndarray:
+        """All parameters in one new vector: the weights, then the biases."""
+        return np.concatenate([a.ravel() for a in self.weights + self.biases])
+
+    def views(self, flat: np.ndarray) -> "HeadModel":
+        """A model of this one's shapes whose arrays are views of `flat`,
+        laid out as `flat()` lays them out."""
+        arrays, at = [], 0
+        for a in self.weights + self.biases:
+            arrays.append(flat[at:at + a.size].reshape(a.shape))
+            at += a.size
+        return HeadModel(arrays[:self.n_layers], arrays[self.n_layers:])
+
     def validate(self) -> None:
         prev = FEATURE_DIM
         for w, b in zip(self.weights, self.biases):
@@ -89,24 +104,25 @@ def _forward_cached(model: HeadModel, x: np.ndarray):
     pre = []
     h = acts[0]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         pre.append(z)
         h = np.maximum(z, 0.0) if i < model.n_layers - 1 else z
         acts.append(h)
     return h, acts, pre
 
 
-def backward(model: HeadModel, acts, pre, dlogits: np.ndarray):
-    """Parameter gradients for a batch given d(loss)/d(logits)."""
-    grads_w = [None] * model.n_layers
-    grads_b = [None] * model.n_layers
+def backward(model: HeadModel, acts, pre, dlogits: np.ndarray, grads: HeadModel) -> None:
+    """Write the parameter gradients of a batch, given d(loss)/d(logits),
+    into `grads`, a model-shaped set of arrays (in training, views of the
+    flat gradient vector)."""
     d = np.atleast_2d(dlogits)
     for i in range(model.n_layers - 1, -1, -1):
-        grads_w[i] = d.T @ acts[i]
-        grads_b[i] = d.sum(axis=0)
+        np.matmul(d.T, acts[i], out=grads.weights[i])
+        np.add.reduce(d, axis=0, out=grads.biases[i])
         if i > 0:
-            d = (d @ model.weights[i]) * (pre[i - 1] > 0)
-    return grads_w, grads_b
+            d = d @ model.weights[i]
+            d *= pre[i - 1] > 0  # a multiply, not an assignment: NaN and -0.0 carry through
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -129,14 +145,15 @@ def loss_and_grad(kind: str, logits: np.ndarray, target) -> tuple[float, np.ndar
     if kind == "ce":
         logq = log_softmax(logits)
         loss = -np.mean(logq[rows, target])
-        d = softmax(logits)
+        d = np.exp(logq)
         d[rows, target] -= 1.0
     elif kind == "kl":
         logq = log_softmax(logits)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(target > 0, target * (np.log(np.where(target > 0, target, 1.0)) - logq), 0.0)
         loss = float(np.mean(terms.sum(axis=1)))
-        d = softmax(logits) - target
+        d = np.exp(logq)
+        d -= target
     else:  # dpo
         ref, y_w, y_l, beta = target
         lp = log_softmax(logits)
@@ -170,36 +187,59 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("ce", "kl", "dpo"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.epochs < 0 or self.effective_batch < 1 or self.learning_rate <= 0:
-            raise ValueError("invalid epochs/batch/learning rate")
-        if self.dpo_beta <= 0 or self.soft_temp <= 0:
-            raise ValueError("dpo_beta and soft_temp must be positive")
+        for name, ok, rule in (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("effective_batch", self.effective_batch >= 1, ">= 1"),
+            ("hidden", self.hidden >= 1, ">= 1"),
+            ("learning_rate", 0 < self.learning_rate < math.inf, "finite and > 0"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("dpo_beta", 0 < self.dpo_beta < math.inf, "finite and > 0"),
+            ("soft_temp", 0 < self.soft_temp < math.inf, "finite and > 0"),
+        ):
+            if not ok:  # NaN fails every comparison
+                raise ValueError(f"train.{name} must be {rule}, not {getattr(self, name)!r}")
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+    """Adaptive moments with decoupled weight decay, stepping one flat
+    parameter vector in place.
 
-    def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float,
+    Each element sees the operations of the textbook update in its order,
+    with no constant folded: m = m*b1 + (1-b1)*g, v = v*b2 + ((1-b2)*g)*g,
+    p -= lr * (mhat / (sqrt(vhat) + eps) + wd*p). The result is therefore
+    bit-identical to stepping each weight and bias array on its own.
+    """
+
+    def __init__(self, params: np.ndarray, lr: float, weight_decay: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.wd = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._a = np.empty_like(params)  # work buffers
+        self._b = np.empty_like(params)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=a)
+        v *= b2
+        np.multiply(grad, 1 - b2, out=a)
+        a *= grad
+        v += a
+        np.divide(v, 1 - b2 ** self.t, out=a)  # vhat
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, 1 - b1 ** self.t, out=b)  # mhat
+        b /= a
+        b += np.multiply(self.params, self.wd, out=a)
+        b *= self.lr
+        self.params -= b
 
 
 def hard_labels(dataset: Dataset) -> np.ndarray:
@@ -223,12 +263,16 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
         raise ValueError("empty training set")
     if cfg.loss == "dpo" and ref_model is None:
         raise ValueError("dpo training requires a frozen reference model")
-    model = model.copy()
     model.validate()
+    # The model trains in a copy of its parameters held in one flat vector,
+    # and its gradient in another, so AdamW steps them as one buffer.
+    params = model.flat()
+    grad = np.zeros_like(params)
+    model, grads = model.views(params), model.views(grad)
 
     all_feats = feats = encode_batch(dataset.contexts)
     labels = hard_labels(dataset)
-    targets = soft_targets(dataset, cfg.soft_temp) if cfg.loss == "kl" else labels
+    targets = (soft_targets(dataset, cfg.soft_temp) if cfg.loss == "kl" else labels,)
     skipped = 0
     if cfg.loss == "dpo":
         y_w = labels
@@ -238,27 +282,26 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
         feats, y_w, y_l = feats[keep], y_w[keep], y_l[keep]
         if feats.shape[0] == 0:
             raise ValueError("no usable preference pairs (all rewards degenerate)")
-        ref_logits_all = forward(ref_model, feats)
+        targets = (forward(ref_model, feats), y_w, y_l)
 
-    params = model.weights + model.biases
     opt = AdamW(params, cfg.learning_rate, cfg.weight_decay)
     n = feats.shape[0]
     epoch_loss: list[float] = []
 
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, 0x5EED, epoch]).permutation(n)
+        shuffled = [a[order] for a in (feats, *targets)]  # each batch is a slice of these
         total, batches = 0.0, 0
         for start in range(0, n, cfg.effective_batch):
-            idx = order[start:start + cfg.effective_batch]
-            logits, acts, pre = _forward_cached(model, feats[idx])
-            target = (targets[idx] if cfg.loss != "dpo"
-                      else (ref_logits_all[idx], y_w[idx], y_l[idx], cfg.dpo_beta))
-            loss, d = loss_and_grad(cfg.loss, logits, target)
+            x, *target = (a[start:start + cfg.effective_batch] for a in shuffled)
+            logits, acts, pre = _forward_cached(model, x)
+            loss, d = loss_and_grad(cfg.loss, logits,
+                                    (*target, cfg.dpo_beta) if cfg.loss == "dpo" else target[0])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite {cfg.loss} loss at epoch {epoch}, step {batches}")
-            gw, gb = backward(model, acts, pre, d)
-            opt.step(gw + gb)
+            backward(model, acts, pre, d, grads)
+            opt.step(grad)
             total += float(loss)
             batches += 1
         epoch_loss.append(total / batches)

@@ -152,18 +152,6 @@ def test_accept_3_rule_determinism():
 
 # --- 4. gradient checks -------------------------------------------------------
 
-def _flatten(model):
-    return np.concatenate([p.reshape(-1) for p in model.weights + model.biases])
-
-def _unflatten(model, vec):
-    out = model.copy()
-    off = 0
-    params = out.weights + out.biases
-    for p in params:
-        p[...] = vec[off:off + p.size].reshape(p.shape)
-        off += p.size
-    return out
-
 
 def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4):
     """Analytic parameter gradient vs central differences at random coords.
@@ -190,10 +178,11 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
 
     # analytic full gradient via backprop
     logits, acts, pre = _forward_cached(model, x)
-    gw, gb = backward(model, acts, pre, loss_and_grad(loss_name, logits, target)[1])
-    grad = np.concatenate([g.reshape(-1) for g in gw + gb])
+    grads = model.copy()  # overwritten with the gradient
+    backward(model, acts, pre, loss_and_grad(loss_name, logits, target)[1], grads)
+    grad = grads.flat()
 
-    theta = _flatten(model)
+    theta = model.flat()
     checked = 0
     attempts = 0
     while checked < n_coords:
@@ -203,7 +192,7 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
         tp, tm = theta.copy(), theta.copy()
         tp[i] += eps
         tm[i] -= eps
-        mp, mm = _unflatten(model, tp), _unflatten(model, tm)
+        mp, mm = model.views(tp), model.views(tm)
         # rectifier-kink guard: skip if any hidden pre-activation is near zero
         near_kink = False
         for m in (model, mp, mm):

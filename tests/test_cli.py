@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from watune.cli import main
@@ -132,6 +133,22 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys):
     assert main(["--config", str(p), "gen", "--out", str(tmp_path / "out")]) == 1
     assert "dataset.window" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):
+    for key, value, message in (("hidden", 0, "train.hidden"),
+                                ("learning_rate", float("nan"), "train.learning_rate"),
+                                ("learning_rate", 1e300, "non-finite kl loss")):
+        d = load_config(tiny_config).to_dict()
+        d["train"][key] = value
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(d))
+        with np.errstate(all="ignore"):  # a learning rate of 1e300 overflows on purpose
+            code = main(["--config", str(p), "train", "--data", gen_dir,
+                         "--out", str(tmp_path / "head.ckpt.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "head.ckpt.json").exists()
 
 
 def test_replay(tiny_config, gen_dir, capsys):

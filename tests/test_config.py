@@ -11,6 +11,7 @@ from watune.config import (
     load_config,
     save_config,
 )
+from watune.domain import BatteryClass
 
 
 def test_defaults_round_trip(tmp_path):
@@ -63,6 +64,16 @@ def test_replace_keeps_the_original_sections():
     ("train.epochs", "5"),
     ("train.loss", 1),
     ("seed", "1"),
+    ("link.base_latency_ms", "abcdefgh"),
+    ("link.base_latency_ms", [3.5, 5.5, 3.0, 2.5, 7.0, 11.0, 6.0]),
+    ("link.base_energy_pct_h", [3.8, 3.1, 4.1, 4.3, 2.6, 1.8, 2.9, "3.1"]),
+    ("link.time_latency_multiplier", [1.0, 1.3, 1.9, 3.1]),
+    ("link.time_latency_multiplier.night", "3.1"),
+    ("link.time_latency_multiplier.morning", True),
+    ("dataset.battery_class_ranges", None),
+    ("dataset.battery_class_ranges.low", ["5", 30]),
+    ("dataset.battery_class_ranges.medium", [30.0, False]),
+    ("dataset.battery_class_ranges.high", [70.0, 90.0, 100.0]),
 ])
 def test_from_dict_rejects_mistyped_scalars(key, value):
     d = ExperimentConfig().to_dict()
@@ -79,6 +90,16 @@ def test_from_dict_takes_ints_for_floats():
     d = ExperimentConfig().to_dict()
     d["dataset"]["sample_interval_s"] = 5
     assert from_dict(d).dataset.sample_interval_s == 5
+    # Table entries too, and a multiplier is stored as a float, so the hash
+    # does not depend on how the file spells it.
+    default_hash = from_dict(d).config_hash()
+    d["link"]["time_latency_multiplier"]["morning"] = 1
+    assert from_dict(d).config_hash() == default_hash
+    d["link"]["base_latency_ms"][0] = 4
+    d["dataset"]["battery_class_ranges"]["low"] = [5, 30]
+    cfg = from_dict(d)
+    assert cfg.link.base_latency_ms[0] == 4
+    assert cfg.dataset.battery_class_ranges[BatteryClass.low] == (5, 30)
 
 
 def test_missing_key_named():
@@ -117,6 +138,29 @@ def test_dataset_config_rejects_bad_values(key, value):
         del node[leaf]
     else:
         node[leaf] = value
+    with pytest.raises(ValueError, match=key):
+        from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.hidden", 0),
+    ("train.weight_decay", -5.0),
+    ("train.weight_decay", math.nan),
+    ("train.weight_decay", math.inf),
+    ("train.learning_rate", math.nan),
+    ("train.learning_rate", math.inf),
+    ("train.learning_rate", 0.0),
+    ("train.dpo_beta", math.nan),
+    ("train.dpo_beta", -0.1),
+    ("train.epochs", -1),
+    ("train.effective_batch", 0),
+    ("reward.soft_temp", math.nan),
+    ("reward.soft_temp", math.inf),
+])
+def test_train_settings_rejected_by_name(key, value):
+    d = ExperimentConfig().to_dict()
+    section, leaf = key.split(".")
+    d[section][leaf] = value
     with pytest.raises(ValueError, match=key):
         from_dict(d)
 

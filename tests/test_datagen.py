@@ -210,8 +210,11 @@ def test_load_dataset_names_bad_line(tmp_path, small_dataset):
     rec = json.loads(good)
     nested = json.dumps(dict(rec, latency_ms=[rec["latency_ms"]])) + "\n"
     three = dataset_text(small_dataset[:2])
-    bad_third = [three + json.dumps(dict(rec, latency_ms=values)) + "\n" for values in (
-        [[v] for v in rec["latency_ms"]], ["1"] * 8, [True] + rec["latency_ms"][1:])]
+    bad_third = [three + json.dumps(dict(rec, **edit)) + "\n" for edit in (
+        {"latency_ms": [[v] for v in rec["latency_ms"]]}, {"latency_ms": ["1"] * 8},
+        {"latency_ms": [True] + rec["latency_ms"][1:]},
+        {"pub_battery": "50"}, {"pub_battery": True}, {"sub_battery": "12"},
+        {"sub_battery": False}, {"step": 2.7}, {"step": 2.0}, {"step": True})]
     for text, line in (('{"step": 0}\n', 1), (good + "{not json\n", 2), (good + nested, 2),
                        *((text, 3) for text in bad_third)):
         p.write_text(text)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from watune.domain import AppType, Context, Contexts, TimeOfDay
 from watune.train import (
     FEATURE_DIM,
+    AdamW,
     HeadModel,
     TrainConfig,
     TrainingDiverged,
@@ -181,6 +183,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(dpo_beta=0.0)
+    with pytest.raises(ValueError, match="train.soft_temp"):
+        TrainConfig(soft_temp=math.nan)
 
 
 @pytest.fixture
@@ -215,6 +219,132 @@ def test_train_ce_and_dpo_paths(toy_split):
     m_dpo, rep_dpo = train(train_set, m_ce, dpo_cfg, ref_model=m_ce)
     assert rep_dpo["epoch_loss"][-1] <= np.log(2) + 1e-6
     assert rep_dpo["skipped_pairs"] >= 0
+
+
+def reference_adamw_step(params, grads, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """AdamW stepping each array on its own, as the trainer once did."""
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= b1
+        mi += (1 - b1) * g
+        vi *= b2
+        vi += (1 - b2) * g * g
+        mhat = mi / (1 - b1 ** t)
+        vhat = vi / (1 - b2 ** t)
+        p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
+
+
+def reference_train(dataset, model, cfg, ref_model=None):
+    """The trainer before its step was fused: per-array AdamW, `softmax`
+    recomputed from the logits, fancy-indexed batches, new gradient arrays."""
+    model = model.copy()
+    feats = encode_batch(dataset.contexts)
+    labels = hard_labels(dataset)
+    targets = soft_targets(dataset, cfg.soft_temp) if cfg.loss == "kl" else labels
+    if cfg.loss == "dpo":
+        y_w, y_l = labels, np.argmin(dataset.rewards, axis=1)
+        keep = y_w != y_l
+        feats, y_w, y_l = feats[keep], y_w[keep], y_l[keep]
+        ref_logits = forward(ref_model, feats)
+    params = model.weights + model.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    n, t, epoch_loss = len(feats), 0, []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, 0x5EED, epoch]).permutation(n)
+        total, batches = 0.0, 0
+        for start in range(0, n, cfg.effective_batch):
+            idx = order[start:start + cfg.effective_batch]
+            acts, pre = [feats[idx]], []
+            for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+                z = acts[-1] @ w.T + b
+                pre.append(z)
+                acts.append(np.maximum(z, 0.0) if i < model.n_layers - 1 else z)
+            logits, rows = acts[-1], np.arange(len(idx))
+            logq = log_softmax(logits)
+            if cfg.loss == "ce":
+                loss = -np.mean(logq[rows, targets[idx]])
+                d = softmax(logits)
+                d[rows, targets[idx]] -= 1.0
+            elif cfg.loss == "kl":
+                target = targets[idx]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    terms = np.where(target > 0, target * (
+                        np.log(np.where(target > 0, target, 1.0)) - logq), 0.0)
+                loss = float(np.mean(terms.sum(axis=1)))
+                d = softmax(logits) - target
+            else:
+                rp, w_i, l_i, beta = log_softmax(ref_logits[idx]), y_w[idx], y_l[idx], cfg.dpo_beta
+                margin = beta * ((logq[rows, w_i] - rp[rows, w_i]) - (logq[rows, l_i] - rp[rows, l_i]))
+                loss = float(np.mean(np.where(
+                    margin >= 0, np.log1p(np.exp(-margin)), -margin + np.log1p(np.exp(margin)))))
+                coef = 1.0 / (1.0 + np.exp(-margin)) - 1.0
+                d = np.zeros_like(logits)
+                d[rows, w_i] += coef * beta
+                d[rows, l_i] -= coef * beta
+            d /= len(rows)
+            grads_w, grads_b = [None] * model.n_layers, [None] * model.n_layers
+            for i in range(model.n_layers - 1, -1, -1):
+                grads_w[i] = d.T @ acts[i]
+                grads_b[i] = d.sum(axis=0)
+                if i > 0:
+                    d = (d @ model.weights[i]) * (pre[i - 1] > 0)
+            t += 1
+            reference_adamw_step(params, grads_w + grads_b, m, v, t,
+                                 cfg.learning_rate, cfg.weight_decay)
+            total += float(loss)
+            batches += 1
+        epoch_loss.append(total / batches)
+    return model, epoch_loss
+
+
+def assert_same_model(a, b):
+    assert [x.shape for x in a.weights + a.biases] == [x.shape for x in b.weights + b.biases]
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(x, y) and x.tobytes() == y.tobytes()  # bit for bit: -0.0 != 0.0
+
+
+@pytest.mark.parametrize("rows", [150, 128])
+def test_fused_training_step_is_bit_exact(toy_split, rows):
+    """ce, kl and dpo training equal the per-array reference exactly, with a
+    short last batch (150 rows) and without one (128 rows); the DPO run
+    drops the rows whose rewards are all equal."""
+    data = toy_split[0][:rows]
+    cfg = TrainConfig(loss="kl", epochs=3, seed=5, layers=3, hidden=16)
+    start = init_head(cfg.layers, cfg.hidden, seed=cfg.seed)
+    models = {}
+    for loss_name in ("ce", "kl"):
+        c = replace(cfg, loss=loss_name)
+        got, report = train(data, start, c)
+        want, want_loss = reference_train(data, start, c)
+        assert_same_model(got, want)
+        assert report["epoch_loss"] == want_loss
+        models[loss_name] = got
+    rewards = data.rewards.copy()
+    rewards[::9] = 0.0  # best == worst: no preference pair
+    flat = replace(data, rewards=rewards)
+    c = replace(cfg, loss="dpo")
+    got, report = train(flat, models["kl"], c, ref_model=models["kl"])
+    want, want_loss = reference_train(flat, models["kl"], c, ref_model=models["kl"])
+    assert report["skipped_pairs"] == math.ceil(rows / 9)
+    assert_same_model(got, want)
+    assert report["epoch_loss"] == want_loss
+
+
+def test_adamw_step_matches_per_array_update():
+    rng = np.random.default_rng(31)
+    shapes = [(4, 3), (5, 4), (4,), (5,)]
+    params = [rng.normal(size=s) for s in shapes]
+    flat = np.concatenate([p.ravel() for p in params])
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    opt = AdamW(flat, lr=0.01, weight_decay=0.1)
+    for t in range(1, 21):
+        grads = [rng.normal(size=s) * (rng.random(s) < 0.8) for s in shapes]  # some exact zeros
+        opt.step(np.concatenate([g.ravel() for g in grads]))
+        reference_adamw_step(params, grads, m, v, t, 0.01, 0.1)
+        for got, want in ((flat, params), (opt.m, m), (opt.v, v)):
+            assert got.tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
+    assert opt.t == 20
 
 
 def test_train_rejects_empty():
