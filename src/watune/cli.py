@@ -20,13 +20,12 @@ from .datagen import (
     file_hash,
     generate_dataset,
     load_dataset,
-    mask_peer,
     split,
 )
 from .domain import BatteryConfig, Scenario, TimeOfDay
 from .policy import BASELINE_NAMES, HeadPolicy, make_baseline
 from .reward import RewardMode
-from .train import TrainingDiverged, init_head, load_checkpoint, save_checkpoint, train as train_head_raw
+from .train import TrainingDiverged, load_checkpoint, save_checkpoint
 from .evaluate import cooperative_slice, evaluate, flat_table, replay_snapshot, train_head
 
 OOD_STREAM = 1
@@ -84,31 +83,31 @@ def _resolve_data(path: str, which: str = "test") -> str:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    tcfg = replace(cfg.train, loss=args.loss, layers=args.layers)
+    tcfg = replace(cfg.train, loss=args.loss, layers=args.layers or cfg.train.layers)
     reward_cfg = replace(cfg.reward, mode=RewardMode.naive) if args.reward == "naive" else cfg.reward
     data = load_dataset(_resolve_data(args.data, "train"), reward_cfg)
-    if args.no_peer:
-        data = mask_peer(data)
+    ref_model = None
     if tcfg.loss == "dpo":
         if not args.ref:
             raise CliError("--loss dpo requires --ref <sft-checkpoint>")
         ref_model, _ = load_checkpoint(args.ref)
-        model, report = train_head_raw(data, ref_model, tcfg, ref_model=ref_model)
-    else:
-        model, report = train_head_raw(data, init_head(tcfg.layers, tcfg.hidden, seed=tcfg.seed), tcfg)
-
-    meta = {
-        "loss": tcfg.loss,
-        "layers": tcfg.layers,
-        "seed": tcfg.seed,
-        "config_hash": cfg.config_hash(),
-        "reward_mode": args.reward,
-        "no_peer": bool(args.no_peer),
-        "report": report,
-    }
-    save_checkpoint(args.out, model, meta)
-    print(f"trained {tcfg.loss} head ({tcfg.layers} layers) on {len(data)} samples -> {args.out}")
+        if args.layers not in (None, ref_model.n_layers):
+            raise CliError(f"--layers {args.layers} does not match the {ref_model.n_layers}-layer --ref")
+    policy, report = train_head(data, tcfg, masked=args.no_peer, ref_model=ref_model)
+    _save_head(args.out, policy, report, cfg.config_hash(), args.reward)
+    print(f"trained {tcfg.loss} head ({policy.model.n_layers} layers) on {len(data)} samples -> {args.out}")
     return 0
+
+
+def _save_head(path: str, policy: HeadPolicy, report: dict, chash: str,
+               reward_mode: str = "context") -> None:
+    """Write a trained head and the metadata every watune checkpoint carries.
+    `layers` is the model's own: a DPO head has its reference's."""
+    save_checkpoint(path, policy.model, {
+        "loss": report["loss"], "layers": policy.model.n_layers, "seed": report["seed"],
+        "config_hash": chash, "no_peer": policy.mask_peer, "reward_mode": reward_mode,
+        "report": report,
+    })
 
 
 def _parse_scenario(text: str) -> Scenario:
@@ -186,11 +185,9 @@ def _head_variants(train_set, cfg: ExperimentConfig, out: str, chash: str) -> di
             model, meta = load_checkpoint(ckpt)
             _check_config(f"checkpoint {ckpt}", meta.get("config_hash"), chash)
         else:
-            _, model, _ = train_head(train_set, tcfg, masked=masked)
-            save_checkpoint(ckpt, model, {
-                "loss": tcfg.loss, "layers": tcfg.layers, "seed": tcfg.seed,
-                "config_hash": chash, "no_peer": masked, "reward_mode": "context",
-            })
+            policy, report = train_head(train_set, tcfg, masked=masked)
+            _save_head(ckpt, policy, report, chash)
+            model = policy.model
         variants[name] = HeadPolicy(model, name=name, mask_peer=masked)
     return variants
 
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a classification head")
     t.add_argument("--data", required=True, help="train.jsonl or a gen output directory")
     t.add_argument("--loss", choices=("ce", "kl", "dpo"), default="kl")
-    t.add_argument("--layers", type=int, choices=(1, 2, 3), default=3)
+    t.add_argument("--layers", type=int, choices=(1, 2, 3), help="default: the config's train.layers")
     t.add_argument("--no-peer", action="store_true", help="train on peer-masked features")
     t.add_argument("--reward", choices=("context", "naive"), default="context")
     t.add_argument("--ref", help="reference SFT checkpoint (required for --loss dpo)")

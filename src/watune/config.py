@@ -98,11 +98,15 @@ def _numbers(value, n: int, where: str) -> tuple:
     return tuple(value)
 
 
-def _table(obj: dict, key: str, section: str) -> dict:
+def _table(obj: dict, key: str, section: str, enum, what: str) -> dict:
+    """The object at `section.key`, its keys turned into `enum` members."""
     value = _require(obj, key, f"{section}.")
     if type(value) is not dict:
         raise ValueError(f"config {section}.{key} must be an object, not {value!r}")
-    return value
+    for name in value:
+        if name not in enum.__members__:
+            raise ValueError(f"config {section}.{key} has no {what} {name!r}")
+    return {enum[name]: v for name, v in value.items()}
 
 
 def from_dict(obj: dict) -> ExperimentConfig:
@@ -115,16 +119,16 @@ def from_dict(obj: dict) -> ExperimentConfig:
                           for k in keys}
     ds, lk, rw = obj["dataset"], obj["link"], obj["reward"]
     ranges = {
-        BatteryClass[name]: _numbers(lo_hi, 2, f"dataset.battery_class_ranges.{name}")
-        for name, lo_hi in _table(ds, "battery_class_ranges", "dataset").items()
+        c: _numbers(lo_hi, 2, f"dataset.battery_class_ranges.{c.name}")
+        for c, lo_hi in _table(ds, "battery_class_ranges", "dataset", BatteryClass, "battery class").items()
     }
     link = LinkModelConfig(
         **plain["link"],
         **{key: _numbers(_require(lk, key, "link."), NUM_ACTIONS, f"link.{key}")
            for key in ("base_latency_ms", "base_energy_pct_h")},
         time_latency_multiplier={
-            TimeOfDay[name]: float(_scalar(v, "float", f"link.time_latency_multiplier.{name}"))
-            for name, v in _table(lk, "time_latency_multiplier", "link").items()
+            t: float(_scalar(v, "float", f"link.time_latency_multiplier.{t.name}"))
+            for t, v in _table(lk, "time_latency_multiplier", "link", TimeOfDay, "time").items()
         },
     )
     return ExperimentConfig(

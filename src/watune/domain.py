@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,26 +101,6 @@ ALL_SCENARIOS: tuple[Scenario, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Context:
-    """One decision step's observable state, and the validated way to build
-    a `Contexts` batch by hand (`Contexts.of`). subscriber_battery is None
-    when peer info is masked."""
-
-    time: TimeOfDay
-    publisher_battery: float
-    subscriber_battery: Optional[float]
-    app_history: tuple[AppType, ...]
-
-    def __post_init__(self):
-        if not 0.0 <= self.publisher_battery <= 100.0:
-            raise ValueError(f"publisher battery out of [0,100]: {self.publisher_battery}")
-        if self.subscriber_battery is not None and not 0.0 <= self.subscriber_battery <= 100.0:
-            raise ValueError(f"subscriber battery out of [0,100]: {self.subscriber_battery}")
-        if len(self.app_history) < 1:
-            raise ValueError("app_history must be non-empty")
-
-
 class DatasetError(ValueError):
     """A column of a batch failed validation; `row` is the first offending row."""
 
@@ -132,23 +112,13 @@ class DatasetError(ValueError):
 class Contexts(NamedTuple):
     """A batch of contexts as columns: time[N] codes, pub[N] and sub[N]
     batteries (sub is 0 where peer[N] is False, i.e. masked), hist[N,W] app
-    codes oldest first. The batch form of `Context`."""
+    codes oldest first."""
 
     time: np.ndarray
     pub: np.ndarray
     sub: np.ndarray
     peer: np.ndarray
     hist: np.ndarray
-
-    @classmethod
-    def of(cls, *contexts: Context) -> "Contexts":
-        """Stack Context rows; their app histories must share one length."""
-        subs = [c.subscriber_battery for c in contexts]
-        return cls(np.array([int(c.time) for c in contexts]),
-                   np.array([c.publisher_battery for c in contexts], dtype=float),
-                   np.array([s or 0.0 for s in subs], dtype=float),
-                   np.array([s is not None for s in subs]),
-                   np.array([[int(a) for a in c.app_history] for c in contexts]))
 
     def without_peer(self) -> "Contexts":
         return self._replace(sub=np.zeros_like(self.sub), peer=np.zeros_like(self.peer))

@@ -1,6 +1,7 @@
-"""Policy evaluation: the three metrics, scenario breakdowns, the
-cooperative slice, peer-info / reward-design ablations, single-objective
-runs, and qualitative replay transcripts."""
+"""Head training (`train_head`, the one path every head takes) and policy
+evaluation: the three metrics, scenario breakdowns, the cooperative slice,
+peer-info / reward-design ablations, single-objective runs, and qualitative
+replay transcripts."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ import numpy as np
 
 from .datagen import Dataset, DatasetConfig, mask_peer, relabel, split
 from .domain import ALL_SCENARIOS, AppType, BatteryConfig, Scenario, TimeOfDay, action_from_index
-from .policy import Policy
+from .policy import HeadPolicy, Policy
 from .reward import RewardConfig, RewardMode
-from .train import TrainConfig, init_head, train
+from .train import HeadModel, TrainConfig, init_head, train
 
 
 @dataclass
@@ -75,36 +76,29 @@ def cooperative_slice(dataset: Dataset) -> Dataset:
 
 
 def train_head(train_set: Dataset, cfg: TrainConfig,
-               masked: bool = False, test_set: Dataset | None = None,
-               ref_cfg: TrainConfig | None = None):
+               masked: bool = False, ref_model: HeadModel | None = None):
     """Train a head per config; with masked=True the policy input hides the
-    subscriber battery (labels still come from both devices). For DPO the
-    reference checkpoint is trained first with ref_cfg (default: same
-    config with KL loss)."""
-    from .policy import HeadPolicy
-
+    subscriber battery (labels still come from both devices). DPO starts
+    from and is anchored to `ref_model`, by default a KL head trained first
+    on the same data. Returns the policy and the training report."""
+    if cfg.loss == "dpo" and ref_model is None:
+        ref_model = train_head(train_set, replace(cfg, loss="kl"), masked)[0].model
     data = mask_peer(train_set) if masked else train_set
-    model = init_head(cfg.layers, cfg.hidden, seed=cfg.seed)
-    if cfg.loss == "dpo":
-        if ref_cfg is None:
-            ref_cfg = replace(cfg, loss="kl")
-        ref_model, _ = train(data, model, ref_cfg, test_set=test_set)
-        trained, report = train(data, ref_model, cfg, ref_model=ref_model, test_set=test_set)
-    else:
-        trained, report = train(data, model, cfg, test_set=test_set)
-    policy = HeadPolicy(trained, name=f"head-{cfg.loss}" + ("-no-peer" if masked else ""),
+    start = ref_model if cfg.loss == "dpo" else init_head(cfg.layers, cfg.hidden, seed=cfg.seed)
+    model, report = train(data, start, cfg, ref_model=ref_model)
+    policy = HeadPolicy(model, name=f"head-{cfg.loss}" + ("-no-peer" if masked else ""),
                         mask_peer=masked)
-    return policy, trained, report
+    return policy, report
 
 
 def ablate_peer_info(train_set: Dataset, test_set: Dataset,
-                     cfg: TrainConfig) -> dict:
-    """Same seed/config, with vs without subscriber battery in the input."""
+                     cfg: TrainConfig, head: Policy) -> dict:
+    """`head`, trained on `train_set` per `cfg`, against a head of the same
+    seed and config without the subscriber battery in the input."""
     slices = {"aggregate": test_set, "cooperative": cooperative_slice(test_set)}
-    reports = {}
-    for arm, masked in (("with_peer", False), ("without_peer", True)):
-        policy, _, _ = train_head(train_set, cfg, masked=masked)
-        reports[arm] = {name: evaluate(policy, data) for name, data in slices.items()}
+    masked, _ = train_head(train_set, cfg, masked=True)
+    reports = {arm: {name: evaluate(policy, data) for name, data in slices.items()}
+               for arm, policy in (("with_peer", head), ("without_peer", masked))}
     with_peer, without_peer = reports["with_peer"], reports["without_peer"]
     reports["delta"] = {
         name: {"objective": with_peer[name].objective_score - without_peer[name].objective_score,
@@ -114,16 +108,16 @@ def ablate_peer_info(train_set: Dataset, test_set: Dataset,
     return reports
 
 
-def ablate_reward(train_set: Dataset, test_set: Dataset,
-                  cfg: TrainConfig, reward_cfg: RewardConfig) -> dict:
-    """Context-aware vs naive reward labels; both arms scored under the
+def ablate_reward(train_set: Dataset, test_set: Dataset, cfg: TrainConfig,
+                  reward_cfg: RewardConfig, head: Policy) -> dict:
+    """`head`, trained on `train_set`'s context-aware labels per `cfg`,
+    against a head trained on naive reward labels; both scored under the
     context-aware objective on the identical test slice."""
     naive_train = relabel(train_set, replace(reward_cfg, mode=RewardMode.naive))
-    ctx_policy, _, _ = train_head(train_set, cfg)
-    naive_policy, _, _ = train_head(naive_train, cfg)
+    naive_policy, _ = train_head(naive_train, cfg)
     naive_policy.name = "head-" + cfg.loss + "-naive"
     return {
-        "context_aware": evaluate(ctx_policy, test_set),
+        "context_aware": evaluate(head, test_set),
         "naive": evaluate(naive_policy, test_set),
     }
 
@@ -140,7 +134,7 @@ def single_objective_eval(dataset: Dataset, which: str,
     data = relabel(dataset, replace(base_reward_cfg, **zeroed[which]))
     rng = np.random.default_rng([dataset_cfg.seed, 9973])
     tr, te = split(data, dataset_cfg.split_fraction, rng)
-    head, _, _ = train_head(tr, cfg)
+    head, _ = train_head(tr, cfg)
     reports = {head.name: evaluate(head, te)}
     for p in policies:
         reports[p.name] = evaluate(p, te)

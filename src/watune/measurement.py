@@ -70,8 +70,8 @@ class LinkModelConfig:
 
 
 def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one 8-action measurement sweep at the time of day of a context
-    (anything with a `.time`: a Context, or the Scenario of a session): the
+    """Draw one 8-action measurement sweep at the time of day of `context`
+    (anything with a `.time`, such as the Scenario of a session): the
     (latency_ms, energy_pct_h) pair of (8,) arrays that `objective` takes.
     The values are positive for a validated config, and the Dataset
     constructor checks them again."""

@@ -3,7 +3,7 @@ trained-head wrapper."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,10 +36,9 @@ FIXED_ACTIONS: dict[str, Action] = {
 }
 
 
-def rule_choices(hist: np.ndarray, table: Mapping[AppType, Action] | None = None) -> np.ndarray:
+def rule_choices(hist: np.ndarray) -> np.ndarray:
     """Modal preferred tuple over each (N, W) app-history row; lowest index wins ties."""
-    table = PREFERRED_TUPLE if table is None else table
-    preferred = np.array([table[app].index for app in AppType])[hist]
+    preferred = np.array([PREFERRED_TUPLE[app].index for app in AppType])[hist]
     rows = np.arange(len(hist))
     counts = np.zeros((len(hist), NUM_ACTIONS), dtype=int)
     for w in range(hist.shape[1]):
@@ -76,18 +75,14 @@ class OraclePolicy(Policy):
 class RulePolicy(Policy):
     name = "rule"
 
-    def __init__(self, table: Mapping[AppType, Action] | None = None):
-        self.table = PREFERRED_TUPLE if table is None else table
-
     def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
-        return rule_choices(contexts.hist, self.table)
+        return rule_choices(contexts.hist)
 
 
 class FixedPolicy(Policy):
     def __init__(self, variant: str):
         if variant not in FIXED_ACTIONS:
             raise ValueError(f"unknown fixed variant: {variant}")
-        self.variant = variant
         self.action = FIXED_ACTIONS[variant]
         self.name = "fix-rt-iv" if variant == "rt_iv" else "fix-bulk-bg"
 

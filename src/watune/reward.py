@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
@@ -48,8 +47,7 @@ class RewardConfig:
             raise ValueError(f"reward.soft_temp must be finite and positive, not {self.soft_temp!r}")
 
 
-def objective(contexts: Contexts, measured, cfg: RewardConfig,
-              tol: Mapping[AppType, float] | None = None):
+def objective(contexts: Contexts, measured, cfg: RewardConfig):
     """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b.
 
     `measured` is the (latency, energy) pair of (N, 8) arrays. The result is
@@ -71,8 +69,7 @@ def objective(contexts: Contexts, measured, cfg: RewardConfig,
         eng_scores = NAIVE_BATTERY / eng
     else:
         # Mean over the app-history multiset A; repeats weight the mean.
-        tol = DEFAULT_TOLERANCE_MS if tol is None else tol
-        tol_ms = np.array([tol[app] for app in AppType])[contexts.hist]
+        tol_ms = np.array([DEFAULT_TOLERANCE_MS[app] for app in AppType])[contexts.hist]
         window = contexts.hist.shape[1]
         lat_scores = np.zeros_like(lat)
         for w in range(window):

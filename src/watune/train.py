@@ -47,9 +47,6 @@ class HeadModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "HeadModel":
-        return HeadModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     def flat(self) -> np.ndarray:
         """All parameters in one new vector: the weights, then the biases."""
         return np.concatenate([a.ravel() for a in self.weights + self.biases])
@@ -75,12 +72,11 @@ class HeadModel:
             raise ValueError(f"output dimension {prev} != {NUM_ACTIONS}")
 
 
-def init_head(layers: int, hidden: int = 64, seed: int = 0,
-              in_dim: int = FEATURE_DIM, out_dim: int = NUM_ACTIONS) -> HeadModel:
+def init_head(layers: int, hidden: int = 64, seed: int = 0) -> HeadModel:
     if layers not in (1, 2, 3):
         raise ValueError("layers must be 1, 2, or 3")
     rng = np.random.default_rng([seed, 1618])
-    dims = [in_dim] + [hidden] * (layers - 1) + [out_dim]
+    dims = [FEATURE_DIM] + [hidden] * (layers - 1) + [NUM_ACTIONS]
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / d_in), (d_out, d_in)))
@@ -128,10 +124,6 @@ def backward(model: HeadModel, acts, pre, dlogits: np.ndarray, grads: HeadModel)
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
 
 
 def loss_and_grad(kind: str, logits: np.ndarray, target) -> tuple[float, np.ndarray]:
@@ -242,22 +234,13 @@ class AdamW:
         self.params -= b
 
 
-def hard_labels(dataset: Dataset) -> np.ndarray:
-    return np.argmax(dataset.rewards, axis=1)
-
-
-def soft_targets(dataset: Dataset, temperature: float) -> np.ndarray:
-    return soft_labels(dataset.rewards, temperature)
-
-
 def accuracy_vs_oracle(model: HeadModel, feats: np.ndarray, labels: np.ndarray) -> float:
     pred = np.argmax(forward(model, feats), axis=1)
     return float(np.mean(pred == labels))
 
 
 def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
-          ref_model: HeadModel | None = None,
-          test_set: Dataset | None = None) -> tuple[HeadModel, dict]:
+          ref_model: HeadModel | None = None) -> tuple[HeadModel, dict]:
     """Deterministic mini-batch AdamW training of the head."""
     if not len(dataset):
         raise ValueError("empty training set")
@@ -271,8 +254,8 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
     model, grads = model.views(params), model.views(grad)
 
     all_feats = feats = encode_batch(dataset.contexts)
-    labels = hard_labels(dataset)
-    targets = (soft_targets(dataset, cfg.soft_temp) if cfg.loss == "kl" else labels,)
+    labels = np.argmax(dataset.rewards, axis=1)
+    targets = (soft_labels(dataset.rewards, cfg.soft_temp) if cfg.loss == "kl" else labels,)
     skipped = 0
     if cfg.loss == "dpo":
         y_w = labels
@@ -315,9 +298,6 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
         "epoch_loss": epoch_loss,
         "train_accuracy_vs_oracle": accuracy_vs_oracle(model, all_feats, labels),
     }
-    if test_set:
-        report["test_accuracy_vs_oracle"] = accuracy_vs_oracle(
-            model, encode_batch(test_set.contexts), hard_labels(test_set))
     return model, report
 
 

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,29 @@ from watune.datagen import (
     generate_dataset,
     split,
 )
+from watune.domain import AppType, Contexts, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig
+
+
+class Context(NamedTuple):
+    """One hand-written decision context; subscriber_battery is None when
+    the peer is masked. Tests stack rows into a batch with `contexts_of`."""
+
+    time: TimeOfDay
+    publisher_battery: float
+    subscriber_battery: float | None
+    app_history: tuple[AppType, ...]
+
+
+def contexts_of(*rows: Context) -> Contexts:
+    """The `Contexts` batch of `rows`; their app histories share one length."""
+    subs = [c.subscriber_battery for c in rows]
+    return Contexts(np.array([int(c.time) for c in rows]),
+                    np.array([c.publisher_battery for c in rows], dtype=float),
+                    np.array([s or 0.0 for s in subs], dtype=float),
+                    np.array([s is not None for s in subs]),
+                    np.array([[int(a) for a in c.app_history] for c in rows]))
 
 
 @pytest.fixture(scope="session")

@@ -28,8 +28,6 @@ from watune.domain import (
     AccessCategory,
     Action,
     AppType,
-    Context,
-    Contexts,
     PerformanceMode,
     TimeOfDay,
 )
@@ -51,8 +49,9 @@ from watune.train import (
     forward,
     init_head,
     loss_and_grad,
-    softmax,
 )
+
+from conftest import Context, contexts_of
 
 pytestmark = pytest.mark.acceptance
 
@@ -74,7 +73,7 @@ def full_dataset():
 def _scores(app, latency_ms, battery, energy):
     """(latency score, energy score) of one app, one visible battery and one
     measurement shared by every action."""
-    ctx = Contexts.of(Context(TimeOfDay.morning, battery, None, (app,)))
+    ctx = contexts_of(Context(TimeOfDay.morning, battery, None, (app,)))
     _, lat, eng = objective(ctx, (np.full((1, 8), latency_ms), np.full((1, 8), energy)), RewardConfig())
     return lat[0, 0], eng[0, 0]
 
@@ -94,7 +93,7 @@ def test_accept_1_reward_golden_values():
         sub = None if rng.random() < 0.25 else float(rng.uniform(5, 100))
         ctx = Context(TimeOfDay(int(rng.integers(0, 4))), float(rng.uniform(5, 100)), sub, apps)
         lat_ms, eng_pct_h = rng.uniform(0, 500, 8), rng.uniform(0.2, 8.0, 8)
-        got = objective(Contexts.of(ctx), (lat_ms[None], eng_pct_h[None]), cfg)[0][0]
+        got = objective(contexts_of(ctx), (lat_ms[None], eng_pct_h[None]), cfg)[0][0]
         batts = [ctx.publisher_battery] + ([] if sub is None else [sub])
         ref = np.empty(8)
         for a in range(8):
@@ -165,7 +164,7 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
         w += rng.normal(0, 0.05, w.shape)
     x = rng.normal(0, 1, model.weights[0].shape[1])
     y = int(rng.integers(8))
-    soft = softmax(rng.normal(size=8))
+    soft = soft_labels(rng.normal(size=8), 1.0)
     y_l = (y + 1 + int(rng.integers(7))) % 8
     ref = init_head(layers, hidden=8, seed=int(rng.integers(1 << 30)))
     # One row, as in training; a DPO pair scores both actions on it.
@@ -178,7 +177,7 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
 
     # analytic full gradient via backprop
     logits, acts, pre = _forward_cached(model, x)
-    grads = model.copy()  # overwritten with the gradient
+    grads = model.views(np.empty_like(model.flat()))  # written with the gradient
     backward(model, acts, pre, loss_and_grad(loss_name, logits, target)[1], grads)
     grad = grads.flat()
 
@@ -228,7 +227,7 @@ def test_accept_5_loss_identities():
     def loss(kind, target, z=logits):
         return loss_and_grad(kind, z, target)[0]
 
-    assert abs(loss("kl", softmax(logits))) < 1e-9
+    assert abs(loss("kl", soft_labels(logits, 1.0))) < 1e-9
     for y in range(8):
         onehot = np.zeros((1, 8))
         onehot[0, y] = 1.0
@@ -292,8 +291,9 @@ def test_accept_7_directional_findings():
         ood = generate_dataset(OOD_PROFILE, LinkModelConfig(), dcfg, RewardConfig(), stream=1)
 
         base = dict(epochs=5, seed=seed, layers=3)
-        kl_policy, _, _ = train_head(train_set, TrainConfig(loss="kl", **base))
-        ce_policy, _, _ = train_head(train_set, TrainConfig(loss="ce", **base))
+        kl_cfg = TrainConfig(loss="kl", **base)
+        kl_policy, _ = train_head(train_set, kl_cfg)
+        ce_policy, _ = train_head(train_set, TrainConfig(loss="ce", **base))
 
         kl_agg = evaluate(kl_policy, test_set).objective_score
         if kl_agg >= evaluate(ce_policy, test_set).objective_score:
@@ -305,11 +305,12 @@ def test_accept_7_directional_findings():
         if evaluate(kl_policy, ood).objective_score >= evaluate(rule, ood).objective_score:
             wins["kl_ge_rule_ood"] += 1
 
-        peer = ablate_peer_info(train_set, test_set, TrainConfig(loss="kl", **base))
+        # Both ablations compare the KL head above with one other head.
+        peer = ablate_peer_info(train_set, test_set, kl_cfg, kl_policy)
         if peer["delta"]["cooperative"]["raw_energy_pct_h"] < 0:
             wins["coop_energy_lower_with_peer"] += 1
 
-        rew = ablate_reward(train_set, test_set, TrainConfig(loss="kl", **base), RewardConfig())
+        rew = ablate_reward(train_set, test_set, kl_cfg, RewardConfig(), kl_policy)
         if rew["context_aware"].objective_score >= rew["naive"].objective_score:
             wins["ctx_ge_naive"] += 1
 

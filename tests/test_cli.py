@@ -84,6 +84,40 @@ def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_pat
     assert checkpoints[0] == checkpoints[1]
 
 
+def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path, capsys):
+    """Without --layers a head has the config's depth (1 here), and a DPO
+    head has its reference's."""
+    kl, dpo = tmp_path / "kl.ckpt.json", tmp_path / "dpo.ckpt.json"
+    assert main(["--config", tiny_config, "train", "--data", gen_dir, "--out", str(kl)]) == 0
+    assert main(["--config", tiny_config, "train", "--data", gen_dir, "--loss", "dpo",
+                 "--ref", str(kl), "--out", str(dpo)]) == 0
+    for path in (kl, dpo):
+        obj = json.loads(path.read_text())
+        assert obj["layers"] == obj["metadata"]["layers"] == 1
+    assert main(["--config", tiny_config, "train", "--data", gen_dir, "--loss", "dpo",
+                 "--ref", str(kl), "--layers", "2", "--out", str(tmp_path / "x.ckpt.json")]) == 1
+    assert "does not match the 1-layer --ref" in capsys.readouterr().err
+
+
+def test_train_writes_the_heads_compare_writes(tmp_path, capsys):
+    """`watune train` and `compare` train and stamp a head the same way: on
+    the same data and config their checkpoints are byte-identical."""
+    cfg = ExperimentConfig(seed=1)
+    cfg.dataset.logs_per_session = 80
+    cfg.train.epochs = 1
+    cfg.train.layers = 1
+    config, out = str(tmp_path / "config.json"), tmp_path / "cmp"
+    save_config(config, cfg)
+    assert main(["--config", config, "compare", "--out", str(out)]) == 0
+    for name, flags in (("head-ce", ["--loss", "ce"]), ("head-kl", ["--loss", "kl"]),
+                        ("head-kl-no-peer", ["--loss", "kl", "--no-peer"]),
+                        ("head-kl+dpo", ["--loss", "dpo", "--ref", str(out / "head-kl.ckpt.json")])):
+        ckpt = tmp_path / f"{name}.ckpt.json"
+        assert main(["--config", config, "train", "--data", str(out), *flags,
+                     "--out", str(ckpt)]) == 0
+        assert ckpt.read_bytes() == (out / f"{name}.ckpt.json").read_bytes(), name
+
+
 def test_train_dpo_requires_ref(tiny_config, gen_dir, tmp_path, capsys):
     ckpt = str(tmp_path / "dpo.ckpt.json")
     assert main(["--config", tiny_config, "train", "--data", gen_dir,
@@ -126,13 +160,16 @@ def test_eval_missing_data(tiny_config, tmp_path, capsys):
 
 
 def test_gen_names_mistyped_config_field(tmp_path, capsys):
-    d = ExperimentConfig().to_dict()
-    d["dataset"]["window"] = 2.5
-    p = tmp_path / "f.json"
-    p.write_text(json.dumps(d))
-    assert main(["--config", str(p), "gen", "--out", str(tmp_path / "out")]) == 1
-    assert "dataset.window" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    mistyped, unknown = ExperimentConfig().to_dict(), ExperimentConfig().to_dict()
+    mistyped["dataset"]["window"] = 2.5
+    unknown["link"]["time_latency_multiplier"]["noon"] = 1.0
+    for d, message in ((mistyped, "dataset.window"),
+                       (unknown, "config link.time_latency_multiplier has no time 'noon'")):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(d))
+        assert main(["--config", str(p), "gen", "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):

@@ -17,12 +17,13 @@ from watune.datagen import (
     mask_peer,
     relabel,
 )
-from watune.domain import AppType, Context, Contexts, TimeOfDay
+from watune.domain import AppType, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.policy import BASELINE_NAMES, PREFERRED_TUPLE, make_baseline
 from watune.reward import RewardConfig, RewardMode, objective
 from watune.train import FEATURE_DIM, encode_batch
 
+from conftest import Context, contexts_of
 from test_reward import brute_objective
 
 battery = st.floats(min_value=0.5, max_value=100.0)
@@ -81,7 +82,7 @@ def row_choice(name, ctx, rewards):
 def test_columnar_reward_equals_row_objective(batch, mode):
     contexts, (lat, eng) = batch
     cfg = RewardConfig(mode=mode)
-    columns = objective(Contexts.of(*contexts), (lat, eng), cfg)
+    columns = objective(contexts_of(*contexts), (lat, eng), cfg)
     for i, ctx in enumerate(contexts):
         # The reference sums in another order: equal to within float64 rounding.
         for got, want in zip(columns, brute_objective(ctx, (lat[i], eng[i]), cfg)):
@@ -92,7 +93,7 @@ def test_columnar_reward_equals_row_objective(batch, mode):
 @settings(max_examples=150, deadline=None)
 def test_batched_encode_equals_row_encode(batch):
     contexts, _ = batch
-    np.testing.assert_array_equal(encode_batch(Contexts.of(*contexts)),
+    np.testing.assert_array_equal(encode_batch(contexts_of(*contexts)),
                                   np.stack([row_features(c) for c in contexts]))
 
 
@@ -100,8 +101,8 @@ def test_batched_encode_equals_row_encode(batch):
 @settings(max_examples=150, deadline=None)
 def test_baseline_batch_decision_equals_row_decide(batch, name):
     contexts, (lat, eng) = batch
-    rewards, _, _ = objective(Contexts.of(*contexts), (lat, eng), RewardConfig())
-    chosen = make_baseline(name).choose(Contexts.of(*contexts), rewards)
+    rewards, _, _ = objective(contexts_of(*contexts), (lat, eng), RewardConfig())
+    chosen = make_baseline(name).choose(contexts_of(*contexts), rewards)
     assert chosen.tolist() == [row_choice(name, ctx, rewards[i]) for i, ctx in enumerate(contexts)]
 
 

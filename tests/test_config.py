@@ -74,6 +74,8 @@ def test_replace_keeps_the_original_sections():
     ("dataset.battery_class_ranges.low", ["5", 30]),
     ("dataset.battery_class_ranges.medium", [30.0, False]),
     ("dataset.battery_class_ranges.high", [70.0, 90.0, 100.0]),
+    ("link.time_latency_multiplier.noon", 1.0),
+    ("dataset.battery_class_ranges.tiny", [1, 2]),
 ])
 def test_from_dict_rejects_mistyped_scalars(key, value):
     d = ExperimentConfig().to_dict()
@@ -81,8 +83,11 @@ def test_from_dict_rejects_mistyped_scalars(key, value):
     node = d
     for name in parents:
         node = node[name]
+    # A key the table does not have is named with the table it is in.
+    message = rf"config {key} must be" if leaf in node else (
+        rf"config {'.'.join(parents)} has no [a-z ]+ '{leaf}'")
     node[leaf] = value
-    with pytest.raises(ValueError, match=rf"config {key} must be"):
+    with pytest.raises(ValueError, match=message):
         from_dict(d)
 
 

@@ -10,14 +10,15 @@ from watune.domain import (
     AppType,
     BatteryClass,
     BatteryConfig,
-    Context,
-    Contexts,
+    DatasetError,
     PerformanceMode,
     Scenario,
     TimeOfDay,
     ALL_SCENARIOS,
     action_from_index,
 )
+
+from conftest import Context, contexts_of
 
 
 def test_enum_codes_stable():
@@ -76,21 +77,22 @@ def test_scenario_code_indexes_grid():
 
 
 def test_context_validation(small_dataset):
-    ok = Context(TimeOfDay.morning, 50.0, 80.0, (AppType.voiceChat,) * 10)
-    assert ok.subscriber_battery == 80.0
-    with pytest.raises(ValueError):
-        Context(TimeOfDay.morning, 120.0, 80.0, (AppType.voiceChat,))
-    with pytest.raises(ValueError):
-        Context(TimeOfDay.morning, 50.0, -1.0, (AppType.voiceChat,))
-    with pytest.raises(ValueError):
-        Context(TimeOfDay.morning, 50.0, 80.0, ())
-    # The step index is a dataset column; the Dataset constructor checks it.
+    """The Dataset constructor checks the context columns of every row."""
+    row = small_dataset[:1]
+    ok = replace(row, pub=np.array([50.0]), sub=np.array([80.0]))
+    assert ok.sub.tolist() == [80.0]
+    with pytest.raises(DatasetError, match="row 0: publisher battery must be in"):
+        replace(row, pub=np.array([120.0]))
+    with pytest.raises(DatasetError, match="row 0: subscriber battery must be in"):
+        replace(row, sub=np.array([-1.0]))
+    with pytest.raises(ValueError, match="app histories must be non-empty"):
+        replace(row, hist=np.zeros((1, 0), dtype=int))
     with pytest.raises(ValueError, match="step must be non-negative"):
         replace(small_dataset[:1], step=np.array([-1]))
 
 
 def test_without_peer_idempotent():
-    contexts = Contexts.of(Context(TimeOfDay.night, 50.0, 10.0, (AppType.mapSync,) * 10),
+    contexts = contexts_of(Context(TimeOfDay.night, 50.0, 10.0, (AppType.mapSync,) * 10),
                            Context(TimeOfDay.morning, 70.0, None, (AppType.voiceChat,) * 10))
     masked = contexts.without_peer()
     assert not masked.peer.any() and not masked.sub.any()

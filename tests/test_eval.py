@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,12 +65,12 @@ def test_cooperative_slice(small_split):
 
 
 def test_train_head_naming_and_masking(small_split):
-    train_set, test_set = small_split
+    train_set, _ = small_split
     cfg = TrainConfig(loss="kl", epochs=1, seed=2, layers=1)
-    policy, model, report = train_head(train_set, cfg, test_set=test_set)
-    assert policy.name == "head-kl"
-    assert "test_accuracy_vs_oracle" in report
-    masked_policy, _, _ = train_head(train_set, cfg, masked=True)
+    policy, report = train_head(train_set, cfg)
+    assert policy.name == "head-kl" and not policy.mask_peer
+    assert report["samples"] == len(train_set)
+    masked_policy, _ = train_head(train_set, cfg, masked=True)
     assert masked_policy.name == "head-kl-no-peer"
     assert masked_policy.mask_peer
 
@@ -76,15 +78,19 @@ def test_train_head_naming_and_masking(small_split):
 def test_train_head_dpo_builds_reference(small_split):
     train_set, _ = small_split
     cfg = TrainConfig(loss="dpo", epochs=1, seed=2, layers=1)
-    policy, model, report = train_head(train_set[:400], cfg)
+    policy, report = train_head(train_set[:400], cfg)
     assert policy.name == "head-dpo"
     assert report["loss"] == "dpo"
+    # The reference it builds is the KL head of the same config and data.
+    kl, _ = train_head(train_set[:400], replace(cfg, loss="kl"))
+    given, _ = train_head(train_set[:400], cfg, ref_model=kl.model)
+    assert given.model.flat().tobytes() == policy.model.flat().tobytes()
 
 
 def test_ablate_peer_info_structure(small_split):
     train_set, test_set = small_split
     cfg = TrainConfig(loss="kl", epochs=1, seed=3, layers=1)
-    rep = ablate_peer_info(train_set, test_set, cfg)
+    rep = ablate_peer_info(train_set, test_set, cfg, train_head(train_set, cfg)[0])
     for arm in ("with_peer", "without_peer"):
         for sl in ("aggregate", "cooperative"):
             assert isinstance(rep[arm][sl], EvalReport)
@@ -96,7 +102,7 @@ def test_ablate_peer_info_structure(small_split):
 def test_ablate_reward_structure(small_split):
     train_set, test_set = small_split
     cfg = TrainConfig(loss="kl", epochs=1, seed=3, layers=1)
-    rep = ablate_reward(train_set, test_set, cfg, RewardConfig())
+    rep = ablate_reward(train_set, test_set, cfg, RewardConfig(), train_head(train_set, cfg)[0])
     assert rep["context_aware"].n_samples == rep["naive"].n_samples == len(test_set)
     assert rep["naive"].policy == "head-kl-naive"
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from watune.datagen import load_dataset
-from watune.domain import AppType, Context, Contexts, TimeOfDay
+from watune.domain import AppType, Contexts, TimeOfDay
 from watune.measurement import LinkModelConfig, measure
 from watune.reward import RewardConfig, objective
+
+from conftest import Context, contexts_of
 
 
 def ctx(time=TimeOfDay.morning, pub=80.0, sub=60.0):
@@ -124,14 +126,14 @@ def test_log_round_trip(tmp_path):
     p.write_text("".join(lines))
     parsed = load_dataset(p, RewardConfig())
     assert len(parsed) == 25
-    assert_contexts_equal(Contexts.of(*contexts), parsed.contexts)
+    assert_contexts_equal(contexts_of(*contexts), parsed.contexts)
     np.testing.assert_array_equal(parsed.step, np.arange(25))
     assert list(parsed.pub_device) == ["iPadPro-pub"] * 25
     assert list(parsed.sub_device) == ["iPadPro-sub"] * 25
     lat, eng = map(np.array, zip(*sweeps))
     np.testing.assert_array_equal(lat, parsed.lat)
     np.testing.assert_array_equal(eng, parsed.eng)
-    np.testing.assert_array_equal(objective(Contexts.of(*contexts), (lat, eng), RewardConfig())[0],
+    np.testing.assert_array_equal(objective(contexts_of(*contexts), (lat, eng), RewardConfig())[0],
                                   parsed.rewards)
 
 
@@ -141,7 +143,7 @@ def test_ingest_extra_fields_dropped(tmp_path):
     data = load_dataset(p, RewardConfig())
     assert len(data) == 1
     assert not hasattr(data, "charging")
-    assert_contexts_equal(data.contexts, Contexts.of(ctx()))
+    assert_contexts_equal(data.contexts, contexts_of(ctx()))
 
 
 def test_ingest_errors_name_line(tmp_path):

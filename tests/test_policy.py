@@ -9,8 +9,6 @@ from watune.domain import (
     AccessCategory,
     Action,
     AppType,
-    Context,
-    Contexts,
     PerformanceMode,
     TimeOfDay,
 )
@@ -23,6 +21,8 @@ from watune.policy import (
     make_baseline,
 )
 
+from conftest import Context, contexts_of
+
 
 def oracle(*rows):
     """The oracle's action for each row of per-action objectives."""
@@ -34,7 +34,7 @@ def ctx(apps):
 
 
 def rule(history):
-    return int(RulePolicy().choose(Contexts.of(ctx(history)), None)[0])
+    return int(RulePolicy().choose(contexts_of(ctx(history)), None)[0])
 
 
 def test_oracle_unique_max():
@@ -74,9 +74,7 @@ def test_rule_examples():
 
 
 def test_rule_empty_history(small_dataset):
-    # Neither a Context nor a Dataset row can carry an empty history.
-    with pytest.raises(ValueError):
-        rule([])
+    # A Dataset row cannot carry an empty history.
     with pytest.raises(ValueError, match="app histories must be non-empty"):
         replace(small_dataset[:1], hist=np.zeros((1, 0), dtype=int))
 
@@ -98,12 +96,12 @@ def test_fixed_decide():
 
 def test_policy_wrappers(small_dataset):
     r = np.array([[0, 0, 7, 0, 0, 0, 0, 0]], dtype=float)
-    c = Contexts.of(ctx([AppType.voiceChat]))
+    c = contexts_of(ctx([AppType.voiceChat]))
     assert OraclePolicy().choose(c, r).tolist() == [2]
     with pytest.raises(ValueError):
         OraclePolicy().choose(c, None)
     # rule/fixed ignore the reward vector entirely
-    c = Contexts.of(ctx([AppType.videoCall] * 10))
+    c = contexts_of(ctx([AppType.videoCall] * 10))
     assert RulePolicy().choose(c, r).tolist() == [2]
     assert FixedPolicy("bulk_bg").choose(c, r).tolist() == [5]
     # decide() hands a dataset's contexts and stored rewards to choose()
@@ -122,4 +120,4 @@ def test_make_baseline():
 def test_fixed_constant_across_contexts():
     p = FixedPolicy("rt_iv")
     for apps in ([AppType.firmwareUpdate] * 3, [AppType.voiceChat]):
-        assert p.choose(Contexts.of(ctx(apps)), None).tolist() == [3]
+        assert p.choose(contexts_of(ctx(apps)), None).tolist() == [3]

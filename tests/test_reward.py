@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from watune.domain import AppType, Context, Contexts, TimeOfDay
+from watune.domain import AppType, TimeOfDay
 from watune.reward import (
     DEFAULT_TOLERANCE_MS,
     NAIVE_BATTERY,
@@ -15,6 +15,8 @@ from watune.reward import (
     objective,
     soft_labels,
 )
+
+from conftest import Context, contexts_of
 
 
 def brute_objective(context, measured, cfg):
@@ -53,7 +55,7 @@ def random_context_and_measured(rng):
 def row_objective(ctx, measured, cfg):
     """`objective` on the one-row batch of `ctx`: its three (8,) rows."""
     lat, eng = measured
-    return [col[0] for col in objective(Contexts.of(ctx), (lat[None], eng[None]), cfg)]
+    return [col[0] for col in objective(contexts_of(ctx), (lat[None], eng[None]), cfg)]
 
 
 def scores(app, latency_ms=1.0, battery=50.0, energy=1.0):
@@ -83,7 +85,7 @@ def test_latency_score_clamps_and_errors(small_dataset):
 
 def test_latency_score_non_increasing():
     xs = np.linspace(0, 600, 50)
-    contexts = Contexts.of(*[Context(TimeOfDay.morning, 50.0, None, (AppType.mapSync,))] * len(xs))
+    contexts = contexts_of(*[Context(TimeOfDay.morning, 50.0, None, (AppType.mapSync,))] * len(xs))
     _, lat_scores, _ = objective(contexts, (np.repeat(xs[:, None], 8, axis=1), np.ones((50, 8))),
                                  RewardConfig())
     ys = lat_scores[:, 0]
@@ -157,7 +159,7 @@ def test_naive_mode_ignores_context():
 def test_objective_zero_battery_rejected():
     rng = np.random.default_rng(7)
     _, measured = random_context_and_measured(rng)
-    # Context admits 0% battery but the reward divides by it.
+    # A Dataset admits a 0% battery, but the reward divides by it.
     ctx = Context(TimeOfDay.morning, 0.0, None, (AppType.voiceChat,))
     with pytest.raises(ValueError):
         row_objective(ctx, measured, RewardConfig())

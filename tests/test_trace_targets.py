@@ -1,13 +1,17 @@
 """The benchmark's per-layer trace wraps program functions by module and
 attribute name; a rename would silently zero its metrics. Resolve each
 target the way `Tracer.install` does, without installing anything, and
-count the training-step hooks with the benchmark's own wrapper."""
+count the training calls and training-step hooks with the benchmark's own
+wrapper."""
 
 import importlib
 import importlib.util
 import math
 from pathlib import Path
 
+import watune.evaluate
+from watune.cli import main
+from watune.config import ExperimentConfig, save_config
 from watune.train import TrainConfig, init_head, train
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -35,8 +39,9 @@ def test_every_trace_target_resolves():
         owner, leaf = resolve(module_name, attr)
         if not callable(getattr(owner, leaf, None)):
             absent.append(f"{module_name}.{attr}")
-    # Gone since the dataset writer moved into `datagen.dataset_text`.
-    assert absent == ["watune.cli.sample_record"]
+    # Gone since the dataset writer moved into `datagen.dataset_text`, and
+    # since `watune train` trains through `evaluate.train_head`.
+    assert absent == ["watune.cli.sample_record", "watune.cli.train_head_raw"]
 
 
 def test_training_step_hooks_run_once_per_step(monkeypatch, small_split):
@@ -54,3 +59,31 @@ def test_training_step_hooks_run_once_per_step(monkeypatch, small_split):
     train(data, init_head(cfg.layers, cfg.hidden, seed=cfg.seed), cfg)
     steps = cfg.epochs * math.ceil(len(data) / cfg.effective_batch)
     assert {name: tracer.layers[name]["calls"] for name in spans} == dict.fromkeys(spans, steps)
+
+
+def test_every_head_trains_through_the_traced_train(monkeypatch, tmp_path):
+    """The benchmark counts training calls at `watune.evaluate.train`:
+    `watune train` reaches it once per head, `compare` once per head plus
+    once for the KL reference of its DPO head."""
+    traced = load_traced()
+    tracer = traced.Tracer()
+    (name, counters), = [(name, counters) for module_name, attr, name, counters in traced.TARGETS
+                         if (module_name, attr) == ("watune.evaluate", "train")]
+    monkeypatch.setattr(watune.evaluate, "train", tracer.wrap(name, watune.evaluate.train, counters))
+
+    def calls():
+        return sum(rec["calls"] for span, rec in tracer.layers.items()
+                   if span.startswith("train.train."))
+
+    cfg = ExperimentConfig(seed=1)
+    cfg.dataset.logs_per_session = 20
+    cfg.train.epochs = 1
+    cfg.train.layers = 1
+    config, out = str(tmp_path / "config.json"), str(tmp_path / "out")
+    save_config(config, cfg)
+    assert main(["--config", config, "gen", "--out", out]) == 0
+    assert main(["--config", config, "train", "--data", out, "--loss", "kl",
+                 "--out", str(tmp_path / "kl.ckpt.json")]) == 0
+    assert calls() == 1
+    assert main(["--config", config, "compare", "--out", out]) == 0
+    assert calls() == 1 + 5
