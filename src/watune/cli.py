@@ -133,19 +133,21 @@ def _make_policy(args):
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     if args.single:
-        full = Dataset.concat([load_dataset(_resolve_data(args.data, which), cfg.reward)
-                               for which in ("train", "test")])
+        # a file path resolves to itself for both names: read it once
+        paths = list(dict.fromkeys(_resolve_data(args.data, which) for which in ("train", "test")))
+        full = Dataset.concat([load_dataset(path, cfg.reward) for path in paths])
         policies = [make_baseline(n) for n in BASELINE_NAMES]
         reports = ev.single_objective_eval(full, args.single, policies, cfg.train,
-                                           cfg.dataset, cfg.reward)
+                                           cfg.dataset, cfg.reward, config_hash=cfg.config_hash(),
+                                           dataset_hash="+".join(map(file_hash, paths)))
         out = {name: rep.__dict__ for name, rep in reports.items()}
     else:
         policy = _make_policy(args)
-        which = "ood" if args.ood else "test"
-        data = load_dataset(_resolve_data(args.data, which), cfg.reward)
+        path = _resolve_data(args.data, "ood" if args.ood else "test")
+        data = load_dataset(path, cfg.reward)
         if args.scenario == "coop":
             data = cooperative_slice(data)
-        rep = evaluate(policy, data, config_hash=cfg.config_hash())
+        rep = evaluate(policy, data, dataset_hash=file_hash(path), config_hash=cfg.config_hash())
         out = {policy.name: rep.__dict__}
 
     return _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n", "report")
@@ -173,9 +175,9 @@ def _check_config(what: str, found: str | None, chash: str) -> None:
                        "remove stale artifacts or use a fresh out dir")
 
 
-def _head_variants(train_set, cfg: ExperimentConfig, out: str, chash: str) -> dict:
-    """Train (or reload) the four head rows of the comparison table."""
-    variants = {}
+def _head_variants(train_path: str, cfg: ExperimentConfig, out: str, chash: str) -> dict:
+    """Reload the four head rows of the comparison table; train any missing on `train_path`."""
+    variants, train_set = {}, None
     specs = {"head-ce": ("ce", False), "head-kl": ("kl", False),
              "head-kl+dpo": ("dpo", False), "head-kl-no-peer": ("kl", True)}
     for name, (loss, masked) in specs.items():
@@ -185,6 +187,8 @@ def _head_variants(train_set, cfg: ExperimentConfig, out: str, chash: str) -> di
             model, meta = load_checkpoint(ckpt)
             _check_config(f"checkpoint {ckpt}", meta.get("config_hash"), chash)
         else:
+            if train_set is None:
+                train_set = load_dataset(train_path, cfg.reward)
             policy, report = train_head(train_set, tcfg, masked=masked)
             _save_head(ckpt, policy, report, chash)
             model = policy.model
@@ -210,11 +214,11 @@ def cmd_compare(args) -> int:
         cmd_gen(argparse.Namespace(config=getattr(args, "config", None),
                                    seed=getattr(args, "seed", None), out=out))
 
-    train_set, test_set, ood_set = (load_dataset(path, cfg.reward) for path in paths.values())
+    test_set, ood_set = (load_dataset(paths[k], cfg.reward) for k in ("test", "ood"))
     coop_set = cooperative_slice(test_set)
 
     policies = {name: make_baseline(name) for name in BASELINE_NAMES}
-    policies.update(_head_variants(train_set, cfg, out, chash))
+    policies.update(_head_variants(paths["train"], cfg, out, chash))
 
     slices = {"aggregate": test_set, "coop": coop_set, "ood": ood_set}
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]

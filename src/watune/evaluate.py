@@ -125,9 +125,11 @@ def ablate_reward(train_set: Dataset, test_set: Dataset, cfg: TrainConfig,
 def single_objective_eval(dataset: Dataset, which: str,
                           policies: list[Policy], cfg: TrainConfig,
                           dataset_cfg: DatasetConfig,
-                          base_reward_cfg: RewardConfig) -> dict:
+                          base_reward_cfg: RewardConfig,
+                          config_hash: str = "", dataset_hash: str = "") -> dict:
     """Relabel under latency-only (w_P=0) or energy-only (w_L=0) weights,
-    retrain the head, and score every policy under the same objective."""
+    retrain the head, and score every policy under the same objective;
+    every report carries the two hashes."""
     zeroed = {"latency": {"w_p": 0.0}, "energy": {"w_l": 0.0}}
     if which not in zeroed:
         raise ValueError("which must be 'latency' or 'energy'")
@@ -135,10 +137,7 @@ def single_objective_eval(dataset: Dataset, which: str,
     rng = np.random.default_rng([dataset_cfg.seed, 9973])
     tr, te = split(data, dataset_cfg.split_fraction, rng)
     head, _ = train_head(tr, cfg)
-    reports = {head.name: evaluate(head, te)}
-    for p in policies:
-        reports[p.name] = evaluate(p, te)
-    return reports
+    return {p.name: evaluate(p, te, dataset_hash, config_hash) for p in [head, *policies]}
 
 
 def replay_snapshot(dataset: Dataset, policies: list[Policy],

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import watune.cli
 from watune.cli import main
 from watune.config import ExperimentConfig, load_config, save_config
 from watune.datagen import file_hash, load_dataset
@@ -139,6 +141,39 @@ def test_eval_baselines_and_slices(tiny_config, gen_dir, capsys):
     assert json.loads(capsys.readouterr().out)["fix-rt-iv"]["n_samples"] == 16 * 60
 
 
+def test_eval_single_reads_a_file_once(tiny_config, gen_dir, tmp_path, capsys):
+    """On a file path `--single` splits the file's own rows: 640 rows with 40
+    per scenario leave 8 per scenario, 128 in all, on the test side."""
+    kept, counts = [], Counter()
+    with open(os.path.join(gen_dir, "ood.jsonl")) as fh:
+        for line in fh:
+            scenario = json.dumps(json.loads(line)["scenario"], sort_keys=True)
+            if counts[scenario] < 40:
+                counts[scenario] += 1
+                kept.append(line)
+    assert len(kept) == 640 and len(counts) == 16
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(kept))
+    assert main(["--config", tiny_config, "eval", "--data", str(path), "--single", "latency"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 5
+    assert {rep["n_samples"] for rep in reports.values()} == {128}
+    assert {rep["dataset_hash"] for rep in reports.values()} == {file_hash(path)}
+
+
+def test_eval_reports_are_stamped(tiny_config, gen_dir, capsys):
+    """No field of an `eval` report is left empty: each carries the config
+    hash and the sha256 of every file it read, `+`-joined in read order."""
+    chash = load_config(tiny_config).config_hash()
+    train, test = (file_hash(os.path.join(gen_dir, f"{k}.jsonl")) for k in ("train", "test"))
+    for flags, dataset_hash in ((["--policy", "rule"], test),
+                                (["--single", "energy"], f"{train}+{test}")):
+        assert main(["--config", tiny_config, "eval", "--data", gen_dir, *flags]) == 0
+        for name, rep in json.loads(capsys.readouterr().out).items():
+            assert [k for k, v in rep.items() if v in ("", {}, None)] == [], name
+            assert (rep["config_hash"], rep["dataset_hash"]) == (chash, dataset_hash), name
+
+
 def test_eval_unknown_policy(tiny_config, gen_dir, capsys):
     assert main(["--config", tiny_config, "eval", "--data", gen_dir,
                  "--policy", "bogus"]) == 1
@@ -204,28 +239,60 @@ def test_replay_bad_scenario(tiny_config, gen_dir, capsys):
     assert "bad scenario" in capsys.readouterr().err
 
 
-def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, capsys):
+@pytest.fixture
+def parsed(monkeypatch):
+    """The base names of the dataset files the CLI parses, in order."""
+    names, load = [], watune.cli.load_dataset
+
+    def spy(path, reward_cfg):
+        names.append(os.path.basename(path))
+        return load(path, reward_cfg)
+
+    monkeypatch.setattr(watune.cli, "load_dataset", spy)
+    return names
+
+
+def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, parsed, capsys):
     out = str(tmp_path / "cmp")
     assert main(["--config", tiny_config, "compare", "--out", out]) == 0
     capsys.readouterr()
+    assert sorted(parsed) == ["ood.jsonl", "test.jsonl", "train.jsonl"]
     table = open(os.path.join(out, "compare.tsv")).read()
     lines = table.strip().split("\n")
     assert lines[0].startswith("# config_hash:")
     assert len(lines) == 2 + 8  # comment + header + 8 policy rows
     assert os.path.exists(os.path.join(out, "compare_full.tsv"))
 
-    # rerun with cached artifacts is byte-identical
+    # rerun with cached artifacts is byte-identical and parses only test and OOD
     before = {f: file_hash(os.path.join(out, f)) for f in os.listdir(out)}
+    parsed.clear()
     assert main(["--config", tiny_config, "compare", "--out", out]) == 0
     capsys.readouterr()
     after = {f: file_hash(os.path.join(out, f)) for f in os.listdir(out)}
     assert before == after
+    assert parsed == ["test.jsonl", "ood.jsonl"]
 
     # a different seed must refuse the stale artifacts
     assert main(["--config", tiny_config, "--seed", "2", "compare", "--out", out]) == 1
     assert "remove" in capsys.readouterr().err
 
-    # so must a dataset file edited after `gen` wrote its hash to the manifest
+    # so must a dataset file edited after `gen` wrote its hash to the manifest,
+    # even the training set, which a warm run hashes but does not parse
+    train_path = os.path.join(out, "train.jsonl")
+    with open(train_path, "rb") as fh:
+        original = fh.read()
+    edited = bytearray(original)
+    edited[edited.index(b".") + 1] ^= 1  # one digit of one number: '0' <-> '1', ...
+    with open(train_path, "wb") as fh:
+        fh.write(edited)
+    parsed.clear()
+    assert main(["--config", tiny_config, "compare", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "train.jsonl" in err and "remove" in err
+    assert parsed == []
+    with open(train_path, "wb") as fh:
+        fh.write(original)
+
     test_path = os.path.join(out, "test.jsonl")
     with open(test_path) as fh:
         lines = fh.readlines()
@@ -237,3 +304,16 @@ def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, capsys):
     assert main(["--config", tiny_config, "compare", "--out", out]) == 1
     err = capsys.readouterr().err
     assert "test.jsonl" in err and "remove" in err
+
+
+def test_compare_retrains_only_a_missing_head(tiny_config, tmp_path, parsed, capsys):
+    """A rerun with one checkpoint gone parses the training set once, and
+    rewrites that head and both tables byte for byte."""
+    out = tmp_path / "cmp"
+    assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    (out / "head-kl-no-peer.ckpt.json").unlink()
+    parsed.clear()
+    assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
+    assert parsed.count("train.jsonl") == 1
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
