@@ -131,12 +131,16 @@ def from_dict(obj: dict) -> ExperimentConfig:
             for t, v in _table(lk, "time_latency_multiplier", "link", TimeOfDay, "time").items()
         },
     )
+    mode, modes = _require(rw, "reward_mode", "reward."), [m.value for m in RewardMode]
+    if mode not in modes:
+        raise ValueError(f"config reward.reward_mode must be one of "
+                         f"{', '.join(map(repr, modes))}, not {mode!r}")
     return ExperimentConfig(
         seed=_scalar(obj["seed"], "int", "seed"),
-        out_dir=obj.get("out_dir", "artifacts"),
+        out_dir=_scalar(obj.get("out_dir", "artifacts"), "str", "out_dir"),
         dataset=DatasetConfig(**plain["dataset"], battery_class_ranges=ranges),
         link=link,
-        reward=RewardConfig(**plain["reward"], mode=RewardMode(_require(rw, "reward_mode", "reward."))),
+        reward=RewardConfig(**plain["reward"], mode=RewardMode(mode)),
         train=TrainConfig(**plain["train"]),
     )
 

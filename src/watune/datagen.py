@@ -146,8 +146,6 @@ class DatasetConfig:
                                  "with 0 < lo <= hi <= 100")
 
 
-APPS = tuple(AppType)
-
 # Per-action measurement columns and their JSONL keys, in record order.
 _VECTORS = {"lat": "latency_ms", "eng": "energy_pct_h"}
 # Columns read as JSON numbers: their JSONL keys, the types allowed (a bool
@@ -179,9 +177,8 @@ class Dataset:
 
     The context columns are those of `Contexts` (time, pub, sub, peer, hist);
     lat/eng and rewards/lat_scores/eng_scores are (N, 8) per-action arrays;
-    scenario holds indices into ALL_SCENARIOS. Device labels are opaque
-    metadata; they never enter features or rewards. A slice, mask or index
-    array yields a Dataset of those rows; there is no one-row form.
+    scenario holds indices into ALL_SCENARIOS. A slice, mask or index array
+    yields a Dataset of those rows; there is no one-row form.
     """
 
     time: np.ndarray
@@ -196,8 +193,6 @@ class Dataset:
     lat_scores: np.ndarray
     eng_scores: np.ndarray
     scenario: np.ndarray
-    pub_device: np.ndarray
-    sub_device: np.ndarray
 
     def __post_init__(self):
         if len(self.pub) and self.hist.shape[1] < 1:
@@ -293,8 +288,6 @@ def generate_session(
         **contexts._asdict(), step=steps, lat=lat, eng=eng,
         rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores,
         scenario=np.full(n, scenario.code),
-        pub_device=np.full(n, "iPadPro-pub", dtype=object),
-        sub_device=np.full(n, "iPadPro-sub", dtype=object),
     )
 
 
@@ -324,7 +317,7 @@ def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0,1)")
     train_idx, test_idx = [], []
-    for code in np.unique(dataset.scenario):  # (time, battery config) order
+    for code in np.flatnonzero(np.bincount(dataset.scenario)):  # (time, battery config) order
         idxs = np.flatnonzero(dataset.scenario == code)
         perm = rng.permutation(len(idxs))
         n_train = int(len(idxs) * fraction)
@@ -349,30 +342,29 @@ def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
     return replace(dataset, **dict(zip(_REWARDS, derived)))
 
 
-_TIME_CODE = {t.name: int(t) for t in TimeOfDay}
-_APP_CODE = {a.name: int(a) for a in AppType}
-_SCENARIO_CODE = {(s.time.name, s.battery_config.name): s.code for s in ALL_SCENARIOS}
+# Wire names by code, and codes by wire name.
+_TIME_NAMES = tuple(t.name for t in TimeOfDay)
+_APP_NAMES = tuple(a.name for a in AppType)
+_SCENARIO_NAMES = tuple({"time": s.time.name, "battery_config": s.battery_config.name}
+                        for s in ALL_SCENARIOS)
+_TIME_CODE = {name: code for code, name in enumerate(_TIME_NAMES)}
+_APP_CODE = {name: code for code, name in enumerate(_APP_NAMES)}
+_SCENARIO_CODE = {(s["time"], s["battery_config"]): code for code, s in enumerate(_SCENARIO_NAMES)}
 
 
 def dataset_text(dataset: Dataset) -> str:
-    """The JSONL form of a dataset: one record per row, holding what was
-    observed (context and measurements) and no rewards."""
-    lines = []
-    rows = zip(dataset.step.tolist(), dataset.time.tolist(), map(np.ndarray.tolist, dataset.hist),
+    """The JSONL form of a dataset: one compact record per row, holding what
+    was observed (context and measurements) and no rewards."""
+    rows = zip(dataset.step.tolist(), dataset.time.tolist(), dataset.hist.tolist(),
                dataset.pub.tolist(), dataset.sub.tolist(), dataset.peer.tolist(),
-               dataset.pub_device, dataset.sub_device, dataset.scenario.tolist(),
-               zip(*(map(np.ndarray.tolist, getattr(dataset, k)) for k in _VECTORS)))
-    for step, time, hist, pub, sub, peer, pub_device, sub_device, scenario, vectors in rows:
-        rec = {"step": step, "time": TimeOfDay(time).name,
-               "app_history": [APPS[a].name for a in hist],
-               "pub_battery": pub, "sub_battery": sub if peer else None,
-               "pub_device": pub_device, "sub_device": sub_device}
-        rec.update(zip(_VECTORS.values(), vectors))
-        scenario = ALL_SCENARIOS[scenario]
-        rec["scenario"] = {"time": scenario.time.name,
-                           "battery_config": scenario.battery_config.name}
-        lines.append(json.dumps(rec) + "\n")
-    return "".join(lines)
+               dataset.lat.tolist(), dataset.eng.tolist(), dataset.scenario.tolist())
+    return "".join(
+        json.dumps({"step": step, "time": _TIME_NAMES[time],
+                    "app_history": [_APP_NAMES[a] for a in hist],
+                    "pub_battery": pub, "sub_battery": sub if peer else None,
+                    "latency_ms": lat, "energy_pct_h": eng,
+                    "scenario": _SCENARIO_NAMES[scenario]}, separators=(",", ":")) + "\n"
+        for step, time, hist, pub, sub, peer, lat, eng, scenario in rows)
 
 
 def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
@@ -396,8 +388,6 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                     "hist": [_APP_CODE[a] for a in rec["app_history"]],
                     "step": rec["step"],
                     "scenario": _SCENARIO_CODE[scenario["time"], scenario["battery_config"]],
-                    "pub_device": rec.get("pub_device"),
-                    "sub_device": rec.get("sub_device"),
                 }
                 if cols["hist"] and len(row["hist"]) != len(cols["hist"][0]):
                     raise ValueError("app_history length differs from the first record")
@@ -419,10 +409,9 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
             row = bad // NUM_ACTIONS if k in _VECTORS else bad
             raise ValueError(f"{path}: line {linenos[row]}: malformed dataset "
                              f"record: {key} must {rule}, not {cols[k][bad]!r}")
-    dtypes = dict.fromkeys(["pub", "sub", *_VECTORS], float) | {
-        "peer": bool, "hist": int, "pub_device": object, "sub_device": object}
+    dtypes = dict.fromkeys(["pub", "sub", *_VECTORS], float) | {"peer": bool}
     try:
-        arrays = {k: np.array(v, dtype=dtypes.get(k)) for k, v in cols.items()}
+        arrays = {k: np.array(v, dtype=dtypes.get(k, int)) for k, v in cols.items()}
         for k in _VECTORS:
             arrays[k] = arrays[k].reshape(n, NUM_ACTIONS)
         arrays["hist"] = arrays["hist"].reshape(n, -1 if n else 0)

@@ -44,7 +44,7 @@ def evaluate(policy: Policy, dataset: Dataset,
                           (dataset.rewards, dataset.lat_scores, dataset.eng_scores, dataset.eng))
 
     per_scenario: dict[str, dict] = {}
-    for code in np.unique(dataset.scenario):  # (time, battery config) order
+    for code in np.flatnonzero(np.bincount(dataset.scenario)):  # (time, battery config) order
         idx = dataset.scenario == code
         per_scenario[ALL_SCENARIOS[code].key()] = {
             "n": int(idx.sum()),

@@ -72,13 +72,18 @@ def test_train_and_eval_head(tiny_config, gen_dir, tmp_path, capsys):
     assert rep["head"]["n_samples"] > 0
 
 
-def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_path):
+def subprocess_env(**extra) -> dict:
+    """The environment of a child Python that imports this checkout's watune."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_path):
     checkpoints = []
     for threads in ("1", "2"):
         ckpt = tmp_path / f"kl-{threads}.ckpt.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "watune.cli", "--config", tiny_config, "train",
                         "--data", gen_dir, "--loss", "kl", "--out", str(ckpt)],
                        env=env, check=True, capture_output=True, timeout=300)
@@ -194,17 +199,25 @@ def test_eval_missing_data(tiny_config, tmp_path, capsys):
     assert "run `watune gen` first" in capsys.readouterr().err
 
 
-def test_gen_names_mistyped_config_field(tmp_path, capsys):
-    mistyped, unknown = ExperimentConfig().to_dict(), ExperimentConfig().to_dict()
+def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
+    mistyped, unknown, out_dir, mode = (ExperimentConfig().to_dict() for _ in range(4))
     mistyped["dataset"]["window"] = 2.5
     unknown["link"]["time_latency_multiplier"]["noon"] = 1.0
-    for d, message in ((mistyped, "dataset.window"),
-                       (unknown, "config link.time_latency_multiplier has no time 'noon'")):
+    out_dir["out_dir"] = 5
+    mode["reward"]["reward_mode"] = "fancy"
+    monkeypatch.chdir(tmp_path)  # where `gen` without --out would write
+    out = ["--out", str(tmp_path / "out")]
+    for d, message, args in (
+            (mistyped, "dataset.window", out),
+            (unknown, "config link.time_latency_multiplier has no time 'noon'", out),
+            (out_dir, "config out_dir must be a string, not 5", []),
+            (mode, "config reward.reward_mode must be one of 'contextAware', 'naive', "
+                   "not 'fancy'", out)):
         p = tmp_path / "f.json"
         p.write_text(json.dumps(d))
-        assert main(["--config", str(p), "gen", "--out", str(tmp_path / "out")]) == 1
+        assert main(["--config", str(p), "gen", *args]) == 1
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert sorted(os.listdir(tmp_path)) == ["f.json"]
 
 
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):
@@ -317,3 +330,15 @@ def test_compare_retrains_only_a_missing_head(tiny_config, tmp_path, parsed, cap
     assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
     assert parsed.count("train.jsonl") == 1
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_compare_does_not_import_numpy_ma(tiny_config, tmp_path):
+    """No command uses numpy.ma, but `np.unique` imports it under numpy 2,
+    which costs every command that import's time and memory."""
+    script = ("import sys; from watune.cli import main; "
+              "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script, "--config", tiny_config, "compare",
+                          "--out", str(tmp_path / "cmp")],
+                         env=subprocess_env(), check=True, capture_output=True, text=True,
+                         timeout=300)
+    assert run.stdout.splitlines()[-1] == "False"

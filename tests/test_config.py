@@ -76,6 +76,8 @@ def test_replace_keeps_the_original_sections():
     ("dataset.battery_class_ranges.high", [70.0, 90.0, 100.0]),
     ("link.time_latency_multiplier.noon", 1.0),
     ("dataset.battery_class_ranges.tiny", [1, 2]),
+    ("out_dir", 5),
+    ("reward.reward_mode", "fancy"),
 ])
 def test_from_dict_rejects_mistyped_scalars(key, value):
     d = ExperimentConfig().to_dict()

@@ -118,8 +118,7 @@ def assert_same_rows(a, b, names=None):
 
 
 # The columns a context and its measurement are made of.
-OBSERVED = ("time", "pub", "sub", "peer", "hist", "step", "pub_device", "sub_device",
-            "scenario", "lat", "eng")
+OBSERVED = ("time", "pub", "sub", "peer", "hist", "step", "scenario", "lat", "eng")
 
 
 def test_grid_coverage_and_determinism(small_dataset):
@@ -185,12 +184,20 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     # Keys the loader does not know (from another logger) are ignored.
     extra = "".join(json.dumps(dict(json.loads(line), charging=True, signal_strength=-40)) + "\n"
                     for line in text.splitlines())
-    for body, n in ((text, 200), (extra, 200), ("", 0)):
+    # The earlier record format: spaced separators and both device labels.
+    spaced = []
+    for line in text.splitlines():
+        rec = json.loads(line)
+        head = {k: rec.pop(k) for k in ("step", "time", "app_history", "pub_battery", "sub_battery")}
+        spaced.append(json.dumps({**head, "pub_device": "iPadPro-pub", "sub_device": "iPadPro-sub",
+                                  **rec}) + "\n")
+    spaced = "".join(spaced)
+    for body, n in ((text, 200), (extra, 200), (spaced, 200), ("", 0)):
         p.write_text(body)
         back = load_dataset(p, RewardConfig())
         assert len(back) == n
         if n:
-            assert_same_rows(small_dataset[:n], back, OBSERVED + ("rewards",))
+            assert_same_rows(small_dataset[:n], back)
     # identical content => identical hash
     p.write_text(text)
     p2 = tmp_path / "data2.jsonl"
@@ -201,7 +208,7 @@ def test_save_load_round_trip(tmp_path, small_dataset):
 def test_dataset_record_holds_observed_fields_only(small_dataset):
     rec = json.loads(dataset_text(small_dataset[:1]))
     assert set(rec) == {"step", "time", "app_history", "pub_battery", "sub_battery",
-                        "pub_device", "sub_device", "latency_ms", "energy_pct_h", "scenario"}
+                        "latency_ms", "energy_pct_h", "scenario"}
 
 
 def test_load_dataset_names_bad_line(tmp_path, small_dataset):
