@@ -36,8 +36,8 @@ class CliError(RuntimeError):
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config)
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)  # __post_init__ hands the seed to each section
     return cfg
 
@@ -46,7 +46,6 @@ def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
     out = args.out or cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    chash = cfg.config_hash()
 
     full = generate_dataset(IN_DISTRIBUTION_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=0)
     rng = np.random.default_rng([cfg.dataset.seed, 9973])
@@ -60,7 +59,7 @@ def cmd_gen(args) -> int:
     save_config(os.path.join(out, "config.json"), cfg)
 
     manifest = {
-        "config_hash": chash,
+        "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "counts": {"in_distribution": len(full), **{k: len(v) for k, v in parts.items()}},
         "hashes": {k: file_hash(p) for k, p in paths.items()},
@@ -83,29 +82,27 @@ def _resolve_data(path: str, which: str = "test") -> str:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    tcfg = replace(cfg.train, loss=args.loss, layers=args.layers or cfg.train.layers)
-    reward_cfg = replace(cfg.reward, mode=RewardMode.naive) if args.reward == "naive" else cfg.reward
-    data = load_dataset(_resolve_data(args.data, "train"), reward_cfg)
+    tcfg = replace(cfg.train, loss=args.loss)
+    data = load_dataset(_resolve_data(args.data, "train"), cfg.reward)
     ref_model = None
     if tcfg.loss == "dpo":
         if not args.ref:
             raise CliError("--loss dpo requires --ref <sft-checkpoint>")
         ref_model, _ = load_checkpoint(args.ref)
-        if args.layers not in (None, ref_model.n_layers):
-            raise CliError(f"--layers {args.layers} does not match the {ref_model.n_layers}-layer --ref")
     policy, report = train_head(data, tcfg, masked=args.no_peer, ref_model=ref_model)
-    _save_head(args.out, policy, report, cfg.config_hash(), args.reward)
+    _save_head(args.out, policy, report, cfg)
     print(f"trained {tcfg.loss} head ({policy.model.n_layers} layers) on {len(data)} samples -> {args.out}")
     return 0
 
 
-def _save_head(path: str, policy: HeadPolicy, report: dict, chash: str,
-               reward_mode: str = "context") -> None:
-    """Write a trained head and the metadata every watune checkpoint carries.
-    `layers` is the model's own: a DPO head has its reference's."""
+def _save_head(path: str, policy: HeadPolicy, report: dict, cfg: ExperimentConfig) -> None:
+    """Write a trained head and the metadata every watune checkpoint carries:
+    the hash and reward mode of the config it was trained under. `layers`
+    is the model's own: a DPO head has its reference's."""
     save_checkpoint(path, policy.model, {
         "loss": report["loss"], "layers": policy.model.n_layers, "seed": report["seed"],
-        "config_hash": chash, "no_peer": policy.mask_peer, "reward_mode": reward_mode,
+        "config_hash": cfg.config_hash(), "no_peer": policy.mask_peer,
+        "reward_mode": "naive" if cfg.reward.mode is RewardMode.naive else "context",
         "report": report,
     })
 
@@ -118,16 +115,23 @@ def _parse_scenario(text: str) -> Scenario:
         raise CliError(f"bad scenario {text!r}; expected e.g. afternoon/pubHighSubLow") from None
 
 
-def _make_policy(args):
-    if args.policy == "head":
-        if not args.checkpoint:
+def _make_policy(name: str, checkpoint: str | None):
+    if name == "head":
+        if not checkpoint:
             raise CliError("policy 'head' requires --checkpoint")
-        model, meta = load_checkpoint(args.checkpoint)
+        model, meta = load_checkpoint(checkpoint)
         return HeadPolicy(model, name="head", mask_peer=bool(meta.get("no_peer")))
     try:
-        return make_baseline(args.policy)
+        return make_baseline(name)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+def _load_records(path: str, cfg: ExperimentConfig) -> Dataset:
+    data = load_dataset(path, cfg.reward)
+    if not len(data):
+        raise CliError(f"{path} holds no dataset records")
+    return data
 
 
 def cmd_eval(args) -> int:
@@ -135,16 +139,16 @@ def cmd_eval(args) -> int:
     if args.single:
         # a file path resolves to itself for both names: read it once
         paths = list(dict.fromkeys(_resolve_data(args.data, which) for which in ("train", "test")))
-        full = Dataset.concat([load_dataset(path, cfg.reward) for path in paths])
+        full = Dataset.concat([_load_records(path, cfg) for path in paths])
         policies = [make_baseline(n) for n in BASELINE_NAMES]
         reports = ev.single_objective_eval(full, args.single, policies, cfg.train,
                                            cfg.dataset, cfg.reward, config_hash=cfg.config_hash(),
                                            dataset_hash="+".join(map(file_hash, paths)))
         out = {name: rep.__dict__ for name, rep in reports.items()}
     else:
-        policy = _make_policy(args)
+        policy = _make_policy(args.policy, args.checkpoint)
         path = _resolve_data(args.data, "ood" if args.ood else "test")
-        data = load_dataset(path, cfg.reward)
+        data = _load_records(path, cfg)
         if args.scenario == "coop":
             data = cooperative_slice(data)
         rep = evaluate(policy, data, dataset_hash=file_hash(path), config_hash=cfg.config_hash())
@@ -190,7 +194,7 @@ def _head_variants(train_path: str, cfg: ExperimentConfig, out: str, chash: str)
             if train_set is None:
                 train_set = load_dataset(train_path, cfg.reward)
             policy, report = train_head(train_set, tcfg, masked=masked)
-            _save_head(ckpt, policy, report, chash)
+            _save_head(ckpt, policy, report, cfg)
             model = policy.model
         variants[name] = HeadPolicy(model, name=name, mask_peer=masked)
     return variants
@@ -211,8 +215,7 @@ def cmd_compare(args) -> int:
                 raise CliError(f"{path} does not match its hash in {manifest_path}; "
                                "remove stale artifacts or use a fresh out dir")
     else:
-        cmd_gen(argparse.Namespace(config=getattr(args, "config", None),
-                                   seed=getattr(args, "seed", None), out=out))
+        cmd_gen(args)
 
     test_set, ood_set = (load_dataset(paths[k], cfg.reward) for k in ("test", "ood"))
     coop_set = cooperative_slice(test_set)
@@ -241,8 +244,7 @@ def cmd_compare(args) -> int:
 
 def cmd_replay(args) -> int:
     data = load_dataset(_resolve_data(args.data, "test"), _load_cfg(args).reward)
-    policies = [_make_policy(argparse.Namespace(policy=name.strip(), checkpoint=args.checkpoint))
-                for name in args.policies.split(",")]
+    policies = [_make_policy(name.strip(), args.checkpoint) for name in args.policies.split(",")]
     scenario = _parse_scenario(args.scenario) if args.scenario else None
     transcript = replay_snapshot(data, policies, scenario=scenario, max_steps=args.steps)
     return _emit(args.out, transcript, "transcript")
@@ -251,7 +253,8 @@ def cmd_replay(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="watune",
                                  description="Cooperative Wi-Fi Aware parameter-selection harness")
-    ap.add_argument("--config", help=f"experiment config JSON (default: ${'{'}WATUNE_CONFIG{'}'} or built-ins)")
+    ap.add_argument("--config", help="experiment config JSON, e.g. a `gen` config.json "
+                                     "(default: built-ins)")
     ap.add_argument("--seed", type=int, help="override the config seed everywhere")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -262,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a classification head")
     t.add_argument("--data", required=True, help="train.jsonl or a gen output directory")
     t.add_argument("--loss", choices=("ce", "kl", "dpo"), default="kl")
-    t.add_argument("--layers", type=int, choices=(1, 2, 3), help="default: the config's train.layers")
     t.add_argument("--no-peer", action="store_true", help="train on peer-masked features")
-    t.add_argument("--reward", choices=("context", "naive"), default="context")
     t.add_argument("--ref", help="reference SFT checkpoint (required for --loss dpo)")
     t.add_argument("--out", required=True, help="checkpoint path")
     t.set_defaults(func=cmd_train)

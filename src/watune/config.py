@@ -15,8 +15,6 @@ from .measurement import LinkModelConfig
 from .reward import RewardConfig, RewardMode
 from .train import TrainConfig
 
-ENV_CONFIG = "WATUNE_CONFIG"
-
 REQUIRED_KEYS = ("seed", "dataset", "link", "reward", "train")
 
 
@@ -146,9 +144,7 @@ def from_dict(obj: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | None) -> ExperimentConfig:
-    """Load from path, the WATUNE_CONFIG env var, or built-in defaults."""
-    if path is None:
-        path = os.environ.get(ENV_CONFIG)
+    """Load from path, or the built-in defaults without one."""
     if path is None:
         return ExperimentConfig()
     with open(path) as fh:

@@ -304,7 +304,6 @@ def generate_dataset(
     OOD evaluation set).
     """
     validate_profile(profile)
-    link.validate()
     return Dataset.concat([
         generate_session(scenario, profile, link, cfg, reward_cfg,
                          np.random.default_rng([cfg.seed, stream, idx]))

@@ -6,6 +6,7 @@ downstream check that depends on it is directional, never exact-value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,41 +40,41 @@ class LinkModelConfig:
     latency_noise_sigma: float = 0.6
     energy_noise_sigma: float = 0.15
 
-    def validate(self) -> None:
+    def __post_init__(self):
         lat = np.asarray(self.base_latency_ms, dtype=float)
         eng = np.asarray(self.base_energy_pct_h, dtype=float)
-        if lat.shape != (NUM_ACTIONS,) or eng.shape != (NUM_ACTIONS,):
-            raise ValueError("base tables must have 8 entries")
-        if np.any(lat <= 0) or np.any(eng <= 0):
-            raise ValueError("base latencies and energies must be positive")
-        if self.latency_noise_sigma < 0 or self.energy_noise_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name, table in (("base_latency_ms", lat), ("base_energy_pct_h", eng)):
+            if table.shape != (NUM_ACTIONS,) or not np.all((table > 0) & np.isfinite(table)):
+                raise ValueError(f"link.{name} must be {NUM_ACTIONS} finite positive numbers, "
+                                 f"not {getattr(self, name)!r}")
+        for name in ("latency_noise_sigma", "energy_noise_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
+                raise ValueError(f"link.{name} must be finite and >= 0, not {getattr(self, name)!r}")
         for t in TimeOfDay:
-            if self.time_latency_multiplier.get(t, 0) <= 0:
-                raise ValueError(f"missing/invalid time multiplier for {t.name}")
+            mult = self.time_latency_multiplier.get(t)
+            if mult is None or not 0 < mult < math.inf:
+                raise ValueError(f"link.time_latency_multiplier.{t.name} must be finite and > 0, "
+                                 f"not {mult!r}")
         # Rows: performance mode; columns: access category (index order).
+        rt, bulk, bg = PerformanceMode.realtime, PerformanceMode.bulk, AccessCategory.background
         lat_mc, eng_mc = lat.reshape(2, 4), eng.reshape(2, 4)
-        for c in AccessCategory:
-            if not lat_mc[PerformanceMode.realtime, c] < lat_mc[PerformanceMode.bulk, c]:
-                raise ValueError(f"latency ordering violated for category {c.name}")
-            if not eng_mc[PerformanceMode.bulk, c] <= eng_mc[PerformanceMode.realtime, c]:
-                raise ValueError(f"energy ordering violated for category {c.name}")
-        for m in PerformanceMode:
-            if not np.all(eng_mc[m, AccessCategory.background] <= eng_mc[m]):
-                raise ValueError(f"energy ordering violated within mode {m.name}")
-        bulk_bg = Action(PerformanceMode.bulk, AccessCategory.background).index
-        rt_iv = Action(PerformanceMode.realtime, AccessCategory.interactiveVoice).index
-        if np.sum(eng <= eng[bulk_bg]) != 1:
-            raise ValueError("(bulk, background) must have the strictly minimal base energy")
-        if np.sum(lat <= lat[rt_iv]) != 1:
-            raise ValueError("(realtime, interactiveVoice) must have the strictly minimal base latency")
+        rt_iv, bulk_bg = Action(rt, AccessCategory.interactiveVoice).index, Action(bulk, bg).index
+        for name, ok, rule in (
+            ("base_latency_ms", lat_mc[rt] < lat_mc[bulk], "lower for realtime than bulk per category"),
+            ("base_energy_pct_h", eng_mc[bulk] <= eng_mc[rt], "no higher for bulk than realtime per category"),
+            ("base_energy_pct_h", eng_mc[:, [bg]] <= eng_mc, "lowest for background per mode"),
+            ("base_energy_pct_h", np.sum(eng <= eng[bulk_bg]) == 1, "strictly lowest for bulk background"),
+            ("base_latency_ms", np.sum(lat <= lat[rt_iv]) == 1, "strictly lowest for realtime interactiveVoice"),
+        ):
+            if not np.all(ok):
+                raise ValueError(f"link.{name} must be {rule}, not {getattr(self, name)!r}")
 
 
 def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one 8-action measurement sweep at the time of day of `context`
     (anything with a `.time`, such as the Scenario of a session): the
     (latency_ms, energy_pct_h) pair of (8,) arrays that `objective` takes.
-    The values are positive for a validated config, and the Dataset
+    The values are positive for a valid config, and the Dataset
     constructor checks them again."""
     base_lat = np.asarray(config.base_latency_ms, dtype=float)
     base_eng = np.asarray(config.base_energy_pct_h, dtype=float)

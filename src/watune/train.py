@@ -179,6 +179,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("ce", "kl", "dpo"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.layers not in (1, 2, 3):
+            raise ValueError(f"train.layers must be 1, 2 or 3, not {self.layers!r}")
         for name, ok, rule in (
             ("epochs", self.epochs >= 0, ">= 0"),
             ("effective_batch", self.effective_batch >= 1, ">= 1"),

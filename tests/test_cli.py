@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import watune.cli
-from watune.cli import main
+from watune.cli import build_parser, main
 from watune.config import ExperimentConfig, load_config, save_config
 from watune.datagen import file_hash, load_dataset
+from watune.reward import RewardMode
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,7 @@ def test_gen_deterministic(tiny_config, gen_dir, tmp_path):
 def test_train_and_eval_head(tiny_config, gen_dir, tmp_path, capsys):
     ckpt = str(tmp_path / "head.ckpt.json")
     assert main(["--config", tiny_config, "train", "--data", gen_dir,
-                 "--loss", "kl", "--layers", "1", "--out", ckpt]) == 0
+                 "--loss", "kl", "--out", ckpt]) == 0
     assert os.path.exists(ckpt)
     rep_path = str(tmp_path / "report.json")
     assert main(["--config", tiny_config, "eval", "--data", gen_dir,
@@ -91,9 +93,9 @@ def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_pat
     assert checkpoints[0] == checkpoints[1]
 
 
-def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path, capsys):
-    """Without --layers a head has the config's depth (1 here), and a DPO
-    head has its reference's."""
+def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path):
+    """A head has the config's depth (1 here), and a DPO head has its
+    reference's, also under a config of another depth."""
     kl, dpo = tmp_path / "kl.ckpt.json", tmp_path / "dpo.ckpt.json"
     assert main(["--config", tiny_config, "train", "--data", gen_dir, "--out", str(kl)]) == 0
     assert main(["--config", tiny_config, "train", "--data", gen_dir, "--loss", "dpo",
@@ -101,28 +103,39 @@ def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path, capsys):
     for path in (kl, dpo):
         obj = json.loads(path.read_text())
         assert obj["layers"] == obj["metadata"]["layers"] == 1
-    assert main(["--config", tiny_config, "train", "--data", gen_dir, "--loss", "dpo",
-                 "--ref", str(kl), "--layers", "2", "--out", str(tmp_path / "x.ckpt.json")]) == 1
-    assert "does not match the 1-layer --ref" in capsys.readouterr().err
+    two = load_config(tiny_config).to_dict()
+    two["train"]["layers"] = 2
+    config = tmp_path / "two.json"
+    config.write_text(json.dumps(two))
+    assert main(["--config", str(config), "train", "--data", gen_dir, "--loss", "dpo",
+                 "--ref", str(kl), "--out", str(dpo)]) == 0
+    obj = json.loads(dpo.read_text())
+    assert obj["layers"] == obj["metadata"]["layers"] == 1
 
 
 def test_train_writes_the_heads_compare_writes(tmp_path, capsys):
     """`watune train` and `compare` train and stamp a head the same way: on
-    the same data and config their checkpoints are byte-identical."""
-    cfg = ExperimentConfig(seed=1)
-    cfg.dataset.logs_per_session = 80
-    cfg.train.epochs = 1
-    cfg.train.layers = 1
-    config, out = str(tmp_path / "config.json"), tmp_path / "cmp"
-    save_config(config, cfg)
-    assert main(["--config", config, "compare", "--out", str(out)]) == 0
-    for name, flags in (("head-ce", ["--loss", "ce"]), ("head-kl", ["--loss", "kl"]),
-                        ("head-kl-no-peer", ["--loss", "kl", "--no-peer"]),
-                        ("head-kl+dpo", ["--loss", "dpo", "--ref", str(out / "head-kl.ckpt.json")])):
-        ckpt = tmp_path / f"{name}.ckpt.json"
-        assert main(["--config", config, "train", "--data", str(out), *flags,
-                     "--out", str(ckpt)]) == 0
-        assert ckpt.read_bytes() == (out / f"{name}.ckpt.json").read_bytes(), name
+    the same data and config their checkpoints are byte-identical, and each
+    carries that config's hash and reward mode, under either mode."""
+    for mode in RewardMode:
+        cfg = ExperimentConfig(seed=1)
+        cfg.dataset.logs_per_session = 80
+        cfg.train.epochs = 1
+        cfg.train.layers = 1
+        cfg.reward.mode = mode
+        config, out = str(tmp_path / f"{mode.value}.json"), tmp_path / mode.value
+        save_config(config, cfg)
+        assert main(["--config", config, "compare", "--out", str(out)]) == 0
+        for name, flags in (("head-ce", ["--loss", "ce"]), ("head-kl", ["--loss", "kl"]),
+                            ("head-kl-no-peer", ["--loss", "kl", "--no-peer"]),
+                            ("head-kl+dpo", ["--loss", "dpo", "--ref", str(out / "head-kl.ckpt.json")])):
+            ckpt = tmp_path / f"{name}.ckpt.json"
+            assert main(["--config", config, "train", "--data", str(out), *flags,
+                         "--out", str(ckpt)]) == 0
+            assert ckpt.read_bytes() == (out / f"{name}.ckpt.json").read_bytes(), (mode, name)
+            meta = json.loads(ckpt.read_text())["metadata"]
+            assert (meta["config_hash"], meta["reward_mode"]) == (
+                cfg.config_hash(), "naive" if mode is RewardMode.naive else "context"), (mode, name)
 
 
 def test_train_dpo_requires_ref(tiny_config, gen_dir, tmp_path, capsys):
@@ -193,6 +206,14 @@ def test_eval_single_and_policy_exclusive(tiny_config, gen_dir, capsys):
         assert "--policy" in capsys.readouterr().err
 
 
+def test_eval_refuses_an_empty_file(tiny_config, tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    for flags in (["--single", "latency"], ["--policy", "rule"]):
+        assert main(["--config", tiny_config, "eval", "--data", str(path), *flags]) == 1
+        assert str(path) in capsys.readouterr().err, flags
+
+
 def test_eval_missing_data(tiny_config, tmp_path, capsys):
     assert main(["--config", tiny_config, "eval", "--data", str(tmp_path),
                  "--policy", "oracle"]) == 1
@@ -200,24 +221,34 @@ def test_eval_missing_data(tiny_config, tmp_path, capsys):
 
 
 def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
-    mistyped, unknown, out_dir, mode = (ExperimentConfig().to_dict() for _ in range(4))
+    mistyped, unknown, out_dir, mode, sigma, swapped, layers = (
+        ExperimentConfig().to_dict() for _ in range(7))
     mistyped["dataset"]["window"] = 2.5
     unknown["link"]["time_latency_multiplier"]["noon"] = 1.0
     out_dir["out_dir"] = 5
     mode["reward"]["reward_mode"] = "fancy"
-    monkeypatch.chdir(tmp_path)  # where `gen` without --out would write
+    sigma["link"]["latency_noise_sigma"] = -1.0
+    lat = swapped["link"]["base_latency_ms"]
+    lat[:4], lat[4:] = lat[4:], lat[:4]  # bulk faster than realtime
+    layers["train"]["layers"] = 4
+    monkeypatch.chdir(tmp_path)  # where `gen` and `compare` without --out would write
     out = ["--out", str(tmp_path / "out")]
     for d, message, args in (
             (mistyped, "dataset.window", out),
             (unknown, "config link.time_latency_multiplier has no time 'noon'", out),
             (out_dir, "config out_dir must be a string, not 5", []),
             (mode, "config reward.reward_mode must be one of 'contextAware', 'naive', "
-                   "not 'fancy'", out)):
+                   "not 'fancy'", out),
+            (sigma, "link.latency_noise_sigma must be finite and >= 0, not -1.0", out),
+            (swapped, "link.base_latency_ms must be lower for realtime than bulk", out),
+            (layers, "train.layers must be 1, 2 or 3, not 4", out)):
         p = tmp_path / "f.json"
         p.write_text(json.dumps(d))
-        assert main(["--config", str(p), "gen", *args]) == 1
-        assert message in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["f.json"]
+        for command in (["gen", *args], ["compare", *args],
+                        ["train", "--data", str(tmp_path), "--out", str(tmp_path / "h.ckpt.json")]):
+            assert main(["--config", str(p), *command]) == 1
+            assert message in capsys.readouterr().err, command
+            assert sorted(os.listdir(tmp_path)) == ["f.json"]
 
 
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):
@@ -250,6 +281,23 @@ def test_replay_bad_scenario(tiny_config, gen_dir, capsys):
     assert main(["--config", tiny_config, "replay", "--data", gen_dir,
                  "--policies", "oracle", "--scenario", "noon"]) == 1
     assert "bad scenario" in capsys.readouterr().err
+
+
+def test_parser_surface():
+    """Every run setting lives in the config file: no option may shadow one."""
+    def options(parser):
+        return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+    ap = build_parser()
+    commands, = (a.choices for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert options(ap) == {"--config", "--seed"}
+    assert {name: options(p) for name, p in commands.items()} == {
+        "gen": {"--out"},
+        "train": {"--data", "--loss", "--no-peer", "--ref", "--out"},
+        "eval": {"--data", "--policy", "--single", "--checkpoint", "--scenario", "--ood", "--out"},
+        "compare": {"--out"},
+        "replay": {"--data", "--policies", "--checkpoint", "--scenario", "--steps", "--out"},
+    }
 
 
 @pytest.fixture

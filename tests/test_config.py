@@ -78,6 +78,8 @@ def test_replace_keeps_the_original_sections():
     ("dataset.battery_class_ranges.tiny", [1, 2]),
     ("out_dir", 5),
     ("reward.reward_mode", "fancy"),
+    ("link.latency_noise_sigma", -1.0),
+    ("link.base_latency_ms", [7.0, 11.0, 6.0, 5.0, 3.5, 5.5, 3.0, 2.5]),
 ])
 def test_from_dict_rejects_mistyped_scalars(key, value):
     d = ExperimentConfig().to_dict()
@@ -85,9 +87,10 @@ def test_from_dict_rejects_mistyped_scalars(key, value):
     node = d
     for name in parents:
         node = node[name]
-    # A key the table does not have is named with the table it is in.
-    message = rf"config {key} must be" if leaf in node else (
-        rf"config {'.'.join(parents)} has no [a-z ]+ '{leaf}'")
+    # A key the table does not have is named with the table it is in. A
+    # value of the right type out of its range is named by its section.
+    message = rf"^(config )?{key} must be" if leaf in node else (
+        rf"^config {'.'.join(parents)} has no [a-z ]+ '{leaf}'")
     node[leaf] = value
     with pytest.raises(ValueError, match=message):
         from_dict(d)
@@ -173,12 +176,12 @@ def test_train_settings_rejected_by_name(key, value):
 
 
 def test_env_var_lookup(tmp_path, monkeypatch):
+    """Only `--config` names a config file: the environment is not read."""
     p = tmp_path / "cfg.json"
     save_config(p, ExperimentConfig(seed=5))
     monkeypatch.setenv("WATUNE_CONFIG", str(p))
-    assert load_config(None).seed == 5
-    monkeypatch.delenv("WATUNE_CONFIG")
-    assert load_config(None).seed == ExperimentConfig().seed
+    assert load_config(None).config_hash() == ExperimentConfig().config_hash()
+    assert load_config(str(p)).seed == 5
 
 
 def test_atomic_write_replaces(tmp_path):

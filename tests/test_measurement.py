@@ -21,7 +21,7 @@ def noiseless():
 
 
 def test_default_config_valid():
-    LinkModelConfig().validate()
+    LinkModelConfig()  # every LinkModelConfig is checked when it is built
 
 
 def test_noiseless_measure_exact():
@@ -71,12 +71,12 @@ def test_night_latency_exceeds_morning_on_average():
 def test_ordering_invariants_rejected():
     bad_lat = list(LinkModelConfig().base_latency_ms)
     bad_lat[0], bad_lat[4] = bad_lat[4], bad_lat[0]  # bulk faster than realtime
-    with pytest.raises(ValueError):
-        LinkModelConfig(base_latency_ms=tuple(bad_lat)).validate()
+    with pytest.raises(ValueError, match="link.base_latency_ms"):
+        LinkModelConfig(base_latency_ms=tuple(bad_lat))
     bad_eng = list(LinkModelConfig().base_energy_pct_h)
     bad_eng[5] = 10.0  # (bulk, background) no longer minimal
-    with pytest.raises(ValueError):
-        LinkModelConfig(base_energy_pct_h=tuple(bad_eng)).validate()
+    with pytest.raises(ValueError, match="link.base_energy_pct_h"):
+        LinkModelConfig(base_energy_pct_h=tuple(bad_eng))
 
 
 def log_line(step, c, measured, **extra):
