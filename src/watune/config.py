@@ -42,6 +42,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
         # New section objects: `dataclasses.replace` passes in the sections
         # of the config it copies, which must keep their own values.
         self.dataset = replace(self.dataset, seed=self.seed)

@@ -128,21 +128,21 @@ class DatasetConfig:
     battery_class_ranges: dict = field(default_factory=lambda: dict(DEFAULT_BATTERY_RANGES))
 
     def __post_init__(self):
-        if not 0 < self.split_fraction < 1:
-            raise ValueError("split_fraction must be in (0,1)")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.logs_per_session < self.window:
-            raise ValueError("logs_per_session must be >= window")
-        if not 0 < self.sample_interval_s < math.inf:
-            raise ValueError("sample_interval_s must be finite and positive")
+        for name, ok, rule in (
+            ("split_fraction", 0 < self.split_fraction < 1, "in (0, 1)"),
+            ("window", self.window >= 1, ">= 1"),
+            ("logs_per_session", self.logs_per_session >= self.window, ">= dataset.window"),
+            ("sample_interval_s", 0 < self.sample_interval_s < math.inf, "finite and > 0"),
+        ):
+            if not ok:  # NaN fails every comparison
+                raise ValueError(f"dataset.{name} must be {rule}, not {getattr(self, name)!r}")
         for c in BatteryClass:
             try:
                 lo, hi = map(float, self.battery_class_ranges[c])
             except (KeyError, TypeError, ValueError):
                 lo = hi = math.nan
             if not 0 < lo <= hi <= 100:
-                raise ValueError(f"battery_class_ranges.{c.name} must be a (lo, hi) pair "
+                raise ValueError(f"dataset.battery_class_ranges.{c.name} must be a (lo, hi) pair "
                                  "with 0 < lo <= hi <= 100")
 
 

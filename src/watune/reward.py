@@ -3,6 +3,7 @@ the naive ablation variant, and soft-label construction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,8 +42,11 @@ class RewardConfig:
 
     def __post_init__(self):
         self.mode = RewardMode(self.mode)
-        if self.w_l < 0 or self.w_p < 0 or self.w_l + self.w_p <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
+        for name in ("w_l", "w_p"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
+                raise ValueError(f"reward.{name} must be finite and >= 0, not {getattr(self, name)!r}")
+        if self.w_l + self.w_p <= 0:
+            raise ValueError(f"reward.w_l + reward.w_p must be > 0, not {self.w_l + self.w_p!r}")
         if not 0 < self.soft_temp < np.inf:
             raise ValueError(f"reward.soft_temp must be finite and positive, not {self.soft_temp!r}")
 

@@ -5,6 +5,7 @@ training loop."""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -312,18 +313,18 @@ def head_choices(model: HeadModel, contexts: Contexts) -> np.ndarray:
                            for i in range(0, len(x), 64)])
 
 
-CHECKPOINT_FORMAT = "watune-head-v1"
+CHECKPOINT_FORMAT = "watune-head-v2"
 
 
 def save_checkpoint(path, model: HeadModel, metadata: dict | None = None) -> None:
+    """Write the weight shapes and the model's `flat()` parameter buffer as
+    base64 little-endian float64, which loads back bit for bit."""
     from .config import atomic_write_text
 
     obj = {
         "format": CHECKPOINT_FORMAT,
-        "layers": model.n_layers,
         "shapes": [list(w.shape) for w in model.weights],
-        "weights": [w.reshape(-1).tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "params": base64.b64encode(model.flat().astype("<f8").tobytes()).decode("ascii"),
         "metadata": metadata or {},
     }
     atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
@@ -335,11 +336,19 @@ def load_checkpoint(path) -> tuple[HeadModel, dict]:
         with open(path) as fh:
             obj = json.load(fh)
         if obj.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format: {obj.get('format')!r}")
-        weights = [np.array(flat, dtype=float).reshape(shape)
-                   for flat, shape in zip(obj["weights"], obj["shapes"])]
-        biases = [np.array(b, dtype=float) for b in obj["biases"]]
-        model = HeadModel(weights, biases)
+            raise ValueError(f"format {obj.get('format')!r} is not {CHECKPOINT_FORMAT!r}; "
+                             "retrain the head")
+        shapes = [tuple(s) for s in obj["shapes"]]
+        if any(len(s) != 2 or any(type(d) is not int or d < 1 for d in s) for s in shapes):
+            raise ValueError(f"shapes must be [rows, cols] pairs of positive integers, "
+                             f"not {obj['shapes']!r}")
+        params = np.frombuffer(base64.b64decode(obj["params"], validate=True), "<f8").astype(float)
+        # Checked before any array of these shapes is made: the payload bounds them.
+        size = sum(rows * cols + rows for rows, cols in shapes)
+        if params.size != size:
+            raise ValueError(f"params hold {params.size} values, shapes {obj['shapes']} need {size}")
+        model = HeadModel([np.empty(s) for s in shapes],
+                          [np.empty(rows) for rows, _ in shapes]).views(params)
         model.validate()
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None

@@ -102,7 +102,7 @@ def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path):
                  "--ref", str(kl), "--out", str(dpo)]) == 0
     for path in (kl, dpo):
         obj = json.loads(path.read_text())
-        assert obj["layers"] == obj["metadata"]["layers"] == 1
+        assert len(obj["shapes"]) == obj["metadata"]["layers"] == 1
     two = load_config(tiny_config).to_dict()
     two["train"]["layers"] = 2
     config = tmp_path / "two.json"
@@ -110,7 +110,7 @@ def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path):
     assert main(["--config", str(config), "train", "--data", gen_dir, "--loss", "dpo",
                  "--ref", str(kl), "--out", str(dpo)]) == 0
     obj = json.loads(dpo.read_text())
-    assert obj["layers"] == obj["metadata"]["layers"] == 1
+    assert len(obj["shapes"]) == obj["metadata"]["layers"] == 1
 
 
 def test_train_writes_the_heads_compare_writes(tmp_path, capsys):
@@ -221,8 +221,8 @@ def test_eval_missing_data(tiny_config, tmp_path, capsys):
 
 
 def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
-    mistyped, unknown, out_dir, mode, sigma, swapped, layers = (
-        ExperimentConfig().to_dict() for _ in range(7))
+    mistyped, unknown, out_dir, mode, sigma, swapped, layers, weight, seed = (
+        ExperimentConfig().to_dict() for _ in range(9))
     mistyped["dataset"]["window"] = 2.5
     unknown["link"]["time_latency_multiplier"]["noon"] = 1.0
     out_dir["out_dir"] = 5
@@ -231,6 +231,8 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
     lat = swapped["link"]["base_latency_ms"]
     lat[:4], lat[4:] = lat[4:], lat[:4]  # bulk faster than realtime
     layers["train"]["layers"] = 4
+    weight["reward"]["w_p"] = float("nan")  # written and read back as the JSON literal NaN
+    seed["seed"] = -1
     monkeypatch.chdir(tmp_path)  # where `gen` and `compare` without --out would write
     out = ["--out", str(tmp_path / "out")]
     for d, message, args in (
@@ -241,7 +243,9 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
                    "not 'fancy'", out),
             (sigma, "link.latency_noise_sigma must be finite and >= 0, not -1.0", out),
             (swapped, "link.base_latency_ms must be lower for realtime than bulk", out),
-            (layers, "train.layers must be 1, 2 or 3, not 4", out)):
+            (layers, "train.layers must be 1, 2 or 3, not 4", out),
+            (weight, "reward.w_p must be finite and >= 0, not nan", out),
+            (seed, "seed must be >= 0, not -1", out)):
         p = tmp_path / "f.json"
         p.write_text(json.dumps(d))
         for command in (["gen", *args], ["compare", *args],
@@ -249,6 +253,12 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
             assert main(["--config", str(p), *command]) == 1
             assert message in capsys.readouterr().err, command
             assert sorted(os.listdir(tmp_path)) == ["f.json"]
+
+
+def test_negative_seed_flag_named(tmp_path, capsys):
+    assert main(["--seed", "-1", "gen", "--out", str(tmp_path / "out")]) == 1
+    assert "error: seed must be >= 0, not -1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -148,7 +149,7 @@ def test_dataset_config_rejects_bad_values(key, value):
         del node[leaf]
     else:
         node[leaf] = value
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=rf"^dataset\.{re.escape(key)} must be"):
         from_dict(d)
 
 
@@ -171,7 +172,30 @@ def test_train_settings_rejected_by_name(key, value):
     d = ExperimentConfig().to_dict()
     section, leaf = key.split(".")
     d[section][leaf] = value
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be"):
+        from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("reward.w_p", math.nan),
+    ("reward.w_l", 1e400),  # what `json` reads for the literal 1e400
+    ("reward.w_l", -1.0),
+    ("reward.w_p", -math.inf),
+    ("dataset.window", 0),
+    ("dataset.split_fraction", 1.5),
+    ("dataset.split_fraction", 0.0),
+    ("dataset.split_fraction", math.nan),
+    ("dataset.logs_per_session", 5),
+    ("seed", -1),
+])
+def test_range_errors_begin_with_their_field(key, value):
+    d = ExperimentConfig().to_dict()
+    *parents, leaf = key.split(".")
+    node = d
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be .+, not {re.escape(repr(value))}$"):
         from_dict(d)
 
 

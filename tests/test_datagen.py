@@ -51,11 +51,11 @@ def test_validate_profile_rejections():
 
 
 def test_dataset_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dataset\.split_fraction must be in \(0, 1\), not 1\.0$"):
         DatasetConfig(split_fraction=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dataset\.window must be >= 1, not 0$"):
         DatasetConfig(window=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dataset\.logs_per_session must be >= dataset\.window, not 5$"):
         DatasetConfig(logs_per_session=5, window=10)
 
 

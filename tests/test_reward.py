@@ -166,11 +166,11 @@ def test_objective_zero_battery_rejected():
 
 
 def test_reward_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^reward\.w_l must be finite and >= 0, not -0\.1$"):
         RewardConfig(w_l=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^reward\.w_l \+ reward\.w_p must be > 0, not 0\.0$"):
         RewardConfig(w_l=0.0, w_p=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^reward\.soft_temp must be"):
         RewardConfig(soft_temp=0.0)
 
 

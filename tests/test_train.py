@@ -1,5 +1,7 @@
+import base64
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -369,7 +371,7 @@ def test_checkpoint_round_trip(tmp_path, toy_split):
     back, meta = load_checkpoint(p)
     assert meta == {"loss": "kl"}
     for a, b in zip(model.weights + model.biases, back.weights + back.biases):
-        np.testing.assert_array_equal(a, b)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
     # identical save is byte-identical
     p2 = tmp_path / "head2.json"
     save_checkpoint(p2, model, {"loss": "kl"})
@@ -380,6 +382,38 @@ def test_load_checkpoint_rejects_unknown_format(tmp_path):
     p = tmp_path / "x.json"
     p.write_text('{"format": "other"}')
     with pytest.raises(ValueError):
+        load_checkpoint(p)
+
+
+def _v1(obj):
+    """The same one-layer head in the watune-head-v1 layout: a JSON float
+    list per array."""
+    values = np.frombuffer(base64.b64decode(obj["params"]), "<f8")
+    [[rows, cols]] = obj["shapes"]
+    return {"format": "watune-head-v1", "layers": 1, "shapes": obj["shapes"],
+            "weights": [values[:rows * cols].tolist()], "biases": [values[rows * cols:].tolist()],
+            "metadata": obj["metadata"]}
+
+
+def _params(obj, edit):
+    values = np.frombuffer(base64.b64decode(obj["params"]), "<f8")
+    return {**obj, "params": base64.b64encode(edit(values).astype("<f8").tobytes()).decode()}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_v1, "format 'watune-head-v1' is not 'watune-head-v2'"),
+    (lambda o: {**o, "params": o["params"][:-4] + "!!!!"}, "Only base64 data is allowed"),
+    (lambda o: _params(o, lambda v: v[:-1]), "params hold 127 values, shapes [[8, 15]] need 128"),
+    (lambda o: _params(o, lambda v: np.append(v, 0.0)), "params hold 129 values"),
+    (lambda o: {**o, "shapes": [[16, 7]]}, "layer shape chain broken at (16, 7)"),
+    (lambda o: _params(o, lambda v: np.where(np.arange(v.size) == 5, np.nan, v)),
+     "non-finite parameters"),
+], ids=["v1", "bad-base64", "one-short", "one-long", "shape-chain", "nan"])
+def test_load_checkpoint_refuses_with_file_name(tmp_path, corrupt, message):
+    p = tmp_path / "head-kl.ckpt.json"
+    save_checkpoint(p, init_head(1, seed=0), {"loss": "kl"})
+    p.write_text(json.dumps(corrupt(json.loads(p.read_text()))))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: .*{re.escape(message)}"):
         load_checkpoint(p)
 
 
