@@ -243,6 +243,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if args.steps < 0:
+        raise CliError(f"--steps must be >= 0, not {args.steps}")
     data = load_dataset(_resolve_data(args.data, "test"), _load_cfg(args).reward)
     policies = [_make_policy(name.strip(), args.checkpoint) for name in args.policies.split(",")]
     scenario = _parse_scenario(args.scenario) if args.scenario else None

@@ -221,13 +221,13 @@ class Dataset:
                           for f in fields(Dataset)})
 
 
-def sample_app(profile: AppUsageProfile, time: TimeOfDay, rng: np.random.Generator, size=None):
-    """One app drawn from the profile at `time`, or an array of `size` app codes."""
+def sample_app(profile: AppUsageProfile, time: TimeOfDay, rng: np.random.Generator,
+               size: int) -> np.ndarray:
+    """An array of `size` app codes drawn from the profile at `time`."""
     dist = profile[time]
     apps = list(dist.keys())
     probs = np.array([dist[a] for a in apps])
-    drawn = rng.choice(len(apps), size=size, p=probs / probs.sum())
-    return apps[drawn] if size is None else np.array(apps)[drawn]
+    return np.array(apps)[rng.choice(len(apps), size=size, p=probs / probs.sum())]
 
 
 def battery_classes(bc: BatteryConfig) -> tuple[BatteryClass, BatteryClass]:

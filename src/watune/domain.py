@@ -79,9 +79,6 @@ def action_from_index(index: int) -> Action:
     return Action(PerformanceMode(index // 4), AccessCategory(index % 4))
 
 
-ALL_ACTIONS: tuple[Action, ...] = tuple(action_from_index(i) for i in range(NUM_ACTIONS))
-
-
 @dataclass(frozen=True)
 class Scenario:
     time: TimeOfDay
@@ -119,6 +116,3 @@ class Contexts(NamedTuple):
     sub: np.ndarray
     peer: np.ndarray
     hist: np.ndarray
-
-    def without_peer(self) -> "Contexts":
-        return self._replace(sub=np.zeros_like(self.sub), peer=np.zeros_like(self.peer))

@@ -1,7 +1,6 @@
 """Head training (`train_head`, the one path every head takes) and policy
 evaluation: the three metrics, scenario breakdowns, the cooperative slice,
-peer-info / reward-design ablations, single-objective runs, and qualitative
-replay transcripts."""
+single-objective runs, and qualitative replay transcripts."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ import numpy as np
 from .datagen import Dataset, DatasetConfig, mask_peer, relabel, split
 from .domain import ALL_SCENARIOS, AppType, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from .policy import HeadPolicy, Policy
-from .reward import RewardConfig, RewardMode
+from .reward import RewardConfig
 from .train import HeadModel, TrainConfig, init_head, train
 
 
@@ -89,37 +88,6 @@ def train_head(train_set: Dataset, cfg: TrainConfig,
     policy = HeadPolicy(model, name=f"head-{cfg.loss}" + ("-no-peer" if masked else ""),
                         mask_peer=masked)
     return policy, report
-
-
-def ablate_peer_info(train_set: Dataset, test_set: Dataset,
-                     cfg: TrainConfig, head: Policy) -> dict:
-    """`head`, trained on `train_set` per `cfg`, against a head of the same
-    seed and config without the subscriber battery in the input."""
-    slices = {"aggregate": test_set, "cooperative": cooperative_slice(test_set)}
-    masked, _ = train_head(train_set, cfg, masked=True)
-    reports = {arm: {name: evaluate(policy, data) for name, data in slices.items()}
-               for arm, policy in (("with_peer", head), ("without_peer", masked))}
-    with_peer, without_peer = reports["with_peer"], reports["without_peer"]
-    reports["delta"] = {
-        name: {"objective": with_peer[name].objective_score - without_peer[name].objective_score,
-               "raw_energy_pct_h": with_peer[name].raw_energy_pct_h - without_peer[name].raw_energy_pct_h}
-        for name in slices
-    }
-    return reports
-
-
-def ablate_reward(train_set: Dataset, test_set: Dataset, cfg: TrainConfig,
-                  reward_cfg: RewardConfig, head: Policy) -> dict:
-    """`head`, trained on `train_set`'s context-aware labels per `cfg`,
-    against a head trained on naive reward labels; both scored under the
-    context-aware objective on the identical test slice."""
-    naive_train = relabel(train_set, replace(reward_cfg, mode=RewardMode.naive))
-    naive_policy, _ = train_head(naive_train, cfg)
-    naive_policy.name = "head-" + cfg.loss + "-naive"
-    return {
-        "context_aware": evaluate(head, test_set),
-        "naive": evaluate(naive_policy, test_set),
-    }
 
 
 def single_objective_eval(dataset: Dataset, which: str,

@@ -3,18 +3,10 @@ trained-head wrapper."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .domain import (
-    NUM_ACTIONS,
-    AccessCategory,
-    Action,
-    AppType,
-    Contexts,
-    PerformanceMode,
-)
+from .datagen import Dataset, mask_peer
+from .domain import NUM_ACTIONS, AccessCategory, Action, AppType, PerformanceMode
 from .train import head_choices
 
 # Heuristic app -> preferred WA parameter tuple.
@@ -47,36 +39,30 @@ def rule_choices(hist: np.ndarray) -> np.ndarray:
 
 
 class Policy:
-    """Base interface: choose(contexts, rewards) -> one action index per row.
+    """Base interface: decide(dataset) -> the action index of every row.
 
-    The oracle additionally receives the ground-truth (N, 8) objective
-    values; every other policy must ignore them.
+    The oracle reads the dataset's ground-truth objective values; every
+    other policy reads its contexts only.
     """
 
     name = "base"
 
-    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
+    def decide(self, dataset: Dataset) -> np.ndarray:
         raise NotImplementedError
-
-    def decide(self, dataset) -> np.ndarray:
-        """The action index of every row of a Dataset."""
-        return self.choose(dataset.contexts, dataset.rewards)
 
 
 class OraclePolicy(Policy):
     name = "oracle"
 
-    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
-        if rewards is None:
-            raise ValueError("oracle requires the sample's reward vector")
-        return np.argmax(rewards, axis=1)  # ties break to the lowest index
+    def decide(self, dataset: Dataset) -> np.ndarray:
+        return np.argmax(dataset.rewards, axis=1)  # ties break to the lowest index
 
 
 class RulePolicy(Policy):
     name = "rule"
 
-    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
-        return rule_choices(contexts.hist)
+    def decide(self, dataset: Dataset) -> np.ndarray:
+        return rule_choices(dataset.hist)
 
 
 class FixedPolicy(Policy):
@@ -86,8 +72,8 @@ class FixedPolicy(Policy):
         self.action = FIXED_ACTIONS[variant]
         self.name = "fix-rt-iv" if variant == "rt_iv" else "fix-bulk-bg"
 
-    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
-        return np.full(len(contexts.pub), self.action.index)
+    def decide(self, dataset: Dataset) -> np.ndarray:
+        return np.full(len(dataset), self.action.index)
 
 
 class HeadPolicy(Policy):
@@ -98,8 +84,8 @@ class HeadPolicy(Policy):
         self.name = name
         self.mask_peer = mask_peer
 
-    def choose(self, contexts: Contexts, rewards: Optional[np.ndarray]) -> np.ndarray:
-        return head_choices(self.model, contexts.without_peer() if self.mask_peer else contexts)
+    def decide(self, dataset: Dataset) -> np.ndarray:
+        return head_choices(self.model, (mask_peer(dataset) if self.mask_peer else dataset).contexts)
 
 
 BASELINES = {"oracle": OraclePolicy, "rule": RulePolicy,

@@ -179,7 +179,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss not in ("ce", "kl", "dpo"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+            raise ValueError(f"train.loss must be one of 'ce', 'kl', 'dpo', not {self.loss!r}")
         if self.layers not in (1, 2, 3):
             raise ValueError(f"train.layers must be 1, 2 or 3, not {self.layers!r}")
         for name, ok, rule in (

@@ -5,11 +5,12 @@ import pytest
 
 from watune.datagen import (
     IN_DISTRIBUTION_PROFILE,
+    Dataset,
     DatasetConfig,
     generate_dataset,
     split,
 )
-from watune.domain import AppType, Contexts, TimeOfDay
+from watune.domain import NUM_ACTIONS, AppType, BatteryConfig, Contexts, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig
 
@@ -32,6 +33,18 @@ def contexts_of(*rows: Context) -> Contexts:
                     np.array([s or 0.0 for s in subs], dtype=float),
                     np.array([s is not None for s in subs]),
                     np.array([[int(a) for a in c.app_history] for c in rows]))
+
+
+def dataset_of(*rows: Context, rewards=None) -> Dataset:
+    """A valid `Dataset` of `rows` for handing to `Policy.decide`: unit
+    measurements and scores, scenario (time, bothHigh), and `rewards`
+    (zeros by default) as each row's per-action objective values."""
+    contexts = contexts_of(*rows)
+    ones = np.ones((len(rows), NUM_ACTIONS))
+    return Dataset(**contexts._asdict(), step=np.arange(len(rows)), lat=ones, eng=ones,
+                   rewards=ones * 0.0 if rewards is None else np.array(rewards, dtype=float),
+                   lat_scores=ones, eng_scores=ones,
+                   scenario=contexts.time * len(BatteryConfig) + int(BatteryConfig.bothHigh))
 
 
 @pytest.fixture(scope="session")

@@ -32,15 +32,13 @@ from watune.domain import (
     TimeOfDay,
 )
 from watune.evaluate import (
-    ablate_peer_info,
-    ablate_reward,
     cooperative_slice,
     evaluate,
     train_head,
 )
 from watune.measurement import LinkModelConfig, measure
 from watune.policy import OraclePolicy, RulePolicy, FixedPolicy, make_baseline, rule_choices
-from watune.reward import RewardConfig, objective, soft_labels
+from watune.reward import RewardConfig, RewardMode, objective, soft_labels
 from watune.train import (
     HeadModel,
     TrainConfig,
@@ -305,13 +303,17 @@ def test_accept_7_directional_findings():
         if evaluate(kl_policy, ood).objective_score >= evaluate(rule, ood).objective_score:
             wins["kl_ge_rule_ood"] += 1
 
-        # Both ablations compare the KL head above with one other head.
-        peer = ablate_peer_info(train_set, test_set, kl_cfg, kl_policy)
-        if peer["delta"]["cooperative"]["raw_energy_pct_h"] < 0:
+        # Both ablations compare the KL head above with one other head of
+        # the same seed and config: one blind to the subscriber battery, and
+        # one trained on naive-reward labels, scored on context-aware ones.
+        coop = cooperative_slice(test_set)
+        masked_policy, _ = train_head(train_set, kl_cfg, masked=True)
+        if (evaluate(kl_policy, coop).raw_energy_pct_h
+                < evaluate(masked_policy, coop).raw_energy_pct_h):
             wins["coop_energy_lower_with_peer"] += 1
 
-        rew = ablate_reward(train_set, test_set, kl_cfg, RewardConfig(), kl_policy)
-        if rew["context_aware"].objective_score >= rew["naive"].objective_score:
+        naive_policy, _ = train_head(relabel(train_set, RewardConfig(mode=RewardMode.naive)), kl_cfg)
+        if kl_agg >= evaluate(naive_policy, test_set).objective_score:
             wins["ctx_ge_naive"] += 1
 
     for key, count in wins.items():

@@ -287,6 +287,15 @@ def test_replay(tiny_config, gen_dir, capsys):
     assert "night" in out
 
 
+def test_replay_steps_must_be_non_negative(tiny_config, gen_dir, capsys):
+    base = ["--config", tiny_config, "replay", "--data", gen_dir, "--steps"]
+    assert main(base + ["-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--steps" in captured.err and captured.out == ""
+    assert main(base + ["0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_replay_bad_scenario(tiny_config, gen_dir, capsys):
     assert main(["--config", tiny_config, "replay", "--data", gen_dir,
                  "--policies", "oracle", "--scenario", "noon"]) == 1

@@ -23,7 +23,7 @@ from watune.policy import BASELINE_NAMES, PREFERRED_TUPLE, make_baseline
 from watune.reward import RewardConfig, RewardMode, objective
 from watune.train import FEATURE_DIM, encode_batch
 
-from conftest import Context, contexts_of
+from conftest import Context, contexts_of, dataset_of
 from test_reward import brute_objective
 
 battery = st.floats(min_value=0.5, max_value=100.0)
@@ -102,7 +102,7 @@ def test_batched_encode_equals_row_encode(batch):
 def test_baseline_batch_decision_equals_row_decide(batch, name):
     contexts, (lat, eng) = batch
     rewards, _, _ = objective(contexts_of(*contexts), (lat, eng), RewardConfig())
-    chosen = make_baseline(name).choose(contexts_of(*contexts), rewards)
+    chosen = make_baseline(name).decide(dataset_of(*contexts, rewards=rewards))
     assert chosen.tolist() == [row_choice(name, ctx, rewards[i]) for i, ctx in enumerate(contexts)]
 
 

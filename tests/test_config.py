@@ -187,6 +187,7 @@ def test_train_settings_rejected_by_name(key, value):
     ("dataset.split_fraction", math.nan),
     ("dataset.logs_per_session", 5),
     ("seed", -1),
+    ("train.loss", "x"),
 ])
 def test_range_errors_begin_with_their_field(key, value):
     d = ExperimentConfig().to_dict()
@@ -197,6 +198,47 @@ def test_range_errors_begin_with_their_field(key, value):
     node[leaf] = value
     with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be .+, not {re.escape(repr(value))}$"):
         from_dict(d)
+
+
+def _leaves(node, path=()):
+    """The path of every scalar in a nested dict/list, list indices included."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _numbers(node):
+    if isinstance(node, (dict, list)):
+        for value in (node.values() if isinstance(node, dict) else node):
+            yield from _numbers(value)
+    elif type(node) in (int, float):
+        yield node
+
+
+FUZZ_VALUES = (-1, 0, 1e400, math.nan, "x", True, None, [], {})
+
+
+@pytest.mark.parametrize("path", list(_leaves(ExperimentConfig().to_dict())),
+                         ids=lambda path: ".".join(map(str, path)))
+def test_config_fuzz_every_leaf(path):
+    """Each leaf set to each odd value either loads to a config whose numbers
+    are all finite or is rejected by a message naming its dotted field (a
+    list entry is named by its list)."""
+    field = ".".join(k for k in path if isinstance(k, str))
+    for value in FUZZ_VALUES:
+        d = ExperimentConfig().to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            cfg = from_dict(d)
+        except (ValueError, KeyError) as exc:
+            assert field in str(exc), (value, str(exc))
+        else:
+            assert all(map(math.isfinite, _numbers(cfg.to_dict()))), value
 
 
 def test_env_var_lookup(tmp_path, monkeypatch):

@@ -72,7 +72,7 @@ def test_sample_app_chi_square():
     for time in TimeOfDay:
         dist = IN_DISTRIBUTION_PROFILE[time]
         n = 10_000
-        counts = Counter(sample_app(IN_DISTRIBUTION_PROFILE, time, rng) for _ in range(n))
+        counts = Counter(sample_app(IN_DISTRIBUTION_PROFILE, time, rng, size=n).tolist())
         observed = [counts.get(a, 0) for a in dist]
         expected = [p * n for p in dist.values()]
         _, pvalue = stats.chisquare(observed, expected)
@@ -166,7 +166,8 @@ def test_split_bad_fraction(small_dataset):
 
 def test_mask_peer(small_dataset):
     masked = mask_peer(small_dataset[:64])
-    assert not masked.peer.any()
+    assert not masked.peer.any() and not masked.sub.any()
+    np.testing.assert_array_equal(small_dataset[:64].hist, masked.hist)
     np.testing.assert_array_equal(small_dataset[:64].rewards, masked.rewards)
     assert_same_rows(masked, mask_peer(masked))
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from watune.domain import (
-    ALL_ACTIONS,
     AccessCategory,
     Action,
     AppType,
@@ -18,7 +17,8 @@ from watune.domain import (
     action_from_index,
 )
 
-from conftest import Context, contexts_of
+
+ACTIONS = tuple(action_from_index(i) for i in range(8))
 
 
 def test_enum_codes_stable():
@@ -47,7 +47,7 @@ def test_action_from_index_examples():
 def test_action_index_round_trip():
     for i in range(8):
         assert action_from_index(i).index == i
-    for a in ALL_ACTIONS:
+    for a in ACTIONS:
         assert action_from_index(a.index) == a
 
 
@@ -58,7 +58,7 @@ def test_action_from_index_range_error(bad):
 
 
 def test_all_actions_contract():
-    actions = ALL_ACTIONS
+    actions = ACTIONS
     assert len(actions) == 8
     assert len(set(actions)) == 8
     assert [a.index for a in actions] == list(range(8))
@@ -89,13 +89,3 @@ def test_context_validation(small_dataset):
         replace(row, hist=np.zeros((1, 0), dtype=int))
     with pytest.raises(ValueError, match="step must be non-negative"):
         replace(small_dataset[:1], step=np.array([-1]))
-
-
-def test_without_peer_idempotent():
-    contexts = contexts_of(Context(TimeOfDay.night, 50.0, 10.0, (AppType.mapSync,) * 10),
-                           Context(TimeOfDay.morning, 70.0, None, (AppType.voiceChat,) * 10))
-    masked = contexts.without_peer()
-    assert not masked.peer.any() and not masked.sub.any()
-    for a, b in zip(masked.without_peer(), masked):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(masked.hist, contexts.hist)

@@ -6,9 +6,6 @@ import pytest
 from watune.datagen import DatasetConfig
 from watune.domain import ALL_SCENARIOS, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from watune.evaluate import (
-    EvalReport,
-    ablate_peer_info,
-    ablate_reward,
     cooperative_slice,
     evaluate,
     flat_table,
@@ -85,26 +82,6 @@ def test_train_head_dpo_builds_reference(small_split):
     kl, _ = train_head(train_set[:400], replace(cfg, loss="kl"))
     given, _ = train_head(train_set[:400], cfg, ref_model=kl.model)
     assert given.model.flat().tobytes() == policy.model.flat().tobytes()
-
-
-def test_ablate_peer_info_structure(small_split):
-    train_set, test_set = small_split
-    cfg = TrainConfig(loss="kl", epochs=1, seed=3, layers=1)
-    rep = ablate_peer_info(train_set, test_set, cfg, train_head(train_set, cfg)[0])
-    for arm in ("with_peer", "without_peer"):
-        for sl in ("aggregate", "cooperative"):
-            assert isinstance(rep[arm][sl], EvalReport)
-    assert set(rep["delta"]) == {"aggregate", "cooperative"}
-    # both arms scored on identical slices
-    assert rep["with_peer"]["aggregate"].n_samples == rep["without_peer"]["aggregate"].n_samples
-
-
-def test_ablate_reward_structure(small_split):
-    train_set, test_set = small_split
-    cfg = TrainConfig(loss="kl", epochs=1, seed=3, layers=1)
-    rep = ablate_reward(train_set, test_set, cfg, RewardConfig(), train_head(train_set, cfg)[0])
-    assert rep["context_aware"].n_samples == rep["naive"].n_samples == len(test_set)
-    assert rep["naive"].policy == "head-kl-naive"
 
 
 def test_single_objective_latency_oracle(small_dataset):

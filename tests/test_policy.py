@@ -21,20 +21,21 @@ from watune.policy import (
     make_baseline,
 )
 
-from conftest import Context, contexts_of
-
-
-def oracle(*rows):
-    """The oracle's action for each row of per-action objectives."""
-    return OraclePolicy().choose(None, np.array(rows, dtype=float)).tolist()
+from conftest import Context, dataset_of
 
 
 def ctx(apps):
     return Context(TimeOfDay.morning, 80.0, 60.0, tuple(apps))
 
 
+def oracle(*rows):
+    """The oracle's action for each row of per-action objectives."""
+    return OraclePolicy().decide(dataset_of(*[ctx([AppType.textMessage])] * len(rows),
+                                            rewards=rows)).tolist()
+
+
 def rule(history):
-    return int(RulePolicy().choose(contexts_of(ctx(history)), None)[0])
+    return int(RulePolicy().decide(dataset_of(ctx(history)))[0])
 
 
 def test_oracle_unique_max():
@@ -95,16 +96,13 @@ def test_fixed_decide():
 
 
 def test_policy_wrappers(small_dataset):
-    r = np.array([[0, 0, 7, 0, 0, 0, 0, 0]], dtype=float)
-    c = contexts_of(ctx([AppType.voiceChat]))
-    assert OraclePolicy().choose(c, r).tolist() == [2]
-    with pytest.raises(ValueError):
-        OraclePolicy().choose(c, None)
+    r = [[0, 0, 7, 0, 0, 0, 0, 0]]
+    assert OraclePolicy().decide(dataset_of(ctx([AppType.voiceChat]), rewards=r)).tolist() == [2]
     # rule/fixed ignore the reward vector entirely
-    c = contexts_of(ctx([AppType.videoCall] * 10))
-    assert RulePolicy().choose(c, r).tolist() == [2]
-    assert FixedPolicy("bulk_bg").choose(c, r).tolist() == [5]
-    # decide() hands a dataset's contexts and stored rewards to choose()
+    data = dataset_of(ctx([AppType.videoCall] * 10), rewards=r)
+    assert RulePolicy().decide(data).tolist() == [2]
+    assert FixedPolicy("bulk_bg").decide(data).tolist() == [5]
+    # on generated data the oracle reads the stored rewards
     data = small_dataset[:64]
     np.testing.assert_array_equal(OraclePolicy().decide(data), np.argmax(data.rewards, axis=1))
     np.testing.assert_array_equal(FixedPolicy("rt_iv").decide(data), np.full(64, 3))
@@ -120,4 +118,4 @@ def test_make_baseline():
 def test_fixed_constant_across_contexts():
     p = FixedPolicy("rt_iv")
     for apps in ([AppType.firmwareUpdate] * 3, [AppType.voiceChat]):
-        assert p.choose(contexts_of(ctx(apps)), None).tolist() == [3]
+        assert p.decide(dataset_of(ctx(apps))).tolist() == [3]
