@@ -83,6 +83,8 @@ def _resolve_data(path: str, which: str = "test") -> str:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     tcfg = replace(cfg.train, loss=args.loss)
+    if args.ref is not None and tcfg.loss != "dpo":
+        raise CliError("--ref is only read with --loss dpo")
     data = load_dataset(_resolve_data(args.data, "train"), cfg.reward)
     ref_model = None
     if tcfg.loss == "dpo":
@@ -120,7 +122,7 @@ def _make_policy(name: str, checkpoint: str | None):
         if not checkpoint:
             raise CliError("policy 'head' requires --checkpoint")
         model, meta = load_checkpoint(checkpoint)
-        return HeadPolicy(model, name="head", mask_peer=bool(meta.get("no_peer")))
+        return HeadPolicy(model, name="head", mask_peer=meta.get("no_peer", False))
     try:
         return make_baseline(name)
     except ValueError as exc:

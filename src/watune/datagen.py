@@ -388,6 +388,9 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                     "step": rec["step"],
                     "scenario": _SCENARIO_CODE[scenario["time"], scenario["battery_config"]],
                 }
+                if scenario["time"] != rec["time"]:
+                    raise ValueError(f"time {rec['time']!r} differs from scenario.time "
+                                     f"{scenario['time']!r}")
                 if cols["hist"] and len(row["hist"]) != len(cols["hist"][0]):
                     raise ValueError("app_history length differs from the first record")
                 vectors = {k: rec[key] for k, key in _VECTORS.items()}

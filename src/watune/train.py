@@ -123,37 +123,58 @@ def backward(model: HeadModel, acts, pre, dlogits: np.ndarray, grads: HeadModel)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
-def loss_and_grad(kind: str, logits: np.ndarray, target) -> tuple[float, np.ndarray]:
+def kl_target(soft: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """KL's per-row constants: the (N, 8) soft labels, their logs (0 where a
+    label is 0) and the label > 0 mask."""
+    mask = soft > 0
+    return soft, np.log(np.where(mask, soft, 1.0)), mask
+
+
+def dpo_target(ref_logits: np.ndarray, y_w, y_l) -> tuple:
+    """DPO's per-row constants: the reference log-probabilities of the
+    preferred and of the dispreferred action, then both actions (N,)."""
+    rows = np.arange(len(ref_logits))
+    ref = log_softmax(ref_logits)
+    return ref[rows, y_w], ref[rows, y_l], y_w, y_l
+
+
+def loss_and_grad(kind: str, logits: np.ndarray, target: tuple) -> tuple[float, np.ndarray]:
     """Mean loss over a batch of (B, 8) logits and its gradient w.r.t. them.
 
-    ce: `target` is the hard labels (B,); kl: the soft labels (B, 8); dpo:
-    (reference logits (B, 8), preferred (B,), dispreferred (B,), beta), with
-    both actions of a pair scored on the same row.
+    `target` holds the batch's rows of the per-row constants that `train`
+    builds once per run: ce: (hard labels (B,),); kl: `kl_target(soft
+    labels)`, i.e. (soft labels, their logs, label > 0 mask); dpo:
+    (*`dpo_target(reference logits, preferred, dispreferred)`, beta), i.e.
+    (reference log-probabilities of the preferred and the dispreferred
+    action, preferred, dispreferred, beta), with both actions of a pair
+    scored on the same row.
     """
     rows = np.arange(len(logits))
     if kind == "ce":
+        (labels,) = target
         logq = log_softmax(logits)
-        loss = -np.mean(logq[rows, target])
+        loss = -(np.add.reduce(logq[rows, labels]) / len(rows))
         d = np.exp(logq)
-        d[rows, target] -= 1.0
+        d[rows, labels] -= 1.0
     elif kind == "kl":
+        soft, log_soft, mask = target
         logq = log_softmax(logits)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(target > 0, target * (np.log(np.where(target > 0, target, 1.0)) - logq), 0.0)
-        loss = float(np.mean(terms.sum(axis=1)))
+        # Taken only where a label is positive: a zero label adds 0, even
+        # against a log-probability of -inf.
+        terms = np.multiply(soft, log_soft - logq, out=np.zeros_like(logits), where=mask)
+        loss = float(np.add.reduce(np.add.reduce(terms, axis=1)) / len(rows))
         d = np.exp(logq)
-        d -= target
+        d -= soft
     else:  # dpo
-        ref, y_w, y_l, beta = target
+        ref_w, ref_l, y_w, y_l, beta = target
         lp = log_softmax(logits)
-        rp = log_softmax(ref)
-        margin = beta * ((lp[rows, y_w] - rp[rows, y_w]) - (lp[rows, y_l] - rp[rows, y_l]))
-        loss = float(np.mean(np.where(
-            margin >= 0, np.log1p(np.exp(-margin)), -margin + np.log1p(np.exp(margin)))))
+        margin = beta * ((lp[rows, y_w] - ref_w) - (lp[rows, y_l] - ref_l))
+        terms = np.where(margin >= 0, np.log1p(np.exp(-margin)), -margin + np.log1p(np.exp(margin)))
+        loss = float(np.add.reduce(terms) / len(rows))
         coef = 1.0 / (1.0 + np.exp(-margin)) - 1.0
         # d(loss)/d(log-probabilities); each row sums to 0, so it is also
         # the gradient w.r.t. the logits.
@@ -238,8 +259,9 @@ class AdamW:
 
 
 def accuracy_vs_oracle(model: HeadModel, feats: np.ndarray, labels: np.ndarray) -> float:
-    pred = np.argmax(forward(model, feats), axis=1)
-    return float(np.mean(pred == labels))
+    """Share of rows on which the head decides as `head_choices` does and
+    picks the oracle's action."""
+    return float(np.mean(_choices(model, feats) == labels))
 
 
 def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
@@ -258,9 +280,12 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
 
     all_feats = feats = encode_batch(dataset.contexts)
     labels = np.argmax(dataset.rewards, axis=1)
-    targets = (soft_labels(dataset.rewards, cfg.soft_temp) if cfg.loss == "kl" else labels,)
+    # The loss's per-row constants, shuffled with the features each epoch.
+    targets, beta = (labels,), []
     skipped = 0
-    if cfg.loss == "dpo":
+    if cfg.loss == "kl":
+        targets = kl_target(soft_labels(dataset.rewards, cfg.soft_temp))
+    elif cfg.loss == "dpo":
         y_w = labels
         y_l = np.argmin(dataset.rewards, axis=1)
         keep = y_w != y_l
@@ -268,7 +293,8 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
         feats, y_w, y_l = feats[keep], y_w[keep], y_l[keep]
         if feats.shape[0] == 0:
             raise ValueError("no usable preference pairs (all rewards degenerate)")
-        targets = (forward(ref_model, feats), y_w, y_l)
+        # One full-batch forward: one in 64-row slices differs in its bits.
+        targets, beta = dpo_target(forward(ref_model, feats), y_w, y_l), [cfg.dpo_beta]
 
     opt = AdamW(params, cfg.learning_rate, cfg.weight_decay)
     n = feats.shape[0]
@@ -281,9 +307,8 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
         for start in range(0, n, cfg.effective_batch):
             x, *target = (a[start:start + cfg.effective_batch] for a in shuffled)
             logits, acts, pre = _forward_cached(model, x)
-            loss, d = loss_and_grad(cfg.loss, logits,
-                                    (*target, cfg.dpo_beta) if cfg.loss == "dpo" else target[0])
-            if not np.isfinite(loss):
+            loss, d = loss_and_grad(cfg.loss, logits, target + beta)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite {cfg.loss} loss at epoch {epoch}, step {batches}")
             backward(model, acts, pre, d, grads)
@@ -305,10 +330,16 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
 
 
 def head_choices(model: HeadModel, contexts: Contexts) -> np.ndarray:
-    """Argmax of the head's logits per context; lowest index wins ties. Runs
-    in 64-row slices: one pass over the whole OOD set raised warm `compare`
-    peak RSS by about 11% (2-core box, OpenBLAS), for no speed-up."""
-    x = encode_batch(contexts)
+    """Argmax of the head's logits per context; lowest index wins ties."""
+    return _choices(model, encode_batch(contexts))
+
+
+def _choices(model: HeadModel, x: np.ndarray) -> np.ndarray:
+    """`head_choices` on encoded features. Runs in 64-row slices: one pass
+    over the whole OOD set raised warm `compare` peak RSS by about 11%
+    (2-core box, OpenBLAS), for no speed-up, and a forward of hundreds of
+    rows can start OpenBLAS's threads, which cost more than they save on a
+    busy small box."""
     return np.concatenate([np.argmax(forward(model, x[i:i + 64]), axis=1)
                            for i in range(0, len(x), 64)])
 
@@ -350,6 +381,11 @@ def load_checkpoint(path) -> tuple[HeadModel, dict]:
         model = HeadModel([np.empty(s) for s in shapes],
                           [np.empty(rows) for rows, _ in shapes]).views(params)
         model.validate()
+        metadata = obj.get("metadata", {})
+        if type(metadata) is not dict:
+            raise ValueError(f"metadata must be a JSON object, not {metadata!r}")
+        if type(metadata.get("no_peer", False)) is not bool:
+            raise ValueError(f"metadata.no_peer must be true or false, not {metadata['no_peer']!r}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None
-    return model, obj.get("metadata", {})
+    return model, metadata

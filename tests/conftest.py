@@ -15,6 +15,11 @@ from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig
 
 
+# The odd values each boundary fuzz sets a field to in turn; 1e400 is what
+# `json` reads for that literal (infinity).
+FUZZ_VALUES = (-1, 0, 1e400, float("nan"), "x", True, None, [], {})
+
+
 class Context(NamedTuple):
     """One hand-written decision context; subscriber_battery is None when
     the peer is masked. Tests stack rows into a batch with `contexts_of`."""

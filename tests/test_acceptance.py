@@ -44,8 +44,10 @@ from watune.train import (
     TrainConfig,
     _forward_cached,
     backward,
+    dpo_target,
     forward,
     init_head,
+    kl_target,
     loss_and_grad,
 )
 
@@ -166,8 +168,8 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
     y_l = (y + 1 + int(rng.integers(7))) % 8
     ref = init_head(layers, hidden=8, seed=int(rng.integers(1 << 30)))
     # One row, as in training; a DPO pair scores both actions on it.
-    target = {"ce": [y], "kl": soft[None],
-              "dpo": (forward(ref, x)[None], [y], [y_l], 0.1)}[loss_name]
+    target = {"ce": ([y],), "kl": kl_target(soft[None]),
+              "dpo": (*dpo_target(forward(ref, x)[None], [y], [y_l]), 0.1)}[loss_name]
 
     def loss_of(m):
         logits, _, _ = _forward_cached(m, x)
@@ -225,13 +227,13 @@ def test_accept_5_loss_identities():
     def loss(kind, target, z=logits):
         return loss_and_grad(kind, z, target)[0]
 
-    assert abs(loss("kl", soft_labels(logits, 1.0))) < 1e-9
+    assert abs(loss("kl", kl_target(soft_labels(logits, 1.0)))) < 1e-9
     for y in range(8):
         onehot = np.zeros((1, 8))
         onehot[0, y] = 1.0
-        assert loss("ce", [y]) == loss("kl", onehot)
-    assert abs(loss("ce", [5], np.zeros((1, 8))) - np.log(8)) < 1e-9
-    assert abs(loss("dpo", (logits, [1], [4], 0.1)) - np.log(2)) < 1e-9
+        assert loss("ce", ([y],)) == loss("kl", kl_target(onehot))
+    assert abs(loss("ce", ([5],), np.zeros((1, 8))) - np.log(8)) < 1e-9
+    assert abs(loss("dpo", (*dpo_target(logits, [1], [4]), 0.1)) - np.log(2)) < 1e-9
     _ok(5, "loss identities (KL=0 at match, CE==KL(onehot), ln8, ln2)")
 
 

@@ -14,6 +14,8 @@ from watune.config import ExperimentConfig, load_config, save_config
 from watune.datagen import file_hash, load_dataset
 from watune.reward import RewardMode
 
+from conftest import FUZZ_VALUES
+
 
 @pytest.fixture(scope="module")
 def tiny_config(tmp_path_factory):
@@ -143,6 +145,52 @@ def test_train_dpo_requires_ref(tiny_config, gen_dir, tmp_path, capsys):
     assert main(["--config", tiny_config, "train", "--data", gen_dir,
                  "--loss", "dpo", "--out", ckpt]) == 1
     assert "requires --ref" in capsys.readouterr().err
+
+
+def test_train_ref_only_with_dpo(tiny_config, gen_dir, tmp_path, capsys):
+    """`--ref` with another loss is refused, not ignored, even when the path
+    does not exist."""
+    ckpt = tmp_path / "head.ckpt.json"
+    for loss in ("ce", "kl"):
+        assert main(["--config", tiny_config, "train", "--data", gen_dir, "--loss", loss,
+                     "--ref", str(tmp_path / "missing.ckpt.json"), "--out", str(ckpt)]) == 1
+        assert "--ref is only read with --loss dpo" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.fixture(scope="module")
+def compared(tiny_config, tmp_path_factory):
+    out = tmp_path_factory.mktemp("compared")
+    assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES, ids=repr)
+@pytest.mark.parametrize("key", ["format", "shapes", "params", "metadata",
+                                 "metadata.no_peer", "metadata.config_hash"])
+def test_checkpoint_fuzz_every_key(tiny_config, compared, key, value, capsys):
+    """Each checkpoint key set to each value either loads or makes `eval
+    --policy head` and `compare` exit 1 naming the file; nothing else
+    loads."""
+    ckpt = compared / "head-kl.ckpt.json"
+    original = ckpt.read_text()
+    obj = json.loads(original)
+    owner, _, leaf = key.rpartition(".")
+    (obj[owner] if owner else obj)[leaf] = value
+    loads = {"eval": key == "metadata.config_hash" or (key, value) in (
+                 ("metadata", {}), ("metadata.no_peer", True)),
+             "compare": (key, value) == ("metadata.no_peer", True)}
+    capsys.readouterr()
+    try:
+        ckpt.write_text(json.dumps(obj))
+        for command in (["eval", "--data", str(compared), "--policy", "head",
+                         "--checkpoint", str(ckpt)], ["compare", "--out", str(compared)]):
+            code = main(["--config", tiny_config, *command])
+            err = capsys.readouterr().err
+            assert code == (0 if loads[command[0]] else 1), (command[0], err)
+            assert code == 0 or str(ckpt) in err, (command[0], err)
+    finally:
+        ckpt.write_text(original)
 
 
 def test_eval_baselines_and_slices(tiny_config, gen_dir, capsys):

@@ -14,6 +14,8 @@ from watune.config import (
 )
 from watune.domain import BatteryClass
 
+from conftest import FUZZ_VALUES
+
 
 def test_defaults_round_trip(tmp_path):
     cfg = ExperimentConfig()
@@ -215,9 +217,6 @@ def _numbers(node):
             yield from _numbers(value)
     elif type(node) in (int, float):
         yield node
-
-
-FUZZ_VALUES = (-1, 0, 1e400, math.nan, "x", True, None, [], {})
 
 
 @pytest.mark.parametrize("path", list(_leaves(ExperimentConfig().to_dict())),

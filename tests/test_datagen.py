@@ -222,7 +222,9 @@ def test_load_dataset_names_bad_line(tmp_path, small_dataset):
         {"latency_ms": [[v] for v in rec["latency_ms"]]}, {"latency_ms": ["1"] * 8},
         {"latency_ms": [True] + rec["latency_ms"][1:]},
         {"pub_battery": "50"}, {"pub_battery": True}, {"sub_battery": "12"},
-        {"sub_battery": False}, {"step": 2.7}, {"step": 2.0}, {"step": True})]
+        {"sub_battery": False}, {"step": 2.7}, {"step": 2.0}, {"step": True},
+        # another time of day than the record's scenario
+        {"time": next(t.name for t in TimeOfDay if t.name != rec["time"])})]
     for text, line in (('{"step": 0}\n', 1), (good + "{not json\n", 2), (good + nested, 2),
                        *((text, 3) for text in bad_third)):
         p.write_text(text)

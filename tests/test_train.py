@@ -15,10 +15,12 @@ from watune.train import (
     TrainConfig,
     TrainingDiverged,
     accuracy_vs_oracle,
+    dpo_target,
     encode_batch,
     forward,
     head_choices,
     init_head,
+    kl_target,
     load_checkpoint,
     log_softmax,
     loss_and_grad,
@@ -47,8 +49,14 @@ def grad(kind, logits, target):
     return loss_and_grad(kind, logits[None], target)[1][0]
 
 
-def dpo_target(ref, y_w, y_l, beta=0.1):
-    return ref[None], [y_w], [y_l], beta
+def kl_row(soft):
+    """The KL target of one row of soft labels."""
+    return kl_target(soft[None])
+
+
+def dpo_row(ref, y_w, y_l, beta=0.1):
+    """The DPO target of one row of reference logits and one pair."""
+    return (*dpo_target(ref[None], [y_w], [y_l]), beta)
 
 
 def test_encode_layout():
@@ -124,13 +132,14 @@ def test_loss_identities():
     for y in range(8):
         onehot = np.zeros(8)
         onehot[y] = 1.0
-        assert loss("ce", logits, [y]) == pytest.approx(loss("kl", logits, onehot[None]), abs=1e-12)
+        assert loss("ce", logits, ([y],)) == pytest.approx(
+            loss("kl", logits, kl_row(onehot)), abs=1e-12)
     # uniform logits -> ln 8
-    assert loss("ce", np.zeros(8), [3]) == pytest.approx(np.log(8), abs=1e-9)
+    assert loss("ce", np.zeros(8), ([3],)) == pytest.approx(np.log(8), abs=1e-9)
     # KL = 0 at exact match
-    assert loss("kl", logits, soft_labels(logits, 1.0)[None]) == pytest.approx(0.0, abs=1e-9)
+    assert loss("kl", logits, kl_row(soft_labels(logits, 1.0))) == pytest.approx(0.0, abs=1e-9)
     # DPO at policy == reference -> ln 2
-    assert loss("dpo", logits, dpo_target(logits, 2, 5)) == pytest.approx(np.log(2), abs=1e-9)
+    assert loss("dpo", logits, dpo_row(logits, 2, 5)) == pytest.approx(np.log(2), abs=1e-9)
 
 
 def test_dpo_degenerate_pair(small_split):
@@ -155,9 +164,9 @@ def finite_diff(fn, x, eps=1e-6):
 def test_grad_ce_kl_dpo_vs_logits_fd():
     rng = np.random.default_rng(12)
     logits = rng.normal(size=8)
-    soft = soft_labels(rng.normal(size=8), 1.0)[None]
+    soft = soft_labels(rng.normal(size=8), 1.0)
     ref = rng.normal(size=8)
-    for kind, target in (("ce", [2]), ("kl", soft), ("dpo", dpo_target(ref, 1, 6))):
+    for kind, target in (("ce", ([2],)), ("kl", kl_row(soft)), ("dpo", dpo_row(ref, 1, 6))):
         np.testing.assert_allclose(grad(kind, logits, target),
                                    finite_diff(lambda z: loss(kind, z, target), logits), atol=1e-6)
 
@@ -170,12 +179,13 @@ def test_permutation_equivariance():
     soft = soft_labels(rng.normal(size=8), 1.0)
     y = 5
     inv = np.argsort(perm)
-    assert loss("ce", logits[perm], [inv[y]]) == pytest.approx(loss("ce", logits, [y]), abs=1e-12)
-    assert loss("kl", logits[perm], soft[perm][None]) == pytest.approx(
-        loss("kl", logits, soft[None]), abs=1e-12)
+    assert loss("ce", logits[perm], ([inv[y]],)) == pytest.approx(
+        loss("ce", logits, ([y],)), abs=1e-12)
+    assert loss("kl", logits[perm], kl_row(soft[perm])) == pytest.approx(
+        loss("kl", logits, kl_row(soft)), abs=1e-12)
     ref = rng.normal(size=8)
-    assert loss("dpo", logits[perm], dpo_target(ref[perm], inv[2], inv[7])) == pytest.approx(
-        loss("dpo", logits, dpo_target(ref, 2, 7)), abs=1e-12)
+    assert loss("dpo", logits[perm], dpo_row(ref[perm], inv[2], inv[7])) == pytest.approx(
+        loss("dpo", logits, dpo_row(ref, 2, 7)), abs=1e-12)
 
 
 def test_train_config_validation():
@@ -321,6 +331,18 @@ def test_fused_training_step_is_bit_exact(toy_split, rows):
         assert_same_model(got, want)
         assert report["epoch_loss"] == want_loss
         models[loss_name] = got
+    # A reward gap above about 190 underflows a soft label to an exact 0 at
+    # temperature 0.25; such a label adds nothing to the KL loss.
+    rewards = data.rewards.copy()
+    rewards[::7, 0] += 400.0  # every label but one is 0
+    rewards[3::7, 5] -= 400.0  # one label is 0
+    peaked = replace(data, rewards=rewards)
+    zeros = (soft_labels(rewards, cfg.soft_temp) == 0.0).sum()
+    assert zeros == 7 * len(rewards[::7]) + len(rewards[3::7])
+    got, report = train(peaked, start, cfg)
+    want, want_loss = reference_train(peaked, start, cfg)
+    assert_same_model(got, want)
+    assert report["epoch_loss"] == want_loss
     rewards = data.rewards.copy()
     rewards[::9] = 0.0  # best == worst: no preference pair
     flat = replace(data, rewards=rewards)
