@@ -85,12 +85,10 @@ def cmd_train(args) -> int:
     tcfg = replace(cfg.train, loss=args.loss)
     if args.ref is not None and tcfg.loss != "dpo":
         raise CliError("--ref is only read with --loss dpo")
-    data = load_dataset(_resolve_data(args.data, "train"), cfg.reward)
-    ref_model = None
-    if tcfg.loss == "dpo":
-        if not args.ref:
-            raise CliError("--loss dpo requires --ref <sft-checkpoint>")
-        ref_model, _ = load_checkpoint(args.ref)
+    if tcfg.loss == "dpo" and not args.ref:
+        raise CliError("--loss dpo requires --ref <sft-checkpoint>")
+    data = _load_records(_resolve_data(args.data, "train"), cfg)
+    ref_model = _load_head(args.ref, cfg).model if args.ref else None
     policy, report = train_head(data, tcfg, masked=args.no_peer, ref_model=ref_model)
     _save_head(args.out, policy, report, cfg)
     print(f"trained {tcfg.loss} head ({policy.model.n_layers} layers) on {len(data)} samples -> {args.out}")
@@ -117,16 +115,20 @@ def _parse_scenario(text: str) -> Scenario:
         raise CliError(f"bad scenario {text!r}; expected e.g. afternoon/pubHighSubLow") from None
 
 
-def _make_policy(name: str, checkpoint: str | None):
+def _load_head(path: str, cfg: ExperimentConfig, name: str = "head") -> HeadPolicy:
+    """The head at `path`, refused unless it was trained under `cfg`; it
+    masks the peer if it was trained masked."""
+    model, meta = load_checkpoint(path)
+    _check_config(f"checkpoint {path}", meta.get("config_hash"), cfg.config_hash())
+    return HeadPolicy(model, name=name, mask_peer=meta.get("no_peer", False))
+
+
+def _make_policy(name: str, checkpoint: str | None, cfg: ExperimentConfig):
     if name == "head":
         if not checkpoint:
             raise CliError("policy 'head' requires --checkpoint")
-        model, meta = load_checkpoint(checkpoint)
-        return HeadPolicy(model, name="head", mask_peer=meta.get("no_peer", False))
-    try:
-        return make_baseline(name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        return _load_head(checkpoint, cfg)
+    return make_baseline(name)  # an unknown name is a ValueError, which `main` reports
 
 
 def _load_records(path: str, cfg: ExperimentConfig) -> Dataset:
@@ -148,7 +150,7 @@ def cmd_eval(args) -> int:
                                            dataset_hash="+".join(map(file_hash, paths)))
         out = {name: rep.__dict__ for name, rep in reports.items()}
     else:
-        policy = _make_policy(args.policy, args.checkpoint)
+        policy = _make_policy(args.policy, args.checkpoint, cfg)
         path = _resolve_data(args.data, "ood" if args.ood else "test")
         data = _load_records(path, cfg)
         if args.scenario == "coop":
@@ -181,7 +183,7 @@ def _check_config(what: str, found: str | None, chash: str) -> None:
                        "remove stale artifacts or use a fresh out dir")
 
 
-def _head_variants(train_path: str, cfg: ExperimentConfig, out: str, chash: str) -> dict:
+def _head_variants(train_path: str, cfg: ExperimentConfig, out: str) -> dict:
     """Reload the four head rows of the comparison table; train any missing on `train_path`."""
     variants, train_set = {}, None
     specs = {"head-ce": ("ce", False), "head-kl": ("kl", False),
@@ -190,15 +192,13 @@ def _head_variants(train_path: str, cfg: ExperimentConfig, out: str, chash: str)
         tcfg = replace(cfg.train, loss=loss)
         ckpt = os.path.join(out, name + ".ckpt.json")
         if os.path.exists(ckpt):
-            model, meta = load_checkpoint(ckpt)
-            _check_config(f"checkpoint {ckpt}", meta.get("config_hash"), chash)
-        else:
-            if train_set is None:
-                train_set = load_dataset(train_path, cfg.reward)
-            policy, report = train_head(train_set, tcfg, masked=masked)
-            _save_head(ckpt, policy, report, cfg)
-            model = policy.model
-        variants[name] = HeadPolicy(model, name=name, mask_peer=masked)
+            variants[name] = _load_head(ckpt, cfg, name)
+            continue
+        if train_set is None:
+            train_set = load_dataset(train_path, cfg.reward)
+        policy, report = train_head(train_set, tcfg, masked=masked)
+        _save_head(ckpt, policy, report, cfg)
+        variants[name] = HeadPolicy(policy.model, name=name, mask_peer=masked)
     return variants
 
 
@@ -223,7 +223,7 @@ def cmd_compare(args) -> int:
     coop_set = cooperative_slice(test_set)
 
     policies = {name: make_baseline(name) for name in BASELINE_NAMES}
-    policies.update(_head_variants(paths["train"], cfg, out, chash))
+    policies.update(_head_variants(paths["train"], cfg, out))
 
     slices = {"aggregate": test_set, "coop": coop_set, "ood": ood_set}
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]
@@ -247,8 +247,9 @@ def cmd_compare(args) -> int:
 def cmd_replay(args) -> int:
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, not {args.steps}")
-    data = load_dataset(_resolve_data(args.data, "test"), _load_cfg(args).reward)
-    policies = [_make_policy(name.strip(), args.checkpoint) for name in args.policies.split(",")]
+    cfg = _load_cfg(args)
+    data = _load_records(_resolve_data(args.data, "test"), cfg)
+    policies = [_make_policy(name.strip(), args.checkpoint, cfg) for name in args.policies.split(",")]
     scenario = _parse_scenario(args.scenario) if args.scenario else None
     transcript = replay_snapshot(data, policies, scenario=scenario, max_steps=args.steps)
     return _emit(args.out, transcript, "transcript")

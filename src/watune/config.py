@@ -7,16 +7,13 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .datagen import DatasetConfig
-from .domain import NUM_ACTIONS, BatteryClass, TimeOfDay
+from .domain import BatteryClass, TimeOfDay
 from .measurement import LinkModelConfig
 from .reward import RewardConfig, RewardMode
 from .train import TrainConfig
-
-REQUIRED_KEYS = ("seed", "dataset", "link", "reward", "train")
-
 
 # The scalar fields of each config section, stored under their own names.
 # The remaining keys (tables, enums) are mapped by hand below.
@@ -27,9 +24,6 @@ SECTION_FIELDS = {
     "train": ("loss", "epochs", "effective_batch", "learning_rate", "weight_decay",
               "dpo_beta", "layers", "hidden"),
 }
-# The class of each section; its field annotations give each scalar's type.
-SECTION_TYPES = {"dataset": DatasetConfig, "link": LinkModelConfig,
-                 "reward": RewardConfig, "train": TrainConfig}
 
 
 @dataclass
@@ -71,78 +65,54 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise KeyError(f"config missing key {where}{key!r}")
-    return obj[key]
+# How messages name each JSON kind a config leaf may have; a bool is none.
+KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
-# JSON value types a scalar field accepts, and how to name them, by the
-# field's declared type; a bool is not an int here.
-SCALAR_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                "str": ((str,), "a string")}
+def _checked(value, default, where: str):
+    """`value` checked against `default`, its place in the built-in config's
+    `to_dict()`: an object with exactly its keys, a list of as many numbers
+    (kept as a tuple), or a leaf of its kind, where an int is taken (and
+    kept as a float) for a float."""
+    if type(default) is dict:
+        if type(value) is not dict:
+            raise ValueError(f"config {where or 'file'} must be an object, not {value!r}")
+        for key in [k for k in value if k not in default]:
+            raise ValueError(f"config {where or 'file'} has no key {key!r}")
+        dotted = {key: f"{where}.{key}" if where else key for key in default}
+        for key in [k for k in default if k not in value]:
+            raise KeyError(f"config missing key {dotted[key]}")
+        return {key: _checked(value[key], d, dotted[key]) for key, d in default.items()}
+    if type(default) is list:
+        if type(value) is not list or len(value) != len(default):
+            raise ValueError(f"config {where} must be a list of {len(default)} numbers, not {value!r}")
+        return tuple(_checked(v, d, where) for v, d in zip(value, default))
+    kind = type(default)
+    try:
+        if type(value) in ((int, float) if kind is float else (kind,)):
+            return kind(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValueError(f"config {where} must be {KINDS[kind]}, not {value!r}")
 
 
-def _scalar(value, kind: str, where: str):
-    types, what = SCALAR_TYPES[kind]
-    if type(value) not in types:
-        raise ValueError(f"config {where} must be {what}, not {value!r}")
-    return value
-
-
-def _numbers(value, n: int, where: str) -> tuple:
-    """A list of `n` values that `_scalar` takes as numbers, as a tuple."""
-    numbers = SCALAR_TYPES["float"][0]
-    if type(value) is not list or len(value) != n or any(type(v) not in numbers for v in value):
-        raise ValueError(f"config {where} must be a list of {n} numbers, not {value!r}")
-    return tuple(value)
-
-
-def _table(obj: dict, key: str, section: str, enum, what: str) -> dict:
-    """The object at `section.key`, its keys turned into `enum` members."""
-    value = _require(obj, key, f"{section}.")
-    if type(value) is not dict:
-        raise ValueError(f"config {section}.{key} must be an object, not {value!r}")
-    for name in value:
-        if name not in enum.__members__:
-            raise ValueError(f"config {section}.{key} has no {what} {name!r}")
-    return {enum[name]: v for name, v in value.items()}
-
-
-def from_dict(obj: dict) -> ExperimentConfig:
-    for key in REQUIRED_KEYS:
-        _require(obj, key, "")
-    plain = {}
-    for section, keys in SECTION_FIELDS.items():
-        kinds = {f.name: f.type for f in fields(SECTION_TYPES[section])}
-        plain[section] = {k: _scalar(_require(obj[section], k, f"{section}."), kinds[k], f"{section}.{k}")
-                          for k in keys}
-    ds, lk, rw = obj["dataset"], obj["link"], obj["reward"]
-    ranges = {
-        c: _numbers(lo_hi, 2, f"dataset.battery_class_ranges.{c.name}")
-        for c, lo_hi in _table(ds, "battery_class_ranges", "dataset", BatteryClass, "battery class").items()
-    }
-    link = LinkModelConfig(
-        **plain["link"],
-        **{key: _numbers(_require(lk, key, "link."), NUM_ACTIONS, f"link.{key}")
-           for key in ("base_latency_ms", "base_energy_pct_h")},
-        time_latency_multiplier={
-            t: float(_scalar(v, "float", f"link.time_latency_multiplier.{t.name}"))
-            for t, v in _table(lk, "time_latency_multiplier", "link", TimeOfDay, "time").items()
-        },
-    )
-    mode, modes = _require(rw, "reward_mode", "reward."), [m.value for m in RewardMode]
+def from_dict(obj) -> ExperimentConfig:
+    """The config a parsed JSON file describes, checked against the built-in one."""
+    schema = ExperimentConfig().to_dict()
+    if type(obj) is dict:  # out_dir is the one optional key
+        obj = {"out_dir": schema["out_dir"], **obj}
+    d = _checked(obj, schema, "")
+    mode, modes = d["reward"].pop("reward_mode"), [m.value for m in RewardMode]
     if mode not in modes:
         raise ValueError(f"config reward.reward_mode must be one of "
                          f"{', '.join(map(repr, modes))}, not {mode!r}")
-    return ExperimentConfig(
-        seed=_scalar(obj["seed"], "int", "seed"),
-        out_dir=_scalar(obj.get("out_dir", "artifacts"), "str", "out_dir"),
-        dataset=DatasetConfig(**plain["dataset"], battery_class_ranges=ranges),
-        link=link,
-        reward=RewardConfig(**plain["reward"], mode=RewardMode(mode)),
-        train=TrainConfig(**plain["train"]),
-    )
+    ds, lk = d["dataset"], d["link"]
+    ds["battery_class_ranges"] = {BatteryClass[c]: v for c, v in ds["battery_class_ranges"].items()}
+    lk["time_latency_multiplier"] = {TimeOfDay[t]: v for t, v in lk["time_latency_multiplier"].items()}
+    return ExperimentConfig(seed=d["seed"], out_dir=d["out_dir"],
+                            dataset=DatasetConfig(**ds), link=LinkModelConfig(**lk),
+                            reward=RewardConfig(**d["reward"], mode=RewardMode(mode)),
+                            train=TrainConfig(**d["train"]))
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -150,7 +120,11 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     with open(path) as fh:
-        return from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, not UTF-8, or an over-long number
+            raise ValueError(f"{path}: not a JSON config: {exc}") from None
+    return from_dict(obj)
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

@@ -95,9 +95,10 @@ def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_pat
     assert checkpoints[0] == checkpoints[1]
 
 
-def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path):
-    """A head has the config's depth (1 here), and a DPO head has its
-    reference's, also under a config of another depth."""
+def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path, capsys):
+    """A head has the config's depth (1 here), and so has a DPO head trained
+    from it. A reference trained under another config, here of depth 2, is
+    refused by name."""
     kl, dpo = tmp_path / "kl.ckpt.json", tmp_path / "dpo.ckpt.json"
     assert main(["--config", tiny_config, "train", "--data", gen_dir, "--out", str(kl)]) == 0
     assert main(["--config", tiny_config, "train", "--data", gen_dir, "--loss", "dpo",
@@ -109,10 +110,12 @@ def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path):
     two["train"]["layers"] = 2
     config = tmp_path / "two.json"
     config.write_text(json.dumps(two))
+    before = dpo.read_bytes()
+    capsys.readouterr()
     assert main(["--config", str(config), "train", "--data", gen_dir, "--loss", "dpo",
-                 "--ref", str(kl), "--out", str(dpo)]) == 0
-    obj = json.loads(dpo.read_text())
-    assert len(obj["shapes"]) == obj["metadata"]["layers"] == 1
+                 "--ref", str(kl), "--out", str(dpo)]) == 1
+    assert f"checkpoint {kl} came from config" in capsys.readouterr().err
+    assert dpo.read_bytes() == before
 
 
 def test_train_writes_the_heads_compare_writes(tmp_path, capsys):
@@ -170,16 +173,15 @@ def compared(tiny_config, tmp_path_factory):
                                  "metadata.no_peer", "metadata.config_hash"])
 def test_checkpoint_fuzz_every_key(tiny_config, compared, key, value, capsys):
     """Each checkpoint key set to each value either loads or makes `eval
-    --policy head` and `compare` exit 1 naming the file; nothing else
-    loads."""
+    --policy head` and `compare` exit 1 naming the file; only a head marked
+    as trained without the peer loads (both commands check the config
+    hash)."""
     ckpt = compared / "head-kl.ckpt.json"
     original = ckpt.read_text()
     obj = json.loads(original)
     owner, _, leaf = key.rpartition(".")
     (obj[owner] if owner else obj)[leaf] = value
-    loads = {"eval": key == "metadata.config_hash" or (key, value) in (
-                 ("metadata", {}), ("metadata.no_peer", True)),
-             "compare": (key, value) == ("metadata.no_peer", True)}
+    loads = (key, value) == ("metadata.no_peer", True)
     capsys.readouterr()
     try:
         ckpt.write_text(json.dumps(obj))
@@ -187,7 +189,7 @@ def test_checkpoint_fuzz_every_key(tiny_config, compared, key, value, capsys):
                          "--checkpoint", str(ckpt)], ["compare", "--out", str(compared)]):
             code = main(["--config", tiny_config, *command])
             err = capsys.readouterr().err
-            assert code == (0 if loads[command[0]] else 1), (command[0], err)
+            assert code == (0 if loads else 1), (command[0], err)
             assert code == 0 or str(ckpt) in err, (command[0], err)
     finally:
         ckpt.write_text(original)
@@ -255,11 +257,33 @@ def test_eval_single_and_policy_exclusive(tiny_config, gen_dir, capsys):
 
 
 def test_eval_refuses_an_empty_file(tiny_config, tmp_path, capsys):
+    """`eval`, `train` and `replay` refuse a dataset file with no records by
+    name, and write nothing."""
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    for flags in (["--single", "latency"], ["--policy", "rule"]):
-        assert main(["--config", tiny_config, "eval", "--data", str(path), *flags]) == 1
-        assert str(path) in capsys.readouterr().err, flags
+    out = tmp_path / "out"
+    for command in (["eval", "--single", "latency"], ["eval", "--policy", "rule"],
+                    ["train", "--out", str(out)], ["replay", "--out", str(out)]):
+        assert main(["--config", tiny_config, *command, "--data", str(path)]) == 1
+        assert f"{path} holds no dataset records" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+def test_heads_from_another_config_are_refused(tiny_config, compared, tmp_path, capsys):
+    """A head trained under one config is refused by name under another
+    (here the seed differs) by every command that loads it."""
+    ckpt = str(compared / "head-kl.ckpt.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for command in (["eval", "--data", str(compared), "--policy", "head", "--checkpoint", ckpt],
+                    ["replay", "--data", str(compared), "--policies", "oracle,head",
+                     "--checkpoint", ckpt, "--out", str(out)],
+                    ["train", "--data", str(compared), "--loss", "dpo", "--ref", ckpt,
+                     "--out", str(out)]):
+        assert main(["--config", tiny_config, "--seed", "2", *command]) == 1
+        captured = capsys.readouterr()
+        assert f"checkpoint {ckpt} came from config" in captured.err, command
+        assert captured.out == "" and not out.exists(), command
 
 
 def test_eval_missing_data(tiny_config, tmp_path, capsys):
@@ -285,7 +309,7 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
     out = ["--out", str(tmp_path / "out")]
     for d, message, args in (
             (mistyped, "dataset.window", out),
-            (unknown, "config link.time_latency_multiplier has no time 'noon'", out),
+            (unknown, "config link.time_latency_multiplier has no key 'noon'", out),
             (out_dir, "config out_dir must be a string, not 5", []),
             (mode, "config reward.reward_mode must be one of 'contextAware', 'naive', "
                    "not 'fancy'", out),
@@ -301,6 +325,34 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
             assert main(["--config", str(p), *command]) == 1
             assert message in capsys.readouterr().err, command
             assert sorted(os.listdir(tmp_path)) == ["f.json"]
+
+
+def _refused_by_every_command(config, message, tmp_path, capsys):
+    """`gen`, `compare` and `train` under `config` exit 1 with `message`
+    and write nothing."""
+    for command in (["gen", "--out", str(tmp_path / "out")],
+                    ["compare", "--out", str(tmp_path / "out")],
+                    ["train", "--data", str(tmp_path), "--out", str(tmp_path / "h.ckpt.json")]):
+        assert main(["--config", str(config), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (command, err)
+        assert os.listdir(tmp_path) == [config.name]
+
+
+def test_malformed_config_names_its_file(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"seed": 1,')
+    _refused_by_every_command(config, f"{config}: not a JSON config: ", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES, ids=repr)
+def test_config_fuzz_the_whole_file(tmp_path, value, capsys):
+    """A file holding one odd value is refused with a message, not a
+    traceback: an object lacks `seed`, anything else is not an object."""
+    config = tmp_path / "odd.json"
+    config.write_text(json.dumps(value))
+    message = "config missing key seed" if value == {} else "config file must be an object, not "
+    _refused_by_every_command(config, message, tmp_path, capsys)
 
 
 def test_negative_seed_flag_named(tmp_path, capsys):

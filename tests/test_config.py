@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,7 +12,11 @@ from watune.config import (
     load_config,
     save_config,
 )
+from watune.datagen import DatasetConfig
 from watune.domain import BatteryClass
+from watune.measurement import LinkModelConfig
+from watune.reward import RewardConfig
+from watune.train import TrainConfig
 
 from conftest import FUZZ_VALUES
 
@@ -83,6 +87,15 @@ def test_replace_keeps_the_original_sections():
     ("reward.reward_mode", "fancy"),
     ("link.latency_noise_sigma", -1.0),
     ("link.base_latency_ms", [7.0, 11.0, 6.0, 5.0, 3.5, 5.5, 3.0, 2.5]),
+    pytest.param("dataset.sample_interval_s", 10 ** 400,  # an int too large for a float
+                 id="dataset.sample_interval_s-10**400"),
+    ("foo", 1),
+    ("dataset.foo", 1.0),
+    ("link.foo", "x"),
+    ("reward.mode", "naive"),  # the field's name, not its key
+    ("train.seed", 1),  # set from the top-level seed only
+    ("dataset.battery_class_ranges.foo", [5.0, 30.0]),
+    ("link.time_latency_multiplier.foo", 1.0),
 ])
 def test_from_dict_rejects_mistyped_scalars(key, value):
     d = ExperimentConfig().to_dict()
@@ -90,10 +103,10 @@ def test_from_dict_rejects_mistyped_scalars(key, value):
     node = d
     for name in parents:
         node = node[name]
-    # A key the table does not have is named with the table it is in. A
+    # A key the object does not have is named with the object it is in. A
     # value of the right type out of its range is named by its section.
     message = rf"^(config )?{key} must be" if leaf in node else (
-        rf"^config {'.'.join(parents)} has no [a-z ]+ '{leaf}'")
+        rf"^config {'.'.join(parents) or 'file'} has no key '{leaf}'$")
     node[leaf] = value
     with pytest.raises(ValueError, match=message):
         from_dict(d)
@@ -103,7 +116,7 @@ def test_from_dict_takes_ints_for_floats():
     d = ExperimentConfig().to_dict()
     d["dataset"]["sample_interval_s"] = 5
     assert from_dict(d).dataset.sample_interval_s == 5
-    # Table entries too, and a multiplier is stored as a float, so the hash
+    # Table and list entries too; each is stored as a float, so the hash
     # does not depend on how the file spells it.
     default_hash = from_dict(d).config_hash()
     d["link"]["time_latency_multiplier"]["morning"] = 1
@@ -115,18 +128,25 @@ def test_from_dict_takes_ints_for_floats():
     assert cfg.dataset.battery_class_ranges[BatteryClass.low] == (5, 30)
 
 
+def _keys(node, path=()):
+    """The path of every key in a nested dict, each parent before its keys."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _keys(value, path + (key,))
+
+
 def test_missing_key_named():
-    d = ExperimentConfig().to_dict()
-    del d["train"]
-    with pytest.raises(KeyError, match="train"):
-        from_dict(d)
-    d = ExperimentConfig().to_dict()
-    del d["reward"]["w_l"]
-    with pytest.raises(KeyError, match="reward.*w_l"):
-        from_dict(d)
-
-
-MISSING = object()
+    """Each key deleted in turn is a `KeyError` naming its dotted field,
+    except `out_dir`, which falls back to its default."""
+    for path in _keys(ExperimentConfig().to_dict()):
+        d = ExperimentConfig().to_dict()
+        del _at(d, path[:-1])[path[-1]]
+        if path == ("out_dir",):
+            assert from_dict(d).config_hash() == ExperimentConfig().config_hash()
+            continue
+        with pytest.raises(KeyError, match=rf"^'config missing key {re.escape('.'.join(path))}'$"):
+            from_dict(d)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -135,7 +155,7 @@ MISSING = object()
     ("sample_interval_s", math.nan),
     ("sample_interval_s", math.inf),
     ("battery_class_ranges.low", [0.0, 0.0]),
-    ("battery_class_ranges.low", MISSING),
+    ("battery_class_ranges.low", [30.0, 5.0]),
     ("battery_class_ranges.medium", [math.nan, 70.0]),
     ("battery_class_ranges.medium", [70.0, 30.0]),
     ("battery_class_ranges.high", [70.0, math.inf]),
@@ -147,10 +167,7 @@ def test_dataset_config_rejects_bad_values(key, value):
     node = d
     for name in parents:
         node = node[name]
-    if value is MISSING:
-        del node[leaf]
-    else:
-        node[leaf] = value
+    node[leaf] = value
     with pytest.raises(ValueError, match=rf"^dataset\.{re.escape(key)} must be"):
         from_dict(d)
 
@@ -238,6 +255,79 @@ def test_config_fuzz_every_leaf(path):
             assert field in str(exc), (value, str(exc))
         else:
             assert all(map(math.isfinite, _numbers(cfg.to_dict()))), value
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize("path", [p for p in _leaves(ExperimentConfig().to_dict())
+                                  if type(_at(ExperimentConfig().to_dict(), p)) is float],
+                         ids=lambda path: ".".join(map(str, path)))
+def test_int_spelled_float_hashes_as_its_float(path):
+    """Each float leaf spelled as an int (the nearest positive one) loads to
+    the hash of its float spelling, or is refused with the same message."""
+    n = max(1, round(_at(ExperimentConfig().to_dict(), path)))
+    outcomes = []
+    for value in (n, float(n)):
+        d = ExperimentConfig().to_dict()
+        _at(d, path[:-1])[path[-1]] = value
+        try:
+            outcomes.append(from_dict(d).config_hash())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    # no integer lies in (0, 1)
+    assert len(outcomes[0]) == 16 or path == ("dataset", "split_fraction"), outcomes[0]
+
+
+SECTIONS = {"dataset": DatasetConfig, "link": LinkModelConfig,
+            "reward": RewardConfig, "train": TrainConfig}
+
+
+def test_to_dict_leaves_have_their_declared_kinds():
+    """The built-in config is the schema every file is checked against, so
+    each of its leaves has the JSON kind its field declares: a float field
+    whose default were an int would refuse every fraction. Table and list
+    entries are floats."""
+    d = ExperimentConfig().to_dict()
+    classes = {(): ExperimentConfig, **{(s,): cls for s, cls in SECTIONS.items()}}
+    kinds = {"int": int, "float": float, "str": str}
+    for path in _leaves(d):
+        if path[:-1] in classes:
+            declared = {f.name: f.type for f in fields(classes[path[:-1]])}
+            declared["reward_mode"] = "str"  # the value of `RewardConfig.mode`
+            kind = kinds[declared[path[-1]]]
+        else:
+            kind = float
+        assert type(_at(d, path)) is kind, path
+
+
+def test_non_default_config_round_trips(tmp_path):
+    """A config with every leaf off its default is saved and loaded back to
+    the same dict and hash."""
+    d = ExperimentConfig().to_dict()
+    d.update(seed=7, out_dir="elsewhere")
+    d["dataset"].update(logs_per_session=50, sample_interval_s=2.5, window=4, split_fraction=0.7,
+                        battery_class_ranges={"high": [60.0, 99.0], "medium": [20.0, 60.0],
+                                              "low": [1.0, 20.0]})
+    link = d["link"]
+    link.update(latency_noise_sigma=0.3, energy_noise_sigma=0.0,
+                base_latency_ms=[2 * v for v in link["base_latency_ms"]],
+                base_energy_pct_h=[v / 2 for v in link["base_energy_pct_h"]],
+                time_latency_multiplier={"morning": 1.1, "afternoon": 1.2, "evening": 2.0,
+                                         "night": 4.0})
+    d["reward"].update(w_l=0.5, w_p=0.25, soft_temp=0.5, reward_mode="naive")
+    d["train"].update(loss="ce", epochs=2, effective_batch=32, learning_rate=0.01,
+                      weight_decay=0.0, dpo_beta=0.2, layers=2, hidden=16)
+    default = ExperimentConfig().to_dict()
+    assert all(_at(d, p) != _at(default, p) for p in _leaves(default))
+    save_config(tmp_path / "config.json", from_dict(d))
+    back = load_config(str(tmp_path / "config.json"))
+    assert back.to_dict() == d
+    assert back.config_hash() == from_dict(d).config_hash() != ExperimentConfig().config_hash()
 
 
 def test_env_var_lookup(tmp_path, monkeypatch):
