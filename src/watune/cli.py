@@ -8,7 +8,16 @@ import os
 import sys
 from dataclasses import replace
 
+# OpenBLAS reads its thread count once, as numpy loads. Unless the user chose
+# one, it gets one thread: every product here is too small to gain from a
+# thread pool, which can slow a small box, and outputs are the same bits.
+# The environment is restored, so child processes get the caller's.
+_ONE_THREAD = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(os.environ)
+if _ONE_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+if _ONE_THREAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import evaluate as ev
 from .config import ExperimentConfig, atomic_write_text, load_config, save_config
@@ -115,12 +124,19 @@ def _parse_scenario(text: str) -> Scenario:
         raise CliError(f"bad scenario {text!r}; expected e.g. afternoon/pubHighSubLow") from None
 
 
-def _load_head(path: str, cfg: ExperimentConfig, name: str = "head") -> HeadPolicy:
-    """The head at `path`, refused unless it was trained under `cfg`; it
-    masks the peer if it was trained masked."""
+def _load_head(path: str, cfg: ExperimentConfig, name: str = "head",
+               spec: tuple[str, bool] | None = None) -> HeadPolicy:
+    """The head at `path`, refused unless it was trained under `cfg` and, with
+    a `(loss, no_peer)` spec, with that loss and mask; it masks the peer if
+    it was trained masked."""
     model, meta = load_checkpoint(path)
     _check_config(f"checkpoint {path}", meta.get("config_hash"), cfg.config_hash())
-    return HeadPolicy(model, name=name, mask_peer=meta.get("no_peer", False))
+    masked = meta.get("no_peer", False)
+    for field, want, got in zip(("loss", "no_peer"), spec or (), (meta.get("loss"), masked)):
+        if got != want:
+            raise CliError(f"checkpoint {path} has metadata.{field} {got!r}, its row {name} "
+                           f"needs {want!r}; remove it or use a fresh out dir")
+    return HeadPolicy(model, name=name, mask_peer=masked)
 
 
 def _make_policy(name: str, checkpoint: str | None, cfg: ExperimentConfig):
@@ -192,7 +208,7 @@ def _head_variants(train_path: str, cfg: ExperimentConfig, out: str) -> dict:
         tcfg = replace(cfg.train, loss=loss)
         ckpt = os.path.join(out, name + ".ckpt.json")
         if os.path.exists(ckpt):
-            variants[name] = _load_head(ckpt, cfg, name)
+            variants[name] = _load_head(ckpt, cfg, name, (loss, masked))
             continue
         if train_set is None:
             train_set = load_dataset(train_path, cfg.reward)

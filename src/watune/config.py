@@ -124,7 +124,10 @@ def load_config(path: str | None) -> ExperimentConfig:
             obj = json.load(fh)
         except ValueError as exc:  # not JSON, not UTF-8, or an over-long number
             raise ValueError(f"{path}: not a JSON config: {exc}") from None
-    return from_dict(obj)
+    try:
+        return from_dict(obj)
+    except (ValueError, KeyError) as exc:
+        raise type(exc)(f"{path}: {exc.args[0]}") from None
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

@@ -337,9 +337,8 @@ def head_choices(model: HeadModel, contexts: Contexts) -> np.ndarray:
 def _choices(model: HeadModel, x: np.ndarray) -> np.ndarray:
     """`head_choices` on encoded features. Runs in 64-row slices: one pass
     over the whole OOD set raised warm `compare` peak RSS by about 11%
-    (2-core box, OpenBLAS), for no speed-up, and a forward of hundreds of
-    rows can start OpenBLAS's threads, which cost more than they save on a
-    busy small box."""
+    (2-core box, OpenBLAS), for no speed-up, and the logits' last bits
+    depend on the slice size, so the pinned tables rest on it."""
     return np.concatenate([np.argmax(forward(model, x[i:i + 64]), axis=1)
                            for i in range(0, len(x), 64)])
 

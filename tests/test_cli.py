@@ -84,15 +84,46 @@ def subprocess_env(**extra) -> dict:
 
 
 def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_path):
-    checkpoints = []
-    for threads in ("1", "2"):
-        ckpt = tmp_path / f"kl-{threads}.ckpt.json"
-        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "watune.cli", "--config", tiny_config, "train",
-                        "--data", gen_dir, "--loss", "kl", "--out", str(ckpt)],
-                       env=env, check=True, capture_output=True, timeout=300)
-        checkpoints.append(ckpt.read_bytes())
-    assert checkpoints[0] == checkpoints[1]
+    """`watune train` writes the same bytes under one and two OpenBLAS
+    threads: a KL head on the tiny config, and a 3-layer, hidden-64 KL head
+    and a DPO head on it, whose reference forward over 2,560 rows is a
+    product two threads share."""
+    cfg = ExperimentConfig(seed=1)
+    cfg.dataset.logs_per_session = 200
+    cfg.train.epochs = 1
+    deep_config, deep_dir = str(tmp_path / "deep.json"), str(tmp_path / "deep")
+    save_config(deep_config, cfg)
+    assert main(["--config", deep_config, "gen", "--out", deep_dir]) == 0
+    assert len(load_dataset(os.path.join(deep_dir, "train.jsonl"), cfg.reward)) >= 2560
+    for case, config, data, losses in (("tiny", tiny_config, gen_dir, ["kl"]),
+                                       ("deep", deep_config, deep_dir, ["kl", "dpo"])):
+        checkpoints = {}
+        for threads in ("1", "2"):
+            for loss in losses:
+                ckpt = tmp_path / f"{case}-{loss}-{threads}.ckpt.json"
+                ref = ["--ref", str(tmp_path / f"{case}-kl-{threads}.ckpt.json")] if loss == "dpo" else []
+                subprocess.run([sys.executable, "-m", "watune.cli", "--config", config, "train",
+                                "--data", data, "--loss", loss, *ref, "--out", str(ckpt)],
+                               env=subprocess_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                               capture_output=True, timeout=300)
+                checkpoints.setdefault(loss, set()).add(ckpt.read_bytes())
+        assert {loss: len(found) for loss, found in checkpoints.items()} == dict.fromkeys(losses, 1), case
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and at least 2 CPUs")
+def test_cli_starts_one_blas_thread_unless_told():
+    """Importing `watune.cli` loads OpenBLAS with one thread when no thread
+    count is set, and with the count given when one is; either way it leaves
+    `os.environ` as it found it, so children inherit the caller's."""
+    script = ("import os; before = dict(os.environ); import watune.cli; "
+              "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)")
+    unset = {k: v for k, v in subprocess_env().items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    for extra, threads in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):
+        run = subprocess.run([sys.executable, "-c", script], env={**unset, **extra},
+                             check=True, capture_output=True, text=True, timeout=60)
+        assert run.stdout.split() == [str(threads), "True"], extra
 
 
 def test_train_layers_follow_the_config(tiny_config, gen_dir, tmp_path, capsys):
@@ -169,28 +200,32 @@ def compared(tiny_config, tmp_path_factory):
 
 
 @pytest.mark.parametrize("value", FUZZ_VALUES, ids=repr)
-@pytest.mark.parametrize("key", ["format", "shapes", "params", "metadata",
+@pytest.mark.parametrize("key", ["format", "shapes", "params", "metadata", "metadata.loss",
                                  "metadata.no_peer", "metadata.config_hash"])
 def test_checkpoint_fuzz_every_key(tiny_config, compared, key, value, capsys):
     """Each checkpoint key set to each value either loads or makes `eval
-    --policy head` and `compare` exit 1 naming the file; only a head marked
-    as trained without the peer loads (both commands check the config
-    hash)."""
+    --policy head` and `compare` exit 1 naming the file. Only a head marked
+    with another loss, or as trained without the peer, loads in `eval`;
+    `compare` refuses both as its `head-kl` row, naming the field (both
+    commands check the config hash)."""
     ckpt = compared / "head-kl.ckpt.json"
     original = ckpt.read_text()
     obj = json.loads(original)
     owner, _, leaf = key.rpartition(".")
     (obj[owner] if owner else obj)[leaf] = value
-    loads = (key, value) == ("metadata.no_peer", True)
+    eval_loads = key == "metadata.loss" or (key, value) == ("metadata.no_peer", True)
     capsys.readouterr()
     try:
         ckpt.write_text(json.dumps(obj))
-        for command in (["eval", "--data", str(compared), "--policy", "head",
-                         "--checkpoint", str(ckpt)], ["compare", "--out", str(compared)]):
+        for command, loads in ((["eval", "--data", str(compared), "--policy", "head",
+                                 "--checkpoint", str(ckpt)], eval_loads),
+                               (["compare", "--out", str(compared)], False)):
             code = main(["--config", tiny_config, *command])
             err = capsys.readouterr().err
             assert code == (0 if loads else 1), (command[0], err)
             assert code == 0 or str(ckpt) in err, (command[0], err)
+            if eval_loads and not loads:  # refused as the head-kl row, by field
+                assert f"has {key} " in err, (command[0], err)
     finally:
         ckpt.write_text(original)
 
@@ -323,7 +358,8 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
         for command in (["gen", *args], ["compare", *args],
                         ["train", "--data", str(tmp_path), "--out", str(tmp_path / "h.ckpt.json")]):
             assert main(["--config", str(p), *command]) == 1
-            assert message in capsys.readouterr().err, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {p}: ") and message in err, (command, err)
             assert sorted(os.listdir(tmp_path)) == ["f.json"]
 
 
