@@ -19,7 +19,6 @@ import numpy as np
 if _ONE_THREAD:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import evaluate as ev
 from .config import ExperimentConfig, atomic_write_text, load_config, save_config
 from .datagen import (
     IN_DISTRIBUTION_PROFILE,
@@ -53,9 +52,14 @@ def _load_cfg(args) -> ExperimentConfig:
 
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
-    out = args.out or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    _generate(cfg, args.out or cfg.out_dir)
+    return 0
 
+
+def _generate(cfg: ExperimentConfig, out: str) -> Dataset:
+    """Write the train/test/OOD files, config and manifest of `cfg` to
+    `out`; returns the train split."""
+    os.makedirs(out, exist_ok=True)
     full = generate_dataset(IN_DISTRIBUTION_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=0)
     rng = np.random.default_rng([cfg.dataset.seed, 9973])
     train_set, test_set = split(full, cfg.dataset.split_fraction, rng)
@@ -77,7 +81,7 @@ def cmd_gen(args) -> int:
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(full)} in-distribution samples "
           f"({len(train_set)} train / {len(test_set)} test), {len(ood)} OOD -> {out}")
-    return 0
+    return train_set
 
 
 def _resolve_data(path: str, which: str = "test") -> str:
@@ -156,24 +160,13 @@ def _load_records(path: str, cfg: ExperimentConfig) -> Dataset:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    if args.single:
-        # a file path resolves to itself for both names: read it once
-        paths = list(dict.fromkeys(_resolve_data(args.data, which) for which in ("train", "test")))
-        full = Dataset.concat([_load_records(path, cfg) for path in paths])
-        policies = [make_baseline(n) for n in BASELINE_NAMES]
-        reports = ev.single_objective_eval(full, args.single, policies, cfg.train,
-                                           cfg.dataset, cfg.reward, config_hash=cfg.config_hash(),
-                                           dataset_hash="+".join(map(file_hash, paths)))
-        out = {name: rep.__dict__ for name, rep in reports.items()}
-    else:
-        policy = _make_policy(args.policy, args.checkpoint, cfg)
-        path = _resolve_data(args.data, "ood" if args.ood else "test")
-        data = _load_records(path, cfg)
-        if args.scenario == "coop":
-            data = cooperative_slice(data)
-        rep = evaluate(policy, data, dataset_hash=file_hash(path), config_hash=cfg.config_hash())
-        out = {policy.name: rep.__dict__}
-
+    policy = _make_policy(args.policy, args.checkpoint, cfg)
+    path = _resolve_data(args.data, "ood" if args.ood else "test")
+    data = _load_records(path, cfg)
+    if args.scenario == "coop":
+        data = cooperative_slice(data)
+    rep = evaluate(policy, data, dataset_hash=file_hash(path), config_hash=cfg.config_hash())
+    out = {policy.name: rep.__dict__}
     return _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n", "report")
 
 
@@ -199,9 +192,11 @@ def _check_config(what: str, found: str | None, chash: str) -> None:
                        "remove stale artifacts or use a fresh out dir")
 
 
-def _head_variants(train_path: str, cfg: ExperimentConfig, out: str) -> dict:
-    """Reload the four head rows of the comparison table; train any missing on `train_path`."""
-    variants, train_set = {}, None
+def _head_variants(train_path: str, cfg: ExperimentConfig, out: str,
+                   train_set: Dataset | None) -> dict:
+    """Reload the four head rows of the comparison table; train any missing
+    on `train_set`, parsed from `train_path` when not given."""
+    variants = {}
     specs = {"head-ce": ("ce", False), "head-kl": ("kl", False),
              "head-kl+dpo": ("dpo", False), "head-kl-no-peer": ("kl", True)}
     for name, (loss, masked) in specs.items():
@@ -224,6 +219,7 @@ def cmd_compare(args) -> int:
     chash = cfg.config_hash()
     manifest_path = os.path.join(out, "manifest.json")
     paths = {k: os.path.join(out, f"{k}.jsonl") for k in ("train", "test", "ood")}
+    train_set = None  # a warm run parses the training set only to retrain a missing head
     if os.path.exists(manifest_path):
         with open(manifest_path) as fh:
             manifest = json.load(fh)
@@ -233,13 +229,13 @@ def cmd_compare(args) -> int:
                 raise CliError(f"{path} does not match its hash in {manifest_path}; "
                                "remove stale artifacts or use a fresh out dir")
     else:
-        cmd_gen(args)
+        train_set = _generate(cfg, out)
 
     test_set, ood_set = (load_dataset(paths[k], cfg.reward) for k in ("test", "ood"))
     coop_set = cooperative_slice(test_set)
 
     policies = {name: make_baseline(name) for name in BASELINE_NAMES}
-    policies.update(_head_variants(paths["train"], cfg, out))
+    policies.update(_head_variants(paths["train"], cfg, out, train_set))
 
     slices = {"aggregate": test_set, "coop": coop_set, "ood": ood_set}
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]
@@ -293,10 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="evaluate a policy")
     e.add_argument("--data", required=True, help="dataset file or gen output directory")
-    what = e.add_mutually_exclusive_group(required=True)
-    what.add_argument("--policy", help="oracle | rule | fix-rt-iv | fix-bulk-bg | head")
-    what.add_argument("--single", choices=("latency", "energy"),
-                      help="single-objective run (retrains the head)")
+    e.add_argument("--policy", required=True, help="oracle | rule | fix-rt-iv | fix-bulk-bg | head")
     e.add_argument("--checkpoint", help="head checkpoint (for --policy head)")
     e.add_argument("--scenario", choices=("all", "coop"), default="all")
     e.add_argument("--ood", action="store_true", help="evaluate on the OOD test file")

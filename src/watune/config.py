@@ -81,7 +81,7 @@ def _checked(value, default, where: str):
             raise ValueError(f"config {where or 'file'} has no key {key!r}")
         dotted = {key: f"{where}.{key}" if where else key for key in default}
         for key in [k for k in default if k not in value]:
-            raise KeyError(f"config missing key {dotted[key]}")
+            raise ValueError(f"config missing key {dotted[key]}")
         return {key: _checked(value[key], d, dotted[key]) for key, d in default.items()}
     if type(default) is list:
         if type(value) is not list or len(value) != len(default):
@@ -126,8 +126,8 @@ def load_config(path: str | None) -> ExperimentConfig:
             raise ValueError(f"{path}: not a JSON config: {exc}") from None
     try:
         return from_dict(obj)
-    except (ValueError, KeyError) as exc:
-        raise type(exc)(f"{path}: {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

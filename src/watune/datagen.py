@@ -330,17 +330,6 @@ def mask_peer(dataset: Dataset) -> Dataset:
     return replace(dataset, sub=np.zeros_like(dataset.sub), peer=np.zeros_like(dataset.peer))
 
 
-def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
-    """Recompute reward annotations from raw measurements under a new config.
-
-    Reward computation always sees the unmasked context stored at
-    generation time (masking affects policy input only), so relabeling a
-    masked dataset is not supported.
-    """
-    derived = objective(dataset.contexts, (dataset.lat, dataset.eng), reward_cfg)
-    return replace(dataset, **dict(zip(_REWARDS, derived)))
-
-
 # Wire names by code, and codes by wire name.
 _TIME_NAMES = tuple(t.name for t in TimeOfDay)
 _APP_NAMES = tuple(a.name for a in AppType)

@@ -1,6 +1,6 @@
 """Head training (`train_head`, the one path every head takes) and policy
 evaluation: the three metrics, scenario breakdowns, the cooperative slice,
-single-objective runs, and qualitative replay transcripts."""
+and qualitative replay transcripts."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import Dataset, DatasetConfig, mask_peer, relabel, split
+from .datagen import Dataset, mask_peer
 from .domain import ALL_SCENARIOS, AppType, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from .policy import HeadPolicy, Policy
-from .reward import RewardConfig
 from .train import HeadModel, TrainConfig, init_head, train
 
 
@@ -88,24 +87,6 @@ def train_head(train_set: Dataset, cfg: TrainConfig,
     policy = HeadPolicy(model, name=f"head-{cfg.loss}" + ("-no-peer" if masked else ""),
                         mask_peer=masked)
     return policy, report
-
-
-def single_objective_eval(dataset: Dataset, which: str,
-                          policies: list[Policy], cfg: TrainConfig,
-                          dataset_cfg: DatasetConfig,
-                          base_reward_cfg: RewardConfig,
-                          config_hash: str = "", dataset_hash: str = "") -> dict:
-    """Relabel under latency-only (w_P=0) or energy-only (w_L=0) weights,
-    retrain the head, and score every policy under the same objective;
-    every report carries the two hashes."""
-    zeroed = {"latency": {"w_p": 0.0}, "energy": {"w_l": 0.0}}
-    if which not in zeroed:
-        raise ValueError("which must be 'latency' or 'energy'")
-    data = relabel(dataset, replace(base_reward_cfg, **zeroed[which]))
-    rng = np.random.default_rng([dataset_cfg.seed, 9973])
-    tr, te = split(data, dataset_cfg.split_fraction, rng)
-    head, _ = train_head(tr, cfg)
-    return {p.name: evaluate(p, te, dataset_hash, config_hash) for p in [head, *policies]}
 
 
 def replay_snapshot(dataset: Dataset, policies: list[Policy],

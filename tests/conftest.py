@@ -1,3 +1,4 @@
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -12,7 +13,7 @@ from watune.datagen import (
 )
 from watune.domain import NUM_ACTIONS, AppType, BatteryConfig, Contexts, TimeOfDay
 from watune.measurement import LinkModelConfig
-from watune.reward import RewardConfig
+from watune.reward import RewardConfig, objective
 
 
 # The odd values each boundary fuzz sets a field to in turn; 1e400 is what
@@ -50,6 +51,15 @@ def dataset_of(*rows: Context, rewards=None) -> Dataset:
                    rewards=ones * 0.0 if rewards is None else np.array(rewards, dtype=float),
                    lat_scores=ones, eng_scores=ones,
                    scenario=contexts.time * len(BatteryConfig) + int(BatteryConfig.bothHigh))
+
+
+def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
+    """`dataset` with its reward columns recomputed from its measurements
+    under `reward_cfg`. Rewards see the stored context, so `dataset` must
+    not be peer-masked."""
+    rewards, lat_scores, eng_scores = objective(dataset.contexts, (dataset.lat, dataset.eng),
+                                                reward_cfg)
+    return replace(dataset, rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ from watune.datagen import (
     dataset_text,
     file_hash,
     generate_dataset,
-    relabel,
     split,
 )
 from watune.domain import (
@@ -51,7 +50,7 @@ from watune.train import (
     loss_and_grad,
 )
 
-from conftest import Context, contexts_of
+from conftest import Context, contexts_of, relabel
 
 pytestmark = pytest.mark.acceptance
 

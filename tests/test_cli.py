@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,37 +243,15 @@ def test_eval_baselines_and_slices(tiny_config, gen_dir, capsys):
     assert json.loads(capsys.readouterr().out)["fix-rt-iv"]["n_samples"] == 16 * 60
 
 
-def test_eval_single_reads_a_file_once(tiny_config, gen_dir, tmp_path, capsys):
-    """On a file path `--single` splits the file's own rows: 640 rows with 40
-    per scenario leave 8 per scenario, 128 in all, on the test side."""
-    kept, counts = [], Counter()
-    with open(os.path.join(gen_dir, "ood.jsonl")) as fh:
-        for line in fh:
-            scenario = json.dumps(json.loads(line)["scenario"], sort_keys=True)
-            if counts[scenario] < 40:
-                counts[scenario] += 1
-                kept.append(line)
-    assert len(kept) == 640 and len(counts) == 16
-    path = tmp_path / "rows.jsonl"
-    path.write_text("".join(kept))
-    assert main(["--config", tiny_config, "eval", "--data", str(path), "--single", "latency"]) == 0
-    reports = json.loads(capsys.readouterr().out)
-    assert len(reports) == 5
-    assert {rep["n_samples"] for rep in reports.values()} == {128}
-    assert {rep["dataset_hash"] for rep in reports.values()} == {file_hash(path)}
-
-
 def test_eval_reports_are_stamped(tiny_config, gen_dir, capsys):
-    """No field of an `eval` report is left empty: each carries the config
-    hash and the sha256 of every file it read, `+`-joined in read order."""
+    """No field of an `eval` report is left empty: it carries the config
+    hash and the sha256 of the file it read."""
     chash = load_config(tiny_config).config_hash()
-    train, test = (file_hash(os.path.join(gen_dir, f"{k}.jsonl")) for k in ("train", "test"))
-    for flags, dataset_hash in ((["--policy", "rule"], test),
-                                (["--single", "energy"], f"{train}+{test}")):
-        assert main(["--config", tiny_config, "eval", "--data", gen_dir, *flags]) == 0
-        for name, rep in json.loads(capsys.readouterr().out).items():
-            assert [k for k, v in rep.items() if v in ("", {}, None)] == [], name
-            assert (rep["config_hash"], rep["dataset_hash"]) == (chash, dataset_hash), name
+    test = file_hash(os.path.join(gen_dir, "test.jsonl"))
+    assert main(["--config", tiny_config, "eval", "--data", gen_dir, "--policy", "rule"]) == 0
+    rep = json.loads(capsys.readouterr().out)["rule"]
+    assert [k for k, v in rep.items() if v in ("", {}, None)] == []
+    assert (rep["config_hash"], rep["dataset_hash"]) == (chash, test)
 
 
 def test_eval_unknown_policy(tiny_config, gen_dir, capsys):
@@ -283,12 +260,11 @@ def test_eval_unknown_policy(tiny_config, gen_dir, capsys):
     assert "unknown policy" in capsys.readouterr().err
 
 
-def test_eval_single_and_policy_exclusive(tiny_config, gen_dir, capsys):
-    for choice in (["--policy", "oracle", "--single", "latency"], []):
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", tiny_config, "eval", "--data", gen_dir, *choice])
-        assert exc.value.code == 2
-        assert "--policy" in capsys.readouterr().err
+def test_eval_requires_policy(tiny_config, gen_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", tiny_config, "eval", "--data", gen_dir])
+    assert exc.value.code == 2
+    assert "--policy" in capsys.readouterr().err
 
 
 def test_eval_refuses_an_empty_file(tiny_config, tmp_path, capsys):
@@ -297,8 +273,8 @@ def test_eval_refuses_an_empty_file(tiny_config, tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     out = tmp_path / "out"
-    for command in (["eval", "--single", "latency"], ["eval", "--policy", "rule"],
-                    ["train", "--out", str(out)], ["replay", "--out", str(out)]):
+    for command in (["eval", "--policy", "rule"], ["train", "--out", str(out)],
+                    ["replay", "--out", str(out)]):
         assert main(["--config", tiny_config, *command, "--data", str(path)]) == 1
         assert f"{path} holds no dataset records" in capsys.readouterr().err, command
         assert not out.exists(), command
@@ -387,7 +363,8 @@ def test_config_fuzz_the_whole_file(tmp_path, value, capsys):
     traceback: an object lacks `seed`, anything else is not an object."""
     config = tmp_path / "odd.json"
     config.write_text(json.dumps(value))
-    message = "config missing key seed" if value == {} else "config file must be an object, not "
+    message = (f"error: {config}: config missing key seed\n" if value == {}
+               else "config file must be an object, not ")
     _refused_by_every_command(config, message, tmp_path, capsys)
 
 
@@ -449,7 +426,7 @@ def test_parser_surface():
     assert {name: options(p) for name, p in commands.items()} == {
         "gen": {"--out"},
         "train": {"--data", "--loss", "--no-peer", "--ref", "--out"},
-        "eval": {"--data", "--policy", "--single", "--checkpoint", "--scenario", "--ood", "--out"},
+        "eval": {"--data", "--policy", "--checkpoint", "--scenario", "--ood", "--out"},
         "compare": {"--out"},
         "replay": {"--data", "--policies", "--checkpoint", "--scenario", "--steps", "--out"},
     }
@@ -472,7 +449,7 @@ def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, parsed, capsys
     out = str(tmp_path / "cmp")
     assert main(["--config", tiny_config, "compare", "--out", out]) == 0
     capsys.readouterr()
-    assert sorted(parsed) == ["ood.jsonl", "test.jsonl", "train.jsonl"]
+    assert parsed == ["test.jsonl", "ood.jsonl"]  # the heads train on the split `gen` built
     table = open(os.path.join(out, "compare.tsv")).read()
     lines = table.strip().split("\n")
     assert lines[0].startswith("# config_hash:")
@@ -524,15 +501,17 @@ def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, parsed, capsys
 
 def test_compare_retrains_only_a_missing_head(tiny_config, tmp_path, parsed, capsys):
     """A rerun with one checkpoint gone parses the training set once, and
-    rewrites that head and both tables byte for byte."""
+    rewrites that head and both tables byte for byte: each head trained on
+    the parsed file equals the one a cold run trained on the split in memory."""
     out = tmp_path / "cmp"
     assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
     before = {f.name: f.read_bytes() for f in out.iterdir()}
-    (out / "head-kl-no-peer.ckpt.json").unlink()
-    parsed.clear()
-    assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
-    assert parsed.count("train.jsonl") == 1
-    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    for head in ("head-ce", "head-kl", "head-kl+dpo", "head-kl-no-peer"):
+        (out / f"{head}.ckpt.json").unlink()
+        parsed.clear()
+        assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
+        assert parsed.count("train.jsonl") == 1, head
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before, head
 
 
 def test_compare_does_not_import_numpy_ma(tiny_config, tmp_path):

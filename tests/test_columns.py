@@ -15,7 +15,6 @@ from watune.datagen import (
     generate_dataset,
     load_dataset,
     mask_peer,
-    relabel,
 )
 from watune.domain import AppType, TimeOfDay
 from watune.measurement import LinkModelConfig
@@ -23,7 +22,7 @@ from watune.policy import BASELINE_NAMES, PREFERRED_TUPLE, make_baseline
 from watune.reward import RewardConfig, RewardMode, objective
 from watune.train import FEATURE_DIM, encode_batch
 
-from conftest import Context, contexts_of, dataset_of
+from conftest import Context, contexts_of, dataset_of, relabel
 from test_reward import brute_objective
 
 battery = st.floats(min_value=0.5, max_value=100.0)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,10 @@ from watune.train import TrainConfig
 
 from conftest import FUZZ_VALUES
 
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+# The reward weight each single-objective config sets to 0.0.
+ZEROED = {"latency_only.json": "w_p", "energy_only.json": "w_l"}
+
 
 def test_defaults_round_trip(tmp_path):
     cfg = ExperimentConfig()
@@ -28,6 +33,23 @@ def test_defaults_round_trip(tmp_path):
     back = load_config(str(p))
     assert back.to_dict() == cfg.to_dict()
     assert back.config_hash() == cfg.config_hash()
+
+
+def test_committed_configs():
+    """Each file under configs/ is a `save_config` file of the built-in
+    config with other reward settings and an out_dir of its own, so its
+    runs never meet another config's artifacts."""
+    assert set(ZEROED) <= {path.name for path in CONFIGS}
+    base = ExperimentConfig().to_dict()
+    out_dirs = {base["out_dir"]}
+    for path in CONFIGS:
+        d = load_config(str(path)).to_dict()
+        assert path.read_text() == json.dumps(d, indent=2, sort_keys=True) + "\n", path.name
+        assert [k for k in base if d[k] != base[k] and k not in ("reward", "out_dir")] == [], path.name
+        assert d["out_dir"] not in out_dirs, path.name
+        out_dirs.add(d["out_dir"])
+        if path.name in ZEROED:
+            assert d["reward"][ZEROED[path.name]] == 0.0
 
 
 def test_hash_changes_with_content():
@@ -137,7 +159,7 @@ def _keys(node, path=()):
 
 
 def test_missing_key_named():
-    """Each key deleted in turn is a `KeyError` naming its dotted field,
+    """Each key deleted in turn is a `ValueError` naming its dotted field,
     except `out_dir`, which falls back to its default."""
     for path in _keys(ExperimentConfig().to_dict()):
         d = ExperimentConfig().to_dict()
@@ -145,7 +167,7 @@ def test_missing_key_named():
         if path == ("out_dir",):
             assert from_dict(d).config_hash() == ExperimentConfig().config_hash()
             continue
-        with pytest.raises(KeyError, match=rf"^'config missing key {re.escape('.'.join(path))}'$"):
+        with pytest.raises(ValueError, match=rf"^config missing key {re.escape('.'.join(path))}$"):
             from_dict(d)
 
 
@@ -251,7 +273,7 @@ def test_config_fuzz_every_leaf(path):
         node[path[-1]] = value
         try:
             cfg = from_dict(d)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             assert field in str(exc), (value, str(exc))
         else:
             assert all(map(math.isfinite, _numbers(cfg.to_dict()))), value

@@ -19,7 +19,6 @@ from watune.datagen import (
     generate_session,
     load_dataset,
     mask_peer,
-    relabel,
     sample_app,
     split,
     validate_profile,
@@ -34,6 +33,8 @@ from watune.domain import (
 )
 from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig, RewardMode, objective
+
+from conftest import FUZZ_VALUES, relabel
 
 
 def test_builtin_profiles_valid():
@@ -230,6 +231,45 @@ def test_load_dataset_names_bad_line(tmp_path, small_dataset):
         p.write_text(text)
         with pytest.raises(ValueError, match=rf"bad\.jsonl: line {line}"):
             load_dataset(p, RewardConfig())
+
+
+# Each key of a record: its top-level keys, the head of each list, and the
+# keys of `scenario`.
+RECORD_KEYS = ("step", "time", "app_history", "pub_battery", "sub_battery", "latency_ms",
+               "energy_pct_h", "scenario", "app_history[0]", "latency_ms[0]",
+               "energy_pct_h[0]", "scenario.time", "scenario.battery_config")
+MISSING = object()
+
+
+def test_record_fuzz_every_key(tmp_path, small_dataset):
+    """Each record key set on line 2 of 3 to each odd value, or (a list head
+    excepted) removed, is refused naming the file and line 2, except three
+    values a record may hold: step 0, sub_battery null and latency 0."""
+    p = tmp_path / "fuzz.jsonl"
+    first, second, third = dataset_text(small_dataset[:3]).splitlines(keepends=True)
+    refused, loaded = 0, []
+    for key in RECORD_KEYS:
+        name, index = key.removesuffix("[0]"), key.endswith("[0]")
+        for value in FUZZ_VALUES + (() if index else (MISSING,)):
+            rec = json.loads(second)
+            owner, _, leaf = name.rpartition(".")
+            node = rec[owner] if owner else rec
+            if index:
+                node, leaf = node[leaf], 0
+            if value is MISSING:
+                del node[leaf]
+            else:
+                node[leaf] = value
+            p.write_text(first + json.dumps(rec) + "\n" + third)
+            try:
+                load_dataset(p, RewardConfig())
+            except ValueError as exc:
+                assert str(exc).startswith(f"{p}: line 2: "), (key, value, str(exc))
+                refused += 1
+            else:
+                loaded.append((key, value))
+    assert loaded == [("step", 0), ("sub_battery", None), ("latency_ms[0]", 0)]
+    assert refused == 124
 
 
 def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):

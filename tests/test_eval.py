@@ -3,18 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from watune.datagen import DatasetConfig
 from watune.domain import ALL_SCENARIOS, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from watune.evaluate import (
     cooperative_slice,
     evaluate,
     flat_table,
     replay_snapshot,
-    single_objective_eval,
     train_head,
 )
 from watune.policy import FixedPolicy, OraclePolicy, RulePolicy, make_baseline
-from watune.reward import RewardConfig
 from watune.train import TrainConfig
 
 
@@ -82,20 +79,6 @@ def test_train_head_dpo_builds_reference(small_split):
     kl, _ = train_head(train_set[:400], replace(cfg, loss="kl"))
     given, _ = train_head(train_set[:400], cfg, ref_model=kl.model)
     assert given.model.flat().tobytes() == policy.model.flat().tobytes()
-
-
-def test_single_objective_latency_oracle(small_dataset):
-    """With w_P = 0 the oracle must pick the latency-argmax everywhere."""
-    cfg = TrainConfig(loss="kl", epochs=1, seed=1, layers=1)
-    reports = single_objective_eval(
-        small_dataset, "latency", [OraclePolicy()], cfg,
-        DatasetConfig(logs_per_session=100, seed=1), RewardConfig(),
-    )
-    assert "oracle" in reports and "head-kl" in reports
-    assert reports["oracle"].objective_score >= reports["head-kl"].objective_score
-    with pytest.raises(ValueError):
-        single_objective_eval(small_dataset, "both", [], cfg,
-                              DatasetConfig(seed=1), RewardConfig())
 
 
 def test_replay_snapshot(small_split):
