@@ -24,7 +24,7 @@ from .datagen import (
     IN_DISTRIBUTION_PROFILE,
     OOD_PROFILE,
     Dataset,
-    dataset_text,
+    dataset_blocks,
     file_hash,
     generate_dataset,
     load_dataset,
@@ -66,16 +66,15 @@ def _generate(cfg: ExperimentConfig, out: str) -> Dataset:
     ood = generate_dataset(OOD_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=OOD_STREAM)
 
     parts = {"train": train_set, "test": test_set, "ood": ood}
-    paths = {k: os.path.join(out, f"{k}.jsonl") for k in parts}
-    for k, data in parts.items():
-        atomic_write_text(paths[k], dataset_text(data))
+    hashes = {k: atomic_write_text(os.path.join(out, f"{k}.jsonl"), dataset_blocks(data))
+              for k, data in parts.items()}
     save_config(os.path.join(out, "config.json"), cfg)
 
     manifest = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "counts": {"in_distribution": len(full), **{k: len(v) for k, v in parts.items()}},
-        "hashes": {k: file_hash(p) for k, p in paths.items()},
+        "hashes": hashes,
     }
     atomic_write_text(os.path.join(out, "manifest.json"),
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -134,14 +134,22 @@ def save_config(path, cfg: ExperimentConfig) -> None:
     atomic_write_text(path, json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text) -> str:
+    """Write `text`, a string or an iterable of string blocks, to `path` as
+    UTF-8 through a temporary file beside it, so that `path` holds either its
+    old content or all of the new; returns the sha256 of the bytes written."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".watune-tmp-")
+    digest = hashlib.sha256()
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for block in (text,) if isinstance(text, str) else text:
+                data = block.encode()
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()

@@ -304,6 +304,7 @@ def generate_dataset(
     OOD evaluation set).
     """
     validate_profile(profile)
+    link = replace(link)  # checked, and `measure`'s tables built, from its fields as they are now
     return Dataset.concat([
         generate_session(scenario, profile, link, cfg, reward_cfg,
                          np.random.default_rng([cfg.seed, stream, idx]))
@@ -338,21 +339,48 @@ _SCENARIO_NAMES = tuple({"time": s.time.name, "battery_config": s.battery_config
 _TIME_CODE = {name: code for code, name in enumerate(_TIME_NAMES)}
 _APP_CODE = {name: code for code, name in enumerate(_APP_NAMES)}
 _SCENARIO_CODE = {(s["time"], s["battery_config"]): code for code, s in enumerate(_SCENARIO_NAMES)}
+# The JSON text of each name and scenario object, by code.
+_TIME_JSON, _APP_JSON, _SCENARIO_JSON = (
+    np.array([json.dumps(v, separators=(",", ":")) for v in names], dtype=object)
+    for names in (_TIME_NAMES, _APP_NAMES, _SCENARIO_NAMES))
+# Records per block of text that `dataset_blocks` yields: a block's cells are
+# Python objects, and larger blocks raise peak memory without writing faster.
+_BLOCK_ROWS = 256
 
 
-def dataset_text(dataset: Dataset) -> str:
-    """The JSONL form of a dataset: one compact record per row, holding what
-    was observed (context and measurements) and no rewards."""
-    rows = zip(dataset.step.tolist(), dataset.time.tolist(), dataset.hist.tolist(),
-               dataset.pub.tolist(), dataset.sub.tolist(), dataset.peer.tolist(),
-               dataset.lat.tolist(), dataset.eng.tolist(), dataset.scenario.tolist())
-    return "".join(
-        json.dumps({"step": step, "time": _TIME_NAMES[time],
-                    "app_history": [_APP_NAMES[a] for a in hist],
-                    "pub_battery": pub, "sub_battery": sub if peer else None,
-                    "latency_ms": lat, "energy_pct_h": eng,
-                    "scenario": _SCENARIO_NAMES[scenario]}, separators=(",", ":")) + "\n"
-        for step, time, hist, pub, sub, peer, lat, eng, scenario in rows)
+def dataset_blocks(dataset: Dataset):
+    """The JSONL form of a dataset, as blocks of whole lines: one compact
+    record per row, holding what was observed (context and measurements) and
+    no rewards. A record is the text `json.dumps(record, separators=(",", ":"))`
+    writes for it: names and scenarios are filled in as JSON text, numbers
+    with `%s`, which for an int or a finite float is the same repr `json` uses."""
+    fmt = lambda n: ",".join(["%s"] * n)
+    template = (f'{{"step":%s,"time":%s,"app_history":[{fmt(dataset.hist.shape[1])}],'
+                f'"pub_battery":%s,"sub_battery":%s,"latency_ms":[{fmt(NUM_ACTIONS)}],'
+                f'"energy_pct_h":[{fmt(NUM_ACTIONS)}],"scenario":%s}}\n')
+    for start in range(0, len(dataset), _BLOCK_ROWS):
+        part = dataset[start:start + _BLOCK_ROWS]
+        cells = np.column_stack([  # object columns: numbers become Python ints and floats
+            part.step, _TIME_JSON[part.time], _APP_JSON[part.hist], part.pub,
+            np.where(part.peer, part.sub.astype(object), "null"), part.lat, part.eng,
+            _SCENARIO_JSON[part.scenario]])
+        yield template * len(part) % tuple(cells.ravel().tolist())
+
+
+# The keys a record must hold, in record order; those of `scenario` dotted.
+_RECORD_KEYS = ("step", "time", "app_history", "pub_battery", "sub_battery", "latency_ms",
+                "energy_pct_h", "scenario", "scenario.time", "scenario.battery_config")
+
+
+def _key_error(rec: dict, exc: KeyError) -> str:
+    """What a KeyError raised reading `rec` means: the first key it lacks,
+    else a value that is not a known name."""
+    for key in _RECORD_KEYS:
+        owner, _, leaf = key.rpartition(".")
+        node = rec.get(owner) if owner else rec
+        if isinstance(node, dict) and leaf not in node:
+            return f"missing key {key}"
+    return f"unknown name {exc.args[0]!r}"
 
 
 def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
@@ -385,7 +413,10 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                 vectors = {k: rec[key] for k, key in _VECTORS.items()}
                 if any(len(v) != NUM_ACTIONS for v in vectors.values()):
                     raise ValueError(f"per-action arrays must have {NUM_ACTIONS} entries")
-            except (KeyError, ValueError, TypeError) as exc:
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed dataset record: "
+                                 f"{_key_error(rec, exc)}") from None
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed dataset record: {exc}") from None
             for k, v in row.items():
                 cols[k].append(v)

@@ -68,6 +68,10 @@ class LinkModelConfig:
         ):
             if not np.all(ok):
                 raise ValueError(f"link.{name} must be {rule}, not {getattr(self, name)!r}")
+        # What `measure` scales by its noise: built with the config, so that
+        # `dataclasses.replace`, which builds a new one, never keeps a stale table.
+        self._base_energy = eng
+        self._latency_by_time = {t: lat * self.time_latency_multiplier[t] for t in TimeOfDay}
 
 
 def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -76,16 +80,9 @@ def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> tuple
     (latency_ms, energy_pct_h) pair of (8,) arrays that `objective` takes.
     The values are positive for a valid config, and the Dataset
     constructor checks them again."""
-    base_lat = np.asarray(config.base_latency_ms, dtype=float)
-    base_eng = np.asarray(config.base_energy_pct_h, dtype=float)
-    mult = config.time_latency_multiplier[context.time]
+    lat_noise = eng_noise = 1.0
     if config.latency_noise_sigma > 0:
         lat_noise = np.exp(rng.normal(0.0, config.latency_noise_sigma, NUM_ACTIONS))
-    else:
-        lat_noise = np.ones(NUM_ACTIONS)
     if config.energy_noise_sigma > 0:
         eng_noise = np.maximum(ENERGY_NOISE_FLOOR, 1.0 + rng.normal(0.0, config.energy_noise_sigma, NUM_ACTIONS))
-    else:
-        eng_noise = np.ones(NUM_ACTIONS)
-    return base_lat * mult * lat_noise, base_eng * eng_noise
-
+    return config._latency_by_time[context.time] * lat_noise, config._base_energy * eng_noise

@@ -385,6 +385,8 @@ def load_checkpoint(path) -> tuple[HeadModel, dict]:
             raise ValueError(f"metadata must be a JSON object, not {metadata!r}")
         if type(metadata.get("no_peer", False)) is not bool:
             raise ValueError(f"metadata.no_peer must be true or false, not {metadata['no_peer']!r}")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a usable checkpoint: missing key {exc.args[0]}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None
     return model, metadata

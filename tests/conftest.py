@@ -8,6 +8,7 @@ from watune.datagen import (
     IN_DISTRIBUTION_PROFILE,
     Dataset,
     DatasetConfig,
+    dataset_blocks,
     generate_dataset,
     split,
 )
@@ -60,6 +61,11 @@ def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
     rewards, lat_scores, eng_scores = objective(dataset.contexts, (dataset.lat, dataset.eng),
                                                 reward_cfg)
     return replace(dataset, rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores)
+
+
+def jsonl(dataset: Dataset) -> str:
+    """The whole JSONL text `dataset_blocks` writes for `dataset`."""
+    return "".join(dataset_blocks(dataset))
 
 
 @pytest.fixture(scope="session")

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from watune.config import ExperimentConfig, save_config
+from watune.config import ExperimentConfig, atomic_write_text, save_config
 from watune.datagen import (
     DatasetConfig,
     IN_DISTRIBUTION_PROFILE,
     OOD_PROFILE,
-    dataset_text,
+    dataset_blocks,
     file_hash,
     generate_dataset,
     split,
@@ -267,10 +267,10 @@ def test_accept_6_dataset_statistics(full_dataset, tmp_path):
 
     # identical seed => identical file hash
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    p1.write_text(dataset_text(full_dataset[:2000]))
+    atomic_write_text(p1, dataset_blocks(full_dataset[:2000]))
     again = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
                              DatasetConfig(), RewardConfig())
-    p2.write_text(dataset_text(again[:2000]))
+    atomic_write_text(p2, dataset_blocks(again[:2000]))
     assert file_hash(p1) == file_hash(p2)
     _ok(6, "32k samples, 16 equal blocks, stratified 80/20, profile freqs, hash")
 

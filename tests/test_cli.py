@@ -61,6 +61,21 @@ def test_gen_deterministic(tiny_config, gen_dir, tmp_path):
     assert m1["hashes"] == m2["hashes"]
 
 
+# sha256 of the files `gen` writes for `tiny_config`: a change to the record
+# text, the row order or the random stream moves them.
+GEN_SHA256 = {
+    "train": "68701b1f34d8072e181efa200af5864d0e9c00b6e0bcadeaf7a4855ed0645ca7",
+    "test": "8b4a19186ee1c7197a01edcbfd2c98d5c24d1b13959cb788143d0ca00c4a9653",
+    "ood": "8fdeaad643631a8453ac47c63a3b9128f890dd899747cf2ac9ef2a983a58aa03",
+}
+
+
+def test_gen_files_are_pinned(gen_dir):
+    with open(os.path.join(gen_dir, "manifest.json")) as fh:
+        assert json.load(fh)["hashes"] == GEN_SHA256
+    assert {k: file_hash(os.path.join(gen_dir, f"{k}.jsonl")) for k in GEN_SHA256} == GEN_SHA256
+
+
 def test_train_and_eval_head(tiny_config, gen_dir, tmp_path, capsys):
     ckpt = str(tmp_path / "head.ckpt.json")
     assert main(["--config", tiny_config, "train", "--data", gen_dir,

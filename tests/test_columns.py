@@ -8,10 +8,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from watune.config import atomic_write_text
 from watune.datagen import (
     IN_DISTRIBUTION_PROFILE,
     DatasetConfig,
-    dataset_text,
+    dataset_blocks,
     generate_dataset,
     load_dataset,
     mask_peer,
@@ -114,7 +115,7 @@ def test_dataset_round_trip_is_exact(tmp_path_factory, seed, steps, masked):
     if masked:
         data = mask_peer(data)
     path = tmp_path_factory.mktemp("round_trip") / "data.jsonl"
-    path.write_text(dataset_text(data))
+    atomic_write_text(path, dataset_blocks(data))
     back = load_dataset(path, RewardConfig())
     # A file holds no hidden peer battery: a masked file's rewards are those
     # of the masked contexts.

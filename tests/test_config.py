@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from watune.config import (
     load_config,
     save_config,
 )
-from watune.datagen import DatasetConfig
+from watune.datagen import DatasetConfig, file_hash
 from watune.domain import BatteryClass
 from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig
@@ -364,7 +365,16 @@ def test_env_var_lookup(tmp_path, monkeypatch):
 def test_atomic_write_replaces(tmp_path):
     p = tmp_path / "out.txt"
     atomic_write_text(p, "one\n")
-    atomic_write_text(p, "two\n")
+    digest = atomic_write_text(p, iter(["tw", "o\n"]))
+    assert p.read_text() == "two\n"
+    assert digest == hashlib.sha256(b"two\n").hexdigest() == file_hash(p)
+
+    def failing():
+        yield "three\n"
+        raise RuntimeError("no more blocks")
+
+    with pytest.raises(RuntimeError):
+        atomic_write_text(p, failing())
     assert p.read_text() == "two\n"
     # no temp files left behind
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]

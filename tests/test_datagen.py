@@ -1,10 +1,11 @@
 import json
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from watune import datagen
 from watune.datagen import (
     BATTERY_FLOOR,
     DEFAULT_BATTERY_RANGES,
@@ -13,7 +14,7 @@ from watune.datagen import (
     Dataset,
     DatasetConfig,
     battery_classes,
-    dataset_text,
+    dataset_blocks,
     file_hash,
     generate_dataset,
     generate_session,
@@ -34,7 +35,7 @@ from watune.domain import (
 from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig, RewardMode, objective
 
-from conftest import FUZZ_VALUES, relabel
+from conftest import FUZZ_VALUES, jsonl, relabel
 
 
 def test_builtin_profiles_valid():
@@ -182,7 +183,7 @@ def test_relabel_naive(small_dataset):
 
 def test_save_load_round_trip(tmp_path, small_dataset):
     p = tmp_path / "data.jsonl"
-    text = dataset_text(small_dataset[:200])
+    text = jsonl(small_dataset[:200])
     # Keys the loader does not know (from another logger) are ignored.
     extra = "".join(json.dumps(dict(json.loads(line), charging=True, signal_strength=-40)) + "\n"
                     for line in text.splitlines())
@@ -203,22 +204,22 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     # identical content => identical hash
     p.write_text(text)
     p2 = tmp_path / "data2.jsonl"
-    p2.write_text(dataset_text(small_dataset[:200]))
+    p2.write_text(jsonl(small_dataset[:200]))
     assert file_hash(p) == file_hash(p2)
 
 
 def test_dataset_record_holds_observed_fields_only(small_dataset):
-    rec = json.loads(dataset_text(small_dataset[:1]))
+    rec = json.loads(jsonl(small_dataset[:1]))
     assert set(rec) == {"step", "time", "app_history", "pub_battery", "sub_battery",
                         "latency_ms", "energy_pct_h", "scenario"}
 
 
 def test_load_dataset_names_bad_line(tmp_path, small_dataset):
     p = tmp_path / "bad.jsonl"
-    good = dataset_text(small_dataset[:1])
+    good = jsonl(small_dataset[:1])
     rec = json.loads(good)
     nested = json.dumps(dict(rec, latency_ms=[rec["latency_ms"]])) + "\n"
-    three = dataset_text(small_dataset[:2])
+    three = jsonl(small_dataset[:2])
     bad_third = [three + json.dumps(dict(rec, **edit)) + "\n" for edit in (
         {"latency_ms": [[v] for v in rec["latency_ms"]]}, {"latency_ms": ["1"] * 8},
         {"latency_ms": [True] + rec["latency_ms"][1:]},
@@ -246,7 +247,7 @@ def test_record_fuzz_every_key(tmp_path, small_dataset):
     excepted) removed, is refused naming the file and line 2, except three
     values a record may hold: step 0, sub_battery null and latency 0."""
     p = tmp_path / "fuzz.jsonl"
-    first, second, third = dataset_text(small_dataset[:3]).splitlines(keepends=True)
+    first, second, third = jsonl(small_dataset[:3]).splitlines(keepends=True)
     refused, loaded = 0, []
     for key in RECORD_KEYS:
         name, index = key.removesuffix("[0]"), key.endswith("[0]")
@@ -265,6 +266,8 @@ def test_record_fuzz_every_key(tmp_path, small_dataset):
                 load_dataset(p, RewardConfig())
             except ValueError as exc:
                 assert str(exc).startswith(f"{p}: line 2: "), (key, value, str(exc))
+                if value is MISSING:
+                    assert str(exc).endswith(f"malformed dataset record: missing key {key}"), str(exc)
                 refused += 1
             else:
                 loaded.append((key, value))
@@ -272,9 +275,53 @@ def test_record_fuzz_every_key(tmp_path, small_dataset):
     assert refused == 124
 
 
+def test_unknown_name_is_named(tmp_path, small_dataset):
+    p = tmp_path / "names.jsonl"
+    rec = json.loads(jsonl(small_dataset[:1]))
+    p.write_text(json.dumps(dict(rec, app_history=["tv"] * len(rec["app_history"]))) + "\n")
+    with pytest.raises(ValueError, match=r"names\.jsonl: line 1: malformed dataset record: "
+                                         r"unknown name 'tv'$"):
+        load_dataset(p, RewardConfig())
+
+
+def json_record(dataset: Dataset, row: int) -> str:
+    """Row `row` of `dataset` as `json.dumps` writes its record: the
+    reference the row template must equal."""
+    return json.dumps({
+        "step": int(dataset.step[row]), "time": TimeOfDay(dataset.time[row]).name,
+        "app_history": [AppType(a).name for a in dataset.hist[row]],
+        "pub_battery": float(dataset.pub[row]),
+        "sub_battery": float(dataset.sub[row]) if dataset.peer[row] else None,
+        "latency_ms": dataset.lat[row].tolist(), "energy_pct_h": dataset.eng[row].tolist(),
+        "scenario": {"time": ALL_SCENARIOS[dataset.scenario[row]].time.name,
+                     "battery_config": ALL_SCENARIOS[dataset.scenario[row]].battery_config.name},
+    }, separators=(",", ":"))
+
+
+def test_template_rows_equal_json_dumps(monkeypatch, small_dataset):
+    """Each line `dataset_blocks` writes is the record's `json.dumps` text,
+    on edge rows too: a masked peer (null), integral floats, exponent forms
+    and the largest and smallest floats a Dataset can hold; blocks hold
+    whole lines, however the rows fall into blocks."""
+    edge = np.array([70.0, 1e-05, 1e+16, 0.1, 5e-324, 1.7976931348623157e308, 123456.789, 1.0])
+    data = Dataset.concat([small_dataset[:40], replace(
+        small_dataset[40:43], step=np.array([0, 10**6, 7]), pub=np.array([70.0, 100.0, 1e-05]),
+        sub=np.array([0.0, 0.0, 5.5]), peer=np.array([False, False, True]),
+        lat=np.array([edge, edge[::-1], np.zeros(8)]), eng=np.array([edge, edge[::-1], edge]),
+        scenario=np.full(3, 15), time=np.full(3, int(TimeOfDay.night)))])
+    text = jsonl(data)
+    assert text.splitlines() == [json_record(data, i) for i in range(len(data))]
+    assert '"sub_battery":null' in text and '"pub_battery":70.0' in text
+    assert "1e-05" in text and "1e+16" in text
+    monkeypatch.setattr(datagen, "_BLOCK_ROWS", 7)
+    blocks = list(dataset_blocks(data))
+    assert len(blocks) == 7 and all(b.endswith("\n") for b in blocks) and "".join(blocks) == text
+    assert list(dataset_blocks(data[:0])) == []
+
+
 def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):
     p = tmp_path / "test.jsonl"
-    lines = dataset_text(small_dataset[:3]).splitlines()
+    lines = jsonl(small_dataset[:3]).splitlines()
     rec = json.loads(lines[1])
     for edit, message in (
         ({"latency_ms": [float("nan")] + rec["latency_ms"][1:]}, "latency"),

@@ -1,10 +1,10 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from watune.datagen import load_dataset
+from watune.datagen import IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset, load_dataset
 from watune.domain import AppType, Contexts, TimeOfDay
 from watune.measurement import LinkModelConfig, measure
 from watune.reward import RewardConfig, objective
@@ -32,6 +32,30 @@ def test_noiseless_measure_exact():
         expected = np.asarray(cfg.base_latency_ms) * cfg.time_latency_multiplier[time]
         np.testing.assert_array_equal(lat, expected)
         np.testing.assert_array_equal(eng, np.asarray(cfg.base_energy_pct_h))
+
+
+def test_generated_columns_follow_the_config_and_its_replace_copy():
+    """`measure` scales by tables built with its config: a noiseless config
+    with its own time multipliers, a `dataclasses.replace` copy with others,
+    and the first again after a multiplier is set in place, each give
+    latency = base x multiplier(time) and energy = base."""
+    cfg = LinkModelConfig(time_latency_multiplier={TimeOfDay.morning: 2.0, TimeOfDay.afternoon: 0.5,
+                                                   TimeOfDay.evening: 1.25, TimeOfDay.night: 7.0},
+                          latency_noise_sigma=0.0, energy_noise_sigma=0.0)
+    copy = replace(cfg, base_latency_ms=(3.0, 5.0, 2.5, 2.0, 6.5, 10.0, 5.5, 4.5),
+                   time_latency_multiplier={t: 1.0 + t for t in TimeOfDay})
+
+    def check(link):
+        data = generate_dataset(IN_DISTRIBUTION_PROFILE, link, DatasetConfig(logs_per_session=10),
+                                RewardConfig())
+        mult = np.array([link.time_latency_multiplier[TimeOfDay(t)] for t in data.time])
+        np.testing.assert_array_equal(data.lat, np.asarray(link.base_latency_ms) * mult[:, None])
+        np.testing.assert_array_equal(data.eng, np.broadcast_to(link.base_energy_pct_h, data.eng.shape))
+
+    for link in (cfg, copy, cfg):
+        check(link)
+    cfg.time_latency_multiplier[TimeOfDay.night] = 9.0
+    check(cfg)
 
 
 def test_measure_deterministic_given_seed():

@@ -6,7 +6,9 @@ wrapper."""
 
 import importlib
 import importlib.util
+import json
 import math
+import os
 from pathlib import Path
 
 import watune.evaluate
@@ -39,7 +41,7 @@ def test_every_trace_target_resolves():
         owner, leaf = resolve(module_name, attr)
         if not callable(getattr(owner, leaf, None)):
             absent.append(f"{module_name}.{attr}")
-    # Gone since the dataset writer moved into `datagen.dataset_text`, and
+    # Gone since the dataset writer moved into `datagen.dataset_blocks`, and
     # since `watune train` trains through `evaluate.train_head`.
     assert absent == ["watune.cli.sample_record", "watune.cli.train_head_raw"]
 
@@ -59,6 +61,32 @@ def test_training_step_hooks_run_once_per_step(monkeypatch, small_split):
     train(data, init_head(cfg.layers, cfg.hidden, seed=cfg.seed), cfg)
     steps = cfg.epochs * math.ceil(len(data) / cfg.effective_batch)
     assert {name: tracer.layers[name]["calls"] for name in spans} == dict.fromkeys(spans, steps)
+
+
+def test_gen_measures_once_per_row_and_counts_written_bytes(monkeypatch, tmp_path):
+    """The benchmark counts `measure` calls against generated rows and takes
+    the bytes of each write from the file it leaves: `gen` makes one
+    `watune.datagen.measure` call per row, and the traced writer's bytes
+    are each dataset file's size."""
+    traced = load_traced()
+    tracer = traced.Tracer()
+    for module_name, attr, name, counters in traced.TARGETS:
+        if (module_name, attr) == ("watune.cli", "atomic_write_text"):  # one span per file
+            name = lambda a, k, name=name: f"{name}:{os.path.basename(a[0])}"
+        elif (module_name, attr) != ("watune.datagen", "measure"):
+            continue
+        owner, leaf = resolve(module_name, attr)
+        monkeypatch.setattr(owner, leaf, tracer.wrap(name, getattr(owner, leaf), counters))
+    cfg = ExperimentConfig(seed=2)
+    cfg.dataset.logs_per_session = 12
+    config, out = str(tmp_path / "config.json"), tmp_path / "out"
+    save_config(config, cfg)
+    assert main(["--config", config, "gen", "--out", str(out)]) == 0
+    counts = json.loads((out / "manifest.json").read_text())["counts"]
+    assert tracer.layers["measurement.measure"]["calls"] == counts["in_distribution"] + counts["ood"]
+    for k in ("train", "test", "ood"):
+        span = tracer.layers[f"config.atomic_write_text:{k}.jsonl"]
+        assert (span["calls"], span["bytes"]) == (1, (out / f"{k}.jsonl").stat().st_size)
 
 
 def test_every_head_trains_through_the_traced_train(monkeypatch, tmp_path):

@@ -430,7 +430,8 @@ def _params(obj, edit):
     (lambda o: {**o, "shapes": [[16, 7]]}, "layer shape chain broken at (16, 7)"),
     (lambda o: _params(o, lambda v: np.where(np.arange(v.size) == 5, np.nan, v)),
      "non-finite parameters"),
-], ids=["v1", "bad-base64", "one-short", "one-long", "shape-chain", "nan"])
+    (lambda o: {k: v for k, v in o.items() if k != "shapes"}, "not a usable checkpoint: missing key shapes"),
+], ids=["v1", "bad-base64", "one-short", "one-long", "shape-chain", "nan", "no-shapes"])
 def test_load_checkpoint_refuses_with_file_name(tmp_path, corrupt, message):
     p = tmp_path / "head-kl.ckpt.json"
     save_checkpoint(p, init_head(1, seed=0), {"loss": "kl"})
