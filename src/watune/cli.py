@@ -164,8 +164,8 @@ def cmd_eval(args) -> int:
     data = _load_records(path, cfg)
     if args.scenario == "coop":
         data = cooperative_slice(data)
-    rep = evaluate(policy, data, dataset_hash=file_hash(path), config_hash=cfg.config_hash())
-    out = {policy.name: rep.__dict__}
+    rep = evaluate(policy, data).__dict__
+    out = {policy.name: {**rep, "dataset_hash": file_hash(path), "config_hash": cfg.config_hash()}}
     return _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n", "report")
 
 
@@ -240,7 +240,7 @@ def cmd_compare(args) -> int:
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]
     reports = {}
     for row in COMPARE_ROWS:
-        reps = {s: evaluate(policies[row], data, config_hash=chash) for s, data in slices.items()}
+        reps = {s: evaluate(policies[row], data) for s, data in slices.items()}
         reports[row] = reps
         cells = [f"{getattr(reps[s], metric + '_score'):.6f}"
                  for metric in COMPARE_METRICS for s in COMPARE_SLICES]

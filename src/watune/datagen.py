@@ -106,18 +106,6 @@ _CONFIG_CLASSES = {
 }
 
 
-def validate_profile(profile: AppUsageProfile) -> None:
-    for t in TimeOfDay:
-        dist = profile.get(t)
-        if not dist:
-            raise ValueError(f"profile missing time-of-day {t.name}")
-        total = sum(dist.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"profile for {t.name} sums to {total}, not 1")
-        if any(p < 0 for p in dist.values()):
-            raise ValueError(f"negative probability in profile for {t.name}")
-
-
 @dataclass
 class DatasetConfig:
     logs_per_session: int = 2000
@@ -303,7 +291,6 @@ def generate_dataset(
     `stream` separates independent datasets under the same seed (e.g. the
     OOD evaluation set).
     """
-    validate_profile(profile)
     link = replace(link)  # checked, and `measure`'s tables built, from its fields as they are now
     return Dataset.concat([
         generate_session(scenario, profile, link, cfg, reward_cfg,
@@ -314,8 +301,6 @@ def generate_dataset(
 
 def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Stratified-by-scenario split; train and test are disjoint, union is the input."""
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0,1)")
     train_idx, test_idx = [], []
     for code in np.flatnonzero(np.bincount(dataset.scenario)):  # (time, battery config) order
         idxs = np.flatnonzero(dataset.scenario == code)

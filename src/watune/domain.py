@@ -74,8 +74,6 @@ class Action:
 
 
 def action_from_index(index: int) -> Action:
-    if not 0 <= index <= 7:
-        raise ValueError(f"action index out of range [0,7]: {index}")
     return Action(PerformanceMode(index // 4), AccessCategory(index % 4))
 
 

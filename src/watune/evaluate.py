@@ -26,12 +26,9 @@ class EvalReport:
     scenario_mean_latency: float
     scenario_mean_energy: float
     per_scenario: dict = field(default_factory=dict)
-    dataset_hash: str = ""
-    config_hash: str = ""
 
 
-def evaluate(policy: Policy, dataset: Dataset,
-             dataset_hash: str = "", config_hash: str = "") -> EvalReport:
+def evaluate(policy: Policy, dataset: Dataset) -> EvalReport:
     """Score one policy. Metrics always use the stored ground-truth rewards
     (both devices), regardless of what the policy was allowed to see."""
     if not len(dataset):
@@ -62,8 +59,6 @@ def evaluate(policy: Policy, dataset: Dataset,
         scenario_mean_latency=float(np.mean([v["latency"] for v in per_scenario.values()])),
         scenario_mean_energy=float(np.mean([v["energy"] for v in per_scenario.values()])),
         per_scenario=per_scenario,
-        dataset_hash=dataset_hash,
-        config_hash=config_hash,
     )
 
 

@@ -41,7 +41,6 @@ class RewardConfig:
     soft_temp: float = 0.25
 
     def __post_init__(self):
-        self.mode = RewardMode(self.mode)
         for name in ("w_l", "w_p"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
                 raise ValueError(f"reward.{name} must be finite and >= 0, not {getattr(self, name)!r}")
@@ -94,8 +93,6 @@ def objective(contexts: Contexts, measured, cfg: RewardConfig):
 def soft_labels(objective_values: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax over per-action objectives (max-subtracted), along
     the last axis of (8,) or (N, 8) values."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     r = np.asarray(objective_values, dtype=float)
     z = (r - r.max(axis=-1, keepdims=True)) / temperature
     e = np.exp(z)

@@ -74,8 +74,6 @@ class HeadModel:
 
 
 def init_head(layers: int, hidden: int = 64, seed: int = 0) -> HeadModel:
-    if layers not in (1, 2, 3):
-        raise ValueError("layers must be 1, 2, or 3")
     rng = np.random.default_rng([seed, 1618])
     dims = [FEATURE_DIM] + [hidden] * (layers - 1) + [NUM_ACTIONS]
     weights, biases = [], []
@@ -210,7 +208,6 @@ class TrainConfig:
             ("learning_rate", 0 < self.learning_rate < math.inf, "finite and > 0"),
             ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
             ("dpo_beta", 0 < self.dpo_beta < math.inf, "finite and > 0"),
-            ("soft_temp", 0 < self.soft_temp < math.inf, "finite and > 0"),
         ):
             if not ok:  # NaN fails every comparison
                 raise ValueError(f"train.{name} must be {rule}, not {getattr(self, name)!r}")
@@ -269,9 +266,6 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
     """Deterministic mini-batch AdamW training of the head."""
     if not len(dataset):
         raise ValueError("empty training set")
-    if cfg.loss == "dpo" and ref_model is None:
-        raise ValueError("dpo training requires a frozen reference model")
-    model.validate()
     # The model trains in a copy of its parameters held in one flat vector,
     # and its gradient in another, so AdamW steps them as one buffer.
     params = model.flat()

@@ -76,6 +76,35 @@ def test_gen_files_are_pinned(gen_dir):
     assert {k: file_hash(os.path.join(gen_dir, f"{k}.jsonl")) for k in GEN_SHA256} == GEN_SHA256
 
 
+# sha256 of every file a cold `compare` writes for `tiny_config`: a change to
+# the data, the training, the checkpoint text or the tables moves them.
+COMPARE_SHA256 = {
+    **{f"{k}.jsonl": v for k, v in GEN_SHA256.items()},
+    "config.json": "de4404b87337088aa4942b9abbfb9b1f40020807c1e515dcdddb9879fe6867c5",
+    "manifest.json": "e7d83542ea2884d904686c2d1af378f43c62d07275aa55d1401c9f581e7fb900",
+    "head-ce.ckpt.json": "d696ea3f1e6a0897d66e465737e0821ecc75fa84169e56d6dec1e3e49c12171e",
+    "head-kl.ckpt.json": "724f12006b9e53f49170e81ee9ee3fcb3a5dd236e11c18e6040b6de0bbadb0e8",
+    "head-kl+dpo.ckpt.json": "72cbd66c6bf5396d9f9d08b2c286122b502193c8deee9df7e8b6ee3072be8ae4",
+    "head-kl-no-peer.ckpt.json": "dd7e4e4c276250a4c229f1ae2c470684c8a2e10e54246aa500076d0bbfdada4d",
+    "compare.tsv": "858e1ebc53b3ab306b385ff7fc96ffb27a8d0d19b6fa2a5104ad92090b5481d0",
+    "compare_full.tsv": "d294151dc7c79ac95b8bc9d9fb025b9599ac3e8ea4f1574a9a494eeb9f874062",
+}
+
+
+def test_compare_files_are_pinned(tiny_config, tmp_path):
+    """A cold `compare` writes exactly the pinned files, each with the mode
+    `open()` would give it under the umask."""
+    out = tmp_path / "cmp"
+    old = os.umask(0o027)
+    try:
+        assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert {f.name: file_hash(f) for f in out.iterdir()} == COMPARE_SHA256
+    assert {f.name: oct(f.stat().st_mode & 0o777) for f in out.iterdir()} == dict.fromkeys(
+        COMPARE_SHA256, oct(0o640))
+
+
 def test_train_and_eval_head(tiny_config, gen_dir, tmp_path, capsys):
     ckpt = str(tmp_path / "head.ckpt.json")
     assert main(["--config", tiny_config, "train", "--data", gen_dir,

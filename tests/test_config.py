@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -378,3 +379,19 @@ def test_atomic_write_replaces(tmp_path):
     assert p.read_text() == "two\n"
     # no temp files left behind
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_follows_the_umask(tmp_path, umask, mode):
+    """A written file gets the mode a file `open()` creates would get, both
+    when it is new and when it replaces one of another mode."""
+    p = tmp_path / "out.txt"
+    p.write_text("old\n")
+    p.chmod(0o640)
+    old = os.umask(umask)
+    try:
+        atomic_write_text(p, "one\n")
+        atomic_write_text(tmp_path / "new.txt", "new\n")
+    finally:
+        os.umask(old)
+    assert [oct(f.stat().st_mode & 0o777) for f in (p, tmp_path / "new.txt")] == [oct(mode)] * 2

@@ -21,8 +21,6 @@ from watune.datagen import (
     load_dataset,
     mask_peer,
     sample_app,
-    split,
-    validate_profile,
 )
 from watune.domain import (
     ALL_SCENARIOS,
@@ -39,17 +37,13 @@ from conftest import FUZZ_VALUES, jsonl, relabel
 
 
 def test_builtin_profiles_valid():
-    validate_profile(IN_DISTRIBUTION_PROFILE)
-    validate_profile(OOD_PROFILE)
-
-
-def test_validate_profile_rejections():
-    bad = {t: dict(IN_DISTRIBUTION_PROFILE[t]) for t in TimeOfDay}
-    bad[TimeOfDay.morning][AppType.textMessage] += 0.05
-    with pytest.raises(ValueError):
-        validate_profile(bad)
-    with pytest.raises(ValueError):
-        validate_profile({t: IN_DISTRIBUTION_PROFILE[t] for t in TimeOfDay if t != TimeOfDay.night})
+    """Each built-in profile gives every time of day a distribution: no
+    negative entry, summing to 1 within 1e-9."""
+    for profile in (IN_DISTRIBUTION_PROFILE, OOD_PROFILE):
+        assert set(profile) == set(TimeOfDay)
+        for t, dist in profile.items():
+            assert dist and min(dist.values()) >= 0, t
+            assert abs(sum(dist.values()) - 1.0) <= 1e-9, t
 
 
 def test_dataset_config_validation():
@@ -159,11 +153,6 @@ def test_split_stratified(small_dataset, small_split):
     # disjoint: (scenario, step) identifies a row of the grid
     train_keys = set(zip(train.scenario.tolist(), train.step.tolist()))
     assert not any(key in train_keys for key in zip(test.scenario.tolist(), test.step.tolist()))
-
-
-def test_split_bad_fraction(small_dataset):
-    with pytest.raises(ValueError):
-        split(small_dataset, 0.0, np.random.default_rng(0))
 
 
 def test_mask_peer(small_dataset):

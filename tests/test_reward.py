@@ -194,6 +194,3 @@ def test_soft_labels_properties(values, temp):
     assert p[int(np.argmax(v))] == p.max()
 
 
-def test_soft_labels_bad_temperature():
-    with pytest.raises(ValueError):
-        soft_labels(np.zeros(8), 0.0)
