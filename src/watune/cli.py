@@ -58,28 +58,35 @@ def cmd_gen(args) -> int:
 
 def _generate(cfg: ExperimentConfig, out: str) -> Dataset:
     """Write the train/test/OOD files, config and manifest of `cfg` to
-    `out`; returns the train split."""
+    `out`; returns the train split. Each split is written as soon as it
+    exists, and only the train split is kept."""
     os.makedirs(out, exist_ok=True)
     full = generate_dataset(IN_DISTRIBUTION_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=0)
     rng = np.random.default_rng([cfg.dataset.seed, 9973])
+    counts, hashes = {"in_distribution": len(full)}, {}
     train_set, test_set = split(full, cfg.dataset.split_fraction, rng)
-    ood = generate_dataset(OOD_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=OOD_STREAM)
+    del full
 
-    parts = {"train": train_set, "test": test_set, "ood": ood}
-    hashes = {k: atomic_write_text(os.path.join(out, f"{k}.jsonl"), dataset_blocks(data))
-              for k, data in parts.items()}
+    def write(name: str, data: Dataset) -> None:
+        hashes[name] = atomic_write_text(os.path.join(out, f"{name}.jsonl"), dataset_blocks(data))
+        counts[name] = len(data)
+
+    write("train", train_set)
+    write("test", test_set)
+    del test_set
+    write("ood", generate_dataset(OOD_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=OOD_STREAM))
     save_config(os.path.join(out, "config.json"), cfg)
 
     manifest = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
-        "counts": {"in_distribution": len(full), **{k: len(v) for k, v in parts.items()}},
+        "counts": counts,
         "hashes": hashes,
     }
     atomic_write_text(os.path.join(out, "manifest.json"),
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(full)} in-distribution samples "
-          f"({len(train_set)} train / {len(test_set)} test), {len(ood)} OOD -> {out}")
+    print(f"wrote {counts['in_distribution']} in-distribution samples "
+          f"({counts['train']} train / {counts['test']} test), {counts['ood']} OOD -> {out}")
     return train_set
 
 
@@ -230,11 +237,12 @@ def cmd_compare(args) -> int:
     else:
         train_set = _generate(cfg, out)
 
-    test_set, ood_set = (load_dataset(paths[k], cfg.reward) for k in ("test", "ood"))
-    coop_set = cooperative_slice(test_set)
-
     policies = {name: make_baseline(name) for name in BASELINE_NAMES}
     policies.update(_head_variants(paths["train"], cfg, out, train_set))
+    del train_set  # the heads are trained: free the train split before test and OOD are read
+
+    test_set, ood_set = (load_dataset(paths[k], cfg.reward) for k in ("test", "ood"))
+    coop_set = cooperative_slice(test_set)
 
     slices = {"aggregate": test_set, "coop": coop_set, "ood": ood_set}
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]

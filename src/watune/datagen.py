@@ -328,8 +328,10 @@ _SCENARIO_CODE = {(s["time"], s["battery_config"]): code for code, s in enumerat
 _TIME_JSON, _APP_JSON, _SCENARIO_JSON = (
     np.array([json.dumps(v, separators=(",", ":")) for v in names], dtype=object)
     for names in (_TIME_NAMES, _APP_NAMES, _SCENARIO_NAMES))
-# Records per block of text that `dataset_blocks` yields: a block's cells are
-# Python objects, and larger blocks raise peak memory without writing faster.
+# Records per block, both in the text `dataset_blocks` yields and in the
+# records `load_dataset` parses before it turns them into arrays: a block's
+# values are Python objects, and larger blocks raise peak memory without
+# writing or reading faster.
 _BLOCK_ROWS = 256
 
 
@@ -343,13 +345,15 @@ def dataset_blocks(dataset: Dataset):
     template = (f'{{"step":%s,"time":%s,"app_history":[{fmt(dataset.hist.shape[1])}],'
                 f'"pub_battery":%s,"sub_battery":%s,"latency_ms":[{fmt(NUM_ACTIONS)}],'
                 f'"energy_pct_h":[{fmt(NUM_ACTIONS)}],"scenario":%s}}\n')
+    names = ("step", "time", "hist", "pub", "sub", "peer", "lat", "eng", "scenario")
     for start in range(0, len(dataset), _BLOCK_ROWS):
-        part = dataset[start:start + _BLOCK_ROWS]
+        # Column slices, not a sliced Dataset: these values were checked when it was built.
+        step, time, hist, pub, sub, peer, lat, eng, scenario = (
+            getattr(dataset, k)[start:start + _BLOCK_ROWS] for k in names)
         cells = np.column_stack([  # object columns: numbers become Python ints and floats
-            part.step, _TIME_JSON[part.time], _APP_JSON[part.hist], part.pub,
-            np.where(part.peer, part.sub.astype(object), "null"), part.lat, part.eng,
-            _SCENARIO_JSON[part.scenario]])
-        yield template * len(part) % tuple(cells.ravel().tolist())
+            step, _TIME_JSON[time], _APP_JSON[hist], pub,
+            np.where(peer, sub.astype(object), "null"), lat, eng, _SCENARIO_JSON[scenario]])
+        yield template * len(step) % tuple(cells.ravel().tolist())
 
 
 # The keys a record must hold, in record order; those of `scenario` dotted.
@@ -371,9 +375,14 @@ def _key_error(rec: dict, exc: KeyError) -> str:
 def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
     """Parse a JSONL dataset straight into columns and derive its reward
     columns under `reward_cfg`. Errors name the file and the line of the
-    offending record; keys other than the observed ones are ignored."""
-    cols = {f.name: [] for f in fields(Dataset) if f.name not in _REWARDS}
-    linenos: list[int] = []
+    offending record; keys other than the observed ones are ignored. Every
+    `_BLOCK_ROWS` records become arrays, so at most one block of values is
+    held as Python objects."""
+    # The observed columns, and each record's line in the file.
+    cols = {f.name: [] for f in fields(Dataset) if f.name not in _REWARDS} | {"lineno": []}
+    linenos = cols["lineno"]
+    blocks = {k: [] for k in cols}  # each column's arrays, block by block
+    width = None  # app-history length of the file's first record
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -393,7 +402,7 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                 if scenario["time"] != rec["time"]:
                     raise ValueError(f"time {rec['time']!r} differs from scenario.time "
                                      f"{scenario['time']!r}")
-                if cols["hist"] and len(row["hist"]) != len(cols["hist"][0]):
+                if width is not None and len(row["hist"]) != width:
                     raise ValueError("app_history length differs from the first record")
                 vectors = {k: rec[key] for k, key in _VECTORS.items()}
                 if any(len(v) != NUM_ACTIONS for v in vectors.values()):
@@ -403,38 +412,54 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
                                  f"{_key_error(rec, exc)}") from None
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed dataset record: {exc}") from None
+            width = len(row["hist"])
             for k, v in row.items():
                 cols[k].append(v)
             for k, v in vectors.items():
                 cols[k].extend(v)
             linenos.append(lineno)
+            if len(linenos) == _BLOCK_ROWS:
+                _add_block(path, cols, blocks)
+    if linenos or not blocks["lineno"]:  # an empty file still gets its (empty) columns
+        _add_block(path, cols, blocks)
+    arrays = {k: np.concatenate(blocks.pop(k)) for k in list(blocks)}
+    line_of = arrays.pop("lineno")
+    try:
+        contexts = Contexts(*(arrays[k] for k in Contexts._fields))
+        with np.errstate(divide="ignore", invalid="ignore"):  # the Dataset checks name bad input
+            derived = objective(contexts, (arrays["lat"], arrays["eng"]), reward_cfg)
+        return Dataset(**arrays, **dict(zip(_REWARDS, derived)))
+    except DatasetError as exc:
+        raise ValueError(f"{path}: line {line_of[exc.row]}: {exc.message}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed dataset: {exc}") from None
+
+
+def _add_block(path, cols: dict, blocks: dict) -> None:
+    """Type-check the records parsed into `cols`, append them to `blocks` as
+    arrays, and empty `cols`."""
+    linenos = cols["lineno"]
     n = len(linenos)
     for k, (key, types, rule) in _NUMBERS.items():
-        # One pass over all values; the line is only looked for on failure.
+        # One pass over the block's values; the line is only looked for on failure.
         if not set(map(type, cols[k])) <= types:
             bad = next(i for i, v in enumerate(cols[k]) if type(v) not in types)
             row = bad // NUM_ACTIONS if k in _VECTORS else bad
             raise ValueError(f"{path}: line {linenos[row]}: malformed dataset "
                              f"record: {key} must {rule}, not {cols[k][bad]!r}")
     dtypes = dict.fromkeys(["pub", "sub", *_VECTORS], float) | {"peer": bool}
-    try:
-        arrays = {k: np.array(v, dtype=dtypes.get(k, int)) for k, v in cols.items()}
-        for k in _VECTORS:
-            arrays[k] = arrays[k].reshape(n, NUM_ACTIONS)
-        arrays["hist"] = arrays["hist"].reshape(n, -1 if n else 0)
-        contexts = Contexts(*(arrays[k] for k in Contexts._fields))
-        with np.errstate(divide="ignore", invalid="ignore"):  # the Dataset checks name bad input
-            derived = objective(contexts, (arrays["lat"], arrays["eng"]), reward_cfg)
-        return Dataset(**arrays, **dict(zip(_REWARDS, derived)))
-    except DatasetError as exc:
-        raise ValueError(f"{path}: line {linenos[exc.row]}: {exc.message}") from None
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed dataset: {exc}") from None
+    arrays = {k: np.array(v, dtype=dtypes.get(k, int)) for k, v in cols.items()}
+    for k in _VECTORS:
+        arrays[k] = arrays[k].reshape(n, NUM_ACTIONS)
+    arrays["hist"] = arrays["hist"].reshape(n, -1 if n else 0)
+    for k, a in arrays.items():
+        blocks[k].append(a)
+        cols[k].clear()
 
 
 def file_hash(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()

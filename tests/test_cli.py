@@ -476,13 +476,28 @@ def test_parser_surface():
     }
 
 
+class ParseLog(list):
+    """The base names of the dataset files the CLI parses, in order; `heads`
+    maps each name to the checkpoints beside the file when it was last parsed."""
+
+    def __init__(self):
+        super().__init__()
+        self.heads = {}
+
+
+HEADS = ("head-ce", "head-kl", "head-kl+dpo", "head-kl-no-peer")
+
+
 @pytest.fixture
 def parsed(monkeypatch):
-    """The base names of the dataset files the CLI parses, in order."""
-    names, load = [], watune.cli.load_dataset
+    names, load = ParseLog(), watune.cli.load_dataset
 
     def spy(path, reward_cfg):
-        names.append(os.path.basename(path))
+        name = os.path.basename(path)
+        names.append(name)
+        names.heads[name] = sorted(f.removesuffix(".ckpt.json")
+                                   for f in os.listdir(os.path.dirname(path))
+                                   if f.endswith(".ckpt.json"))
         return load(path, reward_cfg)
 
     monkeypatch.setattr(watune.cli, "load_dataset", spy)
@@ -494,6 +509,8 @@ def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, parsed, capsys
     assert main(["--config", tiny_config, "compare", "--out", out]) == 0
     capsys.readouterr()
     assert parsed == ["test.jsonl", "ood.jsonl"]  # the heads train on the split `gen` built
+    # and are written before test and OOD are read back, so the train split can be freed first
+    assert parsed.heads["test.jsonl"] == sorted(HEADS)
     table = open(os.path.join(out, "compare.tsv")).read()
     lines = table.strip().split("\n")
     assert lines[0].startswith("# config_hash:")
@@ -550,7 +567,7 @@ def test_compare_retrains_only_a_missing_head(tiny_config, tmp_path, parsed, cap
     out = tmp_path / "cmp"
     assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
     before = {f.name: f.read_bytes() for f in out.iterdir()}
-    for head in ("head-ce", "head-kl", "head-kl+dpo", "head-kl-no-peer"):
+    for head in HEADS:
         (out / f"{head}.ckpt.json").unlink()
         parsed.clear()
         assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
