@@ -171,6 +171,8 @@ def cmd_eval(args) -> int:
     data = _load_records(path, cfg)
     if args.scenario == "coop":
         data = cooperative_slice(data)
+        if not len(data):
+            raise CliError(f"{path} holds no cooperative (pubHighSubLow) records")
     rep = evaluate(policy, data).__dict__
     out = {policy.name: {**rep, "dataset_hash": file_hash(path), "config_hash": cfg.config_hash()}}
     return _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n", "report")

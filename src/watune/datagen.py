@@ -120,6 +120,8 @@ class DatasetConfig:
             ("split_fraction", 0 < self.split_fraction < 1, "in (0, 1)"),
             ("window", self.window >= 1, ">= 1"),
             ("logs_per_session", self.logs_per_session >= self.window, ">= dataset.window"),
+            ("split_fraction", self.logs_per_session * self.split_fraction >= 1,
+             ">= 1 / dataset.logs_per_session, so that each scenario keeps a training row"),
             ("sample_interval_s", 0 < self.sample_interval_s < math.inf, "finite and > 0"),
         ):
             if not ok:  # NaN fails every comparison
@@ -147,6 +149,8 @@ _NUMBERS = {
 # Columns derived from the observed ones by `objective`; files do not hold them.
 _REWARDS = ("rewards", "lat_scores", "eng_scores")
 # Columns, the condition every (finite) entry must meet, and the message.
+# The latency scores need none: `objective` keeps them in [0, 100] for any
+# latency that passed its own check.
 _CHECKS = (
     ("step", lambda v: v >= 0, "step must be non-negative"),
     ("pub", lambda v: (v >= 0) & (v <= 100), "publisher battery must be in [0,100]"),
@@ -154,7 +158,6 @@ _CHECKS = (
     ("lat", lambda v: v >= 0, "latency must be finite and non-negative"),
     ("eng", lambda v: v > 0, "energy must be finite and strictly positive"),
     ("rewards", lambda v: True, "rewards must be finite"),
-    ("lat_scores", lambda v: (v >= 0) & (v <= 100), "latency scores must be in [0,100]"),
     ("eng_scores", lambda v: v > 0, "energy scores must be finite and positive"),
 )
 
@@ -166,7 +169,9 @@ class Dataset:
     The context columns are those of `Contexts` (time, pub, sub, peer, hist);
     lat/eng and rewards/lat_scores/eng_scores are (N, 8) per-action arrays;
     scenario holds indices into ALL_SCENARIOS. A slice, mask or index array
-    yields a Dataset of those rows; there is no one-row form.
+    yields a Dataset of those rows; there is no one-row form. A plain column
+    container: the columns are checked where they enter, by
+    `generate_dataset` and `load_dataset`, and building one checks nothing.
     """
 
     time: np.ndarray
@@ -182,17 +187,6 @@ class Dataset:
     eng_scores: np.ndarray
     scenario: np.ndarray
 
-    def __post_init__(self):
-        if len(self.pub) and self.hist.shape[1] < 1:
-            raise ValueError("app histories must be non-empty")
-        for name, cond, message in _CHECKS:
-            col = getattr(self, name)
-            bad = ~(np.isfinite(col) & cond(col))
-            if bad.ndim == 2:
-                bad = bad.any(axis=1)
-            if bad.any():
-                raise DatasetError(int(np.argmax(bad)), message)
-
     def __len__(self) -> int:
         return len(self.pub)
 
@@ -207,6 +201,21 @@ class Dataset:
     def concat(parts) -> "Dataset":
         return Dataset(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
                           for f in fields(Dataset)})
+
+
+def _checked(data: Dataset) -> Dataset:
+    """`data`, once its app histories are non-empty and its columns pass
+    `_CHECKS`; a `DatasetError` names the first offending row."""
+    if len(data) and data.hist.shape[1] < 1:
+        raise ValueError("app histories must be non-empty")
+    for name, cond, message in _CHECKS:
+        col = getattr(data, name)
+        bad = ~(np.isfinite(col) & cond(col))
+        if bad.ndim == 2:
+            bad = bad.any(axis=1)
+        if bad.any():
+            raise DatasetError(int(np.argmax(bad)), message)
+    return data
 
 
 def sample_app(profile: AppUsageProfile, time: TimeOfDay, rng: np.random.Generator,
@@ -292,11 +301,11 @@ def generate_dataset(
     OOD evaluation set).
     """
     link = replace(link)  # checked, and `measure`'s tables built, from its fields as they are now
-    return Dataset.concat([
+    return _checked(Dataset.concat([
         generate_session(scenario, profile, link, cfg, reward_cfg,
                          np.random.default_rng([cfg.seed, stream, idx]))
         for idx, scenario in enumerate(ALL_SCENARIOS)
-    ])
+    ]))
 
 
 def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
@@ -345,15 +354,12 @@ def dataset_blocks(dataset: Dataset):
     template = (f'{{"step":%s,"time":%s,"app_history":[{fmt(dataset.hist.shape[1])}],'
                 f'"pub_battery":%s,"sub_battery":%s,"latency_ms":[{fmt(NUM_ACTIONS)}],'
                 f'"energy_pct_h":[{fmt(NUM_ACTIONS)}],"scenario":%s}}\n')
-    names = ("step", "time", "hist", "pub", "sub", "peer", "lat", "eng", "scenario")
     for start in range(0, len(dataset), _BLOCK_ROWS):
-        # Column slices, not a sliced Dataset: these values were checked when it was built.
-        step, time, hist, pub, sub, peer, lat, eng, scenario = (
-            getattr(dataset, k)[start:start + _BLOCK_ROWS] for k in names)
+        d = dataset[start:start + _BLOCK_ROWS]
         cells = np.column_stack([  # object columns: numbers become Python ints and floats
-            step, _TIME_JSON[time], _APP_JSON[hist], pub,
-            np.where(peer, sub.astype(object), "null"), lat, eng, _SCENARIO_JSON[scenario]])
-        yield template * len(step) % tuple(cells.ravel().tolist())
+            d.step, _TIME_JSON[d.time], _APP_JSON[d.hist], d.pub,
+            np.where(d.peer, d.sub.astype(object), "null"), d.lat, d.eng, _SCENARIO_JSON[d.scenario]])
+        yield template * len(d) % tuple(cells.ravel().tolist())
 
 
 # The keys a record must hold, in record order; those of `scenario` dotted.
@@ -426,9 +432,9 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
     line_of = arrays.pop("lineno")
     try:
         contexts = Contexts(*(arrays[k] for k in Contexts._fields))
-        with np.errstate(divide="ignore", invalid="ignore"):  # the Dataset checks name bad input
+        with np.errstate(divide="ignore", invalid="ignore"):  # `_checked` names bad input
             derived = objective(contexts, (arrays["lat"], arrays["eng"]), reward_cfg)
-        return Dataset(**arrays, **dict(zip(_REWARDS, derived)))
+        return _checked(Dataset(**arrays, **dict(zip(_REWARDS, derived))))
     except DatasetError as exc:
         raise ValueError(f"{path}: line {line_of[exc.row]}: {exc.message}") from None
     except (ValueError, TypeError) as exc:
@@ -437,24 +443,40 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
 
 def _add_block(path, cols: dict, blocks: dict) -> None:
     """Type-check the records parsed into `cols`, append them to `blocks` as
-    arrays, and empty `cols`."""
+    arrays, and empty `cols`. Each check is one pass over a column; the
+    offending value's line is only looked for on failure."""
     linenos = cols["lineno"]
     n = len(linenos)
-    for k, (key, types, rule) in _NUMBERS.items():
-        # One pass over the block's values; the line is only looked for on failure.
+
+    def refuse(k: str, ok, rule: str) -> ValueError:
+        bad = next(i for i, v in enumerate(cols[k]) if not ok(v))
+        row = bad // NUM_ACTIONS if k in _VECTORS else bad
+        return ValueError(f"{path}: line {linenos[row]}: malformed dataset "
+                          f"record: {_NUMBERS[k][0]} must {rule}, not {cols[k][bad]!r}")
+
+    for k, (_, types, rule) in _NUMBERS.items():
         if not set(map(type, cols[k])) <= types:
-            bad = next(i for i, v in enumerate(cols[k]) if type(v) not in types)
-            row = bad // NUM_ACTIONS if k in _VECTORS else bad
-            raise ValueError(f"{path}: line {linenos[row]}: malformed dataset "
-                             f"record: {key} must {rule}, not {cols[k][bad]!r}")
-    dtypes = dict.fromkeys(["pub", "sub", *_VECTORS], float) | {"peer": bool}
-    arrays = {k: np.array(v, dtype=dtypes.get(k, int)) for k, v in cols.items()}
+            raise refuse(k, lambda v: type(v) in types, rule)
+    dtypes = dict.fromkeys(["pub", "sub", *_VECTORS], float) | {"step": int, "peer": bool}
+    try:
+        arrays = {k: np.array(v, dtype=dtypes.get(k, int)) for k, v in cols.items()}
+    except OverflowError:  # a JSON integer too large for its column, which holds numbers
+        k = next(k for k in _NUMBERS if not _fits(cols[k], dtypes[k]))
+        raise refuse(k, lambda v: _fits(v, dtypes[k]), f"fit in {np.dtype(dtypes[k])}") from None
     for k in _VECTORS:
         arrays[k] = arrays[k].reshape(n, NUM_ACTIONS)
     arrays["hist"] = arrays["hist"].reshape(n, -1 if n else 0)
     for k, a in arrays.items():
         blocks[k].append(a)
         cols[k].clear()
+
+
+def _fits(value, dtype: np.dtype) -> bool:
+    try:
+        np.array(value, dtype=dtype)
+    except OverflowError:
+        return False
+    return True
 
 
 def file_hash(path) -> str:

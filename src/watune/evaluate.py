@@ -31,8 +31,6 @@ class EvalReport:
 def evaluate(policy: Policy, dataset: Dataset) -> EvalReport:
     """Score one policy. Metrics always use the stored ground-truth rewards
     (both devices), regardless of what the policy was allowed to see."""
-    if not len(dataset):
-        raise ValueError("cannot evaluate on an empty dataset slice")
     chosen = policy.decide(dataset)
     rows = np.arange(len(dataset))
     obj, lat, eng, raw = (col[rows, chosen] for col in

@@ -78,8 +78,8 @@ def measure(config: LinkModelConfig, context, rng: np.random.Generator) -> tuple
     """Draw one 8-action measurement sweep at the time of day of `context`
     (anything with a `.time`, such as the Scenario of a session): the
     (latency_ms, energy_pct_h) pair of (8,) arrays that `objective` takes.
-    The values are positive for a valid config, and the Dataset
-    constructor checks them again."""
+    The values are positive for a valid config; `generate_dataset` checks
+    them, as a large noise sigma can overflow them."""
     lat_noise = eng_noise = 1.0
     if config.latency_noise_sigma > 0:
         lat_noise = np.exp(rng.normal(0.0, config.latency_noise_sigma, NUM_ACTIONS))

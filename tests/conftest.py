@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -10,6 +11,7 @@ from watune.datagen import (
     DatasetConfig,
     dataset_blocks,
     generate_dataset,
+    load_dataset,
     split,
 )
 from watune.domain import NUM_ACTIONS, AppType, BatteryConfig, Contexts, TimeOfDay
@@ -66,6 +68,14 @@ def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
 def jsonl(dataset: Dataset) -> str:
     """The whole JSONL text `dataset_blocks` writes for `dataset`."""
     return "".join(dataset_blocks(dataset))
+
+
+def load_record(tmp_path, dataset: Dataset, **edit) -> Dataset:
+    """Load a file of one record: that of the first row of `dataset`, with
+    the keys in `edit` set to their values."""
+    path = tmp_path / "record.jsonl"
+    path.write_text(json.dumps(json.loads(jsonl(dataset[:1])) | edit) + "\n")
+    return load_dataset(path, RewardConfig())
 
 
 @pytest.fixture(scope="session")

@@ -324,6 +324,16 @@ def test_eval_refuses_an_empty_file(tiny_config, tmp_path, capsys):
         assert not out.exists(), command
 
 
+def test_eval_coop_names_a_file_without_cooperative_rows(tiny_config, gen_dir, tmp_path, capsys):
+    path = tmp_path / "no-coop.jsonl"
+    with open(os.path.join(gen_dir, "test.jsonl")) as fh:
+        path.write_text("".join(line for line in fh if "pubHighSubLow" not in line))
+    assert main(["--config", tiny_config, "eval", "--data", str(path),
+                 "--policy", "rule", "--scenario", "coop"]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {path} holds no cooperative (pubHighSubLow) records\n")
+
+
 def test_heads_from_another_config_are_refused(tiny_config, compared, tmp_path, capsys):
     """A head trained under one config is refused by name under another
     (here the seed differs) by every command that loads it."""
@@ -348,8 +358,8 @@ def test_eval_missing_data(tiny_config, tmp_path, capsys):
 
 
 def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
-    mistyped, unknown, out_dir, mode, sigma, swapped, layers, weight, seed = (
-        ExperimentConfig().to_dict() for _ in range(9))
+    mistyped, unknown, out_dir, mode, sigma, swapped, layers, weight, seed, split = (
+        ExperimentConfig().to_dict() for _ in range(10))
     mistyped["dataset"]["window"] = 2.5
     unknown["link"]["time_latency_multiplier"]["noon"] = 1.0
     out_dir["out_dir"] = 5
@@ -360,6 +370,7 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
     layers["train"]["layers"] = 4
     weight["reward"]["w_p"] = float("nan")  # written and read back as the JSON literal NaN
     seed["seed"] = -1
+    split["dataset"].update(logs_per_session=1, window=1, split_fraction=0.5)  # no training row
     monkeypatch.chdir(tmp_path)  # where `gen` and `compare` without --out would write
     out = ["--out", str(tmp_path / "out")]
     for d, message, args in (
@@ -372,7 +383,8 @@ def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
             (swapped, "link.base_latency_ms must be lower for realtime than bulk", out),
             (layers, "train.layers must be 1, 2 or 3, not 4", out),
             (weight, "reward.w_p must be finite and >= 0, not nan", out),
-            (seed, "seed must be >= 0, not -1", out)):
+            (seed, "seed must be >= 0, not -1", out),
+            (split, "dataset.split_fraction must be >= 1 / dataset.logs_per_session", out)):
         p = tmp_path / "f.json"
         p.write_text(json.dumps(d))
         for command in (["gen", *args], ["compare", *args],
@@ -416,6 +428,23 @@ def test_negative_seed_flag_named(tmp_path, capsys):
     assert main(["--seed", "-1", "gen", "--out", str(tmp_path / "out")]) == 1
     assert "error: seed must be >= 0, not -1" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_gen_refuses_generated_columns_that_overflow(tiny_config, tmp_path, capsys):
+    """Config values that each pass their own check but overflow the
+    generated columns are refused where the grid is checked, before any
+    dataset file is written."""
+    for section, key, value, message in (
+            ("link", "latency_noise_sigma", 1e3, "latency must be finite and non-negative"),
+            ("reward", "w_l", 1e308, "rewards must be finite")):
+        d = load_config(tiny_config).to_dict()
+        d[section][key] = value
+        config, out = tmp_path / f"{key}.json", tmp_path / key
+        config.write_text(json.dumps(d))
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow being refused
+            assert main(["--config", str(config), "gen", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err, key
+        assert list(out.glob("*.jsonl")) == [], key
 
 
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):
@@ -573,6 +602,26 @@ def test_compare_retrains_only_a_missing_head(tiny_config, tmp_path, parsed, cap
         assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
         assert parsed.count("train.jsonl") == 1, head
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before, head
+
+
+def test_compare_checks_each_row_once(tiny_config, tmp_path, monkeypatch):
+    """Dataset columns are checked once, where they enter: a cold `compare`
+    checks the two grids it generates and the test and OOD files it reads
+    back, a warm one those two files; no split, slice or mask checks again."""
+    rows, check = [], watune.datagen._checked
+
+    def spy(data):
+        rows.append(len(data))
+        return check(data)
+
+    monkeypatch.setattr(watune.datagen, "_checked", spy)
+    out = tmp_path / "cmp"
+    for runs, generated in ((4, ("in_distribution", "ood")), (2, ())):
+        rows.clear()
+        assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert len(rows) == runs
+        assert sum(rows) == sum(counts[k] for k in (*generated, "test", "ood"))
 
 
 def test_compare_does_not_import_numpy_ma(tiny_config, tmp_path):

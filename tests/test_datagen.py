@@ -233,15 +233,17 @@ MISSING = object()
 
 
 def test_record_fuzz_every_key(tmp_path, small_dataset):
-    """Each record key set on line 2 of 3 to each odd value, or (a list head
-    excepted) removed, is refused naming the file and line 2, except three
-    values a record may hold: step 0, sub_battery null and latency 0."""
+    """Each record key set on line 2 of 3 to each odd value or to an integer
+    too large for int64 (10**30) or float64 (10**400), or (a list head
+    excepted) removed, is refused naming the file and line 2, except five
+    values a record may hold: step 0, sub_battery null, latency 0, and a
+    latency or energy of 10**30."""
     p = tmp_path / "fuzz.jsonl"
     first, second, third = jsonl(small_dataset[:3]).splitlines(keepends=True)
     refused, loaded = 0, []
     for key in RECORD_KEYS:
         name, index = key.removesuffix("[0]"), key.endswith("[0]")
-        for value in FUZZ_VALUES + (() if index else (MISSING,)):
+        for value in FUZZ_VALUES + (10**30, 10**400) + (() if index else (MISSING,)):
             rec = json.loads(second)
             owner, _, leaf = name.rpartition(".")
             node = rec[owner] if owner else rec
@@ -258,11 +260,14 @@ def test_record_fuzz_every_key(tmp_path, small_dataset):
                 assert str(exc).startswith(f"{p}: line 2: "), (key, value, str(exc))
                 if value is MISSING:
                     assert str(exc).endswith(f"malformed dataset record: missing key {key}"), str(exc)
+                if (key, value) in (("step", 10**30), ("pub_battery", 10**400)):
+                    assert f"malformed dataset record: {key} must fit in " in str(exc), str(exc)
                 refused += 1
             else:
                 loaded.append((key, value))
-    assert loaded == [("step", 0), ("sub_battery", None), ("latency_ms[0]", 0)]
-    assert refused == 124
+    assert loaded == [("step", 0), ("sub_battery", None), ("latency_ms[0]", 0),
+                      ("latency_ms[0]", 10**30), ("energy_pct_h[0]", 10**30)]
+    assert refused == 148
 
 
 def test_unknown_name_is_named(tmp_path, small_dataset):

@@ -1,6 +1,3 @@
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 from watune.domain import (
@@ -9,13 +6,14 @@ from watune.domain import (
     AppType,
     BatteryClass,
     BatteryConfig,
-    DatasetError,
     PerformanceMode,
     Scenario,
     TimeOfDay,
     ALL_SCENARIOS,
     action_from_index,
 )
+
+from conftest import load_record
 
 
 ACTIONS = tuple(action_from_index(i) for i in range(8))
@@ -76,16 +74,13 @@ def test_scenario_code_indexes_grid():
     assert ALL_SCENARIOS[Scenario(TimeOfDay.night, BatteryConfig.bothLow).code].key() == "night/bothLow"
 
 
-def test_context_validation(small_dataset):
-    """The Dataset constructor checks the context columns of every row."""
-    row = small_dataset[:1]
-    ok = replace(row, pub=np.array([50.0]), sub=np.array([80.0]))
+def test_context_validation(tmp_path, small_dataset):
+    """`load_dataset` checks the context columns of every record."""
+    ok = load_record(tmp_path, small_dataset, pub_battery=50.0, sub_battery=80.0)
     assert ok.sub.tolist() == [80.0]
-    with pytest.raises(DatasetError, match="row 0: publisher battery must be in"):
-        replace(row, pub=np.array([120.0]))
-    with pytest.raises(DatasetError, match="row 0: subscriber battery must be in"):
-        replace(row, sub=np.array([-1.0]))
-    with pytest.raises(ValueError, match="app histories must be non-empty"):
-        replace(row, hist=np.zeros((1, 0), dtype=int))
-    with pytest.raises(ValueError, match="step must be non-negative"):
-        replace(small_dataset[:1], step=np.array([-1]))
+    for edit, message in (({"pub_battery": 120.0}, "line 1: publisher battery must be in"),
+                          ({"sub_battery": 101.0}, "line 1: subscriber battery must be in"),
+                          ({"app_history": []}, "app histories must be non-empty"),
+                          ({"step": -1}, "line 1: step must be non-negative")):
+        with pytest.raises(ValueError, match=message):
+            load_record(tmp_path, small_dataset, **edit)

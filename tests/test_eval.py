@@ -44,11 +44,6 @@ def test_evaluate_per_scenario_breakdown(small_split):
         np.mean([v["objective"] for v in rep.per_scenario.values()]))
 
 
-def test_evaluate_empty_slice():
-    with pytest.raises(ValueError):
-        evaluate(OraclePolicy(), [])
-
-
 def test_cooperative_slice(small_split):
     _, test = small_split
     coop = cooperative_slice(test)

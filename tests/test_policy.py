@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,7 @@ from watune.policy import (
     make_baseline,
 )
 
-from conftest import Context, dataset_of
+from conftest import Context, dataset_of, load_record
 
 
 def ctx(apps):
@@ -74,10 +72,10 @@ def test_rule_examples():
     assert rule(tie) == 2
 
 
-def test_rule_empty_history(small_dataset):
-    # A Dataset row cannot carry an empty history.
+def test_rule_empty_history(tmp_path, small_dataset):
+    # A dataset record cannot carry an empty history.
     with pytest.raises(ValueError, match="app histories must be non-empty"):
-        replace(small_dataset[:1], hist=np.zeros((1, 0), dtype=int))
+        load_record(tmp_path, small_dataset, app_history=[])
 
 
 @given(st.lists(st.sampled_from(list(AppType)), min_size=1, max_size=10), st.randoms())

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from watune.reward import (
     soft_labels,
 )
 
-from conftest import Context, contexts_of
+from conftest import Context, contexts_of, load_record
 
 
 def brute_objective(context, measured, cfg):
@@ -73,14 +71,15 @@ def test_latency_score_golden():
     assert scores(AppType.firmwareUpdate, 0.0)[0] == 100.0
 
 
-def test_latency_score_clamps_and_errors(small_dataset):
+def test_latency_score_clamps_and_errors(tmp_path, small_dataset):
     assert scores(AppType.voiceChat, 1e6)[0] == 0.0
-    # A negative latency never reaches the reward, nor a score above 100 a
-    # dataset: the Dataset refuses both.
-    with pytest.raises(ValueError, match="latency"):
-        replace(small_dataset[:1], lat=np.full((1, 8), -1.0))
-    with pytest.raises(ValueError, match="latency scores"):
-        replace(small_dataset[:1], lat_scores=np.full((1, 8), 101.0))
+    # Every latency that passes its own check scores in [0, 100], so the
+    # scores need no check; a negative latency never reaches the reward.
+    with np.errstate(over="ignore"):  # 100 x the largest float
+        for latency_ms in (0.0, 5e-324, 1.7976931348623157e308):
+            assert 0.0 <= scores(AppType.voiceChat, latency_ms)[0] <= 100.0
+    with pytest.raises(ValueError, match="line 1: latency must be finite and non-negative"):
+        load_record(tmp_path, small_dataset, latency_ms=[-1.0] * 8)
 
 
 def test_latency_score_non_increasing():
@@ -96,13 +95,14 @@ def test_energy_score_golden():
     assert abs(scores(AppType.voiceChat, battery=50.0, energy=3.24)[1] - 15.4321) < 1e-4
 
 
-def test_energy_score_errors(small_dataset):
-    # Zero energy never reaches the reward, nor a zero score a dataset: the
-    # Dataset refuses both.
-    with pytest.raises(ValueError, match="energy"):
-        replace(small_dataset[:1], eng=np.zeros((1, 8)))
-    with pytest.raises(ValueError, match="energy scores"):
-        replace(small_dataset[:1], eng_scores=np.zeros((1, 8)))
+def test_energy_score_errors(tmp_path, small_dataset):
+    # Zero energy never reaches the reward, nor an infinite score (from the
+    # smallest positive energy) a dataset: `load_dataset` refuses both.
+    with pytest.raises(ValueError, match="line 1: energy must be finite and strictly positive"):
+        load_record(tmp_path, small_dataset, energy_pct_h=[0.0] * 8)
+    with pytest.raises(ValueError, match="line 1: energy scores must be finite and positive"), \
+            np.errstate(over="ignore"):
+        load_record(tmp_path, small_dataset, energy_pct_h=[5e-324] * 8)
     with pytest.raises(ValueError, match="battery must be strictly positive"):
         scores(AppType.voiceChat, battery=0.0)
 
