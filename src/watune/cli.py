@@ -30,7 +30,7 @@ from .datagen import (
     load_dataset,
     split,
 )
-from .domain import BatteryConfig, Scenario, TimeOfDay
+from .domain import BatteryConfig, DatasetError, Scenario, TimeOfDay
 from .policy import BASELINE_NAMES, HeadPolicy, make_baseline
 from .reward import RewardMode
 from .train import TrainingDiverged, load_checkpoint, save_checkpoint
@@ -46,23 +46,35 @@ class CliError(RuntimeError):
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)  # __post_init__ hands the seed to each section
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
-    _generate(cfg, args.out or cfg.out_dir)
+    _generate(cfg, args.out or cfg.out_dir, args.config)
     return 0
 
 
-def _generate(cfg: ExperimentConfig, out: str) -> Dataset:
-    """Write the train/test/OOD files, config and manifest of `cfg` to
-    `out`; returns the train split. Each split is written as soon as it
-    exists, and only the train split is kept."""
+def _grid(profile, cfg: ExperimentConfig, stream: int, source: str | None) -> Dataset:
+    """The dataset grid of `cfg`. A refused column is named by the config
+    section that made it, and by `source`, the config file, if one was given:
+    the rewards by `reward`, the measurements and their scores by `link`."""
+    try:
+        return generate_dataset(profile, cfg.link, cfg.dataset, cfg.reward, cfg.seed, stream=stream)
+    except DatasetError as exc:
+        section = "reward" if exc.column == "rewards" else "link"
+        where = f"{source}: " if source else ""
+        raise CliError(f"{where}{section}.* settings: generated {exc.message}") from None
+
+
+def _generate(cfg: ExperimentConfig, out: str, source: str | None) -> Dataset:
+    """Write the train/test/OOD files, config and manifest of `cfg` (read from
+    the file `source`, if any) to `out`; returns the train split. Each split
+    is written as soon as it exists, and only the train split is kept."""
     os.makedirs(out, exist_ok=True)
-    full = generate_dataset(IN_DISTRIBUTION_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=0)
-    rng = np.random.default_rng([cfg.dataset.seed, 9973])
+    full = _grid(IN_DISTRIBUTION_PROFILE, cfg, 0, source)
+    rng = np.random.default_rng([cfg.seed, 9973])
     counts, hashes = {"in_distribution": len(full)}, {}
     train_set, test_set = split(full, cfg.dataset.split_fraction, rng)
     del full
@@ -74,7 +86,7 @@ def _generate(cfg: ExperimentConfig, out: str) -> Dataset:
     write("train", train_set)
     write("test", test_set)
     del test_set
-    write("ood", generate_dataset(OOD_PROFILE, cfg.link, cfg.dataset, cfg.reward, stream=OOD_STREAM))
+    write("ood", _grid(OOD_PROFILE, cfg, OOD_STREAM, source))
     save_config(os.path.join(out, "config.json"), cfg)
 
     manifest = {
@@ -108,7 +120,8 @@ def cmd_train(args) -> int:
         raise CliError("--loss dpo requires --ref <sft-checkpoint>")
     data = _load_records(_resolve_data(args.data, "train"), cfg)
     ref_model = _load_head(args.ref, cfg).model if args.ref else None
-    policy, report = train_head(data, tcfg, masked=args.no_peer, ref_model=ref_model)
+    policy, report = train_head(data, tcfg, cfg.seed, cfg.reward.soft_temp,
+                                masked=args.no_peer, ref_model=ref_model)
     _save_head(args.out, policy, report, cfg)
     print(f"trained {tcfg.loss} head ({policy.model.n_layers} layers) on {len(data)} samples -> {args.out}")
     return 0
@@ -121,7 +134,7 @@ def _save_head(path: str, policy: HeadPolicy, report: dict, cfg: ExperimentConfi
     save_checkpoint(path, policy.model, {
         "loss": report["loss"], "layers": policy.model.n_layers, "seed": report["seed"],
         "config_hash": cfg.config_hash(), "no_peer": policy.mask_peer,
-        "reward_mode": "naive" if cfg.reward.mode is RewardMode.naive else "context",
+        "reward_mode": "naive" if cfg.reward.reward_mode is RewardMode.naive else "context",
         "report": report,
     })
 
@@ -208,14 +221,14 @@ def _head_variants(train_path: str, cfg: ExperimentConfig, out: str,
     specs = {"head-ce": ("ce", False), "head-kl": ("kl", False),
              "head-kl+dpo": ("dpo", False), "head-kl-no-peer": ("kl", True)}
     for name, (loss, masked) in specs.items():
-        tcfg = replace(cfg.train, loss=loss)
         ckpt = os.path.join(out, name + ".ckpt.json")
         if os.path.exists(ckpt):
             variants[name] = _load_head(ckpt, cfg, name, (loss, masked))
             continue
         if train_set is None:
             train_set = load_dataset(train_path, cfg.reward)
-        policy, report = train_head(train_set, tcfg, masked=masked)
+        policy, report = train_head(train_set, replace(cfg.train, loss=loss), cfg.seed,
+                                    cfg.reward.soft_temp, masked=masked)
         _save_head(ckpt, policy, report, cfg)
         variants[name] = HeadPolicy(policy.model, name=name, mask_peer=masked)
     return variants
@@ -237,7 +250,7 @@ def cmd_compare(args) -> int:
                 raise CliError(f"{path} does not match its hash in {manifest_path}; "
                                "remove stale artifacts or use a fresh out dir")
     else:
-        train_set = _generate(cfg, out)
+        train_set = _generate(cfg, out, args.config)
 
     policies = {name: make_baseline(name) for name in BASELINE_NAMES}
     policies.update(_head_variants(paths["train"], cfg, out, train_set))

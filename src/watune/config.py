@@ -1,5 +1,6 @@
 """Experiment configuration: one self-describing file whose hash stamps
-every artifact it produces."""
+every artifact it produces. The file's keys are the fields of
+`ExperimentConfig` and of its section dataclasses, and nothing else."""
 
 from __future__ import annotations
 
@@ -7,23 +8,13 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 
 from .datagen import DatasetConfig
-from .domain import BatteryClass, TimeOfDay
 from .measurement import LinkModelConfig
-from .reward import RewardConfig, RewardMode
+from .reward import RewardConfig
 from .train import TrainConfig
-
-# The scalar fields of each config section, stored under their own names.
-# The remaining keys (tables, enums) are mapped by hand below.
-SECTION_FIELDS = {
-    "dataset": ("logs_per_session", "sample_interval_s", "window", "split_fraction"),
-    "link": ("latency_noise_sigma", "energy_noise_sigma"),
-    "reward": ("w_l", "w_p", "soft_temp"),
-    "train": ("loss", "epochs", "effective_batch", "learning_rate", "weight_decay",
-              "dpo_beta", "layers", "hidden"),
-}
 
 
 @dataclass
@@ -38,81 +29,73 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise ValueError(f"seed must be >= 0, not {self.seed!r}")
-        # New section objects: `dataclasses.replace` passes in the sections
-        # of the config it copies, which must keep their own values.
-        self.dataset = replace(self.dataset, seed=self.seed)
-        self.train = replace(self.train, seed=self.seed, soft_temp=self.reward.soft_temp)
 
     def to_dict(self) -> dict:
-        out = {"seed": self.seed, "out_dir": self.out_dir}
-        for section, keys in SECTION_FIELDS.items():
-            out[section] = {k: getattr(getattr(self, section), k) for k in keys}
-        out["dataset"]["battery_class_ranges"] = {
-            c.name: list(self.dataset.battery_class_ranges[c]) for c in BatteryClass
-        }
-        out["link"].update(
-            base_latency_ms=list(self.link.base_latency_ms),
-            base_energy_pct_h=list(self.link.base_energy_pct_h),
-            time_latency_multiplier={
-                t.name: self.link.time_latency_multiplier[t] for t in TimeOfDay
-            },
-        )
-        out["reward"]["reward_mode"] = self.reward.mode.value
-        return out
+        return _plain(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# How messages name each JSON kind a config leaf may have; a bool is none.
-KINDS = {int: "an integer", float: "a number", str: "a string"}
+def _plain(value):
+    """`value` as JSON data: a dataclass as an object of its fields, a table
+    as an object keyed by enum name, a tuple as a list, an enum as its value."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key.name: _plain(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
-def _checked(value, default, where: str):
-    """`value` checked against `default`, its place in the built-in config's
-    `to_dict()`: an object with exactly its keys, a list of as many numbers
-    (kept as a tuple), or a leaf of its kind, where an int is taken (and
-    kept as a float) for a float."""
-    if type(default) is dict:
+def _built(value, like, where: str):
+    """`value`, parsed JSON, built in the form of `like`, its place in the
+    built-in config, by inverting `_plain`. A dataclass or table takes an
+    object of exactly its keys, a tuple a list of as many numbers, an enum one
+    of its values, and a leaf its kind, where an int is kept as a float for one."""
+    if is_dataclass(like) or isinstance(like, dict):
+        # Each key's name in the file, its key in `like`, and its value there.
+        if is_dataclass(like):
+            parts = {f.name: (f.name, getattr(like, f.name)) for f in fields(like)}
+        else:  # a table keyed by enum
+            parts = {key.name: (key, v) for key, v in like.items()}
         if type(value) is not dict:
             raise ValueError(f"config {where or 'file'} must be an object, not {value!r}")
-        for key in [k for k in value if k not in default]:
-            raise ValueError(f"config {where or 'file'} has no key {key!r}")
-        dotted = {key: f"{where}.{key}" if where else key for key in default}
-        for key in [k for k in default if k not in value]:
-            raise ValueError(f"config missing key {dotted[key]}")
-        return {key: _checked(value[key], d, dotted[key]) for key, d in default.items()}
-    if type(default) is list:
-        if type(value) is not list or len(value) != len(default):
-            raise ValueError(f"config {where} must be a list of {len(default)} numbers, not {value!r}")
-        return tuple(_checked(v, d, where) for v, d in zip(value, default))
-    kind = type(default)
+        for name in [k for k in value if k not in parts]:
+            raise ValueError(f"config {where or 'file'} has no key {name!r}")
+        dotted = {name: f"{where}.{name}" if where else name for name in parts}
+        for name in [k for k in parts if k not in value]:
+            raise ValueError(f"config missing key {dotted[name]}")
+        built = {key: _built(value[name], v, dotted[name]) for name, (key, v) in parts.items()}
+        return type(like)(**built) if is_dataclass(like) else built
+    if isinstance(like, tuple):
+        if type(value) is not list or len(value) != len(like):
+            raise ValueError(f"config {where} must be a list of {len(like)} numbers, not {value!r}")
+        return tuple(_built(v, d, where) for v, d in zip(value, like))
+    if isinstance(like, Enum):
+        values = [m.value for m in type(like)]
+        if value not in values:
+            raise ValueError(f"config {where} must be one of {', '.join(map(repr, values))}, "
+                             f"not {value!r}")
+        return type(like)(value)
+    kind = type(like)
     try:
         if type(value) in ((int, float) if kind is float else (kind,)):
             return kind(value)
     except OverflowError:  # an int too large for a float
         pass
-    raise ValueError(f"config {where} must be {KINDS[kind]}, not {value!r}")
+    kinds = {int: "an integer", float: "a number", str: "a string"}  # a bool is none of them
+    raise ValueError(f"config {where} must be {kinds[kind]}, not {value!r}")
 
 
 def from_dict(obj) -> ExperimentConfig:
     """The config a parsed JSON file describes, checked against the built-in one."""
-    schema = ExperimentConfig().to_dict()
+    like = ExperimentConfig()
     if type(obj) is dict:  # out_dir is the one optional key
-        obj = {"out_dir": schema["out_dir"], **obj}
-    d = _checked(obj, schema, "")
-    mode, modes = d["reward"].pop("reward_mode"), [m.value for m in RewardMode]
-    if mode not in modes:
-        raise ValueError(f"config reward.reward_mode must be one of "
-                         f"{', '.join(map(repr, modes))}, not {mode!r}")
-    ds, lk = d["dataset"], d["link"]
-    ds["battery_class_ranges"] = {BatteryClass[c]: v for c, v in ds["battery_class_ranges"].items()}
-    lk["time_latency_multiplier"] = {TimeOfDay[t]: v for t, v in lk["time_latency_multiplier"].items()}
-    return ExperimentConfig(seed=d["seed"], out_dir=d["out_dir"],
-                            dataset=DatasetConfig(**ds), link=LinkModelConfig(**lk),
-                            reward=RewardConfig(**d["reward"], mode=RewardMode(mode)),
-                            train=TrainConfig(**d["train"]))
+        obj = {"out_dir": like.out_dir, **obj}
+    return _built(obj, like, "")
 
 
 def load_config(path: str | None) -> ExperimentConfig:

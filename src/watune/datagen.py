@@ -112,7 +112,6 @@ class DatasetConfig:
     sample_interval_s: float = 5.0
     window: int = 10
     split_fraction: float = 0.8
-    seed: int = 1
     battery_class_ranges: dict = field(default_factory=lambda: dict(DEFAULT_BATTERY_RANGES))
 
     def __post_init__(self):
@@ -214,7 +213,7 @@ def _checked(data: Dataset) -> Dataset:
         if bad.ndim == 2:
             bad = bad.any(axis=1)
         if bad.any():
-            raise DatasetError(int(np.argmax(bad)), message)
+            raise DatasetError(int(np.argmax(bad)), message, name)
     return data
 
 
@@ -293,6 +292,7 @@ def generate_dataset(
     link: LinkModelConfig,
     cfg: DatasetConfig,
     reward_cfg: RewardConfig,
+    seed: int,
     stream: int = 0,
 ) -> Dataset:
     """Full 16-scenario grid in canonical order (scenario-major, step-minor).
@@ -301,11 +301,12 @@ def generate_dataset(
     OOD evaluation set).
     """
     link = replace(link)  # checked, and `measure`'s tables built, from its fields as they are now
-    return _checked(Dataset.concat([
-        generate_session(scenario, profile, link, cfg, reward_cfg,
-                         np.random.default_rng([cfg.seed, stream, idx]))
-        for idx, scenario in enumerate(ALL_SCENARIOS)
-    ]))
+    with np.errstate(over="ignore", invalid="ignore"):  # `_checked` names an overflowed column
+        return _checked(Dataset.concat([
+            generate_session(scenario, profile, link, cfg, reward_cfg,
+                             np.random.default_rng([seed, stream, idx]))
+            for idx, scenario in enumerate(ALL_SCENARIOS)
+        ]))
 
 
 def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
@@ -432,7 +433,7 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
     line_of = arrays.pop("lineno")
     try:
         contexts = Contexts(*(arrays[k] for k in Contexts._fields))
-        with np.errstate(divide="ignore", invalid="ignore"):  # `_checked` names bad input
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # `_checked` names it
             derived = objective(contexts, (arrays["lat"], arrays["eng"]), reward_cfg)
         return _checked(Dataset(**arrays, **dict(zip(_REWARDS, derived))))
     except DatasetError as exc:

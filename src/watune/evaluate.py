@@ -66,17 +66,17 @@ def cooperative_slice(dataset: Dataset) -> Dataset:
                                               if s.battery_config is BatteryConfig.pubHighSubLow])]
 
 
-def train_head(train_set: Dataset, cfg: TrainConfig,
+def train_head(train_set: Dataset, cfg: TrainConfig, seed: int, soft_temp: float,
                masked: bool = False, ref_model: HeadModel | None = None):
     """Train a head per config; with masked=True the policy input hides the
     subscriber battery (labels still come from both devices). DPO starts
     from and is anchored to `ref_model`, by default a KL head trained first
     on the same data. Returns the policy and the training report."""
     if cfg.loss == "dpo" and ref_model is None:
-        ref_model = train_head(train_set, replace(cfg, loss="kl"), masked)[0].model
+        ref_model = train_head(train_set, replace(cfg, loss="kl"), seed, soft_temp, masked)[0].model
     data = mask_peer(train_set) if masked else train_set
-    start = ref_model if cfg.loss == "dpo" else init_head(cfg.layers, cfg.hidden, seed=cfg.seed)
-    model, report = train(data, start, cfg, ref_model=ref_model)
+    start = ref_model if cfg.loss == "dpo" else init_head(cfg.layers, cfg.hidden, seed=seed)
+    model, report = train(data, start, cfg, seed, soft_temp, ref_model=ref_model)
     policy = HeadPolicy(model, name=f"head-{cfg.loss}" + ("-no-peer" if masked else ""),
                         mask_peer=masked)
     return policy, report

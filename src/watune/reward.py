@@ -37,7 +37,7 @@ class RewardMode(str, Enum):
 class RewardConfig:
     w_l: float = 0.1
     w_p: float = 1.0
-    mode: RewardMode = RewardMode.contextAware
+    reward_mode: RewardMode = RewardMode.contextAware
     soft_temp: float = 0.25
 
     def __post_init__(self):
@@ -66,7 +66,7 @@ def objective(contexts: Contexts, measured, cfg: RewardConfig):
         raise DatasetError(int(np.argmax(flat)),
                            "battery must be strictly positive for reward computation")
 
-    if cfg.mode is RewardMode.naive:
+    if cfg.reward_mode is RewardMode.naive:
         lat_scores = np.maximum(100.0 - 100.0 * lat / NAIVE_TOLERANCE_MS, 0.0)
         energy_penalty = eng / NAIVE_BATTERY
         eng_scores = NAIVE_BATTERY / eng

@@ -191,8 +191,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 0.01
     dpo_beta: float = 0.1
-    seed: int = 1
-    soft_temp: float = 0.25
     layers: int = 3
     hidden: int = 64
 
@@ -261,9 +259,10 @@ def accuracy_vs_oracle(model: HeadModel, feats: np.ndarray, labels: np.ndarray) 
     return float(np.mean(_choices(model, feats) == labels))
 
 
-def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
+def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_temp: float,
           ref_model: HeadModel | None = None) -> tuple[HeadModel, dict]:
-    """Deterministic mini-batch AdamW training of the head."""
+    """Deterministic mini-batch AdamW training of the head: `seed` orders its
+    batches, and a KL head learns its rewards' soft labels at `soft_temp`."""
     if not len(dataset):
         raise ValueError("empty training set")
     # The model trains in a copy of its parameters held in one flat vector,
@@ -278,7 +277,7 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
     targets, beta = (labels,), []
     skipped = 0
     if cfg.loss == "kl":
-        targets = kl_target(soft_labels(dataset.rewards, cfg.soft_temp))
+        targets = kl_target(soft_labels(dataset.rewards, soft_temp))
     elif cfg.loss == "dpo":
         y_w = labels
         y_l = np.argmin(dataset.rewards, axis=1)
@@ -295,7 +294,7 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
     epoch_loss: list[float] = []
 
     for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, 0x5EED, epoch]).permutation(n)
+        order = np.random.default_rng([seed, 0x5EED, epoch]).permutation(n)
         shuffled = [a[order] for a in (feats, *targets)]  # each batch is a slice of these
         total, batches = 0.0, 0
         for start in range(0, n, cfg.effective_batch):
@@ -314,7 +313,7 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig,
     report = {
         "loss": cfg.loss,
         "epochs": cfg.epochs,
-        "seed": cfg.seed,
+        "seed": seed,
         "samples": len(dataset),
         "skipped_pairs": skipped,
         "epoch_loss": epoch_loss,

@@ -81,8 +81,8 @@ def load_record(tmp_path, dataset: Dataset, **edit) -> Dataset:
 @pytest.fixture(scope="session")
 def small_dataset():
     """16 scenarios x 100 steps: big enough for training smoke tests."""
-    cfg = DatasetConfig(logs_per_session=100, seed=1)
-    return generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig())
+    cfg = DatasetConfig(logs_per_session=100)
+    return generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), 1)
 
 
 @pytest.fixture(scope="session")

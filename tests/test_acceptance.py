@@ -64,7 +64,7 @@ def _ok(n, name):
 @pytest.fixture(scope="module")
 def full_dataset():
     return generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
-                            DatasetConfig(), RewardConfig())
+                            DatasetConfig(), RewardConfig(), 1)
 
 
 # --- 1. reward golden values + brute-force equivalence ---------------------
@@ -269,7 +269,7 @@ def test_accept_6_dataset_statistics(full_dataset, tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     atomic_write_text(p1, dataset_blocks(full_dataset[:2000]))
     again = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
-                             DatasetConfig(), RewardConfig())
+                             DatasetConfig(), RewardConfig(), 1)
     atomic_write_text(p2, dataset_blocks(again[:2000]))
     assert file_hash(p1) == file_hash(p2)
     _ok(6, "32k samples, 16 equal blocks, stratified 80/20, profile freqs, hash")
@@ -282,17 +282,18 @@ def test_accept_7_directional_findings():
     seeds = (1, 2, 3, 4, 5)
     wins = {"kl_ge_ce": 0, "kl_ge_rule_agg": 0, "kl_ge_rule_ood": 0,
             "coop_energy_lower_with_peer": 0, "ctx_ge_naive": 0}
+    soft_temp = RewardConfig().soft_temp
     for seed in seeds:
-        dcfg = DatasetConfig(seed=seed)
-        data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), dcfg, RewardConfig())
+        dcfg = DatasetConfig()
+        data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), dcfg, RewardConfig(), seed)
         rng = np.random.default_rng([seed, 9973])
         train_set, test_set = split(data, dcfg.split_fraction, rng)
-        ood = generate_dataset(OOD_PROFILE, LinkModelConfig(), dcfg, RewardConfig(), stream=1)
+        ood = generate_dataset(OOD_PROFILE, LinkModelConfig(), dcfg, RewardConfig(), seed, stream=1)
 
-        base = dict(epochs=5, seed=seed, layers=3)
+        base = dict(epochs=5, layers=3)
         kl_cfg = TrainConfig(loss="kl", **base)
-        kl_policy, _ = train_head(train_set, kl_cfg)
-        ce_policy, _ = train_head(train_set, TrainConfig(loss="ce", **base))
+        kl_policy, _ = train_head(train_set, kl_cfg, seed, soft_temp)
+        ce_policy, _ = train_head(train_set, TrainConfig(loss="ce", **base), seed, soft_temp)
 
         kl_agg = evaluate(kl_policy, test_set).objective_score
         if kl_agg >= evaluate(ce_policy, test_set).objective_score:
@@ -308,12 +309,13 @@ def test_accept_7_directional_findings():
         # the same seed and config: one blind to the subscriber battery, and
         # one trained on naive-reward labels, scored on context-aware ones.
         coop = cooperative_slice(test_set)
-        masked_policy, _ = train_head(train_set, kl_cfg, masked=True)
+        masked_policy, _ = train_head(train_set, kl_cfg, seed, soft_temp, masked=True)
         if (evaluate(kl_policy, coop).raw_energy_pct_h
                 < evaluate(masked_policy, coop).raw_energy_pct_h):
             wins["coop_energy_lower_with_peer"] += 1
 
-        naive_policy, _ = train_head(relabel(train_set, RewardConfig(mode=RewardMode.naive)), kl_cfg)
+        naive = relabel(train_set, RewardConfig(reward_mode=RewardMode.naive))
+        naive_policy, _ = train_head(naive, kl_cfg, seed, soft_temp)
         if kl_agg >= evaluate(naive_policy, test_set).objective_score:
             wins["ctx_ge_naive"] += 1
 
@@ -327,19 +329,19 @@ def test_accept_7_directional_findings():
 
 def test_accept_8_single_objective_sanity():
     # latency-only (w_P = 0): oracle == latency-argmax on every sample
-    dcfg = DatasetConfig(logs_per_session=250, seed=1)
+    dcfg = DatasetConfig(logs_per_session=250)
     lat_cfg = RewardConfig(w_l=0.1, w_p=0.0)
-    data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), dcfg, lat_cfg)
+    data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), dcfg, lat_cfg, 1)
     assert np.array_equal(OraclePolicy().decide(data), np.argmin(data.lat, axis=1))
 
     # energy-only (w_L = 0), noiseless: oracle == (bulk, background) everywhere
     quiet = LinkModelConfig(latency_noise_sigma=0.0, energy_noise_sigma=0.0)
     eng_cfg = RewardConfig(w_l=0.0, w_p=1.0)
-    data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, eng_cfg)
+    data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, eng_cfg, 1)
     assert np.all(OraclePolicy().decide(data) == 5)
 
     # fix-rt-iv within 1% of the oracle under the noiseless latency-only model
-    data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, lat_cfg)
+    data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, lat_cfg, 1)
     oracle_rep = evaluate(OraclePolicy(), data)
     fixed_rep = evaluate(FixedPolicy("rt_iv"), data)
     assert fixed_rep.latency_score >= 0.99 * oracle_rep.latency_score

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,42 @@ def subprocess_env(**extra) -> dict:
     return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
 
+def test_seed_flag_is_the_config_seed(tiny_config, gen_dir, tmp_path):
+    """`--seed 7` runs what a config file whose seed is 7 runs: `gen` writes
+    the same manifest, other than seed 1's, and `train` the same head,
+    stamped with seed 7."""
+    seven = tmp_path / "seven.json"
+    save_config(seven, replace(load_config(tiny_config), seed=7))
+    manifests, heads = [], []
+    for flags in (["--config", tiny_config, "--seed", "7"], ["--config", str(seven)]):
+        out, ckpt = tmp_path / f"out-{len(heads)}", tmp_path / f"kl-{len(heads)}.ckpt.json"
+        assert main([*flags, "gen", "--out", str(out)]) == 0
+        assert main([*flags, "train", "--data", str(out), "--loss", "kl", "--out", str(ckpt)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+        heads.append(ckpt.read_bytes())
+    with open(os.path.join(gen_dir, "manifest.json")) as fh:
+        assert manifests[0] == manifests[1] and manifests[0]["hashes"] != json.load(fh)["hashes"]
+    assert heads[0] == heads[1] and json.loads(heads[0])["metadata"]["seed"] == 7
+
+
+def test_soft_temp_reaches_only_the_kl_head(tiny_config, gen_dir, tmp_path):
+    """`reward.soft_temp` is the temperature of the KL head's soft labels:
+    at 0.5 it changes a KL head's weights and leaves a CE head's as they are."""
+    d = load_config(tiny_config).to_dict()
+    d["reward"]["soft_temp"] = 0.5
+    warm = tmp_path / "warm.json"
+    warm.write_text(json.dumps(d))
+    params = {}
+    for config in (tiny_config, str(warm)):
+        for loss in ("ce", "kl"):
+            ckpt = tmp_path / f"{loss}-{len(params)}.ckpt.json"
+            assert main(["--config", config, "train", "--data", gen_dir, "--loss", loss,
+                         "--out", str(ckpt)]) == 0
+            params[config, loss] = json.loads(ckpt.read_text())["params"]
+    assert params[tiny_config, "ce"] == params[str(warm), "ce"]
+    assert params[tiny_config, "kl"] != params[str(warm), "kl"]
+
+
 def test_train_checkpoint_same_across_blas_threads(tiny_config, gen_dir, tmp_path):
     """`watune train` writes the same bytes under one and two OpenBLAS
     threads: a KL head on the tiny config, and a 3-layer, hidden-64 KL head
@@ -201,7 +238,7 @@ def test_train_writes_the_heads_compare_writes(tmp_path, capsys):
         cfg.dataset.logs_per_session = 80
         cfg.train.epochs = 1
         cfg.train.layers = 1
-        cfg.reward.mode = mode
+        cfg.reward.reward_mode = mode
         config, out = str(tmp_path / f"{mode.value}.json"), tmp_path / mode.value
         save_config(config, cfg)
         assert main(["--config", config, "compare", "--out", str(out)]) == 0
@@ -334,6 +371,22 @@ def test_eval_coop_names_a_file_without_cooperative_rows(tiny_config, gen_dir, t
             == f"error: {path} holds no cooperative (pubHighSubLow) records\n")
 
 
+def test_eval_names_an_overflowing_record_without_a_warning(gen_dir, tmp_path):
+    """An energy of 5e-324 overflows the record's energy scores. Run as
+    `python -W error`, which turns a numpy warning into a traceback, `eval`
+    refuses the record with one line that names its file and line."""
+    with open(os.path.join(gen_dir, "test.jsonl")) as fh:
+        record = json.loads(fh.readline())
+    record["energy_pct_h"][0] = 5e-324
+    path = tmp_path / "tiny-energy.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "watune.cli", "eval",
+                          "--data", str(path), "--policy", "oracle"],
+                         env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (
+        1, f"error: {path}: line 1: energy scores must be finite and positive\n")
+
+
 def test_heads_from_another_config_are_refused(tiny_config, compared, tmp_path, capsys):
     """A head trained under one config is refused by name under another
     (here the seed differs) by every command that loads it."""
@@ -441,10 +494,27 @@ def test_gen_refuses_generated_columns_that_overflow(tiny_config, tmp_path, caps
         d[section][key] = value
         config, out = tmp_path / f"{key}.json", tmp_path / key
         config.write_text(json.dumps(d))
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflow being refused
-            assert main(["--config", str(config), "gen", "--out", str(out)]) == 1
+        assert main(["--config", str(config), "gen", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err, key
         assert list(out.glob("*.jsonl")) == [], key
+
+
+def test_gen_names_the_settings_of_an_overflowing_column(tiny_config, tmp_path):
+    """Run as `python -W error`, which turns a numpy warning into a traceback,
+    `gen` refuses an overflowing column with one line that names the config
+    file and the section whose settings made the column."""
+    for section, key, value, message in (
+            ("link", "latency_noise_sigma", 1e3, "latency must be finite and non-negative"),
+            ("reward", "w_l", 1e308, "rewards must be finite")):
+        d = load_config(tiny_config).to_dict()
+        d[section][key] = value
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps(d))
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "watune.cli", "--config",
+                              str(config), "gen", "--out", str(tmp_path / key)],
+                             env=subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (
+            1, f"error: {config}: {section}.* settings: generated {message}\n"), key
 
 
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):
@@ -540,7 +610,8 @@ def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, parsed, capsys
     assert parsed == ["test.jsonl", "ood.jsonl"]  # the heads train on the split `gen` built
     # and are written before test and OOD are read back, so the train split can be freed first
     assert parsed.heads["test.jsonl"] == sorted(HEADS)
-    table = open(os.path.join(out, "compare.tsv")).read()
+    with open(os.path.join(out, "compare.tsv")) as fh:
+        table = fh.read()
     lines = table.strip().split("\n")
     assert lines[0].startswith("# config_hash:")
     assert len(lines) == 2 + 8  # comment + header + 8 policy rows

@@ -81,7 +81,7 @@ def row_choice(name, ctx, rewards):
 @settings(max_examples=150, deadline=None)
 def test_columnar_reward_equals_row_objective(batch, mode):
     contexts, (lat, eng) = batch
-    cfg = RewardConfig(mode=mode)
+    cfg = RewardConfig(reward_mode=mode)
     columns = objective(contexts_of(*contexts), (lat, eng), cfg)
     for i, ctx in enumerate(contexts):
         # The reference sums in another order: equal to within float64 rounding.
@@ -110,8 +110,8 @@ def test_baseline_batch_decision_equals_row_decide(batch, name):
        st.booleans())
 @settings(max_examples=8, deadline=None)
 def test_dataset_round_trip_is_exact(tmp_path_factory, seed, steps, masked):
-    cfg = DatasetConfig(logs_per_session=steps, seed=seed)
-    data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig())
+    cfg = DatasetConfig(logs_per_session=steps)
+    data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), seed)
     if masked:
         data = mask_peer(data)
     path = tmp_path_factory.mktemp("round_trip") / "data.jsonl"

@@ -3,7 +3,7 @@ import json
 import math
 import os
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -68,21 +68,12 @@ def test_hash_independent_of_key_order():
     assert from_dict(reordered).config_hash() == cfg.config_hash()
 
 
-def test_seed_propagates():
-    cfg = ExperimentConfig(seed=7)
-    assert cfg.dataset.seed == 7
-    assert cfg.train.seed == 7
-    assert cfg.train.soft_temp == cfg.reward.soft_temp
-
-
-def test_replace_keeps_the_original_sections():
-    a = ExperimentConfig()
-    before = a.config_hash()
-    b = replace(a, seed=7)
-    assert a.dataset.seed == a.train.seed == 1
-    assert b.dataset.seed == b.train.seed == 7
-    assert a.dataset is not b.dataset and a.train is not b.train
-    assert a.config_hash() == before == ExperimentConfig(seed=1).config_hash()
+def test_config_hashes_are_pinned():
+    """The built-in config and each committed config keep their hash, which
+    stamps every artifact made under them."""
+    assert ExperimentConfig().config_hash() == "11b575110b04f29f"
+    assert {path.name: load_config(str(path)).config_hash() for path in CONFIGS} == {
+        "energy_only.json": "a7f123d0218c6921", "latency_only.json": "1102d8d75eb51c87"}
 
 
 @pytest.mark.parametrize("key, value", [
@@ -116,10 +107,12 @@ def test_replace_keeps_the_original_sections():
     ("foo", 1),
     ("dataset.foo", 1.0),
     ("link.foo", "x"),
-    ("reward.mode", "naive"),  # the field's name, not its key
-    ("train.seed", 1),  # set from the top-level seed only
+    ("reward.mode", "naive"),  # a key is its field's whole name: reward.reward_mode
+    ("train.seed", 1),  # the seed is set once, at the top
     ("dataset.battery_class_ranges.foo", [5.0, 30.0]),
     ("link.time_latency_multiplier.foo", 1.0),
+    ("dataset.seed", 1),
+    ("train.soft_temp", 0.25),  # set once, in reward
 ])
 def test_from_dict_rejects_mistyped_scalars(key, value):
     d = ExperimentConfig().to_dict()
@@ -318,11 +311,10 @@ def test_to_dict_leaves_have_their_declared_kinds():
     entries are floats."""
     d = ExperimentConfig().to_dict()
     classes = {(): ExperimentConfig, **{(s,): cls for s, cls in SECTIONS.items()}}
-    kinds = {"int": int, "float": float, "str": str}
+    kinds = {"int": int, "float": float, "str": str, "RewardMode": str}  # an enum by its value
     for path in _leaves(d):
         if path[:-1] in classes:
             declared = {f.name: f.type for f in fields(classes[path[:-1]])}
-            declared["reward_mode"] = "str"  # the value of `RewardConfig.mode`
             kind = kinds[declared[path[-1]]]
         else:
             kind = float

@@ -77,7 +77,7 @@ def test_sample_app_chi_square():
 
 
 def test_session_shape_and_window(small_dataset):
-    cfg = DatasetConfig(logs_per_session=50, seed=3)
+    cfg = DatasetConfig(logs_per_session=50)
     rng = np.random.default_rng(0)
     scen = Scenario(TimeOfDay.night, BatteryConfig.bothLow)
     samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
@@ -90,7 +90,7 @@ def test_session_shape_and_window(small_dataset):
 
 
 def test_battery_ranges_respected():
-    cfg = DatasetConfig(logs_per_session=200, seed=5)
+    cfg = DatasetConfig(logs_per_session=200)
     rng = np.random.default_rng(9)
     scen = Scenario(TimeOfDay.morning, BatteryConfig.pubHighSubLow)
     samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
@@ -124,7 +124,7 @@ def test_grid_coverage_and_determinism(small_dataset):
     assert set(counts.values()) == {100}
     again = generate_dataset(
         IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
-        DatasetConfig(logs_per_session=100, seed=1), RewardConfig(),
+        DatasetConfig(logs_per_session=100), RewardConfig(), 1,
     )
     assert_same_rows(small_dataset, again, OBSERVED)
 
@@ -132,7 +132,7 @@ def test_grid_coverage_and_determinism(small_dataset):
 def test_stream_changes_draws(small_dataset):
     other = generate_dataset(
         IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
-        DatasetConfig(logs_per_session=100, seed=1), RewardConfig(), stream=1,
+        DatasetConfig(logs_per_session=100), RewardConfig(), 1, stream=1,
     )
     assert other.lat.shape == small_dataset.lat.shape
     assert np.any(other.lat != small_dataset.lat)
@@ -165,7 +165,7 @@ def test_mask_peer(small_dataset):
 
 
 def test_relabel_naive(small_dataset):
-    naive = relabel(small_dataset[:64], RewardConfig(mode=RewardMode.naive))
+    naive = relabel(small_dataset[:64], RewardConfig(reward_mode=RewardMode.naive))
     changed = sum(not np.allclose(a, b) for a, b in zip(small_dataset[:64].rewards, naive.rewards))
     assert changed > 0
     np.testing.assert_array_equal(small_dataset[:64].lat, naive.lat)

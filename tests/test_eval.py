@@ -12,7 +12,10 @@ from watune.evaluate import (
     train_head,
 )
 from watune.policy import FixedPolicy, OraclePolicy, RulePolicy, make_baseline
+from watune.reward import RewardConfig
 from watune.train import TrainConfig
+
+SOFT_TEMP = RewardConfig().soft_temp
 
 
 def test_evaluate_oracle_dominates(small_split):
@@ -55,24 +58,24 @@ def test_cooperative_slice(small_split):
 
 def test_train_head_naming_and_masking(small_split):
     train_set, _ = small_split
-    cfg = TrainConfig(loss="kl", epochs=1, seed=2, layers=1)
-    policy, report = train_head(train_set, cfg)
+    cfg = TrainConfig(loss="kl", epochs=1, layers=1)
+    policy, report = train_head(train_set, cfg, 2, SOFT_TEMP)
     assert policy.name == "head-kl" and not policy.mask_peer
     assert report["samples"] == len(train_set)
-    masked_policy, _ = train_head(train_set, cfg, masked=True)
+    masked_policy, _ = train_head(train_set, cfg, 2, SOFT_TEMP, masked=True)
     assert masked_policy.name == "head-kl-no-peer"
     assert masked_policy.mask_peer
 
 
 def test_train_head_dpo_builds_reference(small_split):
     train_set, _ = small_split
-    cfg = TrainConfig(loss="dpo", epochs=1, seed=2, layers=1)
-    policy, report = train_head(train_set[:400], cfg)
+    cfg = TrainConfig(loss="dpo", epochs=1, layers=1)
+    policy, report = train_head(train_set[:400], cfg, 2, SOFT_TEMP)
     assert policy.name == "head-dpo"
     assert report["loss"] == "dpo"
     # The reference it builds is the KL head of the same config and data.
-    kl, _ = train_head(train_set[:400], replace(cfg, loss="kl"))
-    given, _ = train_head(train_set[:400], cfg, ref_model=kl.model)
+    kl, _ = train_head(train_set[:400], replace(cfg, loss="kl"), 2, SOFT_TEMP)
+    given, _ = train_head(train_set[:400], cfg, 2, SOFT_TEMP, ref_model=kl.model)
     assert given.model.flat().tobytes() == policy.model.flat().tobytes()
 
 

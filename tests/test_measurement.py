@@ -47,7 +47,7 @@ def test_generated_columns_follow_the_config_and_its_replace_copy():
 
     def check(link):
         data = generate_dataset(IN_DISTRIBUTION_PROFILE, link, DatasetConfig(logs_per_session=10),
-                                RewardConfig())
+                                RewardConfig(), 1)
         mult = np.array([link.time_latency_multiplier[TimeOfDay(t)] for t in data.time])
         np.testing.assert_array_equal(data.lat, np.asarray(link.base_latency_ms) * mult[:, None])
         np.testing.assert_array_equal(data.eng, np.broadcast_to(link.base_energy_pct_h, data.eng.shape))

@@ -21,7 +21,7 @@ def brute_objective(context, measured, cfg):
     """Independent straight-loop reference for the per-action objective,
     latency score and energy score of one context."""
     lat, eng = measured
-    if cfg.mode is RewardMode.naive:
+    if cfg.reward_mode is RewardMode.naive:
         tols, batts = [NAIVE_TOLERANCE_MS], [NAIVE_BATTERY]
     else:
         tols = [DEFAULT_TOLERANCE_MS[app] for app in context.app_history]
@@ -145,7 +145,7 @@ def test_objective_monotone_in_battery():
 
 
 def test_naive_mode_ignores_context():
-    cfg = RewardConfig(mode=RewardMode.naive)
+    cfg = RewardConfig(reward_mode=RewardMode.naive)
     rng = np.random.default_rng(6)
     _, (lat, eng) = random_context_and_measured(rng)
     a = row_objective(Context(TimeOfDay.morning, 90.0, 90.0, (AppType.voiceChat,)), (lat, eng), cfg)[0]

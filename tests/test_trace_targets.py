@@ -14,6 +14,7 @@ from pathlib import Path
 import watune.evaluate
 from watune.cli import main
 from watune.config import ExperimentConfig, save_config
+from watune.reward import RewardConfig
 from watune.train import TrainConfig, init_head, train
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -58,7 +59,7 @@ def test_training_step_hooks_run_once_per_step(monkeypatch, small_split):
             monkeypatch.setattr(owner, leaf, tracer.wrap(name, getattr(owner, leaf), counters))
     data = small_split[0][:150]
     cfg = TrainConfig(loss="kl", epochs=3, layers=2, hidden=8)
-    train(data, init_head(cfg.layers, cfg.hidden, seed=cfg.seed), cfg)
+    train(data, init_head(cfg.layers, cfg.hidden, seed=1), cfg, 1, RewardConfig().soft_temp)
     steps = cfg.epochs * math.ceil(len(data) / cfg.effective_batch)
     assert {name: tracer.layers[name]["calls"] for name in spans} == dict.fromkeys(spans, steps)
 

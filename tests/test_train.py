@@ -27,9 +27,11 @@ from watune.train import (
     save_checkpoint,
     train,
 )
-from watune.reward import soft_labels
+from watune.reward import RewardConfig, soft_labels
 
 from conftest import Context, contexts_of
+
+SOFT_TEMP = RewardConfig().soft_temp
 
 
 def ctx(sub=60.0, apps=None):
@@ -146,7 +148,7 @@ def test_dpo_degenerate_pair(small_split):
     flat = replace(small_split[0][:64], rewards=np.zeros((64, 8)))
     ref = init_head(1, seed=0)
     with pytest.raises(ValueError, match="no usable preference pairs"):
-        train(flat, ref, TrainConfig(loss="dpo", epochs=1, layers=1), ref_model=ref)
+        train(flat, ref, TrainConfig(loss="dpo", epochs=1, layers=1), 1, SOFT_TEMP, ref_model=ref)
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -202,27 +204,27 @@ def toy_split(small_split):
 
 def test_train_reduces_loss_and_is_deterministic(toy_split):
     train_set, test_set = toy_split
-    cfg = TrainConfig(loss="kl", epochs=3, seed=7, layers=2)
-    m0 = init_head(cfg.layers, cfg.hidden, seed=cfg.seed)
-    m1, rep1 = train(train_set, m0, cfg)
-    m2, rep2 = train(train_set, m0, cfg)
+    cfg = TrainConfig(loss="kl", epochs=3, layers=2)
+    m0 = init_head(cfg.layers, cfg.hidden, seed=7)
+    m1, rep1 = train(train_set, m0, cfg, 7, SOFT_TEMP)
+    m2, rep2 = train(train_set, m0, cfg, 7, SOFT_TEMP)
     assert rep1["epoch_loss"][-1] < rep1["epoch_loss"][0]
     for w1, w2 in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         np.testing.assert_array_equal(w1, w2)
     assert rep1 == rep2
     # the starting model is untouched
-    np.testing.assert_array_equal(m0.weights[0], init_head(cfg.layers, cfg.hidden, seed=cfg.seed).weights[0])
+    np.testing.assert_array_equal(m0.weights[0], init_head(cfg.layers, cfg.hidden, seed=7).weights[0])
     assert 0.0 <= rep1["train_accuracy_vs_oracle"] <= 1.0
 
 
 def test_train_ce_and_dpo_paths(toy_split):
     train_set, test_set = toy_split
-    ce_cfg = TrainConfig(loss="ce", epochs=2, seed=3, layers=1)
-    m_ce, rep_ce = train(train_set, init_head(1, seed=3), ce_cfg)
+    ce_cfg = TrainConfig(loss="ce", epochs=2, layers=1)
+    m_ce, rep_ce = train(train_set, init_head(1, seed=3), ce_cfg, 3, SOFT_TEMP)
     assert rep_ce["epoch_loss"][-1] < rep_ce["epoch_loss"][0]
 
-    dpo_cfg = TrainConfig(loss="dpo", epochs=2, seed=3, layers=1)
-    m_dpo, rep_dpo = train(train_set, m_ce, dpo_cfg, ref_model=m_ce)
+    dpo_cfg = TrainConfig(loss="dpo", epochs=2, layers=1)
+    m_dpo, rep_dpo = train(train_set, m_ce, dpo_cfg, 3, SOFT_TEMP, ref_model=m_ce)
     assert rep_dpo["epoch_loss"][-1] <= np.log(2) + 1e-6
     assert rep_dpo["skipped_pairs"] >= 0
 
@@ -239,13 +241,13 @@ def reference_adamw_step(params, grads, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1
         p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
 
 
-def reference_train(dataset, model, cfg, ref_model=None):
+def reference_train(dataset, model, cfg, seed, soft_temp, ref_model=None):
     """The trainer before its step was fused: per-array AdamW, the softmax
     recomputed from the logits, fancy-indexed batches, new gradient arrays."""
     model = HeadModel([w.copy() for w in model.weights], [b.copy() for b in model.biases])
     feats = encode_batch(dataset.contexts)
     labels = np.argmax(dataset.rewards, axis=1)
-    targets = soft_labels(dataset.rewards, cfg.soft_temp) if cfg.loss == "kl" else labels
+    targets = soft_labels(dataset.rewards, soft_temp) if cfg.loss == "kl" else labels
     if cfg.loss == "dpo":
         y_w, y_l = labels, np.argmin(dataset.rewards, axis=1)
         keep = y_w != y_l
@@ -256,7 +258,7 @@ def reference_train(dataset, model, cfg, ref_model=None):
     v = [np.zeros_like(p) for p in params]
     n, t, epoch_loss = len(feats), 0, []
     for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, 0x5EED, epoch]).permutation(n)
+        order = np.random.default_rng([seed, 0x5EED, epoch]).permutation(n)
         total, batches = 0.0, 0
         for start in range(0, n, cfg.effective_batch):
             idx = order[start:start + cfg.effective_batch]
@@ -315,13 +317,13 @@ def test_fused_training_step_is_bit_exact(toy_split, rows):
     short last batch (150 rows) and without one (128 rows); the DPO run
     drops the rows whose rewards are all equal."""
     data = toy_split[0][:rows]
-    cfg = TrainConfig(loss="kl", epochs=3, seed=5, layers=3, hidden=16)
-    start = init_head(cfg.layers, cfg.hidden, seed=cfg.seed)
+    cfg, seed = TrainConfig(loss="kl", epochs=3, layers=3, hidden=16), 5
+    start = init_head(cfg.layers, cfg.hidden, seed=seed)
     models = {}
     for loss_name in ("ce", "kl"):
         c = replace(cfg, loss=loss_name)
-        got, report = train(data, start, c)
-        want, want_loss = reference_train(data, start, c)
+        got, report = train(data, start, c, seed, SOFT_TEMP)
+        want, want_loss = reference_train(data, start, c, seed, SOFT_TEMP)
         assert_same_model(got, want)
         assert report["epoch_loss"] == want_loss
         models[loss_name] = got
@@ -331,18 +333,18 @@ def test_fused_training_step_is_bit_exact(toy_split, rows):
     rewards[::7, 0] += 400.0  # every label but one is 0
     rewards[3::7, 5] -= 400.0  # one label is 0
     peaked = replace(data, rewards=rewards)
-    zeros = (soft_labels(rewards, cfg.soft_temp) == 0.0).sum()
+    zeros = (soft_labels(rewards, SOFT_TEMP) == 0.0).sum()
     assert zeros == 7 * len(rewards[::7]) + len(rewards[3::7])
-    got, report = train(peaked, start, cfg)
-    want, want_loss = reference_train(peaked, start, cfg)
+    got, report = train(peaked, start, cfg, seed, SOFT_TEMP)
+    want, want_loss = reference_train(peaked, start, cfg, seed, SOFT_TEMP)
     assert_same_model(got, want)
     assert report["epoch_loss"] == want_loss
     rewards = data.rewards.copy()
     rewards[::9] = 0.0  # best == worst: no preference pair
     flat = replace(data, rewards=rewards)
     c = replace(cfg, loss="dpo")
-    got, report = train(flat, models["kl"], c, ref_model=models["kl"])
-    want, want_loss = reference_train(flat, models["kl"], c, ref_model=models["kl"])
+    got, report = train(flat, models["kl"], c, seed, SOFT_TEMP, ref_model=models["kl"])
+    want, want_loss = reference_train(flat, models["kl"], c, seed, SOFT_TEMP, ref_model=models["kl"])
     assert report["skipped_pairs"] == math.ceil(rows / 9)
     assert_same_model(got, want)
     assert report["epoch_loss"] == want_loss
@@ -367,21 +369,21 @@ def test_adamw_step_matches_per_array_update():
 
 def test_train_rejects_empty():
     with pytest.raises(ValueError):
-        train([], init_head(1), TrainConfig(loss="ce", epochs=1))
+        train([], init_head(1), TrainConfig(loss="ce", epochs=1), 1, SOFT_TEMP)
 
 
 def test_overfit_single_sample(toy_split):
     train_set, _ = toy_split
-    cfg = TrainConfig(loss="kl", epochs=60, seed=0, layers=2, learning_rate=5e-3, weight_decay=0.0)
-    model, _ = train(train_set[[0] * 64], init_head(2, seed=0), cfg)
-    soft = soft_labels(train_set.rewards[0], cfg.soft_temp)
+    cfg = TrainConfig(loss="kl", epochs=60, layers=2, learning_rate=5e-3, weight_decay=0.0)
+    model, _ = train(train_set[[0] * 64], init_head(2, seed=0), cfg, 0, SOFT_TEMP)
+    soft = soft_labels(train_set.rewards[0], SOFT_TEMP)
     assert head_choices(model, train_set[:1].contexts).tolist() == [int(np.argmax(soft))]
 
 
 def test_checkpoint_round_trip(tmp_path, toy_split):
     train_set, _ = toy_split
-    cfg = TrainConfig(loss="kl", epochs=1, seed=2)
-    model, _ = train(train_set[:200], init_head(3, seed=2), cfg)
+    cfg = TrainConfig(loss="kl", epochs=1)
+    model, _ = train(train_set[:200], init_head(3, seed=2), cfg, 2, SOFT_TEMP)
     p = tmp_path / "head.json"
     save_checkpoint(p, model, {"loss": "kl"})
     back, meta = load_checkpoint(p)
