@@ -197,9 +197,19 @@ class Dataset:
         return Contexts(self.time, self.pub, self.sub, self.peer, self.hist)
 
     @staticmethod
-    def concat(parts) -> "Dataset":
-        return Dataset(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                          for f in fields(Dataset)})
+    def concat(parts, n: int) -> "Dataset":
+        """The rows of `parts`, datasets of `n` rows in all, copied in as each
+        arrives, so a generator of parts keeps only one alive."""
+        cols, at = None, 0
+        for part in parts:
+            if cols is None:  # the first part sets each column's dtype and row shape
+                cols = {f.name: np.empty((n, *getattr(part, f.name).shape[1:]),
+                                         getattr(part, f.name).dtype) for f in fields(Dataset)}
+            for name, col in cols.items():
+                col[at:at + len(part)] = getattr(part, name)
+            at += len(part)
+            del part  # not alive while the next part is made
+        return Dataset(**cols)
 
 
 def _checked(data: Dataset) -> Dataset:
@@ -302,11 +312,11 @@ def generate_dataset(
     """
     link = replace(link)  # checked, and `measure`'s tables built, from its fields as they are now
     with np.errstate(over="ignore", invalid="ignore"):  # `_checked` names an overflowed column
-        return _checked(Dataset.concat([
+        return _checked(Dataset.concat((
             generate_session(scenario, profile, link, cfg, reward_cfg,
                              np.random.default_rng([seed, stream, idx]))
             for idx, scenario in enumerate(ALL_SCENARIOS)
-        ]))
+        ), len(ALL_SCENARIOS) * cfg.logs_per_session))
 
 
 def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

@@ -77,7 +77,8 @@ class FixedPolicy(Policy):
 
 
 class HeadPolicy(Policy):
-    """Trained classification head; argmax over one forward pass of the batch."""
+    """Trained classification head; argmax of its logits per row, computed
+    in 64-row slices (`train.head_choices`)."""
 
     def __init__(self, model, name: str = "head", mask_peer: bool = False):
         self.model = model

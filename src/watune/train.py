@@ -286,16 +286,26 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_
         feats, y_w, y_l = feats[keep], y_w[keep], y_l[keep]
         if feats.shape[0] == 0:
             raise ValueError("no usable preference pairs (all rewards degenerate)")
-        # One full-batch forward: one in 64-row slices differs in its bits.
-        targets, beta = dpo_target(forward(ref_model, feats), y_w, y_l), [cfg.dpo_beta]
+        # The reference forward runs in pieces of 256-511 rows, not over every
+        # preference row at once. On OpenBLAS a product over 256 rows or more
+        # has the one-shot product's bits; one over 128 or fewer (`_choices`'
+        # slices) does not, nor does a 1-wide layer's, so such a head runs whole.
+        pieces = max(1, len(feats) // 256) if min(b.size for b in ref_model.biases) > 1 else 1
+        ref_logits = np.concatenate([forward(ref_model, f) for f in np.array_split(feats, pieces)])
+        targets, beta = dpo_target(ref_logits, y_w, y_l), [cfg.dpo_beta]
 
     opt = AdamW(params, cfg.learning_rate, cfg.weight_decay)
     n = feats.shape[0]
     epoch_loss: list[float] = []
+    columns = (feats, *targets)
+    shuffled = [np.empty_like(a) for a in columns]  # each epoch's rows; batches slice them
 
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([seed, 0x5EED, epoch]).permutation(n)
-        shuffled = [a[order] for a in (feats, *targets)]  # each batch is a slice of these
+        for a, buf in zip(columns, shuffled):
+            # `a[order]`: "clip" never clips a permutation, and unlike "raise"
+            # it gathers straight into `buf`, not into a copy of it.
+            np.take(a, order, axis=0, out=buf, mode="clip")
         total, batches = 0.0, 0
         for start in range(0, n, cfg.effective_batch):
             x, *target = (a[start:start + cfg.effective_batch] for a in shuffled)
@@ -331,9 +341,10 @@ def _choices(model: HeadModel, x: np.ndarray) -> np.ndarray:
     """`head_choices` on encoded features. Runs in 64-row slices: one pass
     over the whole OOD set raised warm `compare` peak RSS by about 11%
     (2-core box, OpenBLAS), for no speed-up, and the logits' last bits
-    depend on the slice size, so the pinned tables rest on it."""
+    depend on the slice size, so the pinned tables rest on it. No rows
+    make no choices."""
     return np.concatenate([np.argmax(forward(model, x[i:i + 64]), axis=1)
-                           for i in range(0, len(x), 64)])
+                           for i in range(0, len(x), 64)] or [np.zeros(0, dtype=np.intp)])
 
 
 CHECKPOINT_FORMAT = "watune-head-v2"

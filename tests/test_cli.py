@@ -552,6 +552,15 @@ def test_replay_steps_must_be_non_negative(tiny_config, gen_dir, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_replay_no_steps_with_a_head(tiny_config, compared, capsys):
+    """A head decides on no rows as the baselines do: `--steps 0` prints an
+    empty transcript."""
+    assert main(["--config", tiny_config, "replay", "--data", str(compared),
+                 "--policies", "oracle,head", "--checkpoint", str(compared / "head-kl.ckpt.json"),
+                 "--steps", "0"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_replay_bad_scenario(tiny_config, gen_dir, capsys):
     assert main(["--config", tiny_config, "replay", "--data", gen_dir,
                  "--policies", "oracle", "--scenario", "noon"]) == 1

@@ -303,7 +303,7 @@ def test_template_rows_equal_json_dumps(monkeypatch, small_dataset):
         small_dataset[40:43], step=np.array([0, 10**6, 7]), pub=np.array([70.0, 100.0, 1e-05]),
         sub=np.array([0.0, 0.0, 5.5]), peer=np.array([False, False, True]),
         lat=np.array([edge, edge[::-1], np.zeros(8)]), eng=np.array([edge, edge[::-1], edge]),
-        scenario=np.full(3, 15), time=np.full(3, int(TimeOfDay.night)))])
+        scenario=np.full(3, 15), time=np.full(3, int(TimeOfDay.night)))], 43)
     text = jsonl(data)
     assert text.splitlines() == [json_record(data, i) for i in range(len(data))]
     assert '"sub_battery":null' in text and '"pub_battery":70.0' in text
@@ -369,6 +369,22 @@ def test_load_dataset_blocks_round_trip(monkeypatch, tmp_path, small_dataset, n)
         assert_same_rows(small_dataset[:n], back)
     else:
         assert back.hist.shape == (0, 0)
+
+
+def test_generate_dataset_fills_the_grid_in_place():
+    """The grid's columns are filled session by session as each is made, so
+    the traced peak of a bench-size grid (200 logs a session) stays below 2x
+    the columns it returns. Keeping all 16 sessions to concatenate at the
+    end peaks at about 2.5x."""
+    cfg = DatasetConfig(logs_per_session=200)
+    tracemalloc.start()
+    try:
+        data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(data, f.name).nbytes for f in fields(Dataset))
+    assert len(data) == 16 * 200 and peak < 2 * columns, peak / columns
 
 
 def test_load_dataset_holds_one_block_of_objects(tmp_path, small_dataset):

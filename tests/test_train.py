@@ -2,12 +2,16 @@ import base64
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import watune.train
+from watune.datagen import IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset, split
 from watune.domain import AppType, TimeOfDay
+from watune.measurement import LinkModelConfig
 from watune.train import (
     FEATURE_DIM,
     AdamW,
@@ -107,6 +111,12 @@ def test_forward_zero_model():
     m = HeadModel([np.zeros((8, FEATURE_DIM))], [np.zeros(8)])
     assert np.all(forward(m, np.ones(FEATURE_DIM)) == 0.0)
     assert head_choices(m, contexts_of(ctx())).tolist() == [0]  # tie rule
+
+
+def test_head_choices_on_no_rows(toy_split):
+    """No contexts make no choices, as an empty integer array."""
+    choices = head_choices(init_head(2, seed=1), toy_split[0][:0].contexts)
+    assert choices.shape == (0,) and choices.dtype == np.intp
 
 
 def test_head_decide_shift_invariant():
@@ -311,11 +321,27 @@ def assert_same_model(a, b):
         assert np.array_equal(x, y) and x.tobytes() == y.tobytes()  # bit for bit: -0.0 != 0.0
 
 
-@pytest.mark.parametrize("rows", [150, 128])
-def test_fused_training_step_is_bit_exact(toy_split, rows):
+def forward_rows(monkeypatch, ref):
+    """The row counts of `watune.train.forward`'s calls on `ref`, appended as
+    they are made. A trained head is a copy, so it is never `ref`."""
+    rows = []
+
+    def recording_forward(model, x):
+        if model is ref:
+            rows.append(len(x))
+        return forward(model, x)
+
+    monkeypatch.setattr(watune.train, "forward", recording_forward)
+    return rows
+
+
+@pytest.mark.parametrize("rows", [150, 128, 700])
+def test_fused_training_step_is_bit_exact(monkeypatch, toy_split, rows):
     """ce, kl and dpo training equal the per-array reference exactly, with a
     short last batch (150 rows) and without one (128 rows); the DPO run
-    drops the rows whose rewards are all equal."""
+    drops the rows whose rewards are all equal. Its reference forward runs
+    in pieces of 256-511 rows (two pieces of 311 at 700 rows), and they give
+    the bits of the reference's one-shot forward."""
     data = toy_split[0][:rows]
     cfg, seed = TrainConfig(loss="kl", epochs=3, layers=3, hidden=16), 5
     start = init_head(cfg.layers, cfg.hidden, seed=seed)
@@ -343,11 +369,54 @@ def test_fused_training_step_is_bit_exact(toy_split, rows):
     rewards[::9] = 0.0  # best == worst: no preference pair
     flat = replace(data, rewards=rewards)
     c = replace(cfg, loss="dpo")
+    ref_rows = forward_rows(monkeypatch, models["kl"])
     got, report = train(flat, models["kl"], c, seed, SOFT_TEMP, ref_model=models["kl"])
     want, want_loss = reference_train(flat, models["kl"], c, seed, SOFT_TEMP, ref_model=models["kl"])
     assert report["skipped_pairs"] == math.ceil(rows / 9)
     assert_same_model(got, want)
     assert report["epoch_loss"] == want_loss
+    pairs = rows - math.ceil(rows / 9)
+    assert sum(ref_rows) == pairs and max(ref_rows) <= 511
+    assert len(ref_rows) == (1 if pairs < 512 else pairs // 256)
+
+
+def test_dpo_reference_with_a_one_wide_layer_runs_whole(monkeypatch, toy_split):
+    """A reference head with a 1-wide layer (a matrix-vector product, whose
+    bits depend on the rows) runs its forward over all preference rows at
+    once, and DPO training equals the one-shot reference exactly."""
+    data = toy_split[0]
+    cfg = TrainConfig(loss="dpo", epochs=1, layers=2, hidden=1)
+    ref = init_head(cfg.layers, cfg.hidden, seed=3)
+    ref_rows = forward_rows(monkeypatch, ref)
+    got, report = train(data, ref, cfg, 3, SOFT_TEMP, ref_model=ref)
+    want, want_loss = reference_train(data, ref, cfg, 3, SOFT_TEMP, ref_model=ref)
+    assert ref_rows == [len(data) - report["skipped_pairs"]] and ref_rows[0] >= 512
+    assert_same_model(got, want)
+    assert report["epoch_loss"] == want_loss
+
+
+def test_dpo_training_peaks_no_higher_than_kl():
+    """On a bench-size train split (2,560 rows), a DPO run's traced peak is
+    no more than about that of a KL run: its reference forward runs in
+    pieces, and every epoch shuffles into the same buffers. One reference
+    forward over the whole split peaked at about 1.4x the KL run."""
+    cfg = DatasetConfig(logs_per_session=200)
+    data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), 1)
+    train_set = split(data, 0.8, np.random.default_rng([1, 9973]))[0]
+    del data
+    assert len(train_set) == 2560
+    kl = TrainConfig(loss="kl")
+    start = init_head(kl.layers, kl.hidden, seed=1)
+    ref, _ = train(train_set, start, kl, 1, SOFT_TEMP)
+    peaks = {}
+    for loss in ("kl", "dpo"):
+        tracemalloc.start()
+        try:
+            train(train_set, start, replace(kl, loss=loss), 1, SOFT_TEMP, ref_model=ref)
+            peaks[loss] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["dpo"] <= 1.1 * peaks["kl"], peaks
 
 
 def test_adamw_step_matches_per_array_update():
