@@ -234,6 +234,21 @@ def _head_variants(train_path: str, cfg: ExperimentConfig, out: str,
     return variants
 
 
+def _read_manifest(path: str) -> tuple[dict, dict]:
+    """The manifest at `path` and its `hashes` object."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON or not UTF-8
+            raise CliError(f"{path}: not a JSON manifest: {exc}") from None
+    if type(manifest) is not dict:
+        raise CliError(f"{path} must hold a JSON object, not {manifest!r}")
+    hashes = manifest.get("hashes")
+    if type(hashes) is not dict:
+        raise CliError(f"{path}: hashes must be an object, not {hashes!r}")
+    return manifest, hashes
+
+
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
     out = args.out or cfg.out_dir
@@ -241,12 +256,12 @@ def cmd_compare(args) -> int:
     manifest_path = os.path.join(out, "manifest.json")
     paths = {k: os.path.join(out, f"{k}.jsonl") for k in ("train", "test", "ood")}
     train_set = None  # a warm run parses the training set only to retrain a missing head
+    hashes = {}  # a warm run's manifest hashes, checked below; they key the column caches
     if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest, hashes = _read_manifest(manifest_path)
         _check_config(f"artifacts in {out}", manifest.get("config_hash"), chash)
         for k, path in paths.items():
-            if file_hash(path) != manifest.get("hashes", {}).get(k):
+            if file_hash(path) != hashes.get(k):
                 raise CliError(f"{path} does not match its hash in {manifest_path}; "
                                "remove stale artifacts or use a fresh out dir")
     else:
@@ -256,7 +271,8 @@ def cmd_compare(args) -> int:
     policies.update(_head_variants(paths["train"], cfg, out, train_set))
     del train_set  # the heads are trained: free the train split before test and OOD are read
 
-    test_set, ood_set = (load_dataset(paths[k], cfg.reward) for k in ("test", "ood"))
+    test_set, ood_set = (load_dataset(paths[k], cfg.reward, sha256=hashes.get(k))
+                         for k in ("test", "ood"))
     coop_set = cooperative_slice(test_set)
 
     slices = {"aggregate": test_set, "coop": coop_set, "ood": ood_set}

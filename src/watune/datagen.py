@@ -6,8 +6,11 @@ all produce and consume."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import os
+import zipfile
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -212,6 +215,12 @@ class Dataset:
         return Dataset(**cols)
 
 
+# Each observed column's dtype, as parsed and as cached, in `Dataset` field order.
+_DTYPES = {k: np.dtype(t) for k, t in (
+    ("time", int), ("pub", float), ("sub", float), ("peer", bool), ("hist", int),
+    ("step", int), ("lat", float), ("eng", float), ("scenario", int))}
+
+
 def _checked(data: Dataset) -> Dataset:
     """`data`, once its app histories are non-empty and its columns pass
     `_CHECKS`; a `DatasetError` names the first offending row."""
@@ -389,14 +398,45 @@ def _key_error(rec: dict, exc: KeyError) -> str:
     return f"unknown name {exc.args[0]!r}"
 
 
-def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
-    """Parse a JSONL dataset straight into columns and derive its reward
-    columns under `reward_cfg`. Errors name the file and the line of the
-    offending record; keys other than the observed ones are ignored. Every
-    `_BLOCK_ROWS` records become arrays, so at most one block of values is
-    held as Python objects."""
-    # The observed columns, and each record's line in the file.
-    cols = {f.name: [] for f in fields(Dataset) if f.name not in _REWARDS} | {"lineno": []}
+def load_dataset(path, reward_cfg: RewardConfig, sha256: str | None = None) -> Dataset:
+    """Read a JSONL dataset into columns and derive its reward columns under
+    `reward_cfg`. Errors name the file and the line of the offending record;
+    keys other than the observed ones are ignored.
+
+    With `sha256`, the caller-checked digest of `path`, the observed columns
+    come from the column cache beside it (`test.columns.npz` for
+    `test.jsonl`) if `_cached` takes it; otherwise the file is parsed and
+    the cache written. Both paths end in `_derived`, so give the same bits."""
+    cache = os.path.splitext(path)[0] + ".columns.npz" if sha256 else None
+    data = _cached(cache, sha256, reward_cfg) if cache else None
+    if data is not None:
+        return data
+    cols, line_of = _parsed(path)
+    try:
+        data = _derived(cols, reward_cfg)
+    except DatasetError as exc:
+        raise ValueError(f"{path}: line {line_of[exc.row]}: {exc.message}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed dataset: {exc}") from None
+    if cache:
+        from .config import atomic_write_text  # here, as `config` imports this module
+        atomic_write_text(cache, _cache_bytes(cols, sha256))
+    return data
+
+
+def _derived(cols: dict, reward_cfg: RewardConfig) -> Dataset:
+    """The checked dataset of the observed columns `cols` and their rewards."""
+    contexts = Contexts(*(cols[k] for k in Contexts._fields))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # `_checked` names it
+        derived = objective(contexts, (cols["lat"], cols["eng"]), reward_cfg)
+    return _checked(Dataset(**cols, **dict(zip(_REWARDS, derived))))
+
+
+def _parsed(path) -> tuple[dict, np.ndarray]:
+    """The observed columns of the JSONL file `path`, and each row's line.
+    Every `_BLOCK_ROWS` records become arrays, so at most one block of
+    values is held as Python objects."""
+    cols = {k: [] for k in _DTYPES} | {"lineno": []}
     linenos = cols["lineno"]
     blocks = {k: [] for k in cols}  # each column's arrays, block by block
     width = None  # app-history length of the file's first record
@@ -440,16 +480,7 @@ def load_dataset(path, reward_cfg: RewardConfig) -> Dataset:
     if linenos or not blocks["lineno"]:  # an empty file still gets its (empty) columns
         _add_block(path, cols, blocks)
     arrays = {k: np.concatenate(blocks.pop(k)) for k in list(blocks)}
-    line_of = arrays.pop("lineno")
-    try:
-        contexts = Contexts(*(arrays[k] for k in Contexts._fields))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # `_checked` names it
-            derived = objective(contexts, (arrays["lat"], arrays["eng"]), reward_cfg)
-        return _checked(Dataset(**arrays, **dict(zip(_REWARDS, derived))))
-    except DatasetError as exc:
-        raise ValueError(f"{path}: line {line_of[exc.row]}: {exc.message}") from None
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed dataset: {exc}") from None
+    return arrays, arrays.pop("lineno")
 
 
 def _add_block(path, cols: dict, blocks: dict) -> None:
@@ -468,12 +499,11 @@ def _add_block(path, cols: dict, blocks: dict) -> None:
     for k, (_, types, rule) in _NUMBERS.items():
         if not set(map(type, cols[k])) <= types:
             raise refuse(k, lambda v: type(v) in types, rule)
-    dtypes = dict.fromkeys(["pub", "sub", *_VECTORS], float) | {"step": int, "peer": bool}
     try:
-        arrays = {k: np.array(v, dtype=dtypes.get(k, int)) for k, v in cols.items()}
+        arrays = {k: np.array(v, dtype=_DTYPES.get(k, int)) for k, v in cols.items()}
     except OverflowError:  # a JSON integer too large for its column, which holds numbers
-        k = next(k for k in _NUMBERS if not _fits(cols[k], dtypes[k]))
-        raise refuse(k, lambda v: _fits(v, dtypes[k]), f"fit in {np.dtype(dtypes[k])}") from None
+        k = next(k for k in _NUMBERS if not _fits(cols[k], _DTYPES[k]))
+        raise refuse(k, lambda v: _fits(v, _DTYPES[k]), f"fit in {_DTYPES[k]}") from None
     for k in _VECTORS:
         arrays[k] = arrays[k].reshape(n, NUM_ACTIONS)
     arrays["hist"] = arrays["hist"].reshape(n, -1 if n else 0)
@@ -496,3 +526,47 @@ def file_hash(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+_SCENARIO_TIME = np.array([int(s.time) for s in ALL_SCENARIOS])
+_CACHE_MEMBERS = sorted(f"{k}.npy" for k in ("sha256", *_DTYPES))
+
+
+def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
+    """The dataset `_derived` makes of the columns in the column cache
+    `path`, if it names `sha256` and holds columns a parse could give: the
+    dtypes and shapes of `_DTYPES`, app and scenario codes in range and each
+    scenario's time its row's, which puts the time codes in range too.
+    Anything else, an unreadable or corrupt file or a failed `_checked`
+    included, is a miss: None."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            if sorted(zf.namelist()) != _CACHE_MEMBERS:
+                return None
+            cols = {name.removesuffix(".npy"):  # `read` checks the member's CRC
+                    np.lib.format.read_array(io.BytesIO(zf.read(name)), allow_pickle=False)
+                    for name in _CACHE_MEMBERS}
+        digest, hist, time, scenario = cols.pop("sha256"), cols["hist"], cols["time"], cols["scenario"]
+        rows = cols["step"].shape[:1]
+        shapes = {k: rows + ((NUM_ACTIONS,) if k in _VECTORS else hist.shape[1:] if k == "hist" else ())
+                  for k in cols}
+        in_range = lambda a, n: bool(((a >= 0) & (a < n)).all())
+        ok = (str(digest) == sha256 and hist.ndim == 2
+              and all(a.dtype == _DTYPES[k] and a.shape == shapes[k] for k, a in cols.items())
+              and in_range(hist, len(AppType)) and in_range(scenario, len(ALL_SCENARIOS))
+              and np.array_equal(_SCENARIO_TIME[scenario], time))
+        return _derived(cols, reward_cfg) if ok else None
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile):
+        return None
+
+
+def _cache_bytes(cols: dict, sha256: str) -> bytes:
+    """The column cache of `cols`, parsed from a file whose digest is
+    `sha256`: an uncompressed npz whose members carry zip's fixed default
+    timestamp, so equal inputs give equal bytes."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, a in (("sha256", np.array(sha256)), *cols.items()):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, a, allow_pickle=False)
+    return buf.getvalue()

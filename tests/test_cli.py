@@ -585,8 +585,9 @@ def test_parser_surface():
 
 
 class ParseLog(list):
-    """The base names of the dataset files the CLI parses, in order; `heads`
-    maps each name to the checkpoints beside the file when it was last parsed."""
+    """The base names of the dataset files the CLI parses, in order (a load
+    that hits the column cache parses nothing); `heads` maps each name to
+    the checkpoints beside the file when it was last parsed."""
 
     def __init__(self):
         super().__init__()
@@ -594,22 +595,28 @@ class ParseLog(list):
 
 
 HEADS = ("head-ce", "head-kl", "head-kl+dpo", "head-kl-no-peer")
+# The column caches a warm `compare` writes beside test.jsonl and ood.jsonl.
+CACHES = {"test.columns.npz", "ood.columns.npz"}
 
 
 @pytest.fixture
 def parsed(monkeypatch):
-    names, load = ParseLog(), watune.cli.load_dataset
+    names, parse = ParseLog(), watune.datagen._parsed
 
-    def spy(path, reward_cfg):
+    def spy(path):
         name = os.path.basename(path)
         names.append(name)
         names.heads[name] = sorted(f.removesuffix(".ckpt.json")
                                    for f in os.listdir(os.path.dirname(path))
                                    if f.endswith(".ckpt.json"))
-        return load(path, reward_cfg)
+        return parse(path)
 
-    monkeypatch.setattr(watune.cli, "load_dataset", spy)
+    monkeypatch.setattr(watune.datagen, "_parsed", spy)
     return names
+
+
+def dir_bytes(path) -> dict:
+    return {f: file_hash(os.path.join(path, f)) for f in os.listdir(path)}
 
 
 def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, parsed, capsys):
@@ -626,14 +633,21 @@ def test_compare_end_to_end_and_hash_guard(tiny_config, tmp_path, parsed, capsys
     assert len(lines) == 2 + 8  # comment + header + 8 policy rows
     assert os.path.exists(os.path.join(out, "compare_full.tsv"))
 
-    # rerun with cached artifacts is byte-identical and parses only test and OOD
-    before = {f: file_hash(os.path.join(out, f)) for f in os.listdir(out)}
+    # the first rerun with cached artifacts parses only test and OOD, adds
+    # their column caches and leaves every other file byte-identical
+    before = dir_bytes(out)
     parsed.clear()
     assert main(["--config", tiny_config, "compare", "--out", out]) == 0
     capsys.readouterr()
-    after = {f: file_hash(os.path.join(out, f)) for f in os.listdir(out)}
-    assert before == after
+    after = dir_bytes(out)
+    assert set(after) == set(before) | CACHES and {f: after[f] for f in before} == before
     assert parsed == ["test.jsonl", "ood.jsonl"]
+    # from the second on, a rerun parses nothing and is byte-identical
+    parsed.clear()
+    assert main(["--config", tiny_config, "compare", "--out", out]) == 0
+    capsys.readouterr()
+    assert dir_bytes(out) == after
+    assert parsed == []
 
     # a different seed must refuse the stale artifacts
     assert main(["--config", tiny_config, "--seed", "2", "compare", "--out", out]) == 1
@@ -675,13 +689,56 @@ def test_compare_retrains_only_a_missing_head(tiny_config, tmp_path, parsed, cap
     the parsed file equals the one a cold run trained on the split in memory."""
     out = tmp_path / "cmp"
     assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
-    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    before = dir_bytes(out)
     for head in HEADS:
         (out / f"{head}.ckpt.json").unlink()
         parsed.clear()
         assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
         assert parsed.count("train.jsonl") == 1, head
-        assert {f.name: f.read_bytes() for f in out.iterdir()} == before, head
+        # the first warm run adds the column caches, and changes nothing else
+        after = dir_bytes(out)
+        assert set(after) == set(before) | CACHES and {f: after[f] for f in before} == before, head
+        before = after
+
+
+def test_compare_reparses_over_the_caches_of_an_earlier_gen(tiny_config, tmp_path, parsed, capsys):
+    """Column caches left by a compare on another `gen` into the same
+    directory name other digests: the next warm compare parses test and OOD,
+    writes the pinned tables and rewrites both caches under the new digests."""
+    out = str(tmp_path / "cmp")
+    for flags in (["--seed", "2"], []):
+        assert main(["--config", tiny_config, *flags, "gen", "--out", out]) == 0
+        for ckpt in [f for f in os.listdir(out) if f.endswith(".ckpt.json")]:
+            os.unlink(os.path.join(out, ckpt))
+        parsed.clear()
+        assert main(["--config", tiny_config, *flags, "compare", "--out", out]) == 0
+        assert parsed == ["train.jsonl", "test.jsonl", "ood.jsonl"]
+        assert CACHES <= set(os.listdir(out))
+    capsys.readouterr()
+    assert {f: file_hash(os.path.join(out, f)) for f in COMPARE_SHA256} == COMPARE_SHA256
+    hashes = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["hashes"]
+    for k in ("test", "ood"):
+        with np.load(os.path.join(out, f"{k}.columns.npz"), allow_pickle=False) as npz:
+            assert str(npz["sha256"]) == hashes[k] == GEN_SHA256[k]
+
+
+@pytest.mark.parametrize("text, part", [
+    ("[]\n", None),
+    ('{"config_hash": "x", "hashes": "abc"}\n', "hashes"),
+    ('{"config_hash": "x"}\n', "hashes"),
+    ('{"config_hash": "x"\n"hashes": {}}\n', None),
+])
+def test_compare_refuses_a_bad_manifest(tiny_config, tmp_path, capsys, text, part):
+    """A manifest that is not a JSON object, whose `hashes` is not an
+    object, or that is not JSON, is refused with one line naming it."""
+    out = tmp_path / "cmp"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'manifest.json'}") and err.count("\n") == 1, err
+    if part:
+        assert f": {part} must be an object" in err
 
 
 def test_compare_checks_each_row_once(tiny_config, tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+import io
 import json
+import time
 import tracemalloc
+import zipfile
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -402,3 +405,129 @@ def test_load_dataset_holds_one_block_of_objects(tmp_path, small_dataset):
         tracemalloc.stop()
     columns = sum(getattr(back, f.name).nbytes for f in fields(Dataset))
     assert peak <= 3 * columns, peak / columns
+
+
+def assert_same_bits(a: Dataset, b: Dataset) -> None:
+    """Every column of two datasets has the same dtype, shape and bytes."""
+    for f in fields(Dataset):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+@pytest.fixture
+def cached_file(tmp_path, small_dataset, monkeypatch):
+    """A JSONL file of 300 rows, a third of them peer-masked, with its
+    sha256, the dataset a plain parse gives, and the list of files
+    `load_dataset` parses."""
+    path = tmp_path / "test.jsonl"
+    path.write_text(jsonl(Dataset.concat([small_dataset[:200], mask_peer(small_dataset[200:300])], 300)))
+    parses, parse = [], datagen._parsed
+    monkeypatch.setattr(datagen, "_parsed", lambda p: parses.append(p) or parse(p))
+    parsed = load_dataset(path, RewardConfig())
+    parses.clear()
+    return path, file_hash(path), parsed, parses
+
+
+def test_cached_columns_equal_the_parsed_ones_in_bits(cached_file):
+    """With its digest, a file is parsed once and its cache written beside
+    it; a later load reads the cache and gives the parse's columns, dtypes
+    and bits, under any reward config, as the rewards are derived on load."""
+    path, digest, parsed, parses = cached_file
+    cache = path.with_name("test.columns.npz")
+    assert_same_bits(load_dataset(path, RewardConfig(), sha256=digest), parsed)
+    assert parses == [path] and cache.exists()
+    written = cache.read_bytes()
+    assert_same_bits(load_dataset(path, RewardConfig(), sha256=digest), parsed)
+    naive = RewardConfig(reward_mode=RewardMode.naive)
+    assert_same_bits(load_dataset(path, naive, sha256=digest), load_dataset(path, naive))
+    assert parses == [path, path]  # the last load had no digest
+    assert cache.read_bytes() == written
+    with np.load(cache, allow_pickle=False) as npz:
+        assert str(npz["sha256"]) == digest and sorted(npz.files) == sorted(
+            ["sha256", *OBSERVED])
+
+
+def edited_cache(digest: str, parsed: Dataset, **cols) -> bytes:
+    """The cache of `parsed` with the columns in `cols` replaced."""
+    observed = {k: getattr(parsed, k) for k in datagen._DTYPES}
+    return datagen._cache_bytes(observed | cols, digest)
+
+
+def with_crc_error(digest: str, parsed: Dataset) -> bytes:
+    good = edited_cache(digest, parsed)
+    at = good.index(parsed.lat.tobytes()) + 100
+    return good[:at] + bytes([good[at] ^ 1]) + good[at + 1:]
+
+
+def with_member(digest: str, parsed: Dataset, name: str, array: np.ndarray) -> bytes:
+    """The cache of `parsed` with one more member, or one member replaced."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(edited_cache(digest, parsed))) as src, \
+            zipfile.ZipFile(buf, "w") as dst:
+        for info in src.infolist():
+            if info.filename != f"{name}.npy":
+                dst.writestr(info, src.read(info))
+        with dst.open(f"{name}.npy", "w") as fh:
+            np.lib.format.write_array(fh, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+def shifted(a: np.ndarray, by: int) -> np.ndarray:
+    a = a.copy()
+    a.flat[0] += by
+    return a
+
+
+# Each cache a load must treat as a miss, made from the file's digest and
+# its parsed dataset.
+MISSES = {
+    "stale digest": lambda d, p: edited_cache("0" * 64, p),
+    "truncated": lambda d, p: edited_cache(d, p)[:5000],
+    "garbage": lambda d, p: b"\x00garbage" * 100,
+    "empty": lambda d, p: b"",
+    "crc error": with_crc_error,
+    "missing member": lambda d, p: datagen._cache_bytes(
+        {k: getattr(p, k) for k in datagen._DTYPES if k != "step"}, d),
+    "extra member": lambda d, p: with_member(d, p, "rewards", p.rewards),
+    "pickled member": lambda d, p: with_member(d, p, "step", p.step.astype(object)),
+    "wrong dtype": lambda d, p: edited_cache(d, p, time=p.time.astype(np.int32)),
+    "wrong shape": lambda d, p: edited_cache(d, p, lat=p.lat[:, :7]),
+    "short column": lambda d, p: edited_cache(d, p, step=p.step[:-1]),
+    "flat history": lambda d, p: edited_cache(d, p, hist=p.hist[:, -1]),
+    "app code": lambda d, p: edited_cache(d, p, hist=shifted(p.hist, len(AppType))),
+    "time code": lambda d, p: edited_cache(d, p, time=shifted(p.time, -p.time[0] - 1)),
+    "scenario code": lambda d, p: edited_cache(d, p, scenario=shifted(p.scenario, 99)),
+    "scenario time": lambda d, p: edited_cache(d, p, time=shifted(p.time, 1 if p.time[0] < 3 else -1)),
+    "failed check": lambda d, p: edited_cache(d, p, lat=shifted(p.lat, np.nan)),
+}
+
+
+@pytest.mark.parametrize("kind", MISSES)
+def test_a_bad_cache_is_a_miss(cached_file, kind):
+    """A cache that names another digest, cannot be read, or holds columns
+    no parse gives is not refused: the file is parsed, giving the same
+    dataset, and a good cache written over the bad one."""
+    path, digest, parsed, parses = cached_file
+    cache = path.with_name("test.columns.npz")
+    load_dataset(path, RewardConfig(), sha256=digest)
+    good = cache.read_bytes()
+    assert good == edited_cache(digest, parsed)
+    cache.write_bytes(MISSES[kind](digest, parsed))
+    parses.clear()
+    assert_same_bits(load_dataset(path, RewardConfig(), sha256=digest), parsed)
+    assert parses == [path] and cache.read_bytes() == good
+
+
+def test_equal_inputs_give_byte_equal_caches(tmp_path, cached_file, monkeypatch):
+    """A cache's bytes depend on its file alone, not on when or where it was
+    written: `np.savez` would stamp each member with the clock."""
+    path, digest, _, _ = cached_file
+    other = tmp_path / "other" / "test.jsonl"
+    other.parent.mkdir()
+    other.write_bytes(path.read_bytes())
+    load_dataset(path, RewardConfig(), sha256=digest)
+    clock = time.time
+    monkeypatch.setattr(time, "time", lambda: clock() + 10 * 86400)
+    load_dataset(other, RewardConfig(), sha256=digest)
+    assert (other.with_name("test.columns.npz").read_bytes()
+            == path.with_name("test.columns.npz").read_bytes())
