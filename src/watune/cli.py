@@ -119,7 +119,11 @@ def cmd_train(args) -> int:
     if tcfg.loss == "dpo" and not args.ref:
         raise CliError("--loss dpo requires --ref <sft-checkpoint>")
     data = _load_records(_resolve_data(args.data, "train"), cfg)
-    ref_model = _load_head(args.ref, cfg).model if args.ref else None
+    ref_model = None
+    if args.ref:  # the DPO head starts from its reference, so it sees what the reference saw
+        flag = "with" if args.no_peer else "without"
+        ref_model = _load_head(args.ref, cfg, spec={"no_peer": args.no_peer},
+                               user=f"a DPO head trained {flag} --no-peer").model
     policy, report = train_head(data, tcfg, cfg.seed, cfg.reward.soft_temp,
                                 masked=args.no_peer, ref_model=ref_model)
     _save_head(args.out, policy, report, cfg)
@@ -148,17 +152,19 @@ def _parse_scenario(text: str) -> Scenario:
 
 
 def _load_head(path: str, cfg: ExperimentConfig, name: str = "head",
-               spec: tuple[str, bool] | None = None) -> HeadPolicy:
-    """The head at `path`, refused unless it was trained under `cfg` and, with
-    a `(loss, no_peer)` spec, with that loss and mask; it masks the peer if
-    it was trained masked."""
+               spec: dict | None = None, user: str | None = None) -> HeadPolicy:
+    """The head at `path`, refused unless it was trained under `cfg` and its
+    metadata holds the values of `spec`, a dict keyed by metadata field,
+    which `user` (by default its row `name`) needs; it masks the peer if it
+    was trained masked."""
     model, meta = load_checkpoint(path)
     _check_config(f"checkpoint {path}", meta.get("config_hash"), cfg.config_hash())
     masked = meta.get("no_peer", False)
-    for field, want, got in zip(("loss", "no_peer"), spec or (), (meta.get("loss"), masked)):
+    for field, want in (spec or {}).items():
+        got = masked if field == "no_peer" else meta.get(field)
         if got != want:
-            raise CliError(f"checkpoint {path} has metadata.{field} {got!r}, its row {name} "
-                           f"needs {want!r}; remove it or use a fresh out dir")
+            raise CliError(f"checkpoint {path} has metadata.{field} {got!r}, "
+                           f"{user or f'its row {name}'} needs {want!r}")
     return HeadPolicy(model, name=name, mask_peer=masked)
 
 
@@ -178,6 +184,8 @@ def _load_records(path: str, cfg: ExperimentConfig) -> Dataset:
 
 
 def cmd_eval(args) -> int:
+    if args.checkpoint is not None and args.policy != "head":
+        raise CliError("--checkpoint is only read with --policy head")
     cfg = _load_cfg(args)
     policy = _make_policy(args.policy, args.checkpoint, cfg)
     path = _resolve_data(args.data, "ood" if args.ood else "test")
@@ -223,7 +231,7 @@ def _head_variants(train_path: str, cfg: ExperimentConfig, out: str,
     for name, (loss, masked) in specs.items():
         ckpt = os.path.join(out, name + ".ckpt.json")
         if os.path.exists(ckpt):
-            variants[name] = _load_head(ckpt, cfg, name, (loss, masked))
+            variants[name] = _load_head(ckpt, cfg, name, {"loss": loss, "no_peer": masked})
             continue
         if train_set is None:
             train_set = load_dataset(train_path, cfg.reward)
@@ -297,9 +305,12 @@ def cmd_compare(args) -> int:
 def cmd_replay(args) -> int:
     if args.steps < 0:
         raise CliError(f"--steps must be >= 0, not {args.steps}")
+    names = [name.strip() for name in args.policies.split(",")]
+    if args.checkpoint is not None and "head" not in names:
+        raise CliError("--checkpoint is only read when --policies lists head")
     cfg = _load_cfg(args)
     data = _load_records(_resolve_data(args.data, "test"), cfg)
-    policies = [_make_policy(name.strip(), args.checkpoint, cfg) for name in args.policies.split(",")]
+    policies = [_make_policy(name, args.checkpoint, cfg) for name in names]
     scenario = _parse_scenario(args.scenario) if args.scenario else None
     transcript = replay_snapshot(data, policies, scenario=scenario, max_steps=args.steps)
     return _emit(args.out, transcript, "transcript")

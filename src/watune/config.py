@@ -118,10 +118,10 @@ def save_config(path, cfg: ExperimentConfig) -> None:
 
 
 def atomic_write_text(path, text) -> str:
-    """Write `text`, a string, bytes or an iterable of string blocks, to
-    `path` (strings as UTF-8) through a temporary file beside it, so that
-    `path` holds either its old content or all of the new, with the mode
-    `open()` gives a new file; returns the sha256 of the bytes written."""
+    """Write `text`, a string, bytes or an iterable of string or bytes
+    blocks, to `path` (strings as UTF-8) through a temporary file beside it,
+    so that `path` holds either its old content or all of the new, with the
+    mode `open()` gives a new file; returns the sha256 of the bytes written."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".watune-tmp-")
     digest = hashlib.sha256()

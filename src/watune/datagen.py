@@ -560,13 +560,29 @@ def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
         return None
 
 
-def _cache_bytes(cols: dict, sha256: str) -> bytes:
+class _Sink(list):
+    """An unseekable file for `zipfile` that keeps the blocks written to it,
+    for its owner to hand on and clear. As it cannot seek back, `zipfile`
+    puts each member's CRC and sizes in a record after its data."""
+
+    def write(self, data) -> int:
+        self.append(bytes(data))
+        return len(self[-1])
+
+    def flush(self) -> None:
+        pass
+
+
+def _cache_bytes(cols: dict, sha256: str):
     """The column cache of `cols`, parsed from a file whose digest is
-    `sha256`: an uncompressed npz whose members carry zip's fixed default
-    timestamp, so equal inputs give equal bytes."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
+    `sha256`, as blocks of bytes, one member at a time: an uncompressed npz
+    whose members carry zip's fixed default timestamp, so equal inputs give
+    equal bytes."""
+    sink = _Sink()
+    with zipfile.ZipFile(sink, "w") as zf:
         for name, a in (("sha256", np.array(sha256)), *cols.items()):
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
                 np.lib.format.write_array(fh, a, allow_pickle=False)
-    return buf.getvalue()
+            yield from sink
+            sink.clear()
+    yield from sink  # the central directory

@@ -27,6 +27,9 @@ DEFAULT_TOLERANCE_MS: dict[AppType, float] = {
 NAIVE_TOLERANCE_MS = 1000.0
 NAIVE_BATTERY = 100.0
 
+# L_a by app code.
+_TOLERANCE_MS = np.array([DEFAULT_TOLERANCE_MS[app] for app in AppType])
+
 
 class RewardMode(str, Enum):
     contextAware = "contextAware"
@@ -66,28 +69,41 @@ def objective(contexts: Contexts, measured, cfg: RewardConfig):
         raise DatasetError(int(np.argmax(flat)),
                            "battery must be strictly positive for reward computation")
 
+    # Each term is built in an output or in `work`, by the operations and in
+    # the order of the whole-column formula, so the bits are its bits.
+    work = np.empty(lat.shape)
     if cfg.reward_mode is RewardMode.naive:
-        lat_scores = np.maximum(100.0 - 100.0 * lat / NAIVE_TOLERANCE_MS, 0.0)
-        energy_penalty = eng / NAIVE_BATTERY
-        eng_scores = NAIVE_BATTERY / eng
+        lat_scores = np.multiply(lat, 100.0)
+        lat_scores /= NAIVE_TOLERANCE_MS
+        np.maximum(np.subtract(100.0, lat_scores, out=lat_scores), 0.0, out=lat_scores)
+        energy_penalty = np.divide(eng, NAIVE_BATTERY)
+        eng_scores = np.divide(NAIVE_BATTERY, eng)
     else:
         # Mean over the app-history multiset A; repeats weight the mean.
-        tol_ms = np.array([DEFAULT_TOLERANCE_MS[app] for app in AppType])[contexts.hist]
         window = contexts.hist.shape[1]
-        lat_scores = np.zeros_like(lat)
+        lat_scores = np.zeros(lat.shape)
         for w in range(window):
-            lat_scores += np.maximum(100.0 - 100.0 * lat / tol_ms[:, w, None], 0.0)
+            tol_ms = _TOLERANCE_MS[contexts.hist[:, w]][:, None]
+            np.divide(np.multiply(lat, 100.0, out=work), tol_ms, out=work)
+            lat_scores += np.maximum(np.subtract(100.0, work, out=work), 0.0, out=work)
         lat_scores /= window
         # Mean over the devices whose battery is visible: the publisher, and
-        # the subscriber unless masked.
+        # the subscriber unless masked. `work` is zero in masked rows, as
+        # the `where=` divisions leave them, which is `np.where(peer, ., 0.0)`.
         peer = contexts.peer[:, None]
-        pub = contexts.pub[:, None]
-        sub = np.where(peer, contexts.sub[:, None], 1.0)
+        pub, sub = contexts.pub[:, None], contexts.sub[:, None]
         devices = 1 + peer
-        energy_penalty = (eng / pub + np.where(peer, eng / sub, 0.0)) / devices
-        eng_scores = (pub / eng + np.where(peer, sub / eng, 0.0)) / devices
+        work.fill(0.0)
+        energy_penalty = np.divide(eng, pub)
+        energy_penalty += np.divide(eng, sub, out=work, where=peer)
+        energy_penalty /= devices
+        eng_scores = np.divide(pub, eng)
+        eng_scores += np.divide(sub, eng, out=work, where=peer)
+        eng_scores /= devices
 
-    return cfg.w_l * lat_scores - cfg.w_p * energy_penalty, lat_scores, eng_scores
+    np.multiply(cfg.w_l, lat_scores, out=work)
+    np.multiply(cfg.w_p, energy_penalty, out=energy_penalty)
+    return np.subtract(work, energy_penalty, out=energy_penalty), lat_scores, eng_scores
 
 
 def soft_labels(objective_values: np.ndarray, temperature: float) -> np.ndarray:

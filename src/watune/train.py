@@ -332,9 +332,19 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_
     return model, report
 
 
+# Rows `head_choices` encodes at a time: a multiple of `_choices`' 64-row
+# slices, so the logits keep their bits, and small enough that the features
+# of a whole split are never held at once.
+_ENCODE_ROWS = 1024
+
+
 def head_choices(model: HeadModel, contexts: Contexts) -> np.ndarray:
     """Argmax of the head's logits per context; lowest index wins ties."""
-    return _choices(model, encode_batch(contexts))
+    choices = np.empty(len(contexts.pub), dtype=np.intp)
+    for i in range(0, len(choices), _ENCODE_ROWS):
+        rows = Contexts(*(col[i:i + _ENCODE_ROWS] for col in contexts))
+        choices[i:i + _ENCODE_ROWS] = _choices(model, encode_batch(rows))
+    return choices
 
 
 def _choices(model: HeadModel, x: np.ndarray) -> np.ndarray:

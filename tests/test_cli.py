@@ -279,6 +279,41 @@ def compared(tiny_config, tmp_path_factory):
     return out
 
 
+def test_train_refuses_a_ref_of_the_other_peer_mask(tiny_config, compared, tmp_path, capsys):
+    """A DPO head starts from and is anchored to its reference, so `--ref`
+    must have been trained with the run's `--no-peer` or without it, as the
+    run is; the other mask is refused in one line naming the field."""
+    out = tmp_path / "dpo.ckpt.json"
+    for ref, flags, masked in (("head-kl-no-peer", [], True), ("head-kl", ["--no-peer"], False)):
+        ckpt = compared / f"{ref}.ckpt.json"
+        capsys.readouterr()
+        assert main(["--config", tiny_config, "train", "--data", str(compared), "--loss", "dpo",
+                     "--ref", str(ckpt), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt} has metadata.no_peer {masked}, ")
+        assert err.count("\n") == 1 and not out.exists()
+    assert main(["--config", tiny_config, "train", "--data", str(compared), "--loss", "dpo",
+                 "--ref", str(compared / "head-kl-no-peer.ckpt.json"), "--no-peer",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"]["no_peer"] is True
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--policy", "rule"],
+    ["replay", "--policies", "oracle,rule"],
+], ids=lambda c: c[0])
+def test_checkpoint_without_a_head_is_refused(tiny_config, gen_dir, tmp_path, command, capsys):
+    """`--checkpoint` with no head to load is refused, not ignored, even
+    when the path does not exist."""
+    missing = str(tmp_path / "missing.ckpt.json")
+    assert main(["--config", tiny_config, *command, "--data", gen_dir,
+                 "--checkpoint", missing]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --checkpoint is only read ")
+
+
+
 @pytest.mark.parametrize("value", FUZZ_VALUES, ids=repr)
 @pytest.mark.parametrize("key", ["format", "shapes", "params", "metadata", "metadata.loss",
                                  "metadata.no_peer", "metadata.config_hash"])

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from watune.domain import AppType, TimeOfDay
+from watune.datagen import IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset
+from watune.domain import AppType, Contexts, TimeOfDay
+from watune.measurement import LinkModelConfig
 from watune.reward import (
     DEFAULT_TOLERANCE_MS,
     NAIVE_BATTERY,
@@ -114,6 +119,76 @@ def test_objective_matches_brute_force():
         ctx, measured = random_context_and_measured(rng)
         got = row_objective(ctx, measured, cfg)[0]
         np.testing.assert_allclose(got, brute_objective(ctx, measured, cfg)[0], rtol=0, atol=1e-12)
+
+
+def whole_column_objective(contexts, measured, cfg):
+    """The objective as whole-column expressions, each step its own array:
+    the reference `objective`'s in-place form must match bit for bit."""
+    lat, eng = measured
+    if cfg.reward_mode is RewardMode.naive:
+        lat_scores = np.maximum(100.0 - 100.0 * lat / NAIVE_TOLERANCE_MS, 0.0)
+        energy_penalty = eng / NAIVE_BATTERY
+        eng_scores = NAIVE_BATTERY / eng
+    else:
+        tol_ms = np.array([DEFAULT_TOLERANCE_MS[app] for app in AppType])[contexts.hist]
+        window = contexts.hist.shape[1]
+        lat_scores = np.zeros_like(lat)
+        for w in range(window):
+            lat_scores += np.maximum(100.0 - 100.0 * lat / tol_ms[:, w, None], 0.0)
+        lat_scores /= window
+        peer = contexts.peer[:, None]
+        pub = contexts.pub[:, None]
+        sub = np.where(peer, contexts.sub[:, None], 1.0)
+        devices = 1 + peer
+        energy_penalty = (eng / pub + np.where(peer, eng / sub, 0.0)) / devices
+        eng_scores = (pub / eng + np.where(peer, sub / eng, 0.0)) / devices
+    return cfg.w_l * lat_scores - cfg.w_p * energy_penalty, lat_scores, eng_scores
+
+
+@st.composite
+def batches(draw):
+    """Contexts, some rows peer-masked (sub 0), and (N, 8) measurements."""
+    n = draw(st.integers(0, 12))
+    window = draw(st.integers(1, 10))
+    battery = st.floats(1e-3, 100.0)
+    peer = draw(hnp.arrays(bool, n))
+    contexts = Contexts(draw(hnp.arrays(int, n, elements=st.integers(0, 3))),
+                        draw(hnp.arrays(float, n, elements=battery)),
+                        np.where(peer, draw(hnp.arrays(float, n, elements=battery)), 0.0),
+                        peer,
+                        draw(hnp.arrays(int, (n, window), elements=st.integers(0, 7))))
+    lat = draw(hnp.arrays(float, (n, 8), elements=st.floats(0.0, 1e6)))
+    eng = draw(hnp.arrays(float, (n, 8), elements=st.floats(1e-6, 1e3)))
+    return contexts, (lat, eng)
+
+
+@given(batches(), st.sampled_from(RewardMode), st.floats(0.0, 10.0), st.floats(0.01, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_objective_equals_the_whole_column_formula_in_bits(batch, mode, w_l, w_p):
+    contexts, measured = batch
+    cfg = RewardConfig(w_l=w_l, w_p=w_p, reward_mode=mode)
+    got, want = objective(contexts, measured, cfg), whole_column_objective(contexts, measured, cfg)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("mode", RewardMode)
+def test_objective_holds_no_whole_split_temporary(mode):
+    """One call on a bench-size grid (3,200 rows) peaks at no more than 2x
+    its three outputs: the terms are built in the outputs and one work
+    array. The whole-column formula peaks at about 2.5x."""
+    data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
+                            DatasetConfig(logs_per_session=200), RewardConfig(), 1)
+    assert len(data) == 3200
+    contexts = data.contexts._replace(peer=np.arange(len(data)) % 3 > 0)  # a third masked
+    contexts = contexts._replace(sub=np.where(contexts.peer, contexts.sub, 0.0))
+    tracemalloc.start()
+    try:
+        out = objective(contexts, (data.lat, data.eng), RewardConfig(reward_mode=mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(a.nbytes for a in out), peak / sum(a.nbytes for a in out)
 
 
 def test_objective_weight_reductions():

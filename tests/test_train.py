@@ -10,7 +10,7 @@ import pytest
 
 import watune.train
 from watune.datagen import IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset, split
-from watune.domain import AppType, TimeOfDay
+from watune.domain import AppType, Contexts, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.train import (
     FEATURE_DIM,
@@ -117,6 +117,39 @@ def test_head_choices_on_no_rows(toy_split):
     """No contexts make no choices, as an empty integer array."""
     choices = head_choices(init_head(2, seed=1), toy_split[0][:0].contexts)
     assert choices.shape == (0,) and choices.dtype == np.intp
+
+
+def tiled_contexts(dataset, n):
+    """`n` rows of the contexts of `dataset`, repeated, every third masked."""
+    reps = -(-n // len(dataset))
+    time, pub, sub, peer, hist = (np.concatenate([col] * reps)[:n] for col in dataset.contexts)
+    peer = peer & (np.arange(n) % 3 > 0)
+    return Contexts(time, pub, np.where(peer, sub, 0.0), peer, hist)
+
+
+def test_head_choices_encode_in_chunks_with_the_same_bits(small_dataset):
+    """Encoding 1,024 rows at a time, a whole number of the 64-row forward
+    slices, gives the choices of one encoding of every row, here over two
+    whole chunks and a 52-row tail."""
+    m = init_head(2, seed=3)
+    contexts = tiled_contexts(small_dataset, 2100)
+    np.testing.assert_array_equal(head_choices(m, contexts),
+                                  watune.train._choices(m, encode_batch(contexts)))
+
+
+def test_head_choices_hold_no_whole_split_features(small_dataset):
+    """The choices on a full-size OOD split (32,000 rows) peak below 1 MB
+    traced, as only one chunk's features exist at a time. Encoding the
+    whole split first peaks at about 8 MB."""
+    m = init_head(TrainConfig().layers, TrainConfig().hidden, seed=3)
+    contexts = tiled_contexts(small_dataset, 32000)
+    tracemalloc.start()
+    try:
+        head_choices(m, contexts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 def test_head_decide_shift_invariant():
