@@ -194,7 +194,7 @@ def cmd_eval(args) -> int:
         data = cooperative_slice(data)
         if not len(data):
             raise CliError(f"{path} holds no cooperative (pubHighSubLow) records")
-    rep = evaluate(policy, data).__dict__
+    rep = evaluate(policy, data, cfg.reward).__dict__
     out = {policy.name: {**rep, "dataset_hash": file_hash(path), "config_hash": cfg.config_hash()}}
     return _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n", "report")
 
@@ -287,7 +287,7 @@ def cmd_compare(args) -> int:
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]
     reports = {}
     for row in COMPARE_ROWS:
-        reps = {s: evaluate(policies[row], data) for s, data in slices.items()}
+        reps = {s: evaluate(policies[row], data, cfg.reward) for s, data in slices.items()}
         reports[row] = reps
         cells = [f"{getattr(reps[s], metric + '_score'):.6f}"
                  for metric in COMPARE_METRICS for s in COMPARE_SLICES]

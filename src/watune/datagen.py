@@ -6,7 +6,6 @@ all produce and consume."""
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -148,11 +147,11 @@ _NUMBERS = {
     "sub": ("sub_battery", {int, float}, "be a number or null"),
     **{k: (key, {int, float}, "hold numbers") for k, key in _VECTORS.items()},
 }
-# Columns derived from the observed ones by `objective`; files do not hold them.
-_REWARDS = ("rewards", "lat_scores", "eng_scores")
 # Columns, the condition every (finite) entry must meet, and the message.
-# The latency scores need none: `objective` keeps them in [0, 100] for any
-# latency that passed its own check.
+# The last is not a `Dataset` column but `objective`'s energy scores, checked
+# where the rewards are derived and then dropped. The latency scores need
+# no check: `objective` keeps them in [0, 100] for any latency that passed
+# its own check.
 _CHECKS = (
     ("step", lambda v: v >= 0, "step must be non-negative"),
     ("pub", lambda v: (v >= 0) & (v <= 100), "publisher battery must be in [0,100]"),
@@ -169,8 +168,11 @@ class Dataset:
     """Struct-of-arrays dataset, one row per decision step.
 
     The context columns are those of `Contexts` (time, pub, sub, peer, hist);
-    lat/eng and rewards/lat_scores/eng_scores are (N, 8) per-action arrays;
-    scenario holds indices into ALL_SCENARIOS. A slice, mask or index array
+    step is the session step; lat/eng are the (N, 8) per-action latency and
+    energy measurements and rewards the (N, 8) per-action objective values
+    `objective` derives from them; scenario holds indices into
+    ALL_SCENARIOS. The latency and energy scores are not kept: `evaluate`
+    derives those of the chosen actions. A slice, mask or index array
     yields a Dataset of those rows; there is no one-row form. A plain column
     container: the columns are checked where they enter, by
     `generate_dataset` and `load_dataset`, and building one checks nothing.
@@ -185,8 +187,6 @@ class Dataset:
     lat: np.ndarray
     eng: np.ndarray
     rewards: np.ndarray
-    lat_scores: np.ndarray
-    eng_scores: np.ndarray
     scenario: np.ndarray
 
     def __len__(self) -> int:
@@ -221,16 +221,23 @@ _DTYPES = {k: np.dtype(t) for k, t in (
     ("step", int), ("lat", float), ("eng", float), ("scenario", int))}
 
 
-def _checked(data: Dataset) -> Dataset:
+def _bad_rows(name: str, col: np.ndarray) -> np.ndarray:
+    """The rows of `col` with an entry that fails the `_CHECKS` entry `name`."""
+    cond = next(cond for k, cond, _ in _CHECKS if k == name)
+    ok = np.isfinite(col)
+    ok &= cond(col)
+    return ~(ok.all(axis=1) if ok.ndim == 2 else ok)
+
+
+def _checked(data: Dataset, bad_scores: np.ndarray) -> Dataset:
     """`data`, once its app histories are non-empty and its columns pass
-    `_CHECKS`; a `DatasetError` names the first offending row."""
+    `_CHECKS`. `bad_scores` flags the rows whose energy scores, derived
+    with the rewards and not kept, fail theirs (`_bad_rows`). A
+    `DatasetError` names the first offending row."""
     if len(data) and data.hist.shape[1] < 1:
         raise ValueError("app histories must be non-empty")
-    for name, cond, message in _CHECKS:
-        col = getattr(data, name)
-        bad = ~(np.isfinite(col) & cond(col))
-        if bad.ndim == 2:
-            bad = bad.any(axis=1)
+    for name, _, message in _CHECKS:
+        bad = bad_scores if name == "eng_scores" else _bad_rows(name, getattr(data, name))
         if bad.any():
             raise DatasetError(int(np.argmax(bad)), message, name)
     return data
@@ -264,8 +271,9 @@ def generate_session(
     cfg: DatasetConfig,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
-) -> Dataset:
+) -> tuple[Dataset, np.ndarray]:
     """Simulate one 5 s-interval session, sweeping all 8 actions per step.
+    Returns the session and the rows whose energy scores `_checked` refuses.
 
     Both devices pay the oracle-best action's energy for one sampling
     interval per step, so each step's battery depends on the rewards of the
@@ -292,18 +300,16 @@ def generate_session(
     while True:
         contexts = contexts._replace(pub=_battery_levels(pub_batt, drain),
                                      sub=_battery_levels(sub_batt, drain))
-        rewards, lat_scores, eng_scores = objective(contexts, (lat, eng), reward_cfg)
+        rewards, eng_scores = objective(contexts, (lat, eng), reward_cfg)[::2]
         chosen = np.argmax(rewards, axis=1)
         if best is not None and np.array_equal(chosen, best):
             break
         best = chosen
         drain = eng[steps, best] * (cfg.sample_interval_s / 3600.0)
 
-    return Dataset(
-        **contexts._asdict(), step=steps, lat=lat, eng=eng,
-        rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores,
-        scenario=np.full(n, scenario.code),
-    )
+    session = Dataset(**contexts._asdict(), step=steps, lat=lat, eng=eng, rewards=rewards,
+                      scenario=np.full(n, scenario.code))
+    return session, _bad_rows("eng_scores", eng_scores)
 
 
 def generate_dataset(
@@ -320,12 +326,18 @@ def generate_dataset(
     OOD evaluation set).
     """
     link = replace(link)  # checked, and `measure`'s tables built, from its fields as they are now
+    bad_scores = []  # each session's, as it is made
+
+    def sessions():
+        for idx, scenario in enumerate(ALL_SCENARIOS):
+            session, bad = generate_session(scenario, profile, link, cfg, reward_cfg,
+                                            np.random.default_rng([seed, stream, idx]))
+            bad_scores.append(bad)
+            yield session
+
     with np.errstate(over="ignore", invalid="ignore"):  # `_checked` names an overflowed column
-        return _checked(Dataset.concat((
-            generate_session(scenario, profile, link, cfg, reward_cfg,
-                             np.random.default_rng([seed, stream, idx]))
-            for idx, scenario in enumerate(ALL_SCENARIOS)
-        ), len(ALL_SCENARIOS) * cfg.logs_per_session))
+        data = Dataset.concat(sessions(), len(ALL_SCENARIOS) * cfg.logs_per_session)
+        return _checked(data, np.concatenate(bad_scores))
 
 
 def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
@@ -399,7 +411,7 @@ def _key_error(rec: dict, exc: KeyError) -> str:
 
 
 def load_dataset(path, reward_cfg: RewardConfig, sha256: str | None = None) -> Dataset:
-    """Read a JSONL dataset into columns and derive its reward columns under
+    """Read a JSONL dataset into columns and derive its rewards under
     `reward_cfg`. Errors name the file and the line of the offending record;
     keys other than the observed ones are ignored.
 
@@ -428,8 +440,10 @@ def _derived(cols: dict, reward_cfg: RewardConfig) -> Dataset:
     """The checked dataset of the observed columns `cols` and their rewards."""
     contexts = Contexts(*(cols[k] for k in Contexts._fields))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # `_checked` names it
-        derived = objective(contexts, (cols["lat"], cols["eng"]), reward_cfg)
-    return _checked(Dataset(**cols, **dict(zip(_REWARDS, derived))))
+        rewards, eng_scores = objective(contexts, (cols["lat"], cols["eng"]), reward_cfg)[::2]
+    bad_scores = _bad_rows("eng_scores", eng_scores)
+    del eng_scores  # `_checked` runs with the rewards alone
+    return _checked(Dataset(**cols, rewards=rewards), bad_scores)
 
 
 def _parsed(path) -> tuple[dict, np.ndarray]:
@@ -543,9 +557,7 @@ def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
         with zipfile.ZipFile(path) as zf:
             if sorted(zf.namelist()) != _CACHE_MEMBERS:
                 return None
-            cols = {name.removesuffix(".npy"):  # `read` checks the member's CRC
-                    np.lib.format.read_array(io.BytesIO(zf.read(name)), allow_pickle=False)
-                    for name in _CACHE_MEMBERS}
+            cols = {name.removesuffix(".npy"): _member(zf, name) for name in _CACHE_MEMBERS}
         digest, hist, time, scenario = cols.pop("sha256"), cols["hist"], cols["time"], cols["scenario"]
         rows = cols["step"].shape[:1]
         shapes = {k: rows + ((NUM_ACTIONS,) if k in _VECTORS else hist.shape[1:] if k == "hist" else ())
@@ -558,6 +570,14 @@ def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
         return _derived(cols, reward_cfg) if ok else None
     except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile):
         return None
+
+
+def _member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array in member `name` of `zf`, read into it a piece at a time,
+    so the member's bytes are never held whole; the member's reader checks
+    its CRC as its last byte is read."""
+    with zf.open(name) as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
 
 
 class _Sink(list):

@@ -11,6 +11,7 @@ import numpy as np
 from .datagen import Dataset, mask_peer
 from .domain import ALL_SCENARIOS, AppType, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from .policy import HeadPolicy, Policy
+from .reward import RewardConfig, objective
 from .train import HeadModel, TrainConfig, init_head, train
 
 
@@ -28,13 +29,18 @@ class EvalReport:
     per_scenario: dict = field(default_factory=dict)
 
 
-def evaluate(policy: Policy, dataset: Dataset) -> EvalReport:
-    """Score one policy. Metrics always use the stored ground-truth rewards
-    (both devices), regardless of what the policy was allowed to see."""
+def evaluate(policy: Policy, dataset: Dataset, reward_cfg: RewardConfig) -> EvalReport:
+    """Score one policy on the actions it chooses: the objective from the
+    dataset's stored rewards, and the latency and energy scores `objective`
+    gives those actions alone under `reward_cfg`, the config the rewards
+    were derived under. Both see the dataset's contexts (both devices),
+    regardless of what the policy was allowed to see."""
     chosen = policy.decide(dataset)
     rows = np.arange(len(dataset))
-    obj, lat, eng, raw = (col[rows, chosen] for col in
-                          (dataset.rewards, dataset.lat_scores, dataset.eng_scores, dataset.eng))
+    obj, raw = dataset.rewards[rows, chosen], dataset.eng[rows, chosen]
+    _, lat, eng = objective(dataset.contexts, (dataset.lat[rows, chosen][:, None], raw[:, None]),
+                            reward_cfg)
+    lat, eng = lat.ravel(), eng.ravel()
 
     per_scenario: dict[str, dict] = {}
     for code in np.flatnonzero(np.bincount(dataset.scenario)):  # (time, battery config) order

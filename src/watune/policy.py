@@ -28,14 +28,23 @@ FIXED_ACTIONS: dict[str, Action] = {
 }
 
 
+# Each app's preferred tuple, by app code.
+_PREFERRED_INDEX = np.array([PREFERRED_TUPLE[app].index for app in AppType])
+# Rows `rule_choices` decides at a time, so its temporaries hold one block.
+_RULE_ROWS = 1024
+
+
 def rule_choices(hist: np.ndarray) -> np.ndarray:
     """Modal preferred tuple over each (N, W) app-history row; lowest index wins ties."""
-    preferred = np.array([PREFERRED_TUPLE[app].index for app in AppType])[hist]
-    rows = np.arange(len(hist))
-    counts = np.zeros((len(hist), NUM_ACTIONS), dtype=int)
-    for w in range(hist.shape[1]):
-        counts[rows, preferred[:, w]] += 1
-    return np.argmax(counts, axis=1)
+    choices = np.empty(len(hist), dtype=np.intp)
+    for i in range(0, len(hist), _RULE_ROWS):
+        preferred = _PREFERRED_INDEX[hist[i:i + _RULE_ROWS]]
+        rows = np.arange(len(preferred))
+        counts = np.zeros((len(preferred), NUM_ACTIONS), dtype=int)
+        for w in range(hist.shape[1]):
+            counts[rows, preferred[:, w]] += 1
+        choices[i:i + _RULE_ROWS] = np.argmax(counts, axis=1)
+    return choices
 
 
 class Policy:

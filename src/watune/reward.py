@@ -30,6 +30,11 @@ NAIVE_BATTERY = 100.0
 # L_a by app code.
 _TOLERANCE_MS = np.array([DEFAULT_TOLERANCE_MS[app] for app in AppType])
 
+# Entries of `objective`'s work array, whatever the number of rows: 8 KiB.
+# Each ufunc that broadcasts a (rows, 1) column also allocates a buffer of
+# about the block's size, so larger blocks raise the peak of a load.
+_WORK_ENTRIES = 1024
+
 
 class RewardMode(str, Enum):
     contextAware = "contextAware"
@@ -56,8 +61,9 @@ class RewardConfig:
 def objective(contexts: Contexts, measured, cfg: RewardConfig):
     """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b.
 
-    `measured` is the (latency, energy) pair of (N, 8) arrays. The result is
-    the (objective, latency score, energy score) triple of (N, 8) arrays:
+    `measured` is the (latency, energy) pair of (N, 8) arrays, or of (N, 1)
+    arrays for one action a row, as `evaluate` scores them. The result is
+    the (objective, latency score, energy score) triple of arrays that shape:
     the latency score lies in [0, 100] (how well the latency fits each
     active app's tolerance L_a, averaged over the app history), the energy
     score is the mean over visible devices of battery headroom per unit
@@ -70,40 +76,55 @@ def objective(contexts: Contexts, measured, cfg: RewardConfig):
                            "battery must be strictly positive for reward computation")
 
     # Each term is built in an output or in `work`, by the operations and in
-    # the order of the whole-column formula, so the bits are its bits.
-    work = np.empty(lat.shape)
+    # the order of the whole-column formula, so the bits are its bits; the
+    # rows are taken a block at a time, so `work` holds one block.
+    out = tuple(np.empty(lat.shape) for _ in range(3))
+    block = max(1, _WORK_ENTRIES // math.prod(lat.shape[1:]))
+    work = np.empty((min(len(lat), block), *lat.shape[1:]))
+    for start in range(0, len(lat), block):
+        rows = slice(start, start + block)
+        _terms(contexts.hist[rows], contexts.pub[rows, None], contexts.sub[rows, None],
+               contexts.peer[rows, None], lat[rows], eng[rows], cfg,
+               work[:len(lat) - start], *(a[rows] for a in out))
+    return out
+
+
+def _terms(hist, pub, sub, peer, lat, eng, cfg: RewardConfig, work,
+           rewards, lat_scores, eng_scores) -> None:
+    """Write one block's objective, latency and energy scores into
+    `rewards`, `lat_scores` and `eng_scores`; `work` is scratch of their
+    shape, and `pub`, `sub` and `peer` are (rows, 1) columns. The energy
+    penalty is built in `rewards`, and the last step makes it the objective."""
     if cfg.reward_mode is RewardMode.naive:
-        lat_scores = np.multiply(lat, 100.0)
+        np.multiply(lat, 100.0, out=lat_scores)
         lat_scores /= NAIVE_TOLERANCE_MS
         np.maximum(np.subtract(100.0, lat_scores, out=lat_scores), 0.0, out=lat_scores)
-        energy_penalty = np.divide(eng, NAIVE_BATTERY)
-        eng_scores = np.divide(NAIVE_BATTERY, eng)
+        energy_penalty = np.divide(eng, NAIVE_BATTERY, out=rewards)
+        np.divide(NAIVE_BATTERY, eng, out=eng_scores)
     else:
         # Mean over the app-history multiset A; repeats weight the mean.
-        window = contexts.hist.shape[1]
-        lat_scores = np.zeros(lat.shape)
+        window = hist.shape[1]
+        lat_scores.fill(0.0)
         for w in range(window):
-            tol_ms = _TOLERANCE_MS[contexts.hist[:, w]][:, None]
+            tol_ms = _TOLERANCE_MS[hist[:, w]][:, None]
             np.divide(np.multiply(lat, 100.0, out=work), tol_ms, out=work)
             lat_scores += np.maximum(np.subtract(100.0, work, out=work), 0.0, out=work)
         lat_scores /= window
         # Mean over the devices whose battery is visible: the publisher, and
         # the subscriber unless masked. `work` is zero in masked rows, as
         # the `where=` divisions leave them, which is `np.where(peer, ., 0.0)`.
-        peer = contexts.peer[:, None]
-        pub, sub = contexts.pub[:, None], contexts.sub[:, None]
         devices = 1 + peer
         work.fill(0.0)
-        energy_penalty = np.divide(eng, pub)
+        energy_penalty = np.divide(eng, pub, out=rewards)
         energy_penalty += np.divide(eng, sub, out=work, where=peer)
         energy_penalty /= devices
-        eng_scores = np.divide(pub, eng)
+        np.divide(pub, eng, out=eng_scores)
         eng_scores += np.divide(sub, eng, out=work, where=peer)
         eng_scores /= devices
 
     np.multiply(cfg.w_l, lat_scores, out=work)
     np.multiply(cfg.w_p, energy_penalty, out=energy_penalty)
-    return np.subtract(work, energy_penalty, out=energy_penalty), lat_scores, eng_scores
+    np.subtract(work, energy_penalty, out=energy_penalty)
 
 
 def soft_labels(objective_values: np.ndarray, temperature: float) -> np.ndarray:

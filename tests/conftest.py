@@ -46,23 +46,21 @@ def contexts_of(*rows: Context) -> Contexts:
 
 def dataset_of(*rows: Context, rewards=None) -> Dataset:
     """A valid `Dataset` of `rows` for handing to `Policy.decide`: unit
-    measurements and scores, scenario (time, bothHigh), and `rewards`
-    (zeros by default) as each row's per-action objective values."""
+    measurements, scenario (time, bothHigh), and `rewards` (zeros by
+    default) as each row's per-action objective values."""
     contexts = contexts_of(*rows)
     ones = np.ones((len(rows), NUM_ACTIONS))
     return Dataset(**contexts._asdict(), step=np.arange(len(rows)), lat=ones, eng=ones,
                    rewards=ones * 0.0 if rewards is None else np.array(rewards, dtype=float),
-                   lat_scores=ones, eng_scores=ones,
                    scenario=contexts.time * len(BatteryConfig) + int(BatteryConfig.bothHigh))
 
 
 def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
-    """`dataset` with its reward columns recomputed from its measurements
-    under `reward_cfg`. Rewards see the stored context, so `dataset` must
-    not be peer-masked."""
-    rewards, lat_scores, eng_scores = objective(dataset.contexts, (dataset.lat, dataset.eng),
-                                                reward_cfg)
-    return replace(dataset, rewards=rewards, lat_scores=lat_scores, eng_scores=eng_scores)
+    """`dataset` with its rewards recomputed from its measurements under
+    `reward_cfg`. Rewards see the stored context, so `dataset` must not be
+    peer-masked."""
+    rewards, _, _ = objective(dataset.contexts, (dataset.lat, dataset.eng), reward_cfg)
+    return replace(dataset, rewards=rewards)
 
 
 def jsonl(dataset: Dataset) -> str:

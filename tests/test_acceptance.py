@@ -282,27 +282,29 @@ def test_accept_7_directional_findings():
     seeds = (1, 2, 3, 4, 5)
     wins = {"kl_ge_ce": 0, "kl_ge_rule_agg": 0, "kl_ge_rule_ood": 0,
             "coop_energy_lower_with_peer": 0, "ctx_ge_naive": 0}
-    soft_temp = RewardConfig().soft_temp
+    reward_cfg = RewardConfig()
+    soft_temp = reward_cfg.soft_temp
     for seed in seeds:
         dcfg = DatasetConfig()
-        data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), dcfg, RewardConfig(), seed)
+        data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(), dcfg, reward_cfg, seed)
         rng = np.random.default_rng([seed, 9973])
         train_set, test_set = split(data, dcfg.split_fraction, rng)
-        ood = generate_dataset(OOD_PROFILE, LinkModelConfig(), dcfg, RewardConfig(), seed, stream=1)
+        ood = generate_dataset(OOD_PROFILE, LinkModelConfig(), dcfg, reward_cfg, seed, stream=1)
 
         base = dict(epochs=5, layers=3)
         kl_cfg = TrainConfig(loss="kl", **base)
         kl_policy, _ = train_head(train_set, kl_cfg, seed, soft_temp)
         ce_policy, _ = train_head(train_set, TrainConfig(loss="ce", **base), seed, soft_temp)
 
-        kl_agg = evaluate(kl_policy, test_set).objective_score
-        if kl_agg >= evaluate(ce_policy, test_set).objective_score:
+        kl_agg = evaluate(kl_policy, test_set, reward_cfg).objective_score
+        if kl_agg >= evaluate(ce_policy, test_set, reward_cfg).objective_score:
             wins["kl_ge_ce"] += 1
 
         rule = RulePolicy()
-        if kl_agg >= evaluate(rule, test_set).objective_score:
+        if kl_agg >= evaluate(rule, test_set, reward_cfg).objective_score:
             wins["kl_ge_rule_agg"] += 1
-        if evaluate(kl_policy, ood).objective_score >= evaluate(rule, ood).objective_score:
+        if (evaluate(kl_policy, ood, reward_cfg).objective_score
+                >= evaluate(rule, ood, reward_cfg).objective_score):
             wins["kl_ge_rule_ood"] += 1
 
         # Both ablations compare the KL head above with one other head of
@@ -310,13 +312,13 @@ def test_accept_7_directional_findings():
         # one trained on naive-reward labels, scored on context-aware ones.
         coop = cooperative_slice(test_set)
         masked_policy, _ = train_head(train_set, kl_cfg, seed, soft_temp, masked=True)
-        if (evaluate(kl_policy, coop).raw_energy_pct_h
-                < evaluate(masked_policy, coop).raw_energy_pct_h):
+        if (evaluate(kl_policy, coop, reward_cfg).raw_energy_pct_h
+                < evaluate(masked_policy, coop, reward_cfg).raw_energy_pct_h):
             wins["coop_energy_lower_with_peer"] += 1
 
         naive = relabel(train_set, RewardConfig(reward_mode=RewardMode.naive))
         naive_policy, _ = train_head(naive, kl_cfg, seed, soft_temp)
-        if kl_agg >= evaluate(naive_policy, test_set).objective_score:
+        if kl_agg >= evaluate(naive_policy, test_set, reward_cfg).objective_score:
             wins["ctx_ge_naive"] += 1
 
     for key, count in wins.items():
@@ -342,8 +344,8 @@ def test_accept_8_single_objective_sanity():
 
     # fix-rt-iv within 1% of the oracle under the noiseless latency-only model
     data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, lat_cfg, 1)
-    oracle_rep = evaluate(OraclePolicy(), data)
-    fixed_rep = evaluate(FixedPolicy("rt_iv"), data)
+    oracle_rep = evaluate(OraclePolicy(), data, lat_cfg)
+    fixed_rep = evaluate(FixedPolicy("rt_iv"), data, lat_cfg)
     assert fixed_rep.latency_score >= 0.99 * oracle_rep.latency_score
     _ok(8, "single-objective reductions (latency argmax, bulk/bg, fix-rt-iv)")
 

@@ -552,6 +552,22 @@ def test_gen_names_the_settings_of_an_overflowing_column(tiny_config, tmp_path):
             1, f"error: {config}: {section}.* settings: generated {message}\n"), key
 
 
+def test_gen_refuses_energy_scores_that_overflow(tiny_config, tmp_path):
+    """Energies scaled by 1e-310 are finite and positive, but the energy
+    scores they give overflow. Run as `python -W error`, `gen` refuses them
+    with one line that names the config file and its `link` settings, and
+    writes no file, though no dataset keeps the scores."""
+    d = load_config(tiny_config).to_dict()
+    d["link"]["base_energy_pct_h"] = [e * 1e-310 for e in d["link"]["base_energy_pct_h"]]
+    (tmp_path / "tiny.json").write_text(json.dumps(d))
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "watune.cli", "--config", "tiny.json",
+                          "gen"], cwd=tmp_path, env=subprocess_env(), capture_output=True,
+                         text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", (
+        "error: tiny.json: link.* settings: generated energy scores must be finite and positive\n"))
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["tiny.json"]
+
+
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):
     for key, value, message in (("hidden", 0, "train.hidden"),
                                 ("learning_rate", float("nan"), "train.learning_rate"),
@@ -782,9 +798,9 @@ def test_compare_checks_each_row_once(tiny_config, tmp_path, monkeypatch):
     back, a warm one those two files; no split, slice or mask checks again."""
     rows, check = [], watune.datagen._checked
 
-    def spy(data):
+    def spy(data, bad_scores):
         rows.append(len(data))
-        return check(data)
+        return check(data, bad_scores)
 
     monkeypatch.setattr(watune.datagen, "_checked", spy)
     out = tmp_path / "cmp"

@@ -83,7 +83,7 @@ def test_session_shape_and_window(small_dataset):
     cfg = DatasetConfig(logs_per_session=50)
     rng = np.random.default_rng(0)
     scen = Scenario(TimeOfDay.night, BatteryConfig.bothLow)
-    samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
+    samples, _ = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
     assert len(samples) == 50
     np.testing.assert_array_equal(samples.step, np.arange(50))
     assert samples.hist.shape == (50, cfg.window)
@@ -96,7 +96,7 @@ def test_battery_ranges_respected():
     cfg = DatasetConfig(logs_per_session=200)
     rng = np.random.default_rng(9)
     scen = Scenario(TimeOfDay.morning, BatteryConfig.pubHighSubLow)
-    samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
+    samples, _ = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
     hi_lo, hi_hi = DEFAULT_BATTERY_RANGES[BatteryClass.high]
     lo_lo, lo_hi = DEFAULT_BATTERY_RANGES[BatteryClass.low]
     assert hi_lo <= samples.pub[0] <= hi_hi
@@ -572,3 +572,47 @@ def test_cache_is_written_one_member_at_a_time(tmp_path):
     columns = sum(getattr(back, f.name).nbytes for f in fields(Dataset))
     assert len(back) == 3200 and path.with_name("ood.columns.npz").exists()
     assert peak <= 1.5 * columns, peak / columns
+
+
+def test_a_cache_hit_peaks_at_the_rewards_derivation(tmp_path):
+    """A hit on a bench-size OOD cache (3,200 rows) peaks at no more than
+    1.5x its observed columns and rewards traced, when `objective` holds
+    its three outputs and one block of scratch. With per-action score
+    columns in the dataset and a work array of all the rows, a hit peaked
+    at 1.8x."""
+    ood = generate_dataset(OOD_PROFILE, LinkModelConfig(), DatasetConfig(logs_per_session=200),
+                           RewardConfig(), 1, stream=1)
+    path = tmp_path / "ood.jsonl"
+    path.write_text(jsonl(ood))
+    del ood
+    digest = file_hash(path)
+    load_dataset(path, RewardConfig(), sha256=digest)  # writes the cache
+    tracemalloc.start()
+    try:
+        back = load_dataset(path, RewardConfig(), sha256=digest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(back, k).nbytes for k in (*datagen._DTYPES, "rewards"))
+    assert len(back) == 3200 and peak <= 1.5 * columns, peak / columns
+
+
+def test_a_cache_hit_holds_no_member_twice(tmp_path, small_dataset, monkeypatch):
+    """Reading a full-size cache (32,000 rows) peaks at no more than 1.12x
+    its columns traced: each member is read into its array a piece at a
+    time. Reading each member's bytes whole first peaked at about 1.16x."""
+    reps = 32000 // len(small_dataset)
+    cols = {k: np.concatenate([getattr(small_dataset, k)] * reps) for k in datagen._DTYPES}
+    path = tmp_path / "test.jsonl"
+    path.write_text("")
+    path.with_name("test.columns.npz").write_bytes(b"".join(datagen._cache_bytes(cols, "0" * 64)))
+    monkeypatch.setattr(datagen, "_derived", lambda cols, reward_cfg: cols)
+    tracemalloc.start()
+    try:
+        read = load_dataset(path, RewardConfig(), sha256="0" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.keys() == cols.keys() and all(np.array_equal(read[k], cols[k]) for k in cols)
+    size = sum(a.nbytes for a in cols.values())
+    assert peak <= 1.12 * size, peak / size

@@ -1,8 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from watune import reward
 from watune.domain import ALL_SCENARIOS, BatteryConfig, Scenario, TimeOfDay, action_from_index
 from watune.evaluate import (
     cooperative_slice,
@@ -11,18 +15,83 @@ from watune.evaluate import (
     replay_snapshot,
     train_head,
 )
-from watune.policy import FixedPolicy, OraclePolicy, RulePolicy, make_baseline
-from watune.reward import RewardConfig
-from watune.train import TrainConfig
+from watune.policy import (
+    BASELINE_NAMES,
+    FixedPolicy,
+    HeadPolicy,
+    OraclePolicy,
+    RulePolicy,
+    make_baseline,
+)
+from watune.reward import RewardConfig, RewardMode
+from watune.train import TrainConfig, init_head
+
+from conftest import contexts_of, dataset_of
+from test_columns import context_batches
+from test_reward import whole_column_objective
 
 SOFT_TEMP = RewardConfig().soft_temp
 
 
+def every_policy():
+    """The baselines and a head, plain and peer-masked."""
+    model = init_head(2, 16, seed=3)
+    return [make_baseline(name) for name in BASELINE_NAMES] + [
+        HeadPolicy(model), HeadPolicy(model, mask_peer=True)]
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_scores_are_gathered(dataset, contexts, cfg: RewardConfig) -> None:
+    """Every policy's latency and energy scores, overall and per scenario,
+    have the bits of the means of a gather from the whole-column objective
+    outputs, the reference `evaluate` must match."""
+    _, lat_scores, eng_scores = whole_column_objective(contexts, (dataset.lat, dataset.eng), cfg)
+    rows = np.arange(len(dataset))
+    for policy in every_policy():
+        chosen = policy.decide(dataset)
+        lat, eng = lat_scores[rows, chosen], eng_scores[rows, chosen]
+        rep = evaluate(policy, dataset, cfg)
+        assert (bits(rep.latency_score), bits(rep.energy_score)) == (
+            bits(lat.mean()), bits(eng.mean())), policy.name
+        for code in np.flatnonzero(np.bincount(dataset.scenario)):
+            idx = dataset.scenario == code
+            got = rep.per_scenario[ALL_SCENARIOS[code].key()]
+            assert (bits(got["latency"]), bits(got["energy"])) == (
+                bits(lat[idx].mean()), bits(eng[idx].mean())), (policy.name, code)
+
+
+@given(context_batches(), st.sampled_from(RewardMode))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_scores_equal_a_gather_of_the_whole_columns_in_bits(batch, mode):
+    """`evaluate` scores only the chosen actions; rows with and without the
+    peer's battery, in both reward modes, keep the whole-column bits."""
+    rows, (lat, eng) = batch
+    cfg = RewardConfig(reward_mode=mode)
+    contexts = contexts_of(*rows)
+    rewards = whole_column_objective(contexts, (lat, eng), cfg)[0]
+    dataset = replace(dataset_of(*rows, rewards=rewards), lat=lat, eng=eng)
+    assert_scores_are_gathered(dataset, contexts, cfg)
+
+
+@pytest.mark.parametrize("mode", RewardMode)
+def test_evaluate_scores_keep_their_bits_across_blocks(small_split, mode):
+    """A test split of 320 rows, scored 100 chosen actions to a block."""
+    _, test = small_split
+    cfg = RewardConfig(reward_mode=mode)
+    contexts = test.contexts
+    test = replace(test, rewards=whole_column_objective(contexts, (test.lat, test.eng), cfg)[0])
+    with mock.patch.object(reward, "_WORK_ENTRIES", 100):
+        assert_scores_are_gathered(test, contexts, cfg)
+
+
 def test_evaluate_oracle_dominates(small_split):
     _, test = small_split
-    oracle = evaluate(OraclePolicy(), test)
+    oracle = evaluate(OraclePolicy(), test, RewardConfig())
     for name in ("rule", "fix-rt-iv", "fix-bulk-bg"):
-        rep = evaluate(make_baseline(name), test)
+        rep = evaluate(make_baseline(name), test, RewardConfig())
         assert oracle.objective_score >= rep.objective_score
     assert oracle.n_samples == len(test)
 
@@ -30,7 +99,7 @@ def test_evaluate_oracle_dominates(small_split):
 def test_evaluate_matches_independent_pass(small_split):
     _, test = small_split
     policy = RulePolicy()
-    rep = evaluate(policy, test)
+    rep = evaluate(policy, test, RewardConfig())
     chosen = policy.decide(test)
     manual = np.mean([test.rewards[i, a] for i, a in enumerate(chosen)])
     assert rep.objective_score == pytest.approx(manual, abs=1e-9)
@@ -40,7 +109,7 @@ def test_evaluate_matches_independent_pass(small_split):
 
 def test_evaluate_per_scenario_breakdown(small_split):
     _, test = small_split
-    rep = evaluate(FixedPolicy("rt_iv"), test)
+    rep = evaluate(FixedPolicy("rt_iv"), test, RewardConfig())
     assert len(rep.per_scenario) == 16
     assert sum(v["n"] for v in rep.per_scenario.values()) == len(test)
     assert rep.scenario_mean_objective == pytest.approx(
@@ -97,8 +166,8 @@ def test_replay_snapshot(small_split):
 def test_flat_table_shape(small_split):
     _, test = small_split
     reports = {
-        "oracle": {"aggregate": evaluate(OraclePolicy(), test)},
-        "rule": {"aggregate": evaluate(RulePolicy(), test)},
+        "oracle": {"aggregate": evaluate(OraclePolicy(), test, RewardConfig())},
+        "rule": {"aggregate": evaluate(RulePolicy(), test, RewardConfig())},
     }
     table = flat_table(reports)
     lines = table.strip().split("\n")

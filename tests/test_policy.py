@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from watune import policy
 from watune.domain import (
     AccessCategory,
     Action,
@@ -17,6 +18,7 @@ from watune.policy import (
     PREFERRED_TUPLE,
     RulePolicy,
     make_baseline,
+    rule_choices,
 )
 
 from conftest import Context, dataset_of, load_record
@@ -117,3 +119,13 @@ def test_fixed_constant_across_contexts():
     p = FixedPolicy("rt_iv")
     for apps in ([AppType.firmwareUpdate] * 3, [AppType.voiceChat]):
         assert p.decide(dataset_of(ctx(apps))).tolist() == [3]
+
+
+def test_rule_choices_do_not_depend_on_the_block(monkeypatch):
+    """`rule_choices` decides 1,024 rows at a time: 2,100 rows, two whole
+    blocks and a part, get the choices of one pass over them all."""
+    hist = np.random.default_rng(4).integers(0, len(AppType), (2100, 10))
+    chunked = rule_choices(hist)
+    monkeypatch.setattr(policy, "_RULE_ROWS", len(hist))
+    whole = rule_choices(hist)
+    assert chunked.dtype == whole.dtype and chunked.tolist() == whole.tolist()

@@ -1,9 +1,11 @@
 """Structure guard: `src/watune` holds only code that `src/watune` runs."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import watune
+from watune.datagen import Dataset
 
 SRC = Path(watune.__file__).parent
 
@@ -48,3 +50,20 @@ def test_every_module_level_name_is_used_in_src():
             if not used:
                 unused.append(f"{module}: {name}")
     assert not unused, "defined in src/watune but used only outside it: " + ", ".join(unused)
+
+
+def test_every_dataset_field_is_read_in_src():
+    """Each `Dataset` column is read as an attribute somewhere in
+    `src/watune` outside the generic plumbing that copies every field, so
+    a stored column nothing reads cannot come back unnoticed."""
+    plumbing = set()
+    for node in ast.walk(_trees()["datagen.py"]):
+        if isinstance(node, ast.ClassDef) and node.name == "Dataset":
+            plumbing = {sub for method in node.body if isinstance(method, ast.FunctionDef)
+                        and method.name in ("__getitem__", "concat") for sub in ast.walk(method)}
+    assert plumbing, "datagen.Dataset's __getitem__ and concat were not found"
+    read = {node.attr for tree in _trees().values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node not in plumbing}
+    unread = [f.name for f in fields(Dataset) if f.name not in read]
+    assert not unread, "Dataset columns no code in src/watune reads: " + ", ".join(unread)
