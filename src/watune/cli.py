@@ -188,7 +188,7 @@ def cmd_eval(args) -> int:
         raise CliError("--checkpoint is only read with --policy head")
     cfg = _load_cfg(args)
     policy = _make_policy(args.policy, args.checkpoint, cfg)
-    path = _resolve_data(args.data, "ood" if args.ood else "test")
+    path = _resolve_data(args.data)
     data = _load_records(path, cfg)
     if args.scenario == "coop":
         data = cooperative_slice(data)
@@ -337,11 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a policy")
-    e.add_argument("--data", required=True, help="dataset file or gen output directory")
+    e.add_argument("--data", required=True, help="dataset file, or a gen output directory for its test.jsonl")
     e.add_argument("--policy", required=True, help="oracle | rule | fix-rt-iv | fix-bulk-bg | head")
     e.add_argument("--checkpoint", help="head checkpoint (for --policy head)")
     e.add_argument("--scenario", choices=("all", "coop"), default="all")
-    e.add_argument("--ood", action="store_true", help="evaluate on the OOD test file")
     e.add_argument("--out", help="report path (default: stdout)")
     e.set_defaults(func=cmd_eval)
 

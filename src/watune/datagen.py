@@ -252,10 +252,6 @@ def sample_app(profile: AppUsageProfile, time: TimeOfDay, rng: np.random.Generat
     return np.array(apps)[rng.choice(len(apps), size=size, p=probs / probs.sum())]
 
 
-def battery_classes(bc: BatteryConfig) -> tuple[BatteryClass, BatteryClass]:
-    return _CONFIG_CLASSES[bc]
-
-
 def _battery_levels(start: float, drain: np.ndarray) -> np.ndarray:
     """Battery at each step: `start`, then each step's drain taken off in
     turn, floored at 5% (the same float operations as a per-step loop)."""
@@ -283,7 +279,7 @@ def generate_session(
     actions has reproduced the step-by-step simulation, so it is exact.
     """
     pub_batt, sub_batt = (rng.uniform(*cfg.battery_class_ranges[c])
-                          for c in battery_classes(scenario.battery_config))
+                          for c in _CONFIG_CLASSES[scenario.battery_config])
 
     n = cfg.logs_per_session
     app_stream = sample_app(profile, scenario.time, rng, size=n)
@@ -554,10 +550,11 @@ def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
     Anything else, an unreadable or corrupt file or a failed `_checked`
     included, is a miss: None."""
     try:
+        size = os.path.getsize(path)
         with zipfile.ZipFile(path) as zf:
             if sorted(zf.namelist()) != _CACHE_MEMBERS:
                 return None
-            cols = {name.removesuffix(".npy"): _member(zf, name) for name in _CACHE_MEMBERS}
+            cols = {name.removesuffix(".npy"): _member(zf, name, size) for name in _CACHE_MEMBERS}
         digest, hist, time, scenario = cols.pop("sha256"), cols["hist"], cols["time"], cols["scenario"]
         rows = cols["step"].shape[:1]
         shapes = {k: rows + ((NUM_ACTIONS,) if k in _VECTORS else hist.shape[1:] if k == "hist" else ())
@@ -572,11 +569,20 @@ def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
         return None
 
 
-def _member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+def _member(zf: zipfile.ZipFile, name: str, limit: int) -> np.ndarray:
     """The array in member `name` of `zf`, read into it a piece at a time,
     so the member's bytes are never held whole; the member's reader checks
-    its CRC as its last byte is read."""
+    its CRC as its last byte is read. Its header, version 1.0 as written,
+    must declare the member's bytes after it, which may not exceed `limit`,
+    the cache file's size: no header or zip directory makes it allocate more."""
+    size = zf.getinfo(name).file_size
     with zf.open(name) as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError(f"{name}: not a version 1.0 array")
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        if size > limit or math.prod(shape) * dtype.itemsize != size - fh.tell():
+            raise ValueError(f"{name}: its header or size is not the member's")
+        fh.seek(0)
         return np.lib.format.read_array(fh, allow_pickle=False)
 
 

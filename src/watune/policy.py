@@ -54,8 +54,6 @@ class Policy:
     other policy reads its contexts only.
     """
 
-    name = "base"
-
     def decide(self, dataset: Dataset) -> np.ndarray:
         raise NotImplementedError
 

@@ -253,12 +253,6 @@ class AdamW:
         self.params -= b
 
 
-def accuracy_vs_oracle(model: HeadModel, feats: np.ndarray, labels: np.ndarray) -> float:
-    """Share of rows on which the head decides as `head_choices` does and
-    picks the oracle's action."""
-    return float(np.mean(_choices(model, feats) == labels))
-
-
 def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_temp: float,
           ref_model: HeadModel | None = None) -> tuple[HeadModel, dict]:
     """Deterministic mini-batch AdamW training of the head: `seed` orders its
@@ -327,7 +321,8 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_
         "samples": len(dataset),
         "skipped_pairs": skipped,
         "epoch_loss": epoch_loss,
-        "train_accuracy_vs_oracle": accuracy_vs_oracle(model, all_feats, labels),
+        # the share of rows on which the head, deciding as `head_choices` does, picks the oracle's action
+        "train_accuracy_vs_oracle": float(np.mean(_choices(model, all_feats) == labels)),
     }
     return model, report
 

@@ -1,9 +1,12 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,9 +357,12 @@ def test_eval_baselines_and_slices(tiny_config, gen_dir, capsys):
     coop = json.loads(capsys.readouterr().out)["rule"]
     # cooperative slice = 4 of the 16 scenarios
     assert coop["n_samples"] == agg["n_samples"] // 4
-    assert main(["--config", tiny_config, "eval", "--data", gen_dir,
-                 "--policy", "fix-rt-iv", "--ood"]) == 0
+    ood = os.path.join(gen_dir, "ood.jsonl")
+    assert main(["--config", tiny_config, "eval", "--data", ood, "--policy", "fix-rt-iv"]) == 0
     assert json.loads(capsys.readouterr().out)["fix-rt-iv"]["n_samples"] == 16 * 60
+    with pytest.raises(SystemExit) as exc:  # the file names the split, not a switch
+        main(["--config", tiny_config, "eval", "--data", ood, "--policy", "rule", "--ood"])
+    assert exc.value.code == 2 and "--ood" in capsys.readouterr().err
 
 
 def test_eval_reports_are_stamped(tiny_config, gen_dir, capsys):
@@ -629,10 +635,27 @@ def test_parser_surface():
     assert {name: options(p) for name, p in commands.items()} == {
         "gen": {"--out"},
         "train": {"--data", "--loss", "--no-peer", "--ref", "--out"},
-        "eval": {"--data", "--policy", "--checkpoint", "--scenario", "--ood", "--out"},
+        "eval": {"--data", "--policy", "--checkpoint", "--scenario", "--out"},
         "compare": {"--out"},
         "replay": {"--data", "--policies", "--checkpoint", "--scenario", "--steps", "--out"},
     }
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse():
+    """Every `watune ...` command in README.md's sh blocks parses, so the
+    docs cannot keep an option that was removed or renamed."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("watune ")]
+    assert commands, f"no watune command found in {README}"
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README.md command does not parse: watune {shlex.join(argv)}")
 
 
 class ParseLog(list):

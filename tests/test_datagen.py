@@ -17,7 +17,6 @@ from watune.datagen import (
     OOD_PROFILE,
     Dataset,
     DatasetConfig,
-    battery_classes,
     dataset_blocks,
     file_hash,
     generate_dataset,
@@ -59,9 +58,21 @@ def test_dataset_config_validation():
         DatasetConfig(logs_per_session=5, window=10)
 
 
-def test_battery_classes_map():
-    assert battery_classes(BatteryConfig.bothHigh) == (BatteryClass.high, BatteryClass.high)
-    assert battery_classes(BatteryConfig.pubHighSubLow) == (BatteryClass.high, BatteryClass.low)
+def test_battery_classes_map(small_dataset):
+    """Each session starts its publisher's and its subscriber's battery in
+    the classes its battery config names."""
+    high, medium, low = BatteryClass.high, BatteryClass.medium, BatteryClass.low
+    classes = {BatteryConfig.bothHigh: (high, high), BatteryConfig.bothMedium: (medium, medium),
+               BatteryConfig.bothLow: (low, low), BatteryConfig.pubHighSubLow: (high, low)}
+    first = small_dataset[small_dataset.step == 0]
+    seen = set()
+    for code, levels in zip(first.scenario, zip(first.pub, first.sub)):
+        config = ALL_SCENARIOS[code].battery_config
+        seen.add(config)
+        for level, c in zip(levels, classes[config]):
+            lo, hi = DEFAULT_BATTERY_RANGES[c]
+            assert lo <= level <= hi, (config, c, level)
+    assert seen == set(BatteryConfig)
 
 
 def test_sample_app_chi_square():
@@ -472,6 +483,26 @@ def with_member(digest: str, parsed: Dataset, name: str, array: np.ndarray) -> b
     return buf.getvalue()
 
 
+def with_pub(digest: str, parsed: Dataset, rows: int, data: bytes, compress_type: int) -> bytes:
+    """The cache of `parsed` whose `pub.npy` header claims `rows` float64
+    rows and is followed by `data`, the member compressed with
+    `compress_type` and given a valid CRC."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(edited_cache(digest, parsed))) as src, \
+            zipfile.ZipFile(buf, "w") as dst:
+        for info in src.infolist():
+            if info.filename != "pub.npy":
+                dst.writestr(info, src.read(info))
+                continue
+            member = zipfile.ZipInfo(info.filename)
+            member.compress_type = compress_type
+            with dst.open(member, "w") as fh:
+                np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False,
+                                                          "shape": (rows,)})
+                fh.write(data)
+    return buf.getvalue()
+
+
 def shifted(a: np.ndarray, by: int) -> np.ndarray:
     a = a.copy()
     a.flat[0] += by
@@ -492,6 +523,9 @@ MISSES = {
     "pickled member": lambda d, p: with_member(d, p, "step", p.step.astype(object)),
     "wrong dtype": lambda d, p: edited_cache(d, p, time=p.time.astype(np.int32)),
     "wrong shape": lambda d, p: edited_cache(d, p, lat=p.lat[:, :7]),
+    # reading either as its header claims would allocate 72.8 TiB or 32 MB
+    "lying header": lambda d, p: with_pub(d, p, 10**13, p.pub.tobytes(), zipfile.ZIP_STORED),
+    "deflated member": lambda d, p: with_pub(d, p, 4 * 10**6, bytes(32 * 10**6), zipfile.ZIP_DEFLATED),
     "short column": lambda d, p: edited_cache(d, p, step=p.step[:-1]),
     "flat history": lambda d, p: edited_cache(d, p, hist=p.hist[:, -1]),
     "app code": lambda d, p: edited_cache(d, p, hist=shifted(p.hist, len(AppType))),
@@ -506,7 +540,9 @@ MISSES = {
 def test_a_bad_cache_is_a_miss(cached_file, kind):
     """A cache that names another digest, cannot be read, or holds columns
     no parse gives is not refused: the file is parsed, giving the same
-    dataset, and a good cache written over the bad one."""
+    dataset, and a good cache written over the bad one. Whatever the bad
+    cache claims, the load traces under 4 MB; parsing this 300-row file
+    traces about 0.3 MB."""
     path, digest, parsed, parses = cached_file
     cache = path.with_name("test.columns.npz")
     load_dataset(path, RewardConfig(), sha256=digest)
@@ -514,8 +550,15 @@ def test_a_bad_cache_is_a_miss(cached_file, kind):
     assert good == edited_cache(digest, parsed)
     cache.write_bytes(MISSES[kind](digest, parsed))
     parses.clear()
-    assert_same_bits(load_dataset(path, RewardConfig(), sha256=digest), parsed)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path, RewardConfig(), sha256=digest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_bits(loaded, parsed)
     assert parses == [path] and cache.read_bytes() == good
+    assert peak < 4 << 20, peak
 
 
 def test_equal_inputs_give_byte_equal_caches(tmp_path, cached_file, monkeypatch):

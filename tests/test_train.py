@@ -18,7 +18,6 @@ from watune.train import (
     HeadModel,
     TrainConfig,
     TrainingDiverged,
-    accuracy_vs_oracle,
     dpo_target,
     encode_batch,
     forward,
@@ -179,6 +178,7 @@ def test_loss_identities():
             loss("kl", logits, kl_row(onehot)), abs=1e-12)
     # uniform logits -> ln 8
     assert loss("ce", np.zeros(8), ([3],)) == pytest.approx(np.log(8), abs=1e-9)
+    assert log_softmax(np.zeros(8))[0] == pytest.approx(-np.log(8))
     # KL = 0 at exact match
     assert loss("kl", logits, kl_row(soft_labels(logits, 1.0))) == pytest.approx(0.0, abs=1e-9)
     # DPO at policy == reference -> ln 2
@@ -538,13 +538,13 @@ def test_load_checkpoint_refuses_with_file_name(tmp_path, corrupt, message):
         load_checkpoint(p)
 
 
-def test_accuracy_helpers(toy_split):
-    train_set, _ = toy_split
-    feats = encode_batch(train_set[:50].contexts)
-    labels = np.argmax(train_set.rewards[:50], axis=1)
-    acc = accuracy_vs_oracle(init_head(1, seed=0), feats, labels)
-    assert 0.0 <= acc <= 1.0
-    assert log_softmax(np.zeros(8))[0] == pytest.approx(-np.log(8))
+def test_train_reports_accuracy_vs_oracle(toy_split):
+    """The report's accuracy is the share of training rows on which the
+    trained head, deciding as `head_choices` does, picks the oracle's action."""
+    rows = toy_split[0][:50]
+    model, report = train(rows, init_head(1, seed=0), TrainConfig(loss="ce", epochs=1, layers=1), 0, SOFT_TEMP)
+    agree = head_choices(model, rows.contexts) == np.argmax(rows.rewards, axis=1)
+    assert report["train_accuracy_vs_oracle"] == float(np.mean(agree))
 
 
 def test_load_checkpoint_names_truncated_file(tmp_path):
