@@ -209,8 +209,10 @@ def _emit(path: str | None, text: str, what: str) -> int:
     return 0
 
 
-COMPARE_ROWS = ("oracle", "rule", "fix-rt-iv", "fix-bulk-bg",
-                "head-ce", "head-kl", "head-kl+dpo", "head-kl-no-peer")
+# The comparison table's head rows: each one's loss, and whether it hides the subscriber battery.
+HEAD_ROWS = {"head-ce": ("ce", False), "head-kl": ("kl", False),
+             "head-kl+dpo": ("dpo", False), "head-kl-no-peer": ("kl", True)}
+COMPARE_ROWS = BASELINE_NAMES + tuple(HEAD_ROWS)
 COMPARE_SLICES = ("aggregate", "coop", "ood")
 COMPARE_METRICS = ("objective", "latency", "energy")
 
@@ -223,22 +225,23 @@ def _check_config(what: str, found: str | None, chash: str) -> None:
 
 def _head_variants(train_path: str, cfg: ExperimentConfig, out: str,
                    train_set: Dataset | None) -> dict:
-    """Reload the four head rows of the comparison table; train any missing
-    on `train_set`, parsed from `train_path` when not given."""
+    """Reload the `HEAD_ROWS` heads of the comparison table; train any
+    missing on `train_set`, parsed from `train_path` when not given."""
     variants = {}
-    specs = {"head-ce": ("ce", False), "head-kl": ("kl", False),
-             "head-kl+dpo": ("dpo", False), "head-kl-no-peer": ("kl", True)}
-    for name, (loss, masked) in specs.items():
+    for name, (loss, masked) in HEAD_ROWS.items():
         ckpt = os.path.join(out, name + ".ckpt.json")
         if os.path.exists(ckpt):
             variants[name] = _load_head(ckpt, cfg, name, {"loss": loss, "no_peer": masked})
             continue
         if train_set is None:
             train_set = load_dataset(train_path, cfg.reward)
-        policy, report = train_head(train_set, replace(cfg.train, loss=loss), cfg.seed,
-                                    cfg.reward.soft_temp, masked=masked)
-        _save_head(ckpt, policy, report, cfg)
-        variants[name] = HeadPolicy(policy.model, name=name, mask_peer=masked)
+        ref_model = None
+        if loss == "dpo":  # its KL reference retrains head-kl, a run ROADMAP item 2 removes
+            ref_model = train_head(train_set, replace(cfg.train, loss="kl"), cfg.seed,
+                                   cfg.reward.soft_temp)[0].model
+        variants[name], report = train_head(train_set, replace(cfg.train, loss=loss), cfg.seed,
+                                            cfg.reward.soft_temp, masked, ref_model, name)
+        _save_head(ckpt, variants[name], report, cfg)
     return variants
 
 

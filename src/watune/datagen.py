@@ -148,18 +148,18 @@ _NUMBERS = {
     **{k: (key, {int, float}, "hold numbers") for k, key in _VECTORS.items()},
 }
 # Columns, the condition every (finite) entry must meet, and the message.
-# The last is not a `Dataset` column but `objective`'s energy scores, checked
-# where the rewards are derived and then dropped. The latency scores need
-# no check: `objective` keeps them in [0, 100] for any latency that passed
-# its own check.
+# The scores need no check: `objective` keeps the latency scores in [0, 100]
+# and, as an energy from `ENERGY_FLOOR` (%/h) up keeps each battery / energy
+# term within half the largest float, the energy scores finite.
+ENERGY_FLOOR = 2 * 100.0 / float(np.finfo(float).max)
 _CHECKS = (
     ("step", lambda v: v >= 0, "step must be non-negative"),
     ("pub", lambda v: (v >= 0) & (v <= 100), "publisher battery must be in [0,100]"),
     ("sub", lambda v: (v >= 0) & (v <= 100), "subscriber battery must be in [0,100]"),
     ("lat", lambda v: v >= 0, "latency must be finite and non-negative"),
     ("eng", lambda v: v > 0, "energy must be finite and strictly positive"),
+    ("eng", lambda v: v >= ENERGY_FLOOR, f"energy must be at least {ENERGY_FLOOR!r} %/h"),
     ("rewards", lambda v: True, "rewards must be finite"),
-    ("eng_scores", lambda v: v > 0, "energy scores must be finite and positive"),
 )
 
 
@@ -221,23 +221,16 @@ _DTYPES = {k: np.dtype(t) for k, t in (
     ("step", int), ("lat", float), ("eng", float), ("scenario", int))}
 
 
-def _bad_rows(name: str, col: np.ndarray) -> np.ndarray:
-    """The rows of `col` with an entry that fails the `_CHECKS` entry `name`."""
-    cond = next(cond for k, cond, _ in _CHECKS if k == name)
-    ok = np.isfinite(col)
-    ok &= cond(col)
-    return ~(ok.all(axis=1) if ok.ndim == 2 else ok)
-
-
-def _checked(data: Dataset, bad_scores: np.ndarray) -> Dataset:
+def _checked(data: Dataset) -> Dataset:
     """`data`, once its app histories are non-empty and its columns pass
-    `_CHECKS`. `bad_scores` flags the rows whose energy scores, derived
-    with the rewards and not kept, fail theirs (`_bad_rows`). A
-    `DatasetError` names the first offending row."""
+    `_CHECKS`. A `DatasetError` names the first offending row."""
     if len(data) and data.hist.shape[1] < 1:
         raise ValueError("app histories must be non-empty")
-    for name, _, message in _CHECKS:
-        bad = bad_scores if name == "eng_scores" else _bad_rows(name, getattr(data, name))
+    for name, cond, message in _CHECKS:
+        col = getattr(data, name)
+        ok = np.isfinite(col)
+        ok &= cond(col)
+        bad = ~(ok.all(axis=1) if ok.ndim == 2 else ok)
         if bad.any():
             raise DatasetError(int(np.argmax(bad)), message, name)
     return data
@@ -267,9 +260,8 @@ def generate_session(
     cfg: DatasetConfig,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
-) -> tuple[Dataset, np.ndarray]:
+) -> Dataset:
     """Simulate one 5 s-interval session, sweeping all 8 actions per step.
-    Returns the session and the rows whose energy scores `_checked` refuses.
 
     Both devices pay the oracle-best action's energy for one sampling
     interval per step, so each step's battery depends on the rewards of the
@@ -296,16 +288,15 @@ def generate_session(
     while True:
         contexts = contexts._replace(pub=_battery_levels(pub_batt, drain),
                                      sub=_battery_levels(sub_batt, drain))
-        rewards, eng_scores = objective(contexts, (lat, eng), reward_cfg)[::2]
+        rewards = objective(contexts, (lat, eng), reward_cfg)[0]
         chosen = np.argmax(rewards, axis=1)
         if best is not None and np.array_equal(chosen, best):
             break
         best = chosen
         drain = eng[steps, best] * (cfg.sample_interval_s / 3600.0)
 
-    session = Dataset(**contexts._asdict(), step=steps, lat=lat, eng=eng, rewards=rewards,
-                      scenario=np.full(n, scenario.code))
-    return session, _bad_rows("eng_scores", eng_scores)
+    return Dataset(**contexts._asdict(), step=steps, lat=lat, eng=eng, rewards=rewards,
+                   scenario=np.full(n, scenario.code))
 
 
 def generate_dataset(
@@ -322,18 +313,11 @@ def generate_dataset(
     OOD evaluation set).
     """
     link = replace(link)  # checked, and `measure`'s tables built, from its fields as they are now
-    bad_scores = []  # each session's, as it is made
-
-    def sessions():
-        for idx, scenario in enumerate(ALL_SCENARIOS):
-            session, bad = generate_session(scenario, profile, link, cfg, reward_cfg,
-                                            np.random.default_rng([seed, stream, idx]))
-            bad_scores.append(bad)
-            yield session
-
-    with np.errstate(over="ignore", invalid="ignore"):  # `_checked` names an overflowed column
-        data = Dataset.concat(sessions(), len(ALL_SCENARIOS) * cfg.logs_per_session)
-        return _checked(data, np.concatenate(bad_scores))
+    sessions = (generate_session(scenario, profile, link, cfg, reward_cfg,
+                                 np.random.default_rng([seed, stream, idx]))
+                for idx, scenario in enumerate(ALL_SCENARIOS))
+    with np.errstate(over="ignore", invalid="ignore"):  # `_checked` names the column at fault
+        return _checked(Dataset.concat(sessions, len(ALL_SCENARIOS) * cfg.logs_per_session))
 
 
 def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
@@ -390,20 +374,35 @@ def dataset_blocks(dataset: Dataset):
         yield template * len(d) % tuple(cells.ravel().tolist())
 
 
-# The keys a record must hold, in record order; those of `scenario` dotted.
-_RECORD_KEYS = ("step", "time", "app_history", "pub_battery", "sub_battery", "latency_ms",
-                "energy_pct_h", "scenario", "scenario.time", "scenario.battery_config")
+_name_in = lambda names: lambda v: type(v) is str and v in names
+_TIME_KIND = ("be a time-of-day name", _name_in(_TIME_CODE))
+_VECTOR_KIND = (f"be a list of {NUM_ACTIONS} numbers", lambda v: type(v) is list and len(v) == NUM_ACTIONS)
+# The keys a record must hold, in record order (those of `scenario` dotted,
+# `app_history[]` each entry of `app_history`), with the rule for the kind
+# of value each needs and a test of it; `_NUMBERS` holds the numbers' own.
+_RECORD_KEYS = {
+    "step": (None, None), "time": _TIME_KIND,
+    "app_history": ("be a list of app names", lambda v: type(v) is list),
+    "app_history[]": ("hold app names", _name_in(_APP_CODE)), "pub_battery": (None, None),
+    "sub_battery": (None, None), "latency_ms": _VECTOR_KIND, "energy_pct_h": _VECTOR_KIND,
+    "scenario": ("be an object", lambda v: type(v) is dict), "scenario.time": _TIME_KIND,
+    "scenario.battery_config": ("be a battery-config name", _name_in(BatteryConfig.__members__))}
 
 
-def _key_error(rec: dict, exc: KeyError) -> str:
-    """What a KeyError raised reading `rec` means: the first key it lacks,
-    else a value that is not a known name."""
-    for key in _RECORD_KEYS:
-        owner, _, leaf = key.rpartition(".")
-        node = rec.get(owner) if owner else rec
-        if isinstance(node, dict) and leaf not in node:
+def _record_error(rec) -> str:
+    """Why reading the record `rec` raised a KeyError or TypeError: it is not
+    an object, or its first key in `_RECORD_KEYS` is missing or not of its kind."""
+    if type(rec) is not dict:
+        return f"a record must be an object, not {rec!r}"
+    for key, (rule, ok) in _RECORD_KEYS.items():
+        name = key.removesuffix("[]")
+        owner, _, leaf = name.rpartition(".")
+        node = rec[owner] if owner else rec  # an owner comes first, so it is an object
+        if leaf not in node:
             return f"missing key {key}"
-    return f"unknown name {exc.args[0]!r}"
+        for value in (node[leaf] if key != name else [node[leaf]]) if ok else ():
+            if not ok(value):
+                return f"{name} must {rule}, not {value!r}"
 
 
 def load_dataset(path, reward_cfg: RewardConfig, sha256: str | None = None) -> Dataset:
@@ -436,10 +435,8 @@ def _derived(cols: dict, reward_cfg: RewardConfig) -> Dataset:
     """The checked dataset of the observed columns `cols` and their rewards."""
     contexts = Contexts(*(cols[k] for k in Contexts._fields))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # `_checked` names it
-        rewards, eng_scores = objective(contexts, (cols["lat"], cols["eng"]), reward_cfg)[::2]
-    bad_scores = _bad_rows("eng_scores", eng_scores)
-    del eng_scores  # `_checked` runs with the rewards alone
-    return _checked(Dataset(**cols, rewards=rewards), bad_scores)
+        rewards = objective(contexts, (cols["lat"], cols["eng"]), reward_cfg)[0]
+    return _checked(Dataset(**cols, rewards=rewards))
 
 
 def _parsed(path) -> tuple[dict, np.ndarray]:
@@ -456,13 +453,16 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
                 continue
             try:
                 rec = json.loads(line)
-                sub, scenario = rec["sub_battery"], rec["scenario"]
+                sub, scenario, hist = rec["sub_battery"], rec["scenario"], rec["app_history"]
+                vectors = {k: rec[key] for k, key in _VECTORS.items()}
+                if type(hist) is not list or not all(map(_VECTOR_KIND[1], vectors.values())):
+                    raise TypeError  # a str or dict would iterate: `_record_error` names it
                 row = {
                     "time": _TIME_CODE[rec["time"]],
                     "pub": rec["pub_battery"],
                     "sub": 0.0 if sub is None else sub,
                     "peer": sub is not None,
-                    "hist": [_APP_CODE[a] for a in rec["app_history"]],
+                    "hist": [_APP_CODE[a] for a in hist],
                     "step": rec["step"],
                     "scenario": _SCENARIO_CODE[scenario["time"], scenario["battery_config"]],
                 }
@@ -471,13 +471,10 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
                                      f"{scenario['time']!r}")
                 if width is not None and len(row["hist"]) != width:
                     raise ValueError("app_history length differs from the first record")
-                vectors = {k: rec[key] for k, key in _VECTORS.items()}
-                if any(len(v) != NUM_ACTIONS for v in vectors.values()):
-                    raise ValueError(f"per-action arrays must have {NUM_ACTIONS} entries")
-            except KeyError as exc:
+            except (KeyError, TypeError):
                 raise ValueError(f"{path}: line {lineno}: malformed dataset record: "
-                                 f"{_key_error(rec, exc)}") from None
-            except (ValueError, TypeError) as exc:
+                                 f"{_record_error(rec)}") from None
+            except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed dataset record: {exc}") from None
             width = len(row["hist"])
             for k, v in row.items():

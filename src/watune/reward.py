@@ -72,8 +72,9 @@ def objective(contexts: Contexts, measured, cfg: RewardConfig):
     lat, eng = measured
     flat = (contexts.pub <= 0) | (contexts.peer & (contexts.sub <= 0))
     if flat.any():
-        raise DatasetError(int(np.argmax(flat)),
-                           "battery must be strictly positive for reward computation")
+        row = int(np.argmax(flat))
+        raise DatasetError(row, f"{'publisher' if contexts.pub[row] <= 0 else 'subscriber'} "
+                                "battery must be strictly positive for reward computation")
 
     # Each term is built in an output or in `work`, by the operations and in
     # the order of the whole-column formula, so the bits are its bits; the

@@ -14,7 +14,7 @@ import pytest
 import watune.cli
 from watune.cli import build_parser, main
 from watune.config import ExperimentConfig, load_config, save_config
-from watune.datagen import file_hash, load_dataset
+from watune.datagen import ENERGY_FLOOR, file_hash, load_dataset
 from watune.reward import RewardMode
 
 from conftest import FUZZ_VALUES
@@ -316,6 +316,17 @@ def test_checkpoint_without_a_head_is_refused(tiny_config, gen_dir, tmp_path, co
     assert captured.err.startswith("error: --checkpoint is only read ")
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--policy", "head"],
+    ["replay", "--policies", "oracle,head"],
+], ids=lambda c: c[0])
+def test_a_head_without_a_checkpoint_is_refused(tiny_config, gen_dir, command, capsys):
+    """A head policy with no `--checkpoint` to load it from is refused with
+    one line, and nothing is written to stdout."""
+    assert main(["--config", tiny_config, *command, "--data", gen_dir]) == 1
+    assert capsys.readouterr() == ("", "error: policy 'head' requires --checkpoint\n")
+
+
 
 @pytest.mark.parametrize("value", FUZZ_VALUES, ids=repr)
 @pytest.mark.parametrize("key", ["format", "shapes", "params", "metadata", "metadata.loss",
@@ -413,9 +424,10 @@ def test_eval_coop_names_a_file_without_cooperative_rows(tiny_config, gen_dir, t
 
 
 def test_eval_names_an_overflowing_record_without_a_warning(gen_dir, tmp_path):
-    """An energy of 5e-324 overflows the record's energy scores. Run as
+    """An energy of 5e-324 would overflow the record's energy scores. Run as
     `python -W error`, which turns a numpy warning into a traceback, `eval`
-    refuses the record with one line that names its file and line."""
+    refuses the record with one line that names its file, line and the
+    energy floor."""
     with open(os.path.join(gen_dir, "test.jsonl")) as fh:
         record = json.loads(fh.readline())
     record["energy_pct_h"][0] = 5e-324
@@ -425,7 +437,7 @@ def test_eval_names_an_overflowing_record_without_a_warning(gen_dir, tmp_path):
                           "--data", str(path), "--policy", "oracle"],
                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stderr) == (
-        1, f"error: {path}: line 1: energy scores must be finite and positive\n")
+        1, f"error: {path}: line 1: energy must be at least {ENERGY_FLOOR!r} %/h\n")
 
 
 def test_heads_from_another_config_are_refused(tiny_config, compared, tmp_path, capsys):
@@ -559,10 +571,10 @@ def test_gen_names_the_settings_of_an_overflowing_column(tiny_config, tmp_path):
 
 
 def test_gen_refuses_energy_scores_that_overflow(tiny_config, tmp_path):
-    """Energies scaled by 1e-310 are finite and positive, but the energy
-    scores they give overflow. Run as `python -W error`, `gen` refuses them
-    with one line that names the config file and its `link` settings, and
-    writes no file, though no dataset keeps the scores."""
+    """Energies scaled by 1e-310 are finite and positive, but below the
+    floor that keeps their energy scores finite. Run as `python -W error`,
+    `gen` refuses them with one line that names the config file and its
+    `link` settings, and writes no file."""
     d = load_config(tiny_config).to_dict()
     d["link"]["base_energy_pct_h"] = [e * 1e-310 for e in d["link"]["base_energy_pct_h"]]
     (tmp_path / "tiny.json").write_text(json.dumps(d))
@@ -570,7 +582,7 @@ def test_gen_refuses_energy_scores_that_overflow(tiny_config, tmp_path):
                           "gen"], cwd=tmp_path, env=subprocess_env(), capture_output=True,
                          text=True, timeout=120)
     assert (run.returncode, run.stdout, run.stderr) == (1, "", (
-        "error: tiny.json: link.* settings: generated energy scores must be finite and positive\n"))
+        f"error: tiny.json: link.* settings: generated energy must be at least {ENERGY_FLOOR!r} %/h\n"))
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["tiny.json"]
 
 
@@ -821,9 +833,9 @@ def test_compare_checks_each_row_once(tiny_config, tmp_path, monkeypatch):
     back, a warm one those two files; no split, slice or mask checks again."""
     rows, check = [], watune.datagen._checked
 
-    def spy(data, bad_scores):
+    def spy(data):
         rows.append(len(data))
-        return check(data, bad_scores)
+        return check(data)
 
     monkeypatch.setattr(watune.datagen, "_checked", spy)
     out = tmp_path / "cmp"

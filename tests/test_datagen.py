@@ -94,7 +94,7 @@ def test_session_shape_and_window(small_dataset):
     cfg = DatasetConfig(logs_per_session=50)
     rng = np.random.default_rng(0)
     scen = Scenario(TimeOfDay.night, BatteryConfig.bothLow)
-    samples, _ = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
+    samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
     assert len(samples) == 50
     np.testing.assert_array_equal(samples.step, np.arange(50))
     assert samples.hist.shape == (50, cfg.window)
@@ -107,7 +107,7 @@ def test_battery_ranges_respected():
     cfg = DatasetConfig(logs_per_session=200)
     rng = np.random.default_rng(9)
     scen = Scenario(TimeOfDay.morning, BatteryConfig.pubHighSubLow)
-    samples, _ = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
+    samples = generate_session(scen, IN_DISTRIBUTION_PROFILE, LinkModelConfig(), cfg, RewardConfig(), rng)
     hi_lo, hi_hi = DEFAULT_BATTERY_RANGES[BatteryClass.high]
     lo_lo, lo_hi = DEFAULT_BATTERY_RANGES[BatteryClass.low]
     assert hi_lo <= samples.pub[0] <= hi_hi
@@ -244,14 +244,19 @@ RECORD_KEYS = ("step", "time", "app_history", "pub_battery", "sub_battery", "lat
                "energy_pct_h", "scenario", "app_history[0]", "latency_ms[0]",
                "energy_pct_h[0]", "scenario.time", "scenario.battery_config")
 MISSING = object()
+# How a refusal names a key whose value is of the right kind but out of
+# range: by the quantity its column check names (the checks are shared with
+# generation, which has no JSON keys), else by the key itself.
+QUANTITY = {"pub_battery": "publisher battery", "sub_battery": "subscriber battery",
+            "latency_ms": "latency", "energy_pct_h": "energy"}
 
 
 def test_record_fuzz_every_key(tmp_path, small_dataset):
     """Each record key set on line 2 of 3 to each odd value or to an integer
     too large for int64 (10**30) or float64 (10**400), or (a list head
-    excepted) removed, is refused naming the file and line 2, except five
-    values a record may hold: step 0, sub_battery null, latency 0, and a
-    latency or energy of 10**30."""
+    excepted) removed, is refused naming the file, line 2 and the key,
+    except five values a record may hold: step 0, sub_battery null,
+    latency 0, and a latency or energy of 10**30."""
     p = tmp_path / "fuzz.jsonl"
     first, second, third = jsonl(small_dataset[:3]).splitlines(keepends=True)
     refused, loaded = 0, []
@@ -272,6 +277,9 @@ def test_record_fuzz_every_key(tmp_path, small_dataset):
                 load_dataset(p, RewardConfig())
             except ValueError as exc:
                 assert str(exc).startswith(f"{p}: line 2: "), (key, value, str(exc))
+                reason = str(exc).removeprefix(f"{p}: line 2: ").removeprefix("malformed dataset record: ")
+                assert reason.startswith((f"{name} ", f"{QUANTITY.get(name, name)} ",
+                                          f"missing key {name}")), (key, value, reason)
                 if value is MISSING:
                     assert str(exc).endswith(f"malformed dataset record: missing key {key}"), str(exc)
                 if (key, value) in (("step", 10**30), ("pub_battery", 10**400)):
@@ -289,7 +297,45 @@ def test_unknown_name_is_named(tmp_path, small_dataset):
     rec = json.loads(jsonl(small_dataset[:1]))
     p.write_text(json.dumps(dict(rec, app_history=["tv"] * len(rec["app_history"]))) + "\n")
     with pytest.raises(ValueError, match=r"names\.jsonl: line 1: malformed dataset record: "
-                                         r"unknown name 'tv'$"):
+                                         r"app_history must hold app names, not 'tv'$"):
+        load_dataset(p, RewardConfig())
+
+
+def test_a_value_of_the_wrong_kind_names_its_key(tmp_path, small_dataset):
+    """A record, or a key of one, holding another JSON kind than it needs is
+    refused with a message that names the key and the kind: a string or an
+    object where a list is needed is not read entry by entry."""
+    rec = json.loads(jsonl(small_dataset[:1]))
+    for text, message in (
+        ("[1, 2]", "a record must be an object, not [1, 2]"),
+        (json.dumps(dict(rec, scenario=None)), "scenario must be an object, not None"),
+        (json.dumps(dict(rec, time=0)), "time must be a time-of-day name, not 0"),
+        (json.dumps(dict(rec, app_history="textMessage")),
+         "app_history must be a list of app names, not 'textMessage'"),
+        (json.dumps(dict(rec, app_history={"textMessage": 1})),
+         "app_history must be a list of app names, not {'textMessage': 1}"),
+        (json.dumps(dict(rec, latency_ms=3)), "latency_ms must be a list of 8 numbers, not 3"),
+        (json.dumps(dict(rec, energy_pct_h=rec["energy_pct_h"][1:])),
+         f"energy_pct_h must be a list of 8 numbers, not {rec['energy_pct_h'][1:]!r}"),
+        (json.dumps(dict(rec, scenario=dict(rec["scenario"], battery_config="full"))),
+         "scenario.battery_config must be a battery-config name, not 'full'"),
+    ):
+        p = tmp_path / "kinds.jsonl"
+        p.write_text(text + "\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(p, RewardConfig())
+        assert str(err.value) == f"{p}: line 1: malformed dataset record: {message}"
+
+
+def test_blank_lines_are_skipped_and_counted(tmp_path, small_dataset):
+    """Blank lines hold no record, but a refusal still names the line of
+    the file the bad record is on."""
+    p = tmp_path / "blank.jsonl"
+    first, second = jsonl(small_dataset[:2]).splitlines(keepends=True)
+    p.write_text("\n" + first + "  \n\n" + second)
+    assert_same_rows(small_dataset[:2], load_dataset(p, RewardConfig()))
+    p.write_text("\n" + first + "  \n\n" + json.dumps(dict(json.loads(second), step=-1)) + "\n")
+    with pytest.raises(ValueError, match=r"blank\.jsonl: line 5: step must be non-negative$"):
         load_dataset(p, RewardConfig())
 
 
@@ -335,8 +381,8 @@ def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):
     for edit, message in (
         ({"latency_ms": [float("nan")] + rec["latency_ms"][1:]}, "latency"),
         ({"energy_pct_h": [0.0] * 8}, "energy"),
-        ({"pub_battery": 0}, "battery must be strictly positive"),
-        ({"sub_battery": 0}, "battery must be strictly positive"),
+        ({"pub_battery": 0}, "publisher battery must be strictly positive"),
+        ({"sub_battery": 0}, "subscriber battery must be strictly positive"),
     ):
         lines[1] = json.dumps(dict(rec, **edit))
         p.write_text("\n".join(lines) + "\n")
@@ -357,10 +403,10 @@ def test_load_dataset_blocks_name_their_own_line(monkeypatch, tmp_path, small_da
         for edit, message in (
             ({"pub_battery": "50"}, "malformed dataset record: pub_battery must be a number, not '50'"),
             ({"app_history": ["tv"] * len(rec["app_history"])},
-             "malformed dataset record: unknown name 'tv'"),
+             "malformed dataset record: app_history must hold app names, not 'tv'"),
             ({"latency_ms": [float("nan")] + rec["latency_ms"][1:]},
              "latency must be finite and non-negative"),
-            ({"pub_battery": 0}, "battery must be strictly positive for reward computation"),
+            ({"pub_battery": 0}, "publisher battery must be strictly positive for reward computation"),
             ({"app_history": rec["app_history"][1:]},
              "malformed dataset record: app_history length differs from the first record"),
         ):
@@ -503,6 +549,21 @@ def with_pub(digest: str, parsed: Dataset, rows: int, data: bytes, compress_type
     return buf.getvalue()
 
 
+def with_version_2_pub(digest: str, parsed: Dataset) -> bytes:
+    """The cache of `parsed` whose `pub.npy` is written as a version 2.0
+    array, which a version-1.0 header reader would misread."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(edited_cache(digest, parsed))) as src, \
+            zipfile.ZipFile(buf, "w") as dst:
+        for info in src.infolist():
+            if info.filename != "pub.npy":
+                dst.writestr(info, src.read(info))
+                continue
+            with dst.open(zipfile.ZipInfo(info.filename), "w") as fh:
+                np.lib.format.write_array(fh, parsed.pub, version=(2, 0), allow_pickle=False)
+    return buf.getvalue()
+
+
 def shifted(a: np.ndarray, by: int) -> np.ndarray:
     a = a.copy()
     a.flat[0] += by
@@ -526,6 +587,7 @@ MISSES = {
     # reading either as its header claims would allocate 72.8 TiB or 32 MB
     "lying header": lambda d, p: with_pub(d, p, 10**13, p.pub.tobytes(), zipfile.ZIP_STORED),
     "deflated member": lambda d, p: with_pub(d, p, 4 * 10**6, bytes(32 * 10**6), zipfile.ZIP_DEFLATED),
+    "npy version 2.0": with_version_2_pub,
     "short column": lambda d, p: edited_cache(d, p, step=p.step[:-1]),
     "flat history": lambda d, p: edited_cache(d, p, hist=p.hist[:, -1]),
     "app code": lambda d, p: edited_cache(d, p, hist=shifted(p.hist, len(AppType))),

@@ -24,7 +24,7 @@ from watune.policy import (
     make_baseline,
 )
 from watune.reward import RewardConfig, RewardMode
-from watune.train import TrainConfig, init_head
+from watune.train import TrainConfig, init_head, train
 
 from conftest import contexts_of, dataset_of
 from test_columns import context_batches
@@ -126,26 +126,31 @@ def test_cooperative_slice(small_split):
 
 
 def test_train_head_naming_and_masking(small_split):
+    """The caller names each head; a masked one hides the subscriber battery."""
     train_set, _ = small_split
     cfg = TrainConfig(loss="kl", epochs=1, layers=1)
     policy, report = train_head(train_set, cfg, 2, SOFT_TEMP)
-    assert policy.name == "head-kl" and not policy.mask_peer
+    assert policy.name == "head" and not policy.mask_peer
     assert report["samples"] == len(train_set)
-    masked_policy, _ = train_head(train_set, cfg, 2, SOFT_TEMP, masked=True)
+    masked_policy, _ = train_head(train_set, cfg, 2, SOFT_TEMP, masked=True, name="head-kl-no-peer")
     assert masked_policy.name == "head-kl-no-peer"
     assert masked_policy.mask_peer
 
 
-def test_train_head_dpo_builds_reference(small_split):
+def test_train_head_dpo_starts_from_its_reference(small_split):
+    """A DPO head is the `train` run that starts from, and is anchored to,
+    the reference its caller gives; without one it is refused, not given a
+    reference trained on the side."""
     train_set, _ = small_split
     cfg = TrainConfig(loss="dpo", epochs=1, layers=1)
-    policy, report = train_head(train_set[:400], cfg, 2, SOFT_TEMP)
-    assert policy.name == "head-dpo"
-    assert report["loss"] == "dpo"
-    # The reference it builds is the KL head of the same config and data.
     kl, _ = train_head(train_set[:400], replace(cfg, loss="kl"), 2, SOFT_TEMP)
-    given, _ = train_head(train_set[:400], cfg, 2, SOFT_TEMP, ref_model=kl.model)
-    assert given.model.flat().tobytes() == policy.model.flat().tobytes()
+    policy, report = train_head(train_set[:400], cfg, 2, SOFT_TEMP, ref_model=kl.model,
+                                name="head-kl+dpo")
+    assert (policy.name, report["loss"]) == ("head-kl+dpo", "dpo")
+    model, _ = train(train_set[:400], kl.model, cfg, 2, SOFT_TEMP, ref_model=kl.model)
+    assert policy.model.flat().tobytes() == model.flat().tobytes()
+    with pytest.raises(ValueError, match="a DPO head needs a reference head"):
+        train_head(train_set[:400], cfg, 2, SOFT_TEMP)
 
 
 def test_replay_snapshot(small_split):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from watune import reward
-from watune.datagen import IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset
+from watune.datagen import ENERGY_FLOOR, IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset
 from watune.domain import AppType, Contexts, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.reward import (
@@ -103,15 +103,31 @@ def test_energy_score_golden():
 
 
 def test_energy_score_errors(tmp_path, small_dataset):
-    # Zero energy never reaches the reward, nor an infinite score (from the
-    # smallest positive energy) a dataset: `load_dataset` refuses both.
-    with pytest.raises(ValueError, match="line 1: energy must be finite and strictly positive"):
+    # Zero energy never reaches the reward, nor one below the floor (whose
+    # score could overflow) a dataset: `load_dataset` refuses both.
+    with pytest.raises(ValueError, match="line 1: energy must be finite and strictly positive$"):
         load_record(tmp_path, small_dataset, energy_pct_h=[0.0] * 8)
-    with pytest.raises(ValueError, match="line 1: energy scores must be finite and positive"), \
-            np.errstate(over="ignore"):
+    with pytest.raises(ValueError, match=rf"line 1: energy must be at least {ENERGY_FLOOR!r} %/h$"):
         load_record(tmp_path, small_dataset, energy_pct_h=[5e-324] * 8)
     with pytest.raises(ValueError, match="battery must be strictly positive"):
         scores(AppType.voiceChat, battery=0.0)
+
+
+def test_energy_floor_keeps_energy_scores_finite(tmp_path, small_dataset):
+    """At the floor, with both batteries full, the energy scores do not
+    overflow under either reward mode, and `load_dataset` takes the record;
+    the next float down is refused."""
+    ctx = Context(TimeOfDay.morning, 100.0, 100.0, (AppType.voiceChat,))
+    full = dict(pub_battery=100.0, sub_battery=100.0)
+    with np.errstate(over="raise", invalid="raise"):
+        for mode in RewardMode:
+            eng_scores = row_objective(ctx, (np.ones(8), np.full(8, ENERGY_FLOOR)),
+                                       RewardConfig(reward_mode=mode))[2]
+            assert np.isfinite(eng_scores).all(), mode
+        assert len(load_record(tmp_path, small_dataset, energy_pct_h=[ENERGY_FLOOR] * 8, **full)) == 1
+    below = [float(np.nextafter(ENERGY_FLOOR, 0))] * 8
+    with pytest.raises(ValueError, match="line 1: energy must be at least"):
+        load_record(tmp_path, small_dataset, energy_pct_h=below, **full)
 
 
 def test_objective_matches_brute_force():
