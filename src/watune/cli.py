@@ -250,7 +250,7 @@ def _read_manifest(path: str) -> tuple[dict, dict]:
     with open(path) as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:  # not JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested too deeply
             raise CliError(f"{path}: not a JSON manifest: {exc}") from None
     if type(manifest) is not dict:
         raise CliError(f"{path} must hold a JSON object, not {manifest!r}")

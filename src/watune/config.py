@@ -105,7 +105,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # not JSON, not UTF-8, or an over-long number
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, an over-long number, too deep
             raise ValueError(f"{path}: not a JSON config: {exc}") from None
     try:
         return from_dict(obj)

@@ -132,9 +132,9 @@ class DatasetConfig:
                 lo, hi = map(float, self.battery_class_ranges[c])
             except (KeyError, TypeError, ValueError):
                 lo = hi = math.nan
-            if not 0 < lo <= hi <= 100:
+            if not BATTERY_FLOOR <= lo <= hi <= 100:  # no session starts below where its drain stops
                 raise ValueError(f"dataset.battery_class_ranges.{c.name} must be a (lo, hi) pair "
-                                 "with 0 < lo <= hi <= 100")
+                                 f"with {BATTERY_FLOOR:g} <= lo <= hi <= 100")
 
 
 # Per-action measurement columns and their JSONL keys, in record order.
@@ -337,18 +337,17 @@ def mask_peer(dataset: Dataset) -> Dataset:
     return replace(dataset, sub=np.zeros_like(dataset.sub), peer=np.zeros_like(dataset.peer))
 
 
-# Wire names by code, and codes by wire name.
+# Wire names by code, and codes by wire name; a scenario is named by its
+# record's time and battery config.
 _TIME_NAMES = tuple(t.name for t in TimeOfDay)
 _APP_NAMES = tuple(a.name for a in AppType)
-_SCENARIO_NAMES = tuple({"time": s.time.name, "battery_config": s.battery_config.name}
-                        for s in ALL_SCENARIOS)
 _TIME_CODE = {name: code for code, name in enumerate(_TIME_NAMES)}
 _APP_CODE = {name: code for code, name in enumerate(_APP_NAMES)}
-_SCENARIO_CODE = {(s["time"], s["battery_config"]): code for code, s in enumerate(_SCENARIO_NAMES)}
-# The JSON text of each name and scenario object, by code.
-_TIME_JSON, _APP_JSON, _SCENARIO_JSON = (
-    np.array([json.dumps(v, separators=(",", ":")) for v in names], dtype=object)
-    for names in (_TIME_NAMES, _APP_NAMES, _SCENARIO_NAMES))
+_SCENARIO_CODE = {(s.time.name, s.battery_config.name): code for code, s in enumerate(ALL_SCENARIOS)}
+# The JSON text of each time and app name by code, and of each scenario's battery config.
+_TIME_JSON, _APP_JSON, _CONFIG_JSON = (
+    np.array([json.dumps(name) for name in names], dtype=object)
+    for names in (_TIME_NAMES, _APP_NAMES, [s.battery_config.name for s in ALL_SCENARIOS]))
 # Records per block, both in the text `dataset_blocks` yields and in the
 # records `load_dataset` parses before it turns them into arrays: a block's
 # values are Python objects, and larger blocks raise peak memory without
@@ -360,33 +359,31 @@ def dataset_blocks(dataset: Dataset):
     """The JSONL form of a dataset, as blocks of whole lines: one compact
     record per row, holding what was observed (context and measurements) and
     no rewards. A record is the text `json.dumps(record, separators=(",", ":"))`
-    writes for it: names and scenarios are filled in as JSON text, numbers
+    writes for it: names are filled in as JSON text, numbers
     with `%s`, which for an int or a finite float is the same repr `json` uses."""
     fmt = lambda n: ",".join(["%s"] * n)
     template = (f'{{"step":%s,"time":%s,"app_history":[{fmt(dataset.hist.shape[1])}],'
                 f'"pub_battery":%s,"sub_battery":%s,"latency_ms":[{fmt(NUM_ACTIONS)}],'
-                f'"energy_pct_h":[{fmt(NUM_ACTIONS)}],"scenario":%s}}\n')
+                f'"energy_pct_h":[{fmt(NUM_ACTIONS)}],"battery_config":%s}}\n')
     for start in range(0, len(dataset), _BLOCK_ROWS):
         d = dataset[start:start + _BLOCK_ROWS]
         cells = np.column_stack([  # object columns: numbers become Python ints and floats
             d.step, _TIME_JSON[d.time], _APP_JSON[d.hist], d.pub,
-            np.where(d.peer, d.sub.astype(object), "null"), d.lat, d.eng, _SCENARIO_JSON[d.scenario]])
+            np.where(d.peer, d.sub.astype(object), "null"), d.lat, d.eng, _CONFIG_JSON[d.scenario]])
         yield template * len(d) % tuple(cells.ravel().tolist())
 
 
 _name_in = lambda names: lambda v: type(v) is str and v in names
-_TIME_KIND = ("be a time-of-day name", _name_in(_TIME_CODE))
 _VECTOR_KIND = (f"be a list of {NUM_ACTIONS} numbers", lambda v: type(v) is list and len(v) == NUM_ACTIONS)
-# The keys a record must hold, in record order (those of `scenario` dotted,
-# `app_history[]` each entry of `app_history`), with the rule for the kind
-# of value each needs and a test of it; `_NUMBERS` holds the numbers' own.
+# The keys a record must hold, in record order (`app_history[]` each entry
+# of `app_history`), with the rule for the kind of value each needs and a
+# test of it; `_NUMBERS` holds the numbers' own.
 _RECORD_KEYS = {
-    "step": (None, None), "time": _TIME_KIND,
+    "step": (None, None), "time": ("be a time-of-day name", _name_in(_TIME_CODE)),
     "app_history": ("be a list of app names", lambda v: type(v) is list),
     "app_history[]": ("hold app names", _name_in(_APP_CODE)), "pub_battery": (None, None),
     "sub_battery": (None, None), "latency_ms": _VECTOR_KIND, "energy_pct_h": _VECTOR_KIND,
-    "scenario": ("be an object", lambda v: type(v) is dict), "scenario.time": _TIME_KIND,
-    "scenario.battery_config": ("be a battery-config name", _name_in(BatteryConfig.__members__))}
+    "battery_config": ("be a battery-config name", _name_in(BatteryConfig.__members__))}
 
 
 def _record_error(rec) -> str:
@@ -396,11 +393,9 @@ def _record_error(rec) -> str:
         return f"a record must be an object, not {rec!r}"
     for key, (rule, ok) in _RECORD_KEYS.items():
         name = key.removesuffix("[]")
-        owner, _, leaf = name.rpartition(".")
-        node = rec[owner] if owner else rec  # an owner comes first, so it is an object
-        if leaf not in node:
+        if name not in rec:
             return f"missing key {key}"
-        for value in (node[leaf] if key != name else [node[leaf]]) if ok else ():
+        for value in (rec[name] if key != name else [rec[name]]) if ok else ():
             if not ok(value):
                 return f"{name} must {rule}, not {value!r}"
 
@@ -453,7 +448,7 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
                 continue
             try:
                 rec = json.loads(line)
-                sub, scenario, hist = rec["sub_battery"], rec["scenario"], rec["app_history"]
+                sub, hist = rec["sub_battery"], rec["app_history"]
                 vectors = {k: rec[key] for k, key in _VECTORS.items()}
                 if type(hist) is not list or not all(map(_VECTOR_KIND[1], vectors.values())):
                     raise TypeError  # a str or dict would iterate: `_record_error` names it
@@ -464,17 +459,14 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
                     "peer": sub is not None,
                     "hist": [_APP_CODE[a] for a in hist],
                     "step": rec["step"],
-                    "scenario": _SCENARIO_CODE[scenario["time"], scenario["battery_config"]],
+                    "scenario": _SCENARIO_CODE[rec["time"], rec["battery_config"]],
                 }
-                if scenario["time"] != rec["time"]:
-                    raise ValueError(f"time {rec['time']!r} differs from scenario.time "
-                                     f"{scenario['time']!r}")
                 if width is not None and len(row["hist"]) != width:
                     raise ValueError("app_history length differs from the first record")
             except (KeyError, TypeError):
                 raise ValueError(f"{path}: line {lineno}: malformed dataset record: "
                                  f"{_record_error(rec)}") from None
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
                 raise ValueError(f"{path}: line {lineno}: malformed dataset record: {exc}") from None
             width = len(row["hist"])
             for k, v in row.items():

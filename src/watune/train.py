@@ -396,6 +396,6 @@ def load_checkpoint(path) -> tuple[HeadModel, dict]:
             raise ValueError(f"metadata.no_peer must be true or false, not {metadata['no_peer']!r}")
     except KeyError as exc:
         raise ValueError(f"{path}: not a usable checkpoint: missing key {exc.args[0]}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None
     return model, metadata

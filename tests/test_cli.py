@@ -15,9 +15,10 @@ import watune.cli
 from watune.cli import build_parser, main
 from watune.config import ExperimentConfig, load_config, save_config
 from watune.datagen import ENERGY_FLOOR, file_hash, load_dataset
+from watune.domain import ALL_SCENARIOS
 from watune.reward import RewardMode
 
-from conftest import FUZZ_VALUES
+from conftest import FUZZ_VALUES, jsonl
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +69,9 @@ def test_gen_deterministic(tiny_config, gen_dir, tmp_path):
 # sha256 of the files `gen` writes for `tiny_config`: a change to the record
 # text, the row order or the random stream moves them.
 GEN_SHA256 = {
-    "train": "68701b1f34d8072e181efa200af5864d0e9c00b6e0bcadeaf7a4855ed0645ca7",
-    "test": "8b4a19186ee1c7197a01edcbfd2c98d5c24d1b13959cb788143d0ca00c4a9653",
-    "ood": "8fdeaad643631a8453ac47c63a3b9128f890dd899747cf2ac9ef2a983a58aa03",
+    "train": "6cc3593bffadee0b74f9fdf047552eac0621a51df84234d8f8086f9552a063d5",
+    "test": "ca6e693fc2fd3821e574153242b2043483157ba84c24026930d6efceee28332d",
+    "ood": "6160cabbd68f2ca3f5e2098ea337cf5db9b7f4b4e4feef83f4a66ab33d19aa56",
 }
 
 
@@ -85,7 +86,7 @@ def test_gen_files_are_pinned(gen_dir):
 COMPARE_SHA256 = {
     **{f"{k}.jsonl": v for k, v in GEN_SHA256.items()},
     "config.json": "de4404b87337088aa4942b9abbfb9b1f40020807c1e515dcdddb9879fe6867c5",
-    "manifest.json": "e7d83542ea2884d904686c2d1af378f43c62d07275aa55d1401c9f581e7fb900",
+    "manifest.json": "19501be5f5c97365203c2adc66e82635bad6b631bbb8f09cef9e995b76f03afe",
     "head-ce.ckpt.json": "d696ea3f1e6a0897d66e465737e0821ecc75fa84169e56d6dec1e3e49c12171e",
     "head-kl.ckpt.json": "724f12006b9e53f49170e81ee9ee3fcb3a5dd236e11c18e6040b6de0bbadb0e8",
     "head-kl+dpo.ckpt.json": "72cbd66c6bf5396d9f9d08b2c286122b502193c8deee9df7e8b6ee3072be8ae4",
@@ -586,6 +587,64 @@ def test_gen_refuses_energy_scores_that_overflow(tiny_config, tmp_path):
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["tiny.json"]
 
 
+def test_gen_refuses_battery_ranges_below_the_floor(tiny_config, tmp_path, capsys):
+    """A battery class whose range starts below the 5% floor that a drained
+    battery stops at is refused where the config is read, naming the file
+    and the field, and nothing is written: tiny batteries once overflowed
+    the rewards and were blamed on the `reward` settings."""
+    d = load_config(tiny_config).to_dict()
+    d["dataset"]["battery_class_ranges"]["low"] = [1e-310, 1e-310]
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(d))
+    assert main(["--config", str(config), "gen", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {config}: dataset.battery_class_ranges.low must be "
+                                        "a (lo, hi) pair with 5 <= lo <= hi <= 100\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_deeply_nested_json_is_refused_in_one_line(tiny_config, gen_dir, tmp_path, capsys):
+    """A value nested 100,000 deep in a dataset, config, checkpoint or
+    manifest file is refused with one line that names the file, and a
+    dataset's line, not with a RecursionError traceback."""
+    deep = "[" * 100_000 + "]" * 100_000 + "\n"
+    with open(os.path.join(gen_dir, "test.jsonl")) as fh:
+        first = fh.readline()
+    data, config, ckpt = (tmp_path / name for name in ("deep.jsonl", "deep.json", "deep.ckpt.json"))
+    data.write_text(first + deep)
+    config.write_text(deep)
+    ckpt.write_text(deep)
+    (tmp_path / "cmp").mkdir()
+    manifest = tmp_path / "cmp" / "manifest.json"
+    manifest.write_text(deep)
+    for argv, where in (
+        (["eval", "--data", str(data), "--policy", "rule"], f"{data}: line 2: "),
+        (["eval", "--data", gen_dir, "--policy", "head", "--checkpoint", str(ckpt)], f"{ckpt}: "),
+        (["compare", "--out", str(manifest.parent)], f"{manifest}: "),
+    ):
+        assert main(["--config", tiny_config, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+        assert "maximum recursion depth exceeded" in err, err
+    assert main(["--config", str(config), "gen", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: not a JSON config: maximum recursion depth exceeded")
+    assert err.count("\n") == 1, err
+
+
+def test_eval_refuses_a_record_of_the_old_format(tiny_config, gen_dir, tmp_path, capsys):
+    """A record that names its scenario in a `scenario` object, as dataset
+    files did before `battery_config` stood beside `time`, is refused in one
+    line naming the file, line 1 and the missing key: `gen` rewrites it."""
+    with open(os.path.join(gen_dir, "test.jsonl")) as fh:
+        rec = json.loads(fh.readline())
+    rec["scenario"] = {"time": rec["time"], "battery_config": rec.pop("battery_config")}
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
+    assert main(["--config", tiny_config, "eval", "--data", str(path), "--policy", "rule"]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: line 1: malformed dataset record: "
+                                        "missing key battery_config\n")
+
+
 def test_train_reports_bad_settings_and_divergence(tiny_config, gen_dir, tmp_path, capsys):
     for key, value, message in (("hidden", 0, "train.hidden"),
                                 ("learning_rate", float("nan"), "train.learning_rate"),
@@ -668,6 +727,20 @@ def test_readme_commands_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README.md command does not parse: watune {shlex.join(argv)}")
+
+
+def test_readme_record_loads_and_is_written_back_the_same(tmp_path):
+    """The one record line in README.md's json block loads, naming the
+    scenario its time and battery config give, and is the line the writer
+    writes for the row it loads to, so the documented format cannot drift."""
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1 and blocks[0].count("\n") == 1, blocks
+    path = tmp_path / "readme.jsonl"
+    path.write_text(blocks[0])
+    data = load_dataset(path, ExperimentConfig().reward)
+    record = json.loads(blocks[0])
+    assert ALL_SCENARIOS[data.scenario[0]].key() == f"{record['time']}/{record['battery_config']}"
+    assert jsonl(data) == blocks[0]
 
 
 class ParseLog(list):

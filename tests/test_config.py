@@ -177,6 +177,10 @@ def test_missing_key_named():
     ("battery_class_ranges.medium", [70.0, 30.0]),
     ("battery_class_ranges.high", [70.0, math.inf]),
     ("battery_class_ranges.high", [70.0, 101.0]),
+    # below the 5% floor a session's battery is raised at its first drain
+    ("battery_class_ranges.low", [1.0, 2.0]),
+    ("battery_class_ranges.low", [1e-310, 1e-310]),
+    ("battery_class_ranges.medium", [4.999, 70.0]),
 ])
 def test_dataset_config_rejects_bad_values(key, value):
     d = ExperimentConfig().to_dict()
@@ -328,7 +332,7 @@ def test_non_default_config_round_trips(tmp_path):
     d.update(seed=7, out_dir="elsewhere")
     d["dataset"].update(logs_per_session=50, sample_interval_s=2.5, window=4, split_fraction=0.7,
                         battery_class_ranges={"high": [60.0, 99.0], "medium": [20.0, 60.0],
-                                              "low": [1.0, 20.0]})
+                                              "low": [6.0, 20.0]})
     link = d["link"]
     link.update(latency_noise_sigma=0.3, energy_noise_sigma=0.0,
                 base_latency_ms=[2 * v for v in link["base_latency_ms"]],

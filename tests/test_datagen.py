@@ -36,7 +36,7 @@ from watune.domain import (
 from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig, RewardMode, objective
 
-from conftest import FUZZ_VALUES, jsonl, relabel
+from conftest import FUZZ_VALUES, jsonl, load_record, relabel
 
 
 def test_builtin_profiles_valid():
@@ -213,9 +213,33 @@ def test_save_load_round_trip(tmp_path, small_dataset):
 
 
 def test_dataset_record_holds_observed_fields_only(small_dataset):
+    """A record states each observed fact once, and the reader requires
+    exactly the keys the writer writes, in the same order."""
     rec = json.loads(jsonl(small_dataset[:1]))
-    assert set(rec) == {"step", "time", "app_history", "pub_battery", "sub_battery",
-                        "latency_ms", "energy_pct_h", "scenario"}
+    assert list(rec) == ["step", "time", "app_history", "pub_battery", "sub_battery",
+                         "latency_ms", "energy_pct_h", "battery_config"]
+    assert [k for k in datagen._RECORD_KEYS if not k.endswith("[]")] == list(rec)
+
+
+def test_every_scenario_is_read_back_from_its_records(tmp_path, small_dataset):
+    """A record names its scenario by its `time` and `battery_config`: the
+    first row of each of the 16 scenarios is written and read back to its
+    time and scenario codes."""
+    first = small_dataset[small_dataset.step == 0]
+    assert sorted(first.scenario.tolist()) == list(range(len(ALL_SCENARIOS)))
+    p = tmp_path / "scenarios.jsonl"
+    p.write_text(jsonl(first))
+    assert_same_rows(first, load_dataset(p, RewardConfig()), ["time", "scenario"])
+
+
+def test_a_leftover_scenario_object_is_ignored(tmp_path, small_dataset):
+    """A record that keeps the earlier format's `scenario` object beside its
+    `battery_config` loads to the same row: like any key the reader does not
+    know, `scenario` is ignored."""
+    row = small_dataset[small_dataset.scenario == ALL_SCENARIOS[-1].code][:1]
+    rec = json.loads(jsonl(row))
+    leftover = {"time": rec["time"], "battery_config": rec["battery_config"]}
+    assert_same_rows(row, load_record(tmp_path, row, scenario=leftover))
 
 
 def test_load_dataset_names_bad_line(tmp_path, small_dataset):
@@ -228,9 +252,7 @@ def test_load_dataset_names_bad_line(tmp_path, small_dataset):
         {"latency_ms": [[v] for v in rec["latency_ms"]]}, {"latency_ms": ["1"] * 8},
         {"latency_ms": [True] + rec["latency_ms"][1:]},
         {"pub_battery": "50"}, {"pub_battery": True}, {"sub_battery": "12"},
-        {"sub_battery": False}, {"step": 2.7}, {"step": 2.0}, {"step": True},
-        # another time of day than the record's scenario
-        {"time": next(t.name for t in TimeOfDay if t.name != rec["time"])})]
+        {"sub_battery": False}, {"step": 2.7}, {"step": 2.0}, {"step": True})]
     for text, line in (('{"step": 0}\n', 1), (good + "{not json\n", 2), (good + nested, 2),
                        *((text, 3) for text in bad_third)):
         p.write_text(text)
@@ -238,11 +260,10 @@ def test_load_dataset_names_bad_line(tmp_path, small_dataset):
             load_dataset(p, RewardConfig())
 
 
-# Each key of a record: its top-level keys, the head of each list, and the
-# keys of `scenario`.
+# Each key of a record: its keys and the head of each list.
 RECORD_KEYS = ("step", "time", "app_history", "pub_battery", "sub_battery", "latency_ms",
-               "energy_pct_h", "scenario", "app_history[0]", "latency_ms[0]",
-               "energy_pct_h[0]", "scenario.time", "scenario.battery_config")
+               "energy_pct_h", "battery_config", "app_history[0]", "latency_ms[0]",
+               "energy_pct_h[0]")
 MISSING = object()
 # How a refusal names a key whose value is of the right kind but out of
 # range: by the quantity its column check names (the checks are shared with
@@ -264,10 +285,7 @@ def test_record_fuzz_every_key(tmp_path, small_dataset):
         name, index = key.removesuffix("[0]"), key.endswith("[0]")
         for value in FUZZ_VALUES + (10**30, 10**400) + (() if index else (MISSING,)):
             rec = json.loads(second)
-            owner, _, leaf = name.rpartition(".")
-            node = rec[owner] if owner else rec
-            if index:
-                node, leaf = node[leaf], 0
+            node, leaf = (rec[name], 0) if index else (rec, name)
             if value is MISSING:
                 del node[leaf]
             else:
@@ -289,7 +307,7 @@ def test_record_fuzz_every_key(tmp_path, small_dataset):
                 loaded.append((key, value))
     assert loaded == [("step", 0), ("sub_battery", None), ("latency_ms[0]", 0),
                       ("latency_ms[0]", 10**30), ("energy_pct_h[0]", 10**30)]
-    assert refused == 148
+    assert refused == 8 * 12 + 3 * 11 - len(loaded) == 124
 
 
 def test_unknown_name_is_named(tmp_path, small_dataset):
@@ -308,7 +326,6 @@ def test_a_value_of_the_wrong_kind_names_its_key(tmp_path, small_dataset):
     rec = json.loads(jsonl(small_dataset[:1]))
     for text, message in (
         ("[1, 2]", "a record must be an object, not [1, 2]"),
-        (json.dumps(dict(rec, scenario=None)), "scenario must be an object, not None"),
         (json.dumps(dict(rec, time=0)), "time must be a time-of-day name, not 0"),
         (json.dumps(dict(rec, app_history="textMessage")),
          "app_history must be a list of app names, not 'textMessage'"),
@@ -317,8 +334,10 @@ def test_a_value_of_the_wrong_kind_names_its_key(tmp_path, small_dataset):
         (json.dumps(dict(rec, latency_ms=3)), "latency_ms must be a list of 8 numbers, not 3"),
         (json.dumps(dict(rec, energy_pct_h=rec["energy_pct_h"][1:])),
          f"energy_pct_h must be a list of 8 numbers, not {rec['energy_pct_h'][1:]!r}"),
-        (json.dumps(dict(rec, scenario=dict(rec["scenario"], battery_config="full"))),
-         "scenario.battery_config must be a battery-config name, not 'full'"),
+        (json.dumps(dict(rec, battery_config="full")),
+         "battery_config must be a battery-config name, not 'full'"),
+        (json.dumps(dict(rec, battery_config=None)),
+         "battery_config must be a battery-config name, not None"),
     ):
         p = tmp_path / "kinds.jsonl"
         p.write_text(text + "\n")
@@ -348,8 +367,7 @@ def json_record(dataset: Dataset, row: int) -> str:
         "pub_battery": float(dataset.pub[row]),
         "sub_battery": float(dataset.sub[row]) if dataset.peer[row] else None,
         "latency_ms": dataset.lat[row].tolist(), "energy_pct_h": dataset.eng[row].tolist(),
-        "scenario": {"time": ALL_SCENARIOS[dataset.scenario[row]].time.name,
-                     "battery_config": ALL_SCENARIOS[dataset.scenario[row]].battery_config.name},
+        "battery_config": ALL_SCENARIOS[dataset.scenario[row]].battery_config.name,
     }, separators=(",", ":"))
 
 

@@ -111,7 +111,7 @@ def log_line(step, c, measured, **extra):
            "pub_battery": c.publisher_battery, "sub_battery": c.subscriber_battery,
            "pub_device": "iPadPro-pub", "sub_device": "iPadPro-sub",
            "latency_ms": lat.tolist(), "energy_pct_h": eng.tolist(),
-           "scenario": {"time": c.time.name, "battery_config": "bothHigh"}}
+           "battery_config": "bothHigh"}
     return json.dumps(rec | extra) + "\n"
 
 
