@@ -118,10 +118,11 @@ def save_config(path, cfg: ExperimentConfig) -> None:
 
 
 def atomic_write_text(path, text) -> str:
-    """Write `text`, a string, bytes or an iterable of string or bytes
-    blocks, to `path` (strings as UTF-8) through a temporary file beside it,
-    so that `path` holds either its old content or all of the new, with the
-    mode `open()` gives a new file; returns the sha256 of the bytes written."""
+    """Write `text`, a string, bytes or an iterable of blocks, each a string
+    or any bytes-like object, to `path` (strings as UTF-8, the rest as they
+    are) through a temporary file beside it, so that `path` holds either its
+    old content or all of the new, with the mode `open()` gives a new file;
+    returns the sha256 of the bytes written."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".watune-tmp-")
     digest = hashlib.sha256()
@@ -131,7 +132,7 @@ def atomic_write_text(path, text) -> str:
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             for block in (text,) if isinstance(text, (str, bytes)) else text:
-                data = block if isinstance(block, bytes) else block.encode()
+                data = block.encode() if isinstance(block, str) else block
                 digest.update(data)
                 fh.write(data)
         os.replace(tmp, path)

@@ -9,7 +9,8 @@ import hashlib
 import json
 import math
 import os
-import zipfile
+import struct
+import zlib
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -406,10 +407,10 @@ def load_dataset(path, reward_cfg: RewardConfig, sha256: str | None = None) -> D
     keys other than the observed ones are ignored.
 
     With `sha256`, the caller-checked digest of `path`, the observed columns
-    come from the column cache beside it (`test.columns.npz` for
+    come from the column cache beside it (`test.columns` for
     `test.jsonl`) if `_cached` takes it; otherwise the file is parsed and
     the cache written. Both paths end in `_derived`, so give the same bits."""
-    cache = os.path.splitext(path)[0] + ".columns.npz" if sha256 else None
+    cache = os.path.splitext(path)[0] + ".columns" if sha256 else None
     data = _cached(cache, sha256, reward_cfg) if cache else None
     if data is not None:
         return data
@@ -528,76 +529,57 @@ def file_hash(path) -> str:
 
 
 _SCENARIO_TIME = np.array([int(s.time) for s in ALL_SCENARIOS])
-_CACHE_MEMBERS = sorted(f"{k}.npy" for k in ("sha256", *_DTYPES))
+# The column cache's head: its tag, the parsed file's sha256, and the row
+# count and app-history width. Each column's bytes follow, in `_DTYPES`
+# order, then the CRC-32 of those bytes. A new layout or record format takes
+# a new tag, so no cache stands in for a file the reader would refuse.
+_CACHE_TAG = b"watune-columns-1"
+_CACHE_HEAD = struct.Struct("<16s32sqq")
 
 
 def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
     """The dataset `_derived` makes of the columns in the column cache
-    `path`, if it names `sha256` and holds columns a parse could give: the
-    dtypes and shapes of `_DTYPES`, app and scenario codes in range and each
-    scenario's time its row's, which puts the time codes in range too.
-    Anything else, an unreadable or corrupt file or a failed `_checked`
-    included, is a miss: None."""
+    `path`, if its head bears `_CACHE_TAG`, `sha256` and a row count and
+    width that size the file to the byte, its CRC holds, its app and
+    scenario codes are in range and each scenario's time is its row's,
+    which puts the time codes in range too. Anything else, an unreadable
+    file or a failed `_checked` included, is a miss: None. The size is
+    checked before a column is read, so no head makes it allocate more
+    than the file holds."""
     try:
-        size = os.path.getsize(path)
-        with zipfile.ZipFile(path) as zf:
-            if sorted(zf.namelist()) != _CACHE_MEMBERS:
+        with open(path, "rb") as fh:
+            head = fh.read(_CACHE_HEAD.size)
+            if len(head) != _CACHE_HEAD.size:
                 return None
-            cols = {name.removesuffix(".npy"): _member(zf, name, size) for name in _CACHE_MEMBERS}
-        digest, hist, time, scenario = cols.pop("sha256"), cols["hist"], cols["time"], cols["scenario"]
-        rows = cols["step"].shape[:1]
-        shapes = {k: rows + ((NUM_ACTIONS,) if k in _VECTORS else hist.shape[1:] if k == "hist" else ())
-                  for k in cols}
+            tag, digest, rows, width = _CACHE_HEAD.unpack(head)
+            shapes = {k: (rows, NUM_ACTIONS) if k in _VECTORS else (rows, width) if k == "hist"
+                      else (rows,) for k in _DTYPES}
+            size = sum(math.prod(s) * _DTYPES[k].itemsize for k, s in shapes.items())
+            if ((tag, digest) != (_CACHE_TAG, bytes.fromhex(sha256)) or min(rows, width) < 0
+                    or _CACHE_HEAD.size + size + 4 != os.fstat(fh.fileno()).st_size):
+                return None
+            cols, crc = {}, 0
+            for k, shape in shapes.items():
+                cols[k] = np.fromfile(fh, _DTYPES[k], math.prod(shape)).reshape(shape)
+                crc = zlib.crc32(cols[k], crc)
+            if fh.read(4) != crc.to_bytes(4, "little"):
+                return None
         in_range = lambda a, n: bool(((a >= 0) & (a < n)).all())
-        ok = (str(digest) == sha256 and hist.ndim == 2
-              and all(a.dtype == _DTYPES[k] and a.shape == shapes[k] for k, a in cols.items())
-              and in_range(hist, len(AppType)) and in_range(scenario, len(ALL_SCENARIOS))
-              and np.array_equal(_SCENARIO_TIME[scenario], time))
+        scenario = cols["scenario"]
+        ok = (in_range(cols["hist"], len(AppType)) and in_range(scenario, len(ALL_SCENARIOS))
+              and np.array_equal(_SCENARIO_TIME[scenario], cols["time"]))
         return _derived(cols, reward_cfg) if ok else None
-    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile):
+    except (OSError, ValueError):
         return None
-
-
-def _member(zf: zipfile.ZipFile, name: str, limit: int) -> np.ndarray:
-    """The array in member `name` of `zf`, read into it a piece at a time,
-    so the member's bytes are never held whole; the member's reader checks
-    its CRC as its last byte is read. Its header, version 1.0 as written,
-    must declare the member's bytes after it, which may not exceed `limit`,
-    the cache file's size: no header or zip directory makes it allocate more."""
-    size = zf.getinfo(name).file_size
-    with zf.open(name) as fh:
-        if np.lib.format.read_magic(fh) != (1, 0):
-            raise ValueError(f"{name}: not a version 1.0 array")
-        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-        if size > limit or math.prod(shape) * dtype.itemsize != size - fh.tell():
-            raise ValueError(f"{name}: its header or size is not the member's")
-        fh.seek(0)
-        return np.lib.format.read_array(fh, allow_pickle=False)
-
-
-class _Sink(list):
-    """An unseekable file for `zipfile` that keeps the blocks written to it,
-    for its owner to hand on and clear. As it cannot seek back, `zipfile`
-    puts each member's CRC and sizes in a record after its data."""
-
-    def write(self, data) -> int:
-        self.append(bytes(data))
-        return len(self[-1])
-
-    def flush(self) -> None:
-        pass
 
 
 def _cache_bytes(cols: dict, sha256: str):
     """The column cache of `cols`, parsed from a file whose digest is
-    `sha256`, as blocks of bytes, one member at a time: an uncompressed npz
-    whose members carry zip's fixed default timestamp, so equal inputs give
-    equal bytes."""
-    sink = _Sink()
-    with zipfile.ZipFile(sink, "w") as zf:
-        for name, a in (("sha256", np.array(sha256)), *cols.items()):
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                np.lib.format.write_array(fh, a, allow_pickle=False)
-            yield from sink
-            sink.clear()
-    yield from sink  # the central directory
+    `sha256`, as blocks of bytes: the head, each column's own buffer, which
+    is not copied, and the CRC-32."""
+    yield _CACHE_HEAD.pack(_CACHE_TAG, bytes.fromhex(sha256), len(cols["step"]), cols["hist"].shape[1])
+    crc = 0
+    for k in _DTYPES:
+        crc = zlib.crc32(cols[k], crc)
+        yield cols[k].data
+    yield crc.to_bytes(4, "little")

@@ -3,6 +3,8 @@ trained-head wrapper."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .datagen import Dataset, mask_peer
@@ -21,10 +23,10 @@ PREFERRED_TUPLE: dict[AppType, Action] = {
     AppType.mapSync: Action(PerformanceMode.realtime, AccessCategory.bestEffort),
 }
 
-# The fixed-tuple baselines by variant.
+# The fixed-tuple baselines by policy name.
 FIXED_ACTIONS: dict[str, Action] = {
-    "rt_iv": Action(PerformanceMode.realtime, AccessCategory.interactiveVoice),
-    "bulk_bg": Action(PerformanceMode.bulk, AccessCategory.background),
+    "fix-rt-iv": Action(PerformanceMode.realtime, AccessCategory.interactiveVoice),
+    "fix-bulk-bg": Action(PerformanceMode.bulk, AccessCategory.background),
 }
 
 
@@ -73,11 +75,8 @@ class RulePolicy(Policy):
 
 
 class FixedPolicy(Policy):
-    def __init__(self, variant: str):
-        if variant not in FIXED_ACTIONS:
-            raise ValueError(f"unknown fixed variant: {variant}")
-        self.action = FIXED_ACTIONS[variant]
-        self.name = "fix-rt-iv" if variant == "rt_iv" else "fix-bulk-bg"
+    def __init__(self, name: str):
+        self.name, self.action = name, FIXED_ACTIONS[name]
 
     def decide(self, dataset: Dataset) -> np.ndarray:
         return np.full(len(dataset), self.action.index)
@@ -97,7 +96,7 @@ class HeadPolicy(Policy):
 
 
 BASELINES = {"oracle": OraclePolicy, "rule": RulePolicy,
-             "fix-rt-iv": lambda: FixedPolicy("rt_iv"), "fix-bulk-bg": lambda: FixedPolicy("bulk_bg")}
+             **{name: partial(FixedPolicy, name) for name in FIXED_ACTIONS}}
 BASELINE_NAMES = tuple(BASELINES)
 
 

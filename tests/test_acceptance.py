@@ -117,7 +117,7 @@ def test_accept_2_oracle_dominance(full_dataset):
     rewards = full_dataset.rewards
     best = rewards[rows, OraclePolicy().decide(full_dataset)]
     assert np.array_equal(best, rewards.max(axis=1))
-    for p in (RulePolicy(), FixedPolicy("rt_iv"), FixedPolicy("bulk_bg")):
+    for p in (RulePolicy(), FixedPolicy("fix-rt-iv"), FixedPolicy("fix-bulk-bg")):
         assert np.all(best >= rewards[rows, p.decide(full_dataset)])
     assert time.monotonic() - t0 < 30.0
     _ok(2, "oracle dominance on every sample of a full 32k dataset")
@@ -345,7 +345,7 @@ def test_accept_8_single_objective_sanity():
     # fix-rt-iv within 1% of the oracle under the noiseless latency-only model
     data = generate_dataset(IN_DISTRIBUTION_PROFILE, quiet, dcfg, lat_cfg, 1)
     oracle_rep = evaluate(OraclePolicy(), data, lat_cfg)
-    fixed_rep = evaluate(FixedPolicy("rt_iv"), data, lat_cfg)
+    fixed_rep = evaluate(FixedPolicy("fix-rt-iv"), data, lat_cfg)
     assert fixed_rep.latency_score >= 0.99 * oracle_rep.latency_score
     _ok(8, "single-objective reductions (latency argmax, bulk/bg, fix-rt-iv)")
 

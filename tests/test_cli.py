@@ -755,7 +755,7 @@ class ParseLog(list):
 
 HEADS = ("head-ce", "head-kl", "head-kl+dpo", "head-kl-no-peer")
 # The column caches a warm `compare` writes beside test.jsonl and ood.jsonl.
-CACHES = {"test.columns.npz", "ood.columns.npz"}
+CACHES = {"test.columns", "ood.columns"}
 
 
 @pytest.fixture
@@ -877,8 +877,37 @@ def test_compare_reparses_over_the_caches_of_an_earlier_gen(tiny_config, tmp_pat
     assert {f: file_hash(os.path.join(out, f)) for f in COMPARE_SHA256} == COMPARE_SHA256
     hashes = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["hashes"]
     for k in ("test", "ood"):
-        with np.load(os.path.join(out, f"{k}.columns.npz"), allow_pickle=False) as npz:
-            assert str(npz["sha256"]) == hashes[k] == GEN_SHA256[k]
+        with open(os.path.join(out, f"{k}.columns"), "rb") as fh:
+            head = fh.read(48)  # the 16-byte tag, then the file's sha256
+        assert head[16:].hex() == hashes[k] == GEN_SHA256[k]
+
+
+def test_compare_refuses_an_old_format_file_beside_its_caches(tiny_config, tmp_path, capsys):
+    """A warm directory whose test.jsonl is in the old `scenario` object
+    format, with its manifest hash updated to match, is refused in one line
+    naming the file, line 1 and the missing key: neither a cache of another
+    tag under the file's digest nor a leftover `.columns.npz` stands in for
+    a file the reader refuses."""
+    out = tmp_path / "cmp"
+    for _ in range(2):  # the second run writes the caches
+        assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 0
+    test = out / "test.jsonl"
+    data = load_dataset(test, ExperimentConfig().reward)
+    recs = [json.loads(line) for line in test.read_text().splitlines()]
+    for rec in recs:
+        rec["scenario"] = {"time": rec["time"], "battery_config": rec.pop("battery_config")}
+    test.write_text("".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in recs))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["hashes"]["test"] = digest = file_hash(test)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    cache = out / "test.columns"
+    cache.write_bytes(b"watune-columns-0" + bytes.fromhex(digest) + cache.read_bytes()[48:])
+    np.savez(out / "test.columns.npz", sha256=np.array(digest),
+             **{k: getattr(data, k) for k in watune.datagen._DTYPES})
+    capsys.readouterr()
+    assert main(["--config", tiny_config, "compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {test}: line 1: malformed dataset record: "
+                                        "missing key battery_config\n")
 
 
 @pytest.mark.parametrize("text, part", [

@@ -6,6 +6,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from watune.config import (
@@ -375,6 +376,17 @@ def test_atomic_write_replaces(tmp_path):
     assert p.read_text() == "two\n"
     # no temp files left behind
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_takes_bytes_like_blocks(tmp_path):
+    """An ndarray or memoryview block is written as its bytes, unencoded
+    and uncopied, and counted in the digest as those bytes."""
+    a = np.arange(5, dtype=np.int64)
+    p = tmp_path / "out.bin"
+    digest = atomic_write_text(p, iter(["head", a.data, memoryview(b"mid"), a, b"tail"]))
+    want = b"head" + a.tobytes() + b"mid" + a.tobytes() + b"tail"
+    assert p.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest() == file_hash(p)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])

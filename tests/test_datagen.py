@@ -1,8 +1,7 @@
-import io
 import json
 import time
 import tracemalloc
-import zipfile
+import zlib
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -508,7 +507,7 @@ def test_cached_columns_equal_the_parsed_ones_in_bits(cached_file):
     it; a later load reads the cache and gives the parse's columns, dtypes
     and bits, under any reward config, as the rewards are derived on load."""
     path, digest, parsed, parses = cached_file
-    cache = path.with_name("test.columns.npz")
+    cache = path.with_name("test.columns")
     assert_same_bits(load_dataset(path, RewardConfig(), sha256=digest), parsed)
     assert parses == [path] and cache.exists()
     written = cache.read_bytes()
@@ -517,9 +516,14 @@ def test_cached_columns_equal_the_parsed_ones_in_bits(cached_file):
     assert_same_bits(load_dataset(path, naive, sha256=digest), load_dataset(path, naive))
     assert parses == [path, path]  # the last load had no digest
     assert cache.read_bytes() == written
-    with np.load(cache, allow_pickle=False) as npz:
-        assert str(npz["sha256"]) == digest and sorted(npz.files) == sorted(
-            ["sha256", *OBSERVED])
+    # the tag, the digest, the row count and history width, the columns in
+    # `_DTYPES` order and their CRC-32
+    body = b"".join(getattr(parsed, k).tobytes() for k in datagen._DTYPES)
+    assert list(datagen._DTYPES) == ["time", "pub", "sub", "peer", "hist", "step", "lat", "eng",
+                                     "scenario"]
+    assert written == (b"watune-columns-1" + bytes.fromhex(digest)
+                       + np.array([len(parsed), parsed.hist.shape[1]], "<i8").tobytes()
+                       + body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def edited_cache(digest: str, parsed: Dataset, **cols) -> bytes:
@@ -534,52 +538,13 @@ def with_crc_error(digest: str, parsed: Dataset) -> bytes:
     return good[:at] + bytes([good[at] ^ 1]) + good[at + 1:]
 
 
-def with_member(digest: str, parsed: Dataset, name: str, array: np.ndarray) -> bytes:
-    """The cache of `parsed` with one more member, or one member replaced."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(io.BytesIO(edited_cache(digest, parsed))) as src, \
-            zipfile.ZipFile(buf, "w") as dst:
-        for info in src.infolist():
-            if info.filename != f"{name}.npy":
-                dst.writestr(info, src.read(info))
-        with dst.open(f"{name}.npy", "w") as fh:
-            np.lib.format.write_array(fh, array, allow_pickle=True)
-    return buf.getvalue()
-
-
-def with_pub(digest: str, parsed: Dataset, rows: int, data: bytes, compress_type: int) -> bytes:
-    """The cache of `parsed` whose `pub.npy` header claims `rows` float64
-    rows and is followed by `data`, the member compressed with
-    `compress_type` and given a valid CRC."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(io.BytesIO(edited_cache(digest, parsed))) as src, \
-            zipfile.ZipFile(buf, "w") as dst:
-        for info in src.infolist():
-            if info.filename != "pub.npy":
-                dst.writestr(info, src.read(info))
-                continue
-            member = zipfile.ZipInfo(info.filename)
-            member.compress_type = compress_type
-            with dst.open(member, "w") as fh:
-                np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False,
-                                                          "shape": (rows,)})
-                fh.write(data)
-    return buf.getvalue()
-
-
-def with_version_2_pub(digest: str, parsed: Dataset) -> bytes:
-    """The cache of `parsed` whose `pub.npy` is written as a version 2.0
-    array, which a version-1.0 header reader would misread."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(io.BytesIO(edited_cache(digest, parsed))) as src, \
-            zipfile.ZipFile(buf, "w") as dst:
-        for info in src.infolist():
-            if info.filename != "pub.npy":
-                dst.writestr(info, src.read(info))
-                continue
-            with dst.open(zipfile.ZipInfo(info.filename), "w") as fh:
-                np.lib.format.write_array(fh, parsed.pub, version=(2, 0), allow_pickle=False)
-    return buf.getvalue()
+def with_head(digest: str, parsed: Dataset, tag: bytes = b"watune-columns-1",
+              rows: int | None = None, width: int | None = None) -> bytes:
+    """The cache of `parsed` with its head's tag or numbers replaced."""
+    rows = len(parsed) if rows is None else rows
+    width = parsed.hist.shape[1] if width is None else width
+    head = tag + bytes.fromhex(digest) + np.array([rows, width], "<i8").tobytes()
+    return head + edited_cache(digest, parsed)[len(head):]
 
 
 def shifted(a: np.ndarray, by: int) -> np.ndarray:
@@ -596,18 +561,17 @@ MISSES = {
     "garbage": lambda d, p: b"\x00garbage" * 100,
     "empty": lambda d, p: b"",
     "crc error": with_crc_error,
-    "missing member": lambda d, p: b"".join(datagen._cache_bytes(
-        {k: getattr(p, k) for k in datagen._DTYPES if k != "step"}, d)),
-    "extra member": lambda d, p: with_member(d, p, "rewards", p.rewards),
-    "pickled member": lambda d, p: with_member(d, p, "step", p.step.astype(object)),
+    "another tag": lambda d, p: with_head(d, p, tag=b"watune-columns-0"),
+    # reading as the head claims would allocate 2,265 TiB
+    "10**13 rows": lambda d, p: with_head(d, p, rows=10**13),
+    "negative rows": lambda d, p: with_head(d, p, rows=-1),
+    "negative width": lambda d, p: with_head(d, p, width=-1),
+    "zero width with rows": lambda d, p: edited_cache(d, p, hist=p.hist[:, :0].copy()),
+    "one trailing byte": lambda d, p: edited_cache(d, p) + b"\x00",
+    "truncated in a column": lambda d, p: edited_cache(d, p)[:-(4 + p.scenario.nbytes // 2)],
     "wrong dtype": lambda d, p: edited_cache(d, p, time=p.time.astype(np.int32)),
-    "wrong shape": lambda d, p: edited_cache(d, p, lat=p.lat[:, :7]),
-    # reading either as its header claims would allocate 72.8 TiB or 32 MB
-    "lying header": lambda d, p: with_pub(d, p, 10**13, p.pub.tobytes(), zipfile.ZIP_STORED),
-    "deflated member": lambda d, p: with_pub(d, p, 4 * 10**6, bytes(32 * 10**6), zipfile.ZIP_DEFLATED),
-    "npy version 2.0": with_version_2_pub,
+    "wrong shape": lambda d, p: edited_cache(d, p, lat=p.lat[:, :7].copy()),
     "short column": lambda d, p: edited_cache(d, p, step=p.step[:-1]),
-    "flat history": lambda d, p: edited_cache(d, p, hist=p.hist[:, -1]),
     "app code": lambda d, p: edited_cache(d, p, hist=shifted(p.hist, len(AppType))),
     "time code": lambda d, p: edited_cache(d, p, time=shifted(p.time, -p.time[0] - 1)),
     "scenario code": lambda d, p: edited_cache(d, p, scenario=shifted(p.scenario, 99)),
@@ -618,17 +582,19 @@ MISSES = {
 
 @pytest.mark.parametrize("kind", MISSES)
 def test_a_bad_cache_is_a_miss(cached_file, kind):
-    """A cache that names another digest, cannot be read, or holds columns
-    no parse gives is not refused: the file is parsed, giving the same
-    dataset, and a good cache written over the bad one. Whatever the bad
-    cache claims, the load traces under 4 MB; parsing this 300-row file
+    """A cache that names another digest or tag, cannot be read, or holds
+    columns no parse gives is not refused: the file is parsed, giving the
+    same dataset, and a good cache written over the bad one. Whatever the
+    bad cache claims, the load traces under 4 MB; parsing this 300-row file
     traces about 0.3 MB."""
     path, digest, parsed, parses = cached_file
-    cache = path.with_name("test.columns.npz")
+    cache = path.with_name("test.columns")
     load_dataset(path, RewardConfig(), sha256=digest)
     good = cache.read_bytes()
     assert good == edited_cache(digest, parsed)
-    cache.write_bytes(MISSES[kind](digest, parsed))
+    bad = MISSES[kind](digest, parsed)
+    assert bad != good
+    cache.write_bytes(bad)
     parses.clear()
     tracemalloc.start()
     try:
@@ -643,7 +609,7 @@ def test_a_bad_cache_is_a_miss(cached_file, kind):
 
 def test_equal_inputs_give_byte_equal_caches(tmp_path, cached_file, monkeypatch):
     """A cache's bytes depend on its file alone, not on when or where it was
-    written: `np.savez` would stamp each member with the clock."""
+    written."""
     path, digest, _, _ = cached_file
     other = tmp_path / "other" / "test.jsonl"
     other.parent.mkdir()
@@ -652,34 +618,16 @@ def test_equal_inputs_give_byte_equal_caches(tmp_path, cached_file, monkeypatch)
     clock = time.time
     monkeypatch.setattr(time, "time", lambda: clock() + 10 * 86400)
     load_dataset(other, RewardConfig(), sha256=digest)
-    assert (other.with_name("test.columns.npz").read_bytes()
-            == path.with_name("test.columns.npz").read_bytes())
+    assert (other.with_name("test.columns").read_bytes()
+            == path.with_name("test.columns").read_bytes())
 
 
-def test_a_cache_written_with_seeks_is_a_hit(cached_file):
-    """A cache whose members carry their CRC and sizes in their local
-    headers, as a writer that seeks back writes them, is read as well as the
-    streamed one, whose sizes follow each member's data."""
-    path, digest, parsed, parses = cached_file
-    members = {"sha256": np.array(digest), **{k: getattr(parsed, k) for k in datagen._DTYPES}}
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
-        for name, a in members.items():
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                np.lib.format.write_array(fh, a, allow_pickle=False)
-    assert buf.getvalue() != edited_cache(digest, parsed)
-    cache = path.with_name("test.columns.npz")
-    cache.write_bytes(buf.getvalue())
-    assert_same_bits(load_dataset(path, RewardConfig(), sha256=digest), parsed)
-    assert parses == [] and cache.read_bytes() == buf.getvalue()
-
-
-def test_cache_is_written_one_member_at_a_time(tmp_path):
+def test_cache_is_written_one_column_at_a_time(tmp_path):
     """Parsing a bench-size OOD file (3,200 rows) and writing its column
     cache peaks at no more than 1.5x the loaded columns traced: the cache
-    is streamed to its file member by member, and the rewards are derived
-    without whole-split temporaries. Building the whole npz in memory first
-    peaked at about 1.7x."""
+    is streamed to its file column by column, and the rewards are derived
+    without whole-split temporaries. Building the whole cache in memory
+    first peaked at about 1.7x."""
     ood = generate_dataset(OOD_PROFILE, LinkModelConfig(), DatasetConfig(logs_per_session=200),
                            RewardConfig(), 1, stream=1)
     path = tmp_path / "ood.jsonl"
@@ -693,7 +641,7 @@ def test_cache_is_written_one_member_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     columns = sum(getattr(back, f.name).nbytes for f in fields(Dataset))
-    assert len(back) == 3200 and path.with_name("ood.columns.npz").exists()
+    assert len(back) == 3200 and path.with_name("ood.columns").exists()
     assert peak <= 1.5 * columns, peak / columns
 
 
@@ -720,15 +668,15 @@ def test_a_cache_hit_peaks_at_the_rewards_derivation(tmp_path):
     assert len(back) == 3200 and peak <= 1.5 * columns, peak / columns
 
 
-def test_a_cache_hit_holds_no_member_twice(tmp_path, small_dataset, monkeypatch):
+def test_a_cache_hit_holds_no_column_twice(tmp_path, small_dataset, monkeypatch):
     """Reading a full-size cache (32,000 rows) peaks at no more than 1.12x
-    its columns traced: each member is read into its array a piece at a
-    time. Reading each member's bytes whole first peaked at about 1.16x."""
+    its columns traced: each column is read from the file straight into its
+    array. Reading each column's bytes whole first peaked at about 1.16x."""
     reps = 32000 // len(small_dataset)
     cols = {k: np.concatenate([getattr(small_dataset, k)] * reps) for k in datagen._DTYPES}
     path = tmp_path / "test.jsonl"
     path.write_text("")
-    path.with_name("test.columns.npz").write_bytes(b"".join(datagen._cache_bytes(cols, "0" * 64)))
+    path.with_name("test.columns").write_bytes(b"".join(datagen._cache_bytes(cols, "0" * 64)))
     monkeypatch.setattr(datagen, "_derived", lambda cols, reward_cfg: cols)
     tracemalloc.start()
     try:

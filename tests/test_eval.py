@@ -109,7 +109,7 @@ def test_evaluate_matches_independent_pass(small_split):
 
 def test_evaluate_per_scenario_breakdown(small_split):
     _, test = small_split
-    rep = evaluate(FixedPolicy("rt_iv"), test, RewardConfig())
+    rep = evaluate(FixedPolicy("fix-rt-iv"), test, RewardConfig())
     assert len(rep.per_scenario) == 16
     assert sum(v["n"] for v in rep.per_scenario.values()) == len(test)
     assert rep.scenario_mean_objective == pytest.approx(
@@ -155,7 +155,7 @@ def test_train_head_dpo_starts_from_its_reference(small_split):
 
 def test_replay_snapshot(small_split):
     _, test = small_split
-    policies = [OraclePolicy(), RulePolicy(), FixedPolicy("rt_iv")]
+    policies = [OraclePolicy(), RulePolicy(), FixedPolicy("fix-rt-iv")]
     scen = Scenario(TimeOfDay.night, BatteryConfig.pubHighSubLow)
     text = replay_snapshot(test, policies, scenario=scen, max_steps=5)
     assert text.count("step ") == 5

@@ -89,10 +89,8 @@ def test_rule_permutation_invariant(history, rnd):
 
 
 def test_fixed_decide():
-    assert FixedPolicy("rt_iv").action == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice)
-    assert FixedPolicy("bulk_bg").action == Action(PerformanceMode.bulk, AccessCategory.background)
-    with pytest.raises(ValueError):
-        FixedPolicy("nope")
+    assert FixedPolicy("fix-rt-iv").action == Action(PerformanceMode.realtime, AccessCategory.interactiveVoice)
+    assert FixedPolicy("fix-bulk-bg").action == Action(PerformanceMode.bulk, AccessCategory.background)
 
 
 def test_policy_wrappers(small_dataset):
@@ -101,11 +99,11 @@ def test_policy_wrappers(small_dataset):
     # rule/fixed ignore the reward vector entirely
     data = dataset_of(ctx([AppType.videoCall] * 10), rewards=r)
     assert RulePolicy().decide(data).tolist() == [2]
-    assert FixedPolicy("bulk_bg").decide(data).tolist() == [5]
+    assert FixedPolicy("fix-bulk-bg").decide(data).tolist() == [5]
     # on generated data the oracle reads the stored rewards
     data = small_dataset[:64]
     np.testing.assert_array_equal(OraclePolicy().decide(data), np.argmax(data.rewards, axis=1))
-    np.testing.assert_array_equal(FixedPolicy("rt_iv").decide(data), np.full(64, 3))
+    np.testing.assert_array_equal(FixedPolicy("fix-rt-iv").decide(data), np.full(64, 3))
 
 
 def test_make_baseline():
@@ -116,7 +114,7 @@ def test_make_baseline():
 
 
 def test_fixed_constant_across_contexts():
-    p = FixedPolicy("rt_iv")
+    p = FixedPolicy("fix-rt-iv")
     for apps in ([AppType.firmwareUpdate] * 3, [AppType.voiceChat]):
         assert p.decide(dataset_of(ctx(apps))).tolist() == [3]
 
