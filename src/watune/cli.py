@@ -176,10 +176,19 @@ def _make_policy(name: str, checkpoint: str | None, cfg: ExperimentConfig):
     return make_baseline(name)  # an unknown name is a ValueError, which `main` reports
 
 
-def _load_records(path: str, cfg: ExperimentConfig) -> Dataset:
-    data = load_dataset(path, cfg.reward)
+def _load_records(path: str, cfg: ExperimentConfig, sha256: str | None = None) -> Dataset:
+    """The dataset at `path`, refused if it holds no records; `sha256` goes to `load_dataset`."""
+    data = load_dataset(path, cfg.reward, sha256=sha256)
     if not len(data):
         raise CliError(f"{path} holds no dataset records")
+    return data
+
+
+def _coop_records(path: str, data: Dataset) -> Dataset:
+    """The cooperative slice of `data`, read from `path`, refused if empty."""
+    data = cooperative_slice(data)
+    if not len(data):
+        raise CliError(f"{path} holds no cooperative (pubHighSubLow) records")
     return data
 
 
@@ -191,9 +200,7 @@ def cmd_eval(args) -> int:
     path = _resolve_data(args.data)
     data = _load_records(path, cfg)
     if args.scenario == "coop":
-        data = cooperative_slice(data)
-        if not len(data):
-            raise CliError(f"{path} holds no cooperative (pubHighSubLow) records")
+        data = _coop_records(path, data)
     rep = evaluate(policy, data, cfg.reward).__dict__
     out = {policy.name: {**rep, "dataset_hash": file_hash(path), "config_hash": cfg.config_hash()}}
     return _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n", "report")
@@ -234,7 +241,7 @@ def _head_variants(train_path: str, cfg: ExperimentConfig, out: str,
             variants[name] = _load_head(ckpt, cfg, name, {"loss": loss, "no_peer": masked})
             continue
         if train_set is None:
-            train_set = load_dataset(train_path, cfg.reward)
+            train_set = _load_records(train_path, cfg)
         ref_model = None
         if loss == "dpo":  # its KL reference retrains head-kl, a run ROADMAP item 2 removes
             ref_model = train_head(train_set, replace(cfg.train, loss="kl"), cfg.seed,
@@ -282,11 +289,8 @@ def cmd_compare(args) -> int:
     policies.update(_head_variants(paths["train"], cfg, out, train_set))
     del train_set  # the heads are trained: free the train split before test and OOD are read
 
-    test_set, ood_set = (load_dataset(paths[k], cfg.reward, sha256=hashes.get(k))
-                         for k in ("test", "ood"))
-    coop_set = cooperative_slice(test_set)
-
-    slices = {"aggregate": test_set, "coop": coop_set, "ood": ood_set}
+    test_set, ood_set = (_load_records(paths[k], cfg, hashes.get(k)) for k in ("test", "ood"))
+    slices = {"aggregate": test_set, "coop": _coop_records(paths["test"], test_set), "ood": ood_set}
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]
     reports = {}
     for row in COMPARE_ROWS:

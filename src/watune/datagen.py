@@ -20,7 +20,6 @@ from .domain import (
     AppType,
     BatteryClass,
     BatteryConfig,
-    Contexts,
     DatasetError,
     NUM_ACTIONS,
     Scenario,
@@ -168,12 +167,13 @@ _CHECKS = (
 class Dataset:
     """Struct-of-arrays dataset, one row per decision step.
 
-    The context columns are those of `Contexts` (time, pub, sub, peer, hist);
-    step is the session step; lat/eng are the (N, 8) per-action latency and
-    energy measurements and rewards the (N, 8) per-action objective values
-    `objective` derives from them; scenario holds indices into
-    ALL_SCENARIOS. The latency and energy scores are not kept: `evaluate`
-    derives those of the chosen actions. A slice, mask or index array
+    The context columns are time[N] codes, pub[N] and sub[N] batteries
+    (sub is 0 where peer[N] is False, i.e. masked) and hist[N, W] app codes,
+    oldest first; step is the session step; lat/eng are the (N, 8)
+    per-action latency and energy measurements and rewards the (N, 8)
+    per-action objective values `objective` derives from them; scenario
+    holds indices into ALL_SCENARIOS. The latency and energy scores are not
+    kept: `evaluate` derives those of the chosen actions. A slice, mask or index array
     yields a Dataset of those rows; there is no one-row form. A plain column
     container: the columns are checked where they enter, by
     `generate_dataset` and `load_dataset`, and building one checks nothing.
@@ -195,10 +195,6 @@ class Dataset:
 
     def __getitem__(self, key):
         return Dataset(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
-
-    @property
-    def contexts(self) -> Contexts:
-        return Contexts(self.time, self.pub, self.sub, self.peer, self.hist)
 
     @staticmethod
     def concat(parts, n: int) -> "Dataset":
@@ -282,22 +278,21 @@ def generate_session(
 
     lat, eng = map(np.array, zip(*[measure(link, scenario, rng) for _ in steps]))
 
-    contexts = Contexts(time=np.full(n, int(scenario.time)), pub=None, sub=None,
-                        peer=np.ones(n, dtype=bool), hist=hist)
+    data = Dataset(time=np.full(n, int(scenario.time)), pub=None, sub=None,
+                   peer=np.ones(n, dtype=bool), hist=hist, step=steps, lat=lat, eng=eng,
+                   rewards=None, scenario=np.full(n, scenario.code))
     drain = np.zeros(n)
     best = None
     while True:
-        contexts = contexts._replace(pub=_battery_levels(pub_batt, drain),
-                                     sub=_battery_levels(sub_batt, drain))
-        rewards = objective(contexts, (lat, eng), reward_cfg)[0]
+        data = replace(data, pub=_battery_levels(pub_batt, drain),
+                       sub=_battery_levels(sub_batt, drain))
+        rewards = objective(data, (lat, eng), reward_cfg)[0]
         chosen = np.argmax(rewards, axis=1)
         if best is not None and np.array_equal(chosen, best):
             break
         best = chosen
         drain = eng[steps, best] * (cfg.sample_interval_s / 3600.0)
-
-    return Dataset(**contexts._asdict(), step=steps, lat=lat, eng=eng, rewards=rewards,
-                   scenario=np.full(n, scenario.code))
+    return replace(data, rewards=rewards)
 
 
 def generate_dataset(
@@ -429,10 +424,10 @@ def load_dataset(path, reward_cfg: RewardConfig, sha256: str | None = None) -> D
 
 def _derived(cols: dict, reward_cfg: RewardConfig) -> Dataset:
     """The checked dataset of the observed columns `cols` and their rewards."""
-    contexts = Contexts(*(cols[k] for k in Contexts._fields))
+    data = Dataset(**cols, rewards=None)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # `_checked` names it
-        rewards = objective(contexts, (cols["lat"], cols["eng"]), reward_cfg)[0]
-    return _checked(Dataset(**cols, rewards=rewards))
+        rewards = objective(data, (data.lat, data.eng), reward_cfg)[0]
+    return _checked(replace(data, rewards=rewards))
 
 
 def _parsed(path) -> tuple[dict, np.ndarray]:

@@ -8,9 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
-
-import numpy as np
 
 
 class PerformanceMode(IntEnum):
@@ -103,15 +100,3 @@ class DatasetError(ValueError):
     def __init__(self, row: int, message: str, column: str | None = None):
         super().__init__(f"row {row}: {message}")
         self.row, self.message, self.column = row, message, column
-
-
-class Contexts(NamedTuple):
-    """A batch of contexts as columns: time[N] codes, pub[N] and sub[N]
-    batteries (sub is 0 where peer[N] is False, i.e. masked), hist[N,W] app
-    codes oldest first."""
-
-    time: np.ndarray
-    pub: np.ndarray
-    sub: np.ndarray
-    peer: np.ndarray
-    hist: np.ndarray

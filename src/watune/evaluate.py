@@ -38,8 +38,7 @@ def evaluate(policy: Policy, dataset: Dataset, reward_cfg: RewardConfig) -> Eval
     chosen = policy.decide(dataset)
     rows = np.arange(len(dataset))
     obj, raw = dataset.rewards[rows, chosen], dataset.eng[rows, chosen]
-    _, lat, eng = objective(dataset.contexts, (dataset.lat[rows, chosen][:, None], raw[:, None]),
-                            reward_cfg)
+    _, lat, eng = objective(dataset, (dataset.lat[rows, chosen][:, None], raw[:, None]), reward_cfg)
     lat, eng = lat.ravel(), eng.ravel()
 
     per_scenario: dict[str, dict] = {}

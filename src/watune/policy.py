@@ -92,7 +92,7 @@ class HeadPolicy(Policy):
         self.mask_peer = mask_peer
 
     def decide(self, dataset: Dataset) -> np.ndarray:
-        return head_choices(self.model, (mask_peer(dataset) if self.mask_peer else dataset).contexts)
+        return head_choices(self.model, mask_peer(dataset) if self.mask_peer else dataset)
 
 
 BASELINES = {"oracle": OraclePolicy, "rule": RulePolicy,

@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import AppType, Contexts, DatasetError
+from .domain import AppType, DatasetError
 
 # Per-application latency tolerance L_a in ms.
 DEFAULT_TOLERANCE_MS: dict[AppType, float] = {
@@ -58,22 +58,23 @@ class RewardConfig:
             raise ValueError(f"reward.soft_temp must be finite and positive, not {self.soft_temp!r}")
 
 
-def objective(contexts: Contexts, measured, cfg: RewardConfig):
+def objective(data, measured, cfg: RewardConfig):
     """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b.
 
-    `measured` is the (latency, energy) pair of (N, 8) arrays, or of (N, 1)
-    arrays for one action a row, as `evaluate` scores them. The result is
-    the (objective, latency score, energy score) triple of arrays that shape:
-    the latency score lies in [0, 100] (how well the latency fits each
-    active app's tolerance L_a, averaged over the app history), the energy
-    score is the mean over visible devices of battery headroom per unit
-    drain, b_d / E(p).
+    `data` is a `datagen.Dataset`, of which only the context columns `pub`,
+    `sub`, `peer` and `hist` are read. `measured` is the (latency, energy)
+    pair of (N, 8) arrays, or of (N, 1) arrays for one action a row, as
+    `evaluate` scores them. The result is the (objective, latency score,
+    energy score) triple of arrays that shape: the latency score lies in
+    [0, 100] (how well the latency fits each active app's tolerance L_a,
+    averaged over the app history), the energy score is the mean over
+    visible devices of battery headroom per unit drain, b_d / E(p).
     """
     lat, eng = measured
-    flat = (contexts.pub <= 0) | (contexts.peer & (contexts.sub <= 0))
+    flat = (data.pub <= 0) | (data.peer & (data.sub <= 0))
     if flat.any():
         row = int(np.argmax(flat))
-        raise DatasetError(row, f"{'publisher' if contexts.pub[row] <= 0 else 'subscriber'} "
+        raise DatasetError(row, f"{'publisher' if data.pub[row] <= 0 else 'subscriber'} "
                                 "battery must be strictly positive for reward computation")
 
     # Each term is built in an output or in `work`, by the operations and in
@@ -84,8 +85,8 @@ def objective(contexts: Contexts, measured, cfg: RewardConfig):
     work = np.empty((min(len(lat), block), *lat.shape[1:]))
     for start in range(0, len(lat), block):
         rows = slice(start, start + block)
-        _terms(contexts.hist[rows], contexts.pub[rows, None], contexts.sub[rows, None],
-               contexts.peer[rows, None], lat[rows], eng[rows], cfg,
+        _terms(data.hist[rows], data.pub[rows, None], data.sub[rows, None],
+               data.peer[rows, None], lat[rows], eng[rows], cfg,
                work[:len(lat) - start], *(a[rows] for a in out))
     return out
 
@@ -129,9 +130,8 @@ def _terms(hist, pub, sub, peer, lat, eng, cfg: RewardConfig, work,
 
 
 def soft_labels(objective_values: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax over per-action objectives (max-subtracted), along
-    the last axis of (8,) or (N, 8) values."""
-    r = np.asarray(objective_values, dtype=float)
-    z = (r - r.max(axis=-1, keepdims=True)) / temperature
+    """Temperature softmax over (N, 8) per-action objectives (max-subtracted),
+    along the last axis."""
+    z = (objective_values - objective_values.max(axis=-1, keepdims=True)) / temperature
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Dataset
-from .domain import NUM_ACTIONS, Contexts
+from .domain import NUM_ACTIONS
 from .reward import soft_labels
 
 FEATURE_DIM = 15  # one-hot time (4) | pub batt (1) | sub batt (1) | peer flag (1) | app histogram (8)
@@ -23,18 +23,19 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def encode_batch(contexts: Contexts) -> np.ndarray:
-    """(N, 15) features; a masked peer zeroes positions 5 and 6."""
-    n, window = contexts.hist.shape
+def encode_batch(data: Dataset) -> np.ndarray:
+    """(N, 15) features of a dataset's contexts; a masked peer zeroes
+    positions 5 and 6."""
+    n, window = data.hist.shape
     rows = np.arange(n)
     x = np.zeros((n, FEATURE_DIM))
-    x[rows, contexts.time] = 1.0
-    x[:, 4] = contexts.pub / 100.0
-    x[:, 5] = np.where(contexts.peer, contexts.sub / 100.0, 0.0)
-    x[:, 6] = contexts.peer
+    x[rows, data.time] = 1.0
+    x[:, 4] = data.pub / 100.0
+    x[:, 5] = np.where(data.peer, data.sub / 100.0, 0.0)
+    x[:, 6] = data.peer
     hist = np.zeros((n, NUM_ACTIONS))
     for w in range(window):
-        hist[rows, contexts.hist[:, w]] += 1.0
+        hist[rows, data.hist[:, w]] += 1.0
     x[:, 7:] = hist / window
     return x
 
@@ -84,34 +85,29 @@ def init_head(layers: int, hidden: int = 64, seed: int = 0) -> HeadModel:
 
 
 def forward(model: HeadModel, x: np.ndarray) -> np.ndarray:
-    """Affine-rectifier chain; final layer affine. Accepts (d,) or (N, d)."""
-    h = np.asarray(x, dtype=float)
+    """Affine-rectifier chain over (N, d) features; final layer affine."""
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T
-        h += b
+        x = x @ w.T
+        x += b
         if i < model.n_layers - 1:
-            np.maximum(h, 0.0, out=h)
-    return h
+            np.maximum(x, 0.0, out=x)
+    return x
 
 
 def _forward_cached(model: HeadModel, x: np.ndarray):
-    acts = [np.atleast_2d(np.asarray(x, dtype=float))]
-    pre = []
-    h = acts[0]
+    acts, pre = [x], []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T
+        z = acts[-1] @ w.T
         z += b
         pre.append(z)
-        h = np.maximum(z, 0.0) if i < model.n_layers - 1 else z
-        acts.append(h)
-    return h, acts, pre
+        acts.append(np.maximum(z, 0.0) if i < model.n_layers - 1 else z)
+    return acts[-1], acts, pre
 
 
-def backward(model: HeadModel, acts, pre, dlogits: np.ndarray, grads: HeadModel) -> None:
-    """Write the parameter gradients of a batch, given d(loss)/d(logits),
-    into `grads`, a model-shaped set of arrays (in training, views of the
-    flat gradient vector)."""
-    d = np.atleast_2d(dlogits)
+def backward(model: HeadModel, acts, pre, d: np.ndarray, grads: HeadModel) -> None:
+    """Write the parameter gradients of a batch, given its (B, 8)
+    d(loss)/d(logits) `d`, into `grads`, a model-shaped set of arrays (in
+    training, views of the flat gradient vector)."""
     for i in range(model.n_layers - 1, -1, -1):
         np.matmul(d.T, acts[i], out=grads.weights[i])
         np.add.reduce(d, axis=0, out=grads.biases[i])
@@ -221,12 +217,12 @@ class AdamW:
     bit-identical to stepping each weight and bias array on its own.
     """
 
-    def __init__(self, params: np.ndarray, lr: float, weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.wd = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._a = np.empty_like(params)  # work buffers
@@ -235,7 +231,7 @@ class AdamW:
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         m, v, a, b = self.m, self.v, self._a, self._b
         m *= b1
         m += np.multiply(grad, 1 - b1, out=a)
@@ -245,7 +241,7 @@ class AdamW:
         v += a
         np.divide(v, 1 - b2 ** self.t, out=a)  # vhat
         np.sqrt(a, out=a)
-        a += self.eps
+        a += self.EPS
         np.divide(m, 1 - b1 ** self.t, out=b)  # mhat
         b /= a
         b += np.multiply(self.params, self.wd, out=a)
@@ -265,7 +261,7 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_
     grad = np.zeros_like(params)
     model, grads = model.views(params), model.views(grad)
 
-    all_feats = feats = encode_batch(dataset.contexts)
+    all_feats = feats = encode_batch(dataset)
     labels = np.argmax(dataset.rewards, axis=1)
     # The loss's per-row constants, shuffled with the features each epoch.
     targets, beta = (labels,), []
@@ -333,12 +329,11 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_
 _ENCODE_ROWS = 1024
 
 
-def head_choices(model: HeadModel, contexts: Contexts) -> np.ndarray:
-    """Argmax of the head's logits per context; lowest index wins ties."""
-    choices = np.empty(len(contexts.pub), dtype=np.intp)
+def head_choices(model: HeadModel, data: Dataset) -> np.ndarray:
+    """Argmax of the head's logits per row of `data`; lowest index wins ties."""
+    choices = np.empty(len(data), dtype=np.intp)
     for i in range(0, len(choices), _ENCODE_ROWS):
-        rows = Contexts(*(col[i:i + _ENCODE_ROWS] for col in contexts))
-        choices[i:i + _ENCODE_ROWS] = _choices(model, encode_batch(rows))
+        choices[i:i + _ENCODE_ROWS] = _choices(model, encode_batch(data[i:i + _ENCODE_ROWS]))
     return choices
 
 

@@ -14,7 +14,7 @@ from watune.datagen import (
     load_dataset,
     split,
 )
-from watune.domain import NUM_ACTIONS, AppType, BatteryConfig, Contexts, TimeOfDay
+from watune.domain import NUM_ACTIONS, AppType, BatteryConfig, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.reward import RewardConfig, objective
 
@@ -26,7 +26,7 @@ FUZZ_VALUES = (-1, 0, 1e400, float("nan"), "x", True, None, [], {})
 
 class Context(NamedTuple):
     """One hand-written decision context; subscriber_battery is None when
-    the peer is masked. Tests stack rows into a batch with `contexts_of`."""
+    the peer is masked. Tests stack rows into a batch with `dataset_of`."""
 
     time: TimeOfDay
     publisher_battery: float
@@ -34,32 +34,27 @@ class Context(NamedTuple):
     app_history: tuple[AppType, ...]
 
 
-def contexts_of(*rows: Context) -> Contexts:
-    """The `Contexts` batch of `rows`; their app histories share one length."""
-    subs = [c.subscriber_battery for c in rows]
-    return Contexts(np.array([int(c.time) for c in rows]),
-                    np.array([c.publisher_battery for c in rows], dtype=float),
-                    np.array([s or 0.0 for s in subs], dtype=float),
-                    np.array([s is not None for s in subs]),
-                    np.array([[int(a) for a in c.app_history] for c in rows]))
-
-
 def dataset_of(*rows: Context, rewards=None) -> Dataset:
-    """A valid `Dataset` of `rows` for handing to `Policy.decide`: unit
-    measurements, scenario (time, bothHigh), and `rewards` (zeros by
-    default) as each row's per-action objective values."""
-    contexts = contexts_of(*rows)
+    """The `Dataset` of `rows`, whose app histories share one length: their
+    contexts, unit measurements, scenario (time, bothHigh), and `rewards`
+    (zeros by default) as each row's per-action objective values."""
+    subs = [c.subscriber_battery for c in rows]
+    time = np.array([int(c.time) for c in rows])
     ones = np.ones((len(rows), NUM_ACTIONS))
-    return Dataset(**contexts._asdict(), step=np.arange(len(rows)), lat=ones, eng=ones,
+    return Dataset(time=time, pub=np.array([c.publisher_battery for c in rows], dtype=float),
+                   sub=np.array([s or 0.0 for s in subs], dtype=float),
+                   peer=np.array([s is not None for s in subs]),
+                   hist=np.array([[int(a) for a in c.app_history] for c in rows]),
+                   step=np.arange(len(rows)), lat=ones, eng=ones,
                    rewards=ones * 0.0 if rewards is None else np.array(rewards, dtype=float),
-                   scenario=contexts.time * len(BatteryConfig) + int(BatteryConfig.bothHigh))
+                   scenario=time * len(BatteryConfig) + int(BatteryConfig.bothHigh))
 
 
 def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
     """`dataset` with its rewards recomputed from its measurements under
     `reward_cfg`. Rewards see the stored context, so `dataset` must not be
     peer-masked."""
-    rewards, _, _ = objective(dataset.contexts, (dataset.lat, dataset.eng), reward_cfg)
+    rewards, _, _ = objective(dataset, (dataset.lat, dataset.eng), reward_cfg)
     return replace(dataset, rewards=rewards)
 
 

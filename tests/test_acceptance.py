@@ -50,7 +50,7 @@ from watune.train import (
     loss_and_grad,
 )
 
-from conftest import Context, contexts_of, relabel
+from conftest import Context, dataset_of, relabel
 
 pytestmark = pytest.mark.acceptance
 
@@ -72,8 +72,8 @@ def full_dataset():
 def _scores(app, latency_ms, battery, energy):
     """(latency score, energy score) of one app, one visible battery and one
     measurement shared by every action."""
-    ctx = contexts_of(Context(TimeOfDay.morning, battery, None, (app,)))
-    _, lat, eng = objective(ctx, (np.full((1, 8), latency_ms), np.full((1, 8), energy)), RewardConfig())
+    data = dataset_of(Context(TimeOfDay.morning, battery, None, (app,)))
+    _, lat, eng = objective(data, (np.full((1, 8), latency_ms), np.full((1, 8), energy)), RewardConfig())
     return lat[0, 0], eng[0, 0]
 
 
@@ -92,7 +92,7 @@ def test_accept_1_reward_golden_values():
         sub = None if rng.random() < 0.25 else float(rng.uniform(5, 100))
         ctx = Context(TimeOfDay(int(rng.integers(0, 4))), float(rng.uniform(5, 100)), sub, apps)
         lat_ms, eng_pct_h = rng.uniform(0, 500, 8), rng.uniform(0.2, 8.0, 8)
-        got = objective(contexts_of(ctx), (lat_ms[None], eng_pct_h[None]), cfg)[0][0]
+        got = objective(dataset_of(ctx), (lat_ms[None], eng_pct_h[None]), cfg)[0][0]
         batts = [ctx.publisher_battery] + ([] if sub is None else [sub])
         ref = np.empty(8)
         for a in range(8):
@@ -161,14 +161,14 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
     model = init_head(layers, hidden=8, seed=int(rng.integers(1 << 30)))
     for w in model.weights:
         w += rng.normal(0, 0.05, w.shape)
-    x = rng.normal(0, 1, model.weights[0].shape[1])
+    x = rng.normal(0, 1, (1, model.weights[0].shape[1]))
     y = int(rng.integers(8))
     soft = soft_labels(rng.normal(size=8), 1.0)
     y_l = (y + 1 + int(rng.integers(7))) % 8
     ref = init_head(layers, hidden=8, seed=int(rng.integers(1 << 30)))
     # One row, as in training; a DPO pair scores both actions on it.
     target = {"ce": ([y],), "kl": kl_target(soft[None]),
-              "dpo": (*dpo_target(forward(ref, x)[None], [y], [y_l]), 0.1)}[loss_name]
+              "dpo": (*dpo_target(forward(ref, x), [y], [y_l]), 0.1)}[loss_name]
 
     def loss_of(m):
         logits, _, _ = _forward_cached(m, x)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -422,6 +423,33 @@ def test_eval_coop_names_a_file_without_cooperative_rows(tiny_config, gen_dir, t
                  "--policy", "rule", "--scenario", "coop"]) == 1
     assert (capsys.readouterr().err
             == f"error: {path} holds no cooperative (pubHighSubLow) records\n")
+
+
+@pytest.mark.parametrize("split, keep, refusal", [
+    ("ood", lambda line: False, "holds no dataset records"),
+    ("test", lambda line: "pubHighSubLow" not in line, "holds no cooperative (pubHighSubLow) records"),
+    ("train", lambda line: False, "holds no dataset records"),
+])
+def test_compare_names_a_split_without_records(tiny_config, compared, tmp_path, split, keep, refusal):
+    """A warm `compare` whose OOD file holds no records, whose test file
+    holds no cooperative ones, or whose training file, read to retrain a
+    missing head, holds none, each with its manifest hash updated to match,
+    exits 1 with one line naming the file, as `eval` does. It runs as
+    `python -W error`, so a numpy warning on the way, such as that of the
+    mean of an empty slice, fails it."""
+    out = tmp_path / "cmp"
+    shutil.copytree(compared, out)
+    path = out / f"{split}.jsonl"
+    path.write_text("".join(filter(keep, path.read_text().splitlines(keepends=True))))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["hashes"][split] = file_hash(path)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    if split == "train":
+        (out / "head-ce.ckpt.json").unlink()
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "watune.cli", "--config", tiny_config,
+                          "compare", "--out", str(out)],
+                         env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (1, f"error: {path} {refusal}\n")
 
 
 def test_eval_names_an_overflowing_record_without_a_warning(gen_dir, tmp_path):

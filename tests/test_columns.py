@@ -23,7 +23,7 @@ from watune.policy import BASELINE_NAMES, PREFERRED_TUPLE, make_baseline
 from watune.reward import RewardConfig, RewardMode, objective
 from watune.train import FEATURE_DIM, encode_batch
 
-from conftest import Context, contexts_of, dataset_of, relabel
+from conftest import Context, dataset_of, relabel
 from test_reward import brute_objective
 
 battery = st.floats(min_value=0.5, max_value=100.0)
@@ -82,7 +82,7 @@ def row_choice(name, ctx, rewards):
 def test_columnar_reward_equals_row_objective(batch, mode):
     contexts, (lat, eng) = batch
     cfg = RewardConfig(reward_mode=mode)
-    columns = objective(contexts_of(*contexts), (lat, eng), cfg)
+    columns = objective(dataset_of(*contexts), (lat, eng), cfg)
     for i, ctx in enumerate(contexts):
         # The reference sums in another order: equal to within float64 rounding.
         for got, want in zip(columns, brute_objective(ctx, (lat[i], eng[i]), cfg)):
@@ -93,7 +93,7 @@ def test_columnar_reward_equals_row_objective(batch, mode):
 @settings(max_examples=150, deadline=None)
 def test_batched_encode_equals_row_encode(batch):
     contexts, _ = batch
-    np.testing.assert_array_equal(encode_batch(contexts_of(*contexts)),
+    np.testing.assert_array_equal(encode_batch(dataset_of(*contexts)),
                                   np.stack([row_features(c) for c in contexts]))
 
 
@@ -101,7 +101,7 @@ def test_batched_encode_equals_row_encode(batch):
 @settings(max_examples=150, deadline=None)
 def test_baseline_batch_decision_equals_row_decide(batch, name):
     contexts, (lat, eng) = batch
-    rewards, _, _ = objective(contexts_of(*contexts), (lat, eng), RewardConfig())
+    rewards, _, _ = objective(dataset_of(*contexts), (lat, eng), RewardConfig())
     chosen = make_baseline(name).decide(dataset_of(*contexts, rewards=rewards))
     assert chosen.tolist() == [row_choice(name, ctx, rewards[i]) for i, ctx in enumerate(contexts)]
 

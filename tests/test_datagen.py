@@ -153,7 +153,7 @@ def test_stream_changes_draws(small_dataset):
 
 def test_reward_annotation_consistency(small_dataset):
     rows = small_dataset[::37]
-    rewards, _, _ = objective(rows.contexts, (rows.lat, rows.eng), RewardConfig())
+    rewards, _, _ = objective(rows, (rows.lat, rows.eng), RewardConfig())
     np.testing.assert_allclose(rows.rewards, rewards, atol=1e-12)
 
 

@@ -26,7 +26,7 @@ from watune.policy import (
 from watune.reward import RewardConfig, RewardMode
 from watune.train import TrainConfig, init_head, train
 
-from conftest import contexts_of, dataset_of
+from conftest import dataset_of
 from test_columns import context_batches
 from test_reward import whole_column_objective
 
@@ -44,11 +44,11 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-def assert_scores_are_gathered(dataset, contexts, cfg: RewardConfig) -> None:
+def assert_scores_are_gathered(dataset, cfg: RewardConfig) -> None:
     """Every policy's latency and energy scores, overall and per scenario,
     have the bits of the means of a gather from the whole-column objective
     outputs, the reference `evaluate` must match."""
-    _, lat_scores, eng_scores = whole_column_objective(contexts, (dataset.lat, dataset.eng), cfg)
+    _, lat_scores, eng_scores = whole_column_objective(dataset, (dataset.lat, dataset.eng), cfg)
     rows = np.arange(len(dataset))
     for policy in every_policy():
         chosen = policy.decide(dataset)
@@ -70,10 +70,9 @@ def test_evaluate_scores_equal_a_gather_of_the_whole_columns_in_bits(batch, mode
     peer's battery, in both reward modes, keep the whole-column bits."""
     rows, (lat, eng) = batch
     cfg = RewardConfig(reward_mode=mode)
-    contexts = contexts_of(*rows)
-    rewards = whole_column_objective(contexts, (lat, eng), cfg)[0]
-    dataset = replace(dataset_of(*rows, rewards=rewards), lat=lat, eng=eng)
-    assert_scores_are_gathered(dataset, contexts, cfg)
+    dataset = replace(dataset_of(*rows), lat=lat, eng=eng)
+    dataset = replace(dataset, rewards=whole_column_objective(dataset, (lat, eng), cfg)[0])
+    assert_scores_are_gathered(dataset, cfg)
 
 
 @pytest.mark.parametrize("mode", RewardMode)
@@ -81,10 +80,9 @@ def test_evaluate_scores_keep_their_bits_across_blocks(small_split, mode):
     """A test split of 320 rows, scored 100 chosen actions to a block."""
     _, test = small_split
     cfg = RewardConfig(reward_mode=mode)
-    contexts = test.contexts
-    test = replace(test, rewards=whole_column_objective(contexts, (test.lat, test.eng), cfg)[0])
+    test = replace(test, rewards=whole_column_objective(test, (test.lat, test.eng), cfg)[0])
     with mock.patch.object(reward, "_WORK_ENTRIES", 100):
-        assert_scores_are_gathered(test, contexts, cfg)
+        assert_scores_are_gathered(test, cfg)
 
 
 def test_evaluate_oracle_dominates(small_split):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from watune.datagen import IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset, load_dataset
-from watune.domain import AppType, Contexts, TimeOfDay
+from watune.domain import AppType, TimeOfDay
 from watune.measurement import LinkModelConfig, measure
 from watune.reward import RewardConfig, objective
 
-from conftest import Context, contexts_of
+from conftest import Context, dataset_of
 
 
 def ctx(time=TimeOfDay.morning, pub=80.0, sub=60.0):
@@ -115,9 +115,10 @@ def log_line(step, c, measured, **extra):
     return json.dumps(rec | extra) + "\n"
 
 
-def assert_contexts_equal(a: Contexts, b: Contexts):
-    for name, x, y in zip(Contexts._fields, a, b):
-        np.testing.assert_array_equal(x, y, err_msg=name)
+def assert_contexts_equal(a, b):
+    """The context columns of the datasets `a` and `b` are equal."""
+    for name in ("time", "pub", "sub", "peer", "hist"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 def one_line(**extra):
@@ -151,7 +152,7 @@ def test_log_round_trip(tmp_path):
     p.write_text("".join(lines))
     parsed = load_dataset(p, RewardConfig())
     assert len(parsed) == 25
-    assert_contexts_equal(contexts_of(*contexts), parsed.contexts)
+    assert_contexts_equal(dataset_of(*contexts), parsed)
     np.testing.assert_array_equal(parsed.step, np.arange(25))
     # The log's device labels are ignored: without them it loads to the same columns.
     bare = tmp_path / "bare.jsonl"
@@ -164,7 +165,7 @@ def test_log_round_trip(tmp_path):
     lat, eng = map(np.array, zip(*sweeps))
     np.testing.assert_array_equal(lat, parsed.lat)
     np.testing.assert_array_equal(eng, parsed.eng)
-    np.testing.assert_array_equal(objective(contexts_of(*contexts), (lat, eng), RewardConfig())[0],
+    np.testing.assert_array_equal(objective(dataset_of(*contexts), (lat, eng), RewardConfig())[0],
                                   parsed.rewards)
 
 
@@ -174,7 +175,7 @@ def test_ingest_extra_fields_dropped(tmp_path):
     data = load_dataset(p, RewardConfig())
     assert len(data) == 1
     assert not hasattr(data, "charging")
-    assert_contexts_equal(data.contexts, contexts_of(ctx()))
+    assert_contexts_equal(data, dataset_of(ctx()))
 
 
 def test_ingest_errors_name_line(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from watune import reward
-from watune.datagen import ENERGY_FLOOR, IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset
-from watune.domain import AppType, Contexts, TimeOfDay
+from watune.datagen import (
+    ENERGY_FLOOR,
+    IN_DISTRIBUTION_PROFILE,
+    Dataset,
+    DatasetConfig,
+    generate_dataset,
+)
+from watune.domain import AppType, BatteryConfig, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.reward import (
     DEFAULT_TOLERANCE_MS,
@@ -21,7 +28,7 @@ from watune.reward import (
     soft_labels,
 )
 
-from conftest import Context, contexts_of, load_record
+from conftest import Context, dataset_of, load_record
 
 
 def brute_objective(context, measured, cfg):
@@ -60,7 +67,7 @@ def random_context_and_measured(rng):
 def row_objective(ctx, measured, cfg):
     """`objective` on the one-row batch of `ctx`: its three (8,) rows."""
     lat, eng = measured
-    return [col[0] for col in objective(contexts_of(ctx), (lat[None], eng[None]), cfg)]
+    return [col[0] for col in objective(dataset_of(ctx), (lat[None], eng[None]), cfg)]
 
 
 def scores(app, latency_ms=1.0, battery=50.0, energy=1.0):
@@ -91,8 +98,8 @@ def test_latency_score_clamps_and_errors(tmp_path, small_dataset):
 
 def test_latency_score_non_increasing():
     xs = np.linspace(0, 600, 50)
-    contexts = contexts_of(*[Context(TimeOfDay.morning, 50.0, None, (AppType.mapSync,))] * len(xs))
-    _, lat_scores, _ = objective(contexts, (np.repeat(xs[:, None], 8, axis=1), np.ones((50, 8))),
+    data = dataset_of(*[Context(TimeOfDay.morning, 50.0, None, (AppType.mapSync,))] * len(xs))
+    _, lat_scores, _ = objective(data, (np.repeat(xs[:, None], 8, axis=1), np.ones((50, 8))),
                                  RewardConfig())
     ys = lat_scores[:, 0]
     assert all(a >= b for a, b in zip(ys, ys[1:]))
@@ -139,7 +146,7 @@ def test_objective_matches_brute_force():
         np.testing.assert_allclose(got, brute_objective(ctx, measured, cfg)[0], rtol=0, atol=1e-12)
 
 
-def whole_column_objective(contexts, measured, cfg):
+def whole_column_objective(data, measured, cfg):
     """The objective as whole-column expressions, each step its own array:
     the reference `objective`'s in-place form must match bit for bit."""
     lat, eng = measured
@@ -148,15 +155,15 @@ def whole_column_objective(contexts, measured, cfg):
         energy_penalty = eng / NAIVE_BATTERY
         eng_scores = NAIVE_BATTERY / eng
     else:
-        tol_ms = np.array([DEFAULT_TOLERANCE_MS[app] for app in AppType])[contexts.hist]
-        window = contexts.hist.shape[1]
+        tol_ms = np.array([DEFAULT_TOLERANCE_MS[app] for app in AppType])[data.hist]
+        window = data.hist.shape[1]
         lat_scores = np.zeros_like(lat)
         for w in range(window):
             lat_scores += np.maximum(100.0 - 100.0 * lat / tol_ms[:, w, None], 0.0)
         lat_scores /= window
-        peer = contexts.peer[:, None]
-        pub = contexts.pub[:, None]
-        sub = np.where(peer, contexts.sub[:, None], 1.0)
+        peer = data.peer[:, None]
+        pub = data.pub[:, None]
+        sub = np.where(peer, data.sub[:, None], 1.0)
         devices = 1 + peer
         energy_penalty = (eng / pub + np.where(peer, eng / sub, 0.0)) / devices
         eng_scores = (pub / eng + np.where(peer, sub / eng, 0.0)) / devices
@@ -165,27 +172,27 @@ def whole_column_objective(contexts, measured, cfg):
 
 @st.composite
 def batches(draw):
-    """Contexts, some rows peer-masked (sub 0), and (N, 8) measurements."""
+    """A dataset, some rows peer-masked (sub 0), and its (N, 8) measurements."""
     n = draw(st.integers(0, 12))
     window = draw(st.integers(1, 10))
     battery = st.floats(1e-3, 100.0)
     peer = draw(hnp.arrays(bool, n))
-    contexts = Contexts(draw(hnp.arrays(int, n, elements=st.integers(0, 3))),
-                        draw(hnp.arrays(float, n, elements=battery)),
-                        np.where(peer, draw(hnp.arrays(float, n, elements=battery)), 0.0),
-                        peer,
-                        draw(hnp.arrays(int, (n, window), elements=st.integers(0, 7))))
+    time = draw(hnp.arrays(int, n, elements=st.integers(0, 3)))
+    pub = draw(hnp.arrays(float, n, elements=battery))
+    sub = np.where(peer, draw(hnp.arrays(float, n, elements=battery)), 0.0)
+    hist = draw(hnp.arrays(int, (n, window), elements=st.integers(0, 7)))
     lat = draw(hnp.arrays(float, (n, 8), elements=st.floats(0.0, 1e6)))
     eng = draw(hnp.arrays(float, (n, 8), elements=st.floats(1e-6, 1e3)))
-    return contexts, (lat, eng)
+    return Dataset(time=time, pub=pub, sub=sub, peer=peer, hist=hist, step=np.arange(n), lat=lat,
+                   eng=eng, rewards=None, scenario=time * len(BatteryConfig)), (lat, eng)
 
 
 @given(batches(), st.sampled_from(RewardMode), st.floats(0.0, 10.0), st.floats(0.01, 10.0))
 @settings(max_examples=200, deadline=None)
 def test_objective_equals_the_whole_column_formula_in_bits(batch, mode, w_l, w_p):
-    contexts, measured = batch
+    data, measured = batch
     cfg = RewardConfig(w_l=w_l, w_p=w_p, reward_mode=mode)
-    got, want = objective(contexts, measured, cfg), whole_column_objective(contexts, measured, cfg)
+    got, want = objective(data, measured, cfg), whole_column_objective(data, measured, cfg)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
@@ -195,11 +202,11 @@ def test_objective_equals_the_whole_column_formula_in_bits(batch, mode, w_l, w_p
 def test_objective_bits_do_not_depend_on_the_block(batch, mode, entries):
     """`objective` works through its rows a block of `_WORK_ENTRIES`
     entries at a time; blocks of a row or a few give the whole-column bits."""
-    contexts, measured = batch
+    data, measured = batch
     cfg = RewardConfig(reward_mode=mode)
-    want = whole_column_objective(contexts, measured, cfg)
+    want = whole_column_objective(data, measured, cfg)
     with mock.patch.object(reward, "_WORK_ENTRIES", entries):
-        got = objective(contexts, measured, cfg)
+        got = objective(data, measured, cfg)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
@@ -213,11 +220,11 @@ def test_objective_holds_no_whole_split_temporary(mode):
     data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
                             DatasetConfig(logs_per_session=200), RewardConfig(), 1)
     assert len(data) == 3200
-    contexts = data.contexts._replace(peer=np.arange(len(data)) % 3 > 0)  # a third masked
-    contexts = contexts._replace(sub=np.where(contexts.peer, contexts.sub, 0.0))
+    data = replace(data, peer=np.arange(len(data)) % 3 > 0)  # a third masked
+    data = replace(data, sub=np.where(data.peer, data.sub, 0.0))
     tracemalloc.start()
     try:
-        out = objective(contexts, (data.lat, data.eng), RewardConfig(reward_mode=mode))
+        out = objective(data, (data.lat, data.eng), RewardConfig(reward_mode=mode))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

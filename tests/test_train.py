@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import watune.train
-from watune.datagen import IN_DISTRIBUTION_PROFILE, DatasetConfig, generate_dataset, split
-from watune.domain import AppType, Contexts, TimeOfDay
+from watune.datagen import IN_DISTRIBUTION_PROFILE, Dataset, DatasetConfig, generate_dataset, split
+from watune.domain import AppType, TimeOfDay
 from watune.measurement import LinkModelConfig
 from watune.train import (
     FEATURE_DIM,
@@ -32,7 +32,7 @@ from watune.train import (
 )
 from watune.reward import RewardConfig, soft_labels
 
-from conftest import Context, contexts_of
+from conftest import Context, dataset_of
 
 SOFT_TEMP = RewardConfig().soft_temp
 
@@ -42,7 +42,7 @@ def ctx(sub=60.0, apps=None):
 
 
 def features(c):
-    return encode_batch(contexts_of(c))[0]
+    return encode_batch(dataset_of(c))[0]
 
 
 def loss(kind, logits, target):
@@ -102,28 +102,28 @@ def test_init_head_shapes_and_determinism():
 
 def test_forward_single_layer_is_affine():
     m = init_head(1, seed=0)
-    x = np.random.default_rng(0).normal(size=FEATURE_DIM)
-    np.testing.assert_allclose(forward(m, x), m.weights[0] @ x + m.biases[0], atol=1e-12)
+    x = np.random.default_rng(0).normal(size=(1, FEATURE_DIM))
+    np.testing.assert_allclose(forward(m, x), x @ m.weights[0].T + m.biases[0], atol=1e-12)
 
 
 def test_forward_zero_model():
     m = HeadModel([np.zeros((8, FEATURE_DIM))], [np.zeros(8)])
-    assert np.all(forward(m, np.ones(FEATURE_DIM)) == 0.0)
-    assert head_choices(m, contexts_of(ctx())).tolist() == [0]  # tie rule
+    assert np.all(forward(m, np.ones((1, FEATURE_DIM))) == 0.0)
+    assert head_choices(m, dataset_of(ctx())).tolist() == [0]  # tie rule
 
 
 def test_head_choices_on_no_rows(toy_split):
-    """No contexts make no choices, as an empty integer array."""
-    choices = head_choices(init_head(2, seed=1), toy_split[0][:0].contexts)
+    """No rows make no choices, as an empty integer array."""
+    choices = head_choices(init_head(2, seed=1), toy_split[0][:0])
     assert choices.shape == (0,) and choices.dtype == np.intp
 
 
-def tiled_contexts(dataset, n):
-    """`n` rows of the contexts of `dataset`, repeated, every third masked."""
+def tiled(dataset, n):
+    """`n` rows of `dataset`, repeated, every third masked."""
     reps = -(-n // len(dataset))
-    time, pub, sub, peer, hist = (np.concatenate([col] * reps)[:n] for col in dataset.contexts)
-    peer = peer & (np.arange(n) % 3 > 0)
-    return Contexts(time, pub, np.where(peer, sub, 0.0), peer, hist)
+    data = Dataset.concat([dataset] * reps, reps * len(dataset))[:n]
+    peer = data.peer & (np.arange(n) % 3 > 0)
+    return replace(data, sub=np.where(peer, data.sub, 0.0), peer=peer)
 
 
 def test_head_choices_encode_in_chunks_with_the_same_bits(small_dataset):
@@ -131,9 +131,8 @@ def test_head_choices_encode_in_chunks_with_the_same_bits(small_dataset):
     slices, gives the choices of one encoding of every row, here over two
     whole chunks and a 52-row tail."""
     m = init_head(2, seed=3)
-    contexts = tiled_contexts(small_dataset, 2100)
-    np.testing.assert_array_equal(head_choices(m, contexts),
-                                  watune.train._choices(m, encode_batch(contexts)))
+    data = tiled(small_dataset, 2100)
+    np.testing.assert_array_equal(head_choices(m, data), watune.train._choices(m, encode_batch(data)))
 
 
 def test_head_choices_hold_no_whole_split_features(small_dataset):
@@ -141,10 +140,10 @@ def test_head_choices_hold_no_whole_split_features(small_dataset):
     traced, as only one chunk's features exist at a time. Encoding the
     whole split first peaks at about 8 MB."""
     m = init_head(TrainConfig().layers, TrainConfig().hidden, seed=3)
-    contexts = tiled_contexts(small_dataset, 32000)
+    data = tiled(small_dataset, 32000)
     tracemalloc.start()
     try:
-        head_choices(m, contexts)
+        head_choices(m, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,7 +152,7 @@ def test_head_choices_hold_no_whole_split_features(small_dataset):
 
 def test_head_decide_shift_invariant():
     m = init_head(2, seed=1)
-    c = contexts_of(ctx(), ctx(sub=None), ctx(apps=[AppType.firmwareUpdate] * 10))
+    c = dataset_of(ctx(), ctx(sub=None), ctx(apps=[AppType.firmwareUpdate] * 10))
     base = head_choices(m, c)
     m2 = m.views(m.flat())
     m2.biases[-1] += 13.7
@@ -288,7 +287,7 @@ def reference_train(dataset, model, cfg, seed, soft_temp, ref_model=None):
     """The trainer before its step was fused: per-array AdamW, the softmax
     recomputed from the logits, fancy-indexed batches, new gradient arrays."""
     model = HeadModel([w.copy() for w in model.weights], [b.copy() for b in model.biases])
-    feats = encode_batch(dataset.contexts)
+    feats = encode_batch(dataset)
     labels = np.argmax(dataset.rewards, axis=1)
     targets = soft_labels(dataset.rewards, soft_temp) if cfg.loss == "kl" else labels
     if cfg.loss == "dpo":
@@ -479,7 +478,7 @@ def test_overfit_single_sample(toy_split):
     cfg = TrainConfig(loss="kl", epochs=60, layers=2, learning_rate=5e-3, weight_decay=0.0)
     model, _ = train(train_set[[0] * 64], init_head(2, seed=0), cfg, 0, SOFT_TEMP)
     soft = soft_labels(train_set.rewards[0], SOFT_TEMP)
-    assert head_choices(model, train_set[:1].contexts).tolist() == [int(np.argmax(soft))]
+    assert head_choices(model, train_set[:1]).tolist() == [int(np.argmax(soft))]
 
 
 def test_checkpoint_round_trip(tmp_path, toy_split):
@@ -543,7 +542,7 @@ def test_train_reports_accuracy_vs_oracle(toy_split):
     trained head, deciding as `head_choices` does, picks the oracle's action."""
     rows = toy_split[0][:50]
     model, report = train(rows, init_head(1, seed=0), TrainConfig(loss="ce", epochs=1, layers=1), 0, SOFT_TEMP)
-    agree = head_choices(model, rows.contexts) == np.argmax(rows.rewards, axis=1)
+    agree = head_choices(model, rows) == np.argmax(rows.rewards, axis=1)
     assert report["train_accuracy_vs_oracle"] == float(np.mean(agree))
 
 
