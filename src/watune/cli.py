@@ -24,13 +24,14 @@ from .datagen import (
     IN_DISTRIBUTION_PROFILE,
     OOD_PROFILE,
     Dataset,
+    DatasetError,
     dataset_blocks,
     file_hash,
     generate_dataset,
     load_dataset,
     split,
 )
-from .domain import BatteryConfig, DatasetError, Scenario, TimeOfDay
+from .domain import BatteryConfig, Scenario, TimeOfDay
 from .policy import BASELINE_NAMES, HeadPolicy, make_baseline
 from .reward import RewardMode
 from .train import TrainingDiverged, load_checkpoint, save_checkpoint
@@ -319,7 +320,7 @@ def cmd_replay(args) -> int:
     data = _load_records(_resolve_data(args.data, "test"), cfg)
     policies = [_make_policy(name, args.checkpoint, cfg) for name in names]
     scenario = _parse_scenario(args.scenario) if args.scenario else None
-    transcript = replay_snapshot(data, policies, scenario=scenario, max_steps=args.steps)
+    transcript = replay_snapshot(data, policies, scenario, args.steps)
     return _emit(args.out, transcript, "transcript")
 
 

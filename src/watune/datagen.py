@@ -20,7 +20,6 @@ from .domain import (
     AppType,
     BatteryClass,
     BatteryConfig,
-    DatasetError,
     NUM_ACTIONS,
     Scenario,
     TimeOfDay,
@@ -147,19 +146,23 @@ _NUMBERS = {
     "sub": ("sub_battery", {int, float}, "be a number or null"),
     **{k: (key, {int, float}, "hold numbers") for k, key in _VECTORS.items()},
 }
-# Columns, the condition every (finite) entry must meet, and the message.
-# The scores need no check: `objective` keeps the latency scores in [0, 100]
-# and, as an energy from `ENERGY_FLOOR` (%/h) up keeps each battery / energy
-# term within half the largest float, the energy scores finite.
+# Columns, the condition every (finite) entry must meet, given the column
+# and its dataset, and the message: every value rule of a `Dataset`. The
+# reward divides energy by each visible battery, so a visible battery is
+# positive, and a masked one is 0. The scores need no check: `objective`
+# keeps the latency scores in [0, 100] and, as an energy from `ENERGY_FLOOR`
+# (%/h) up keeps each battery / energy term within half the largest float,
+# the energy scores finite.
 ENERGY_FLOOR = 2 * 100.0 / float(np.finfo(float).max)
 _CHECKS = (
-    ("step", lambda v: v >= 0, "step must be non-negative"),
-    ("pub", lambda v: (v >= 0) & (v <= 100), "publisher battery must be in [0,100]"),
-    ("sub", lambda v: (v >= 0) & (v <= 100), "subscriber battery must be in [0,100]"),
-    ("lat", lambda v: v >= 0, "latency must be finite and non-negative"),
-    ("eng", lambda v: v > 0, "energy must be finite and strictly positive"),
-    ("eng", lambda v: v >= ENERGY_FLOOR, f"energy must be at least {ENERGY_FLOOR!r} %/h"),
-    ("rewards", lambda v: True, "rewards must be finite"),
+    ("step", lambda v, d: v >= 0, "step must be non-negative"),
+    ("pub", lambda v, d: (v > 0) & (v <= 100), "publisher battery must be in (0,100]"),
+    ("sub", lambda v, d: np.where(d.peer, (v > 0) & (v <= 100), v == 0),
+     "subscriber battery must be in (0,100]"),
+    ("lat", lambda v, d: v >= 0, "latency must be finite and non-negative"),
+    ("eng", lambda v, d: v > 0, "energy must be finite and strictly positive"),
+    ("eng", lambda v, d: v >= ENERGY_FLOOR, f"energy must be at least {ENERGY_FLOOR!r} %/h"),
+    ("rewards", lambda v, d: True, "rewards must be finite"),
 )
 
 
@@ -167,19 +170,18 @@ _CHECKS = (
 class Dataset:
     """Struct-of-arrays dataset, one row per decision step.
 
-    The context columns are time[N] codes, pub[N] and sub[N] batteries
-    (sub is 0 where peer[N] is False, i.e. masked) and hist[N, W] app codes,
-    oldest first; step is the session step; lat/eng are the (N, 8)
-    per-action latency and energy measurements and rewards the (N, 8)
-    per-action objective values `objective` derives from them; scenario
-    holds indices into ALL_SCENARIOS. The latency and energy scores are not
+    The context columns are pub[N] and sub[N] batteries (sub is 0 where
+    peer[N] is False, i.e. masked) and hist[N, W] app codes, oldest first;
+    scenario holds indices into ALL_SCENARIOS, and `time` is read from it.
+    step is the session step; lat/eng are the (N, 8) per-action latency and
+    energy measurements and rewards the (N, 8) per-action objective values
+    `objective` derives from them. The latency and energy scores are not
     kept: `evaluate` derives those of the chosen actions. A slice, mask or index array
     yields a Dataset of those rows; there is no one-row form. A plain column
     container: the columns are checked where they enter, by
     `generate_dataset` and `load_dataset`, and building one checks nothing.
     """
 
-    time: np.ndarray
     pub: np.ndarray
     sub: np.ndarray
     peer: np.ndarray
@@ -192,6 +194,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.pub)
+
+    @property
+    def time(self) -> np.ndarray:
+        """Each row's time-of-day code, that of its scenario."""
+        return _SCENARIO_TIME[self.scenario]
 
     def __getitem__(self, key):
         return Dataset(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
@@ -212,10 +219,20 @@ class Dataset:
         return Dataset(**cols)
 
 
+_SCENARIO_TIME = np.array([int(s.time) for s in ALL_SCENARIOS])
 # Each observed column's dtype, as parsed and as cached, in `Dataset` field order.
 _DTYPES = {k: np.dtype(t) for k, t in (
-    ("time", int), ("pub", float), ("sub", float), ("peer", bool), ("hist", int),
+    ("pub", float), ("sub", float), ("peer", bool), ("hist", int),
     ("step", int), ("lat", float), ("eng", float), ("scenario", int))}
+
+
+class DatasetError(ValueError):
+    """A column of a dataset failed `_checked`; `row` is the first
+    offending row, and `column` the column's name."""
+
+    def __init__(self, row: int, message: str, column: str):
+        super().__init__(f"row {row}: {message}")
+        self.row, self.message, self.column = row, message, column
 
 
 def _checked(data: Dataset) -> Dataset:
@@ -226,7 +243,7 @@ def _checked(data: Dataset) -> Dataset:
     for name, cond, message in _CHECKS:
         col = getattr(data, name)
         ok = np.isfinite(col)
-        ok &= cond(col)
+        ok &= cond(col, data)
         bad = ~(ok.all(axis=1) if ok.ndim == 2 else ok)
         if bad.any():
             raise DatasetError(int(np.argmax(bad)), message, name)
@@ -278,9 +295,8 @@ def generate_session(
 
     lat, eng = map(np.array, zip(*[measure(link, scenario, rng) for _ in steps]))
 
-    data = Dataset(time=np.full(n, int(scenario.time)), pub=None, sub=None,
-                   peer=np.ones(n, dtype=bool), hist=hist, step=steps, lat=lat, eng=eng,
-                   rewards=None, scenario=np.full(n, scenario.code))
+    data = Dataset(pub=None, sub=None, peer=np.ones(n, dtype=bool), hist=hist, step=steps,
+                   lat=lat, eng=eng, rewards=None, scenario=np.full(n, scenario.code))
     drain = np.zeros(n)
     best = None
     while True:
@@ -335,15 +351,14 @@ def mask_peer(dataset: Dataset) -> Dataset:
 
 # Wire names by code, and codes by wire name; a scenario is named by its
 # record's time and battery config.
-_TIME_NAMES = tuple(t.name for t in TimeOfDay)
 _APP_NAMES = tuple(a.name for a in AppType)
-_TIME_CODE = {name: code for code, name in enumerate(_TIME_NAMES)}
 _APP_CODE = {name: code for code, name in enumerate(_APP_NAMES)}
 _SCENARIO_CODE = {(s.time.name, s.battery_config.name): code for code, s in enumerate(ALL_SCENARIOS)}
-# The JSON text of each time and app name by code, and of each scenario's battery config.
+# The JSON text of each app name by code, and of each scenario's time and battery config.
 _TIME_JSON, _APP_JSON, _CONFIG_JSON = (
     np.array([json.dumps(name) for name in names], dtype=object)
-    for names in (_TIME_NAMES, _APP_NAMES, [s.battery_config.name for s in ALL_SCENARIOS]))
+    for names in ([s.time.name for s in ALL_SCENARIOS], _APP_NAMES,
+                  [s.battery_config.name for s in ALL_SCENARIOS]))
 # Records per block, both in the text `dataset_blocks` yields and in the
 # records `load_dataset` parses before it turns them into arrays: a block's
 # values are Python objects, and larger blocks raise peak memory without
@@ -364,7 +379,7 @@ def dataset_blocks(dataset: Dataset):
     for start in range(0, len(dataset), _BLOCK_ROWS):
         d = dataset[start:start + _BLOCK_ROWS]
         cells = np.column_stack([  # object columns: numbers become Python ints and floats
-            d.step, _TIME_JSON[d.time], _APP_JSON[d.hist], d.pub,
+            d.step, _TIME_JSON[d.scenario], _APP_JSON[d.hist], d.pub,
             np.where(d.peer, d.sub.astype(object), "null"), d.lat, d.eng, _CONFIG_JSON[d.scenario]])
         yield template * len(d) % tuple(cells.ravel().tolist())
 
@@ -375,7 +390,7 @@ _VECTOR_KIND = (f"be a list of {NUM_ACTIONS} numbers", lambda v: type(v) is list
 # of `app_history`), with the rule for the kind of value each needs and a
 # test of it; `_NUMBERS` holds the numbers' own.
 _RECORD_KEYS = {
-    "step": (None, None), "time": ("be a time-of-day name", _name_in(_TIME_CODE)),
+    "step": (None, None), "time": ("be a time-of-day name", _name_in(TimeOfDay.__members__)),
     "app_history": ("be a list of app names", lambda v: type(v) is list),
     "app_history[]": ("hold app names", _name_in(_APP_CODE)), "pub_battery": (None, None),
     "sub_battery": (None, None), "latency_ms": _VECTOR_KIND, "energy_pct_h": _VECTOR_KIND,
@@ -449,7 +464,6 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
                 if type(hist) is not list or not all(map(_VECTOR_KIND[1], vectors.values())):
                     raise TypeError  # a str or dict would iterate: `_record_error` names it
                 row = {
-                    "time": _TIME_CODE[rec["time"]],
                     "pub": rec["pub_battery"],
                     "sub": 0.0 if sub is None else sub,
                     "peer": sub is not None,
@@ -523,22 +537,20 @@ def file_hash(path) -> str:
     return h.hexdigest()
 
 
-_SCENARIO_TIME = np.array([int(s.time) for s in ALL_SCENARIOS])
 # The column cache's head: its tag, the parsed file's sha256, and the row
 # count and app-history width. Each column's bytes follow, in `_DTYPES`
 # order, then the CRC-32 of those bytes. A new layout or record format takes
 # a new tag, so no cache stands in for a file the reader would refuse.
-_CACHE_TAG = b"watune-columns-1"
+_CACHE_TAG = b"watune-columns-2"
 _CACHE_HEAD = struct.Struct("<16s32sqq")
 
 
 def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
     """The dataset `_derived` makes of the columns in the column cache
     `path`, if its head bears `_CACHE_TAG`, `sha256` and a row count and
-    width that size the file to the byte, its CRC holds, its app and
-    scenario codes are in range and each scenario's time is its row's,
-    which puts the time codes in range too. Anything else, an unreadable
-    file or a failed `_checked` included, is a miss: None. The size is
+    width that size the file to the byte, its CRC holds and its app and
+    scenario codes are in range. Anything else, an unreadable file or a
+    failed `_checked` included, is a miss: None. The size is
     checked before a column is read, so no head makes it allocate more
     than the file holds."""
     try:
@@ -560,9 +572,7 @@ def _cached(path, sha256: str, reward_cfg: RewardConfig) -> Dataset | None:
             if fh.read(4) != crc.to_bytes(4, "little"):
                 return None
         in_range = lambda a, n: bool(((a >= 0) & (a < n)).all())
-        scenario = cols["scenario"]
-        ok = (in_range(cols["hist"], len(AppType)) and in_range(scenario, len(ALL_SCENARIOS))
-              and np.array_equal(_SCENARIO_TIME[scenario], cols["time"]))
+        ok = in_range(cols["hist"], len(AppType)) and in_range(cols["scenario"], len(ALL_SCENARIOS))
         return _derived(cols, reward_cfg) if ok else None
     except (OSError, ValueError):
         return None

@@ -91,12 +91,3 @@ class Scenario:
 ALL_SCENARIOS: tuple[Scenario, ...] = tuple(
     Scenario(t, b) for t in TimeOfDay for b in BatteryConfig
 )
-
-
-class DatasetError(ValueError):
-    """A column of a batch failed validation; `row` is the first offending
-    row, and `column` the column's name when the check was of one column."""
-
-    def __init__(self, row: int, message: str, column: str | None = None):
-        super().__init__(f"row {row}: {message}")
-        self.row, self.message, self.column = row, message, column

@@ -86,18 +86,19 @@ def train_head(train_set: Dataset, cfg: TrainConfig, seed: int, soft_temp: float
 
 
 def replay_snapshot(dataset: Dataset, policies: list[Policy],
-                    scenario: Scenario | None = None, max_steps: int = 10) -> str:
+                    scenario: Scenario | None, max_steps: int) -> str:
     """Human-readable transcript of context, each policy's decision, and the
     per-decision objective."""
     if scenario is not None:
         dataset = dataset[dataset.scenario == scenario.code]
     dataset = dataset[:max_steps]
     chosen = [p.decide(dataset) for p in policies]
+    times = dataset.time
     lines = []
     for i in range(len(dataset)):
         sub = f"{dataset.sub[i]:.0f}%" if dataset.peer[i] else "--"
         lines.append(
-            f"step {dataset.step[i]:>4}  {TimeOfDay(dataset.time[i]).name:<9} "
+            f"step {dataset.step[i]:>4}  {TimeOfDay(times[i]).name:<9} "
             f"pub {dataset.pub[i]:.0f}%  sub {sub}  app {AppType(dataset.hist[i, -1]).name}"
         )
         for p, actions in zip(policies, chosen):

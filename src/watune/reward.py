@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import AppType, DatasetError
+from .domain import AppType
 
 # Per-application latency tolerance L_a in ms.
 DEFAULT_TOLERANCE_MS: dict[AppType, float] = {
@@ -68,15 +68,10 @@ def objective(data, measured, cfg: RewardConfig):
     energy score) triple of arrays that shape: the latency score lies in
     [0, 100] (how well the latency fits each active app's tolerance L_a,
     averaged over the app history), the energy score is the mean over
-    visible devices of battery headroom per unit drain, b_d / E(p).
+    visible devices of battery headroom per unit drain, b_d / E(p). It only
+    computes: `datagen._checked` refuses a zero visible battery's infinities.
     """
     lat, eng = measured
-    flat = (data.pub <= 0) | (data.peer & (data.sub <= 0))
-    if flat.any():
-        row = int(np.argmax(flat))
-        raise DatasetError(row, f"{'publisher' if data.pub[row] <= 0 else 'subscriber'} "
-                                "battery must be strictly positive for reward computation")
-
     # Each term is built in an output or in `work`, by the operations and in
     # the order of the whole-column formula, so the bits are its bits; the
     # rows are taken a block at a time, so `work` holds one block.

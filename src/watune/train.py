@@ -25,13 +25,13 @@ class TrainingDiverged(RuntimeError):
 
 def encode_batch(data: Dataset) -> np.ndarray:
     """(N, 15) features of a dataset's contexts; a masked peer zeroes
-    positions 5 and 6."""
+    positions 5 and 6, as its `sub` is 0."""
     n, window = data.hist.shape
     rows = np.arange(n)
     x = np.zeros((n, FEATURE_DIM))
     x[rows, data.time] = 1.0
     x[:, 4] = data.pub / 100.0
-    x[:, 5] = np.where(data.peer, data.sub / 100.0, 0.0)
+    x[:, 5] = data.sub / 100.0
     x[:, 6] = data.peer
     hist = np.zeros((n, NUM_ACTIONS))
     for w in range(window):
@@ -253,8 +253,6 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_
           ref_model: HeadModel | None = None) -> tuple[HeadModel, dict]:
     """Deterministic mini-batch AdamW training of the head: `seed` orders its
     batches, and a KL head learns its rewards' soft labels at `soft_temp`."""
-    if not len(dataset):
-        raise ValueError("empty training set")
     # The model trains in a copy of its parameters held in one flat vector,
     # and its gradient in another, so AdamW steps them as one buffer.
     params = model.flat()
@@ -341,10 +339,9 @@ def _choices(model: HeadModel, x: np.ndarray) -> np.ndarray:
     """`head_choices` on encoded features. Runs in 64-row slices: one pass
     over the whole OOD set raised warm `compare` peak RSS by about 11%
     (2-core box, OpenBLAS), for no speed-up, and the logits' last bits
-    depend on the slice size, so the pinned tables rest on it. No rows
-    make no choices."""
+    depend on the slice size, so the pinned tables rest on it."""
     return np.concatenate([np.argmax(forward(model, x[i:i + 64]), axis=1)
-                           for i in range(0, len(x), 64)] or [np.zeros(0, dtype=np.intp)])
+                           for i in range(0, len(x), 64)])
 
 
 CHECKPOINT_FORMAT = "watune-head-v2"

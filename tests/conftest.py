@@ -41,7 +41,7 @@ def dataset_of(*rows: Context, rewards=None) -> Dataset:
     subs = [c.subscriber_battery for c in rows]
     time = np.array([int(c.time) for c in rows])
     ones = np.ones((len(rows), NUM_ACTIONS))
-    return Dataset(time=time, pub=np.array([c.publisher_battery for c in rows], dtype=float),
+    return Dataset(pub=np.array([c.publisher_battery for c in rows], dtype=float),
                    sub=np.array([s or 0.0 for s in subs], dtype=float),
                    peer=np.array([s is not None for s in subs]),
                    hist=np.array([[int(a) for a in c.app_history] for c in rows]),

@@ -380,7 +380,7 @@ def test_template_rows_equal_json_dumps(monkeypatch, small_dataset):
         small_dataset[40:43], step=np.array([0, 10**6, 7]), pub=np.array([70.0, 100.0, 1e-05]),
         sub=np.array([0.0, 0.0, 5.5]), peer=np.array([False, False, True]),
         lat=np.array([edge, edge[::-1], np.zeros(8)]), eng=np.array([edge, edge[::-1], edge]),
-        scenario=np.full(3, 15), time=np.full(3, int(TimeOfDay.night)))], 43)
+        scenario=np.full(3, 15))], 43)
     text = jsonl(data)
     assert text.splitlines() == [json_record(data, i) for i in range(len(data))]
     assert '"sub_battery":null' in text and '"pub_battery":70.0' in text
@@ -398,8 +398,11 @@ def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):
     for edit, message in (
         ({"latency_ms": [float("nan")] + rec["latency_ms"][1:]}, "latency"),
         ({"energy_pct_h": [0.0] * 8}, "energy"),
-        ({"pub_battery": 0}, "publisher battery must be strictly positive"),
-        ({"sub_battery": 0}, "subscriber battery must be strictly positive"),
+        ({"pub_battery": 0}, r"publisher battery must be in \(0,100\]$"),
+        ({"pub_battery": -1}, r"publisher battery must be in \(0,100\]$"),
+        ({"pub_battery": 150}, r"publisher battery must be in \(0,100\]$"),
+        ({"sub_battery": 0}, r"subscriber battery must be in \(0,100\]$"),
+        ({"sub_battery": 150}, r"subscriber battery must be in \(0,100\]$"),
     ):
         lines[1] = json.dumps(dict(rec, **edit))
         p.write_text("\n".join(lines) + "\n")
@@ -409,8 +412,8 @@ def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):
 
 def test_load_dataset_blocks_name_their_own_line(monkeypatch, tmp_path, small_dataset):
     """With 2-record blocks, a bad record in a later block is refused naming
-    its own line, whether a line check, a block's type check, the Dataset
-    checks or the objective finds it; an app history is held to the length
+    its own line, whether a line check, a block's type check or the Dataset
+    checks find it; an app history is held to the length
     of the file's first record, in an earlier block."""
     monkeypatch.setattr(datagen, "_BLOCK_ROWS", 2)
     p = tmp_path / "blocks.jsonl"
@@ -423,7 +426,10 @@ def test_load_dataset_blocks_name_their_own_line(monkeypatch, tmp_path, small_da
              "malformed dataset record: app_history must hold app names, not 'tv'"),
             ({"latency_ms": [float("nan")] + rec["latency_ms"][1:]},
              "latency must be finite and non-negative"),
-            ({"pub_battery": 0}, "publisher battery must be strictly positive for reward computation"),
+            ({"pub_battery": 0}, "publisher battery must be in (0,100]"),
+            ({"pub_battery": -1}, "publisher battery must be in (0,100]"),
+            ({"pub_battery": 150}, "publisher battery must be in (0,100]"),
+            ({"sub_battery": 150}, "subscriber battery must be in (0,100]"),
             ({"app_history": rec["app_history"][1:]},
              "malformed dataset record: app_history length differs from the first record"),
         ):
@@ -519,9 +525,8 @@ def test_cached_columns_equal_the_parsed_ones_in_bits(cached_file):
     # the tag, the digest, the row count and history width, the columns in
     # `_DTYPES` order and their CRC-32
     body = b"".join(getattr(parsed, k).tobytes() for k in datagen._DTYPES)
-    assert list(datagen._DTYPES) == ["time", "pub", "sub", "peer", "hist", "step", "lat", "eng",
-                                     "scenario"]
-    assert written == (b"watune-columns-1" + bytes.fromhex(digest)
+    assert list(datagen._DTYPES) == ["pub", "sub", "peer", "hist", "step", "lat", "eng", "scenario"]
+    assert written == (b"watune-columns-2" + bytes.fromhex(digest)
                        + np.array([len(parsed), parsed.hist.shape[1]], "<i8").tobytes()
                        + body + zlib.crc32(body).to_bytes(4, "little"))
 
@@ -538,7 +543,7 @@ def with_crc_error(digest: str, parsed: Dataset) -> bytes:
     return good[:at] + bytes([good[at] ^ 1]) + good[at + 1:]
 
 
-def with_head(digest: str, parsed: Dataset, tag: bytes = b"watune-columns-1",
+def with_head(digest: str, parsed: Dataset, tag: bytes = b"watune-columns-2",
               rows: int | None = None, width: int | None = None) -> bytes:
     """The cache of `parsed` with its head's tag or numbers replaced."""
     rows = len(parsed) if rows is None else rows
@@ -561,7 +566,7 @@ MISSES = {
     "garbage": lambda d, p: b"\x00garbage" * 100,
     "empty": lambda d, p: b"",
     "crc error": with_crc_error,
-    "another tag": lambda d, p: with_head(d, p, tag=b"watune-columns-0"),
+    "another tag": lambda d, p: with_head(d, p, tag=b"watune-columns-1"),
     # reading as the head claims would allocate 2,265 TiB
     "10**13 rows": lambda d, p: with_head(d, p, rows=10**13),
     "negative rows": lambda d, p: with_head(d, p, rows=-1),
@@ -569,14 +574,13 @@ MISSES = {
     "zero width with rows": lambda d, p: edited_cache(d, p, hist=p.hist[:, :0].copy()),
     "one trailing byte": lambda d, p: edited_cache(d, p) + b"\x00",
     "truncated in a column": lambda d, p: edited_cache(d, p)[:-(4 + p.scenario.nbytes // 2)],
-    "wrong dtype": lambda d, p: edited_cache(d, p, time=p.time.astype(np.int32)),
+    "wrong dtype": lambda d, p: edited_cache(d, p, step=p.step.astype(np.int32)),
     "wrong shape": lambda d, p: edited_cache(d, p, lat=p.lat[:, :7].copy()),
     "short column": lambda d, p: edited_cache(d, p, step=p.step[:-1]),
     "app code": lambda d, p: edited_cache(d, p, hist=shifted(p.hist, len(AppType))),
-    "time code": lambda d, p: edited_cache(d, p, time=shifted(p.time, -p.time[0] - 1)),
     "scenario code": lambda d, p: edited_cache(d, p, scenario=shifted(p.scenario, 99)),
-    "scenario time": lambda d, p: edited_cache(d, p, time=shifted(p.time, 1 if p.time[0] < 3 else -1)),
     "failed check": lambda d, p: edited_cache(d, p, lat=shifted(p.lat, np.nan)),
+    "masked battery": lambda d, p: edited_cache(d, p, peer=np.zeros_like(p.peer)),
 }
 
 

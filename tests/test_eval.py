@@ -155,7 +155,7 @@ def test_replay_snapshot(small_split):
     _, test = small_split
     policies = [OraclePolicy(), RulePolicy(), FixedPolicy("fix-rt-iv")]
     scen = Scenario(TimeOfDay.night, BatteryConfig.pubHighSubLow)
-    text = replay_snapshot(test, policies, scenario=scen, max_steps=5)
+    text = replay_snapshot(test, policies, scen, 5)
     assert text.count("step ") == 5
     for p in policies:
         assert text.count(p.name) == 5

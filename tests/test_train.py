@@ -468,11 +468,6 @@ def test_adamw_step_matches_per_array_update():
     assert opt.t == 20
 
 
-def test_train_rejects_empty():
-    with pytest.raises(ValueError):
-        train([], init_head(1), TrainConfig(loss="ce", epochs=1), 1, SOFT_TEMP)
-
-
 def test_overfit_single_sample(toy_split):
     train_set, _ = toy_split
     cfg = TrainConfig(loss="kl", epochs=60, layers=2, learning_rate=5e-3, weight_decay=0.0)
