@@ -81,8 +81,9 @@ def _generate(cfg: ExperimentConfig, out: str, source: str | None) -> Dataset:
     del full
 
     def write(name: str, data: Dataset) -> None:
-        hashes[name] = atomic_write_text(os.path.join(out, f"{name}.jsonl"), dataset_blocks(data))
-        counts[name] = len(data)
+        path = os.path.join(out, f"{name}.jsonl")
+        atomic_write_text(path, dataset_blocks(data))
+        hashes[name], counts[name] = file_hash(path), len(data)
 
     write("train", train_set)
     write("test", test_set)

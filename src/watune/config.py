@@ -117,27 +117,22 @@ def save_config(path, cfg: ExperimentConfig) -> None:
     atomic_write_text(path, json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def atomic_write_text(path, text) -> str:
+def atomic_write_text(path, text) -> None:
     """Write `text`, a string, bytes or an iterable of blocks, each a string
     or any bytes-like object, to `path` (strings as UTF-8, the rest as they
     are) through a temporary file beside it, so that `path` holds either its
-    old content or all of the new, with the mode `open()` gives a new file;
-    returns the sha256 of the bytes written."""
+    old content or all of the new, with the mode `open()` gives a new file."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".watune-tmp-")
-    digest = hashlib.sha256()
     try:
         with os.fdopen(fd, "wb") as fh:
             umask = os.umask(0o077)  # read by setting it; mkstemp made the file 0600
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             for block in (text,) if isinstance(text, (str, bytes)) else text:
-                data = block.encode() if isinstance(block, str) else block
-                digest.update(data)
-                fh.write(data)
+                fh.write(block.encode() if isinstance(block, str) else block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return digest.hexdigest()

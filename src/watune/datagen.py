@@ -453,12 +453,12 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
     linenos = cols["lineno"]
     blocks = {k: [] for k in cols}  # each column's arrays, block by block
     width = None  # app-history length of the file's first record
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode())  # not `json.loads(line)`: that takes a BOM
                 sub, hist = rec["sub_battery"], rec["app_history"]
                 vectors = {k: rec[key] for k, key in _VECTORS.items()}
                 if type(hist) is not list or not all(map(_VECTOR_KIND[1], vectors.values())):

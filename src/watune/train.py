@@ -95,16 +95,15 @@ def forward(model: HeadModel, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(model: HeadModel, x: np.ndarray):
-    acts, pre = [x], []
+    acts = [x]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = acts[-1] @ w.T
         z += b
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0) if i < model.n_layers - 1 else z)
-    return acts[-1], acts, pre
+        acts.append(np.maximum(z, 0.0, out=z) if i < model.n_layers - 1 else z)
+    return z, acts
 
 
-def backward(model: HeadModel, acts, pre, d: np.ndarray, grads: HeadModel) -> None:
+def backward(model: HeadModel, acts, d: np.ndarray, grads: HeadModel) -> None:
     """Write the parameter gradients of a batch, given its (B, 8)
     d(loss)/d(logits) `d`, into `grads`, a model-shaped set of arrays (in
     training, views of the flat gradient vector)."""
@@ -113,7 +112,7 @@ def backward(model: HeadModel, acts, pre, d: np.ndarray, grads: HeadModel) -> No
         np.add.reduce(d, axis=0, out=grads.biases[i])
         if i > 0:
             d = d @ model.weights[i]
-            d *= pre[i - 1] > 0  # a multiply, not an assignment: NaN and -0.0 carry through
+            d *= acts[i] > 0  # a rectifier's output is > 0 where its input is; NaN and -0.0 carry through
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -121,11 +120,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
-def kl_target(soft: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """KL's per-row constants: the (N, 8) soft labels, their logs (0 where a
-    label is 0) and the label > 0 mask."""
-    mask = soft > 0
-    return soft, np.log(np.where(mask, soft, 1.0)), mask
+def kl_target(soft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KL's per-row constants: the (N, 8) soft labels and their logs (0
+    where a label is 0, whose term is then +0.0 at a finite log-probability)."""
+    return soft, np.log(np.where(soft > 0, soft, 1.0))
 
 
 def dpo_target(ref_logits: np.ndarray, y_w, y_l) -> tuple:
@@ -141,7 +139,7 @@ def loss_and_grad(kind: str, logits: np.ndarray, target: tuple) -> tuple[float, 
 
     `target` holds the batch's rows of the per-row constants that `train`
     builds once per run: ce: (hard labels (B,),); kl: `kl_target(soft
-    labels)`, i.e. (soft labels, their logs, label > 0 mask); dpo:
+    labels)`, i.e. (soft labels, their logs); dpo:
     (*`dpo_target(reference logits, preferred, dispreferred)`, beta), i.e.
     (reference log-probabilities of the preferred and the dispreferred
     action, preferred, dispreferred, beta), with both actions of a pair
@@ -155,11 +153,9 @@ def loss_and_grad(kind: str, logits: np.ndarray, target: tuple) -> tuple[float, 
         d = np.exp(logq)
         d[rows, labels] -= 1.0
     elif kind == "kl":
-        soft, log_soft, mask = target
+        soft, log_soft = target
         logq = log_softmax(logits)
-        # Taken only where a label is positive: a zero label adds 0, even
-        # against a log-probability of -inf.
-        terms = np.multiply(soft, log_soft - logq, out=np.zeros_like(logits), where=mask)
+        terms = soft * (log_soft - logq)
         loss = float(np.add.reduce(np.add.reduce(terms, axis=1)) / len(rows))
         d = np.exp(logq)
         d -= soft
@@ -297,12 +293,12 @@ def train(dataset: Dataset, model: HeadModel, cfg: TrainConfig, seed: int, soft_
         total, batches = 0.0, 0
         for start in range(0, n, cfg.effective_batch):
             x, *target = (a[start:start + cfg.effective_batch] for a in shuffled)
-            logits, acts, pre = _forward_cached(model, x)
+            logits, acts = _forward_cached(model, x)
             loss, d = loss_and_grad(cfg.loss, logits, target + beta)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite {cfg.loss} loss at epoch {epoch}, step {batches}")
-            backward(model, acts, pre, d, grads)
+            backward(model, acts, d, grads)
             opt.step(grad)
             total += float(loss)
             batches += 1

@@ -171,13 +171,13 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
               "dpo": (*dpo_target(forward(ref, x), [y], [y_l]), 0.1)}[loss_name]
 
     def loss_of(m):
-        logits, _, _ = _forward_cached(m, x)
+        logits, _ = _forward_cached(m, x)
         return loss_and_grad(loss_name, logits, target)[0]
 
     # analytic full gradient via backprop
-    logits, acts, pre = _forward_cached(model, x)
+    logits, acts = _forward_cached(model, x)
     grads = model.views(np.empty_like(model.flat()))  # written with the gradient
-    backward(model, acts, pre, loss_and_grad(loss_name, logits, target)[1], grads)
+    backward(model, acts, loss_and_grad(loss_name, logits, target)[1], grads)
     grad = grads.flat()
 
     theta = model.flat()
@@ -194,8 +194,8 @@ def _check_loss_grads(loss_name, layers, rng, n_coords=110, eps=1e-4, rtol=1e-4)
         # rectifier-kink guard: skip if any hidden pre-activation is near zero
         near_kink = False
         for m in (model, mp, mm):
-            _, _, pres = _forward_cached(m, x)
-            if any(np.any(np.abs(z) < 1e-3) for z in pres[:-1]):
+            pres = (forward(HeadModel(m.weights[:k], m.biases[:k]), x) for k in range(1, layers))
+            if any(np.any(np.abs(z) < 1e-3) for z in pres):
                 near_kink = True
                 break
         if near_kink:

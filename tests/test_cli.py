@@ -987,3 +987,19 @@ def test_compare_does_not_import_numpy_ma(tiny_config, tmp_path):
                          env=subprocess_env(), check=True, capture_output=True, text=True,
                          timeout=300)
     assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_warm_compare_does_not_import_numpy_random(tiny_config, tmp_path):
+    """Only generation and training draw random numbers: neither importing
+    `watune.cli` nor a warm `compare` loads numpy.random, which costs about
+    2 MB of peak memory."""
+    out = str(tmp_path / "cmp")
+    assert main(["--config", tiny_config, "compare", "--out", out]) == 0
+    script = ("import sys; import watune.cli; imported = 'numpy.random' in sys.modules; "
+              "assert watune.cli.main(sys.argv[1:]) == 0; "
+              "print(imported, 'numpy.random' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script, "--config", tiny_config, "compare",
+                          "--out", out],
+                         env=subprocess_env(), check=True, capture_output=True, text=True,
+                         timeout=300)
+    assert run.stdout.splitlines()[-1] == "False False"

@@ -253,8 +253,11 @@ def test_load_dataset_names_bad_line(tmp_path, small_dataset):
         {"pub_battery": "50"}, {"pub_battery": True}, {"sub_battery": "12"},
         {"sub_battery": False}, {"step": 2.7}, {"step": 2.0}, {"step": True})]
     for text, line in (('{"step": 0}\n', 1), (good + "{not json\n", 2), (good + nested, 2),
-                       *((text, 3) for text in bad_third)):
-        p.write_text(text)
+                       *((text, 3) for text in bad_third),
+                       # not UTF-8, and UTF-8 behind a byte-order mark
+                       (three.encode() + b"\xff" + good.encode(), 3),
+                       (b"\xef\xbb\xbf" + good.encode(), 1)):
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValueError, match=rf"bad\.jsonl: line {line}"):
             load_dataset(p, RewardConfig())
 
