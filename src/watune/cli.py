@@ -91,12 +91,7 @@ def _generate(cfg: ExperimentConfig, out: str, source: str | None) -> Dataset:
     write("ood", _grid(OOD_PROFILE, cfg, OOD_STREAM, source))
     save_config(os.path.join(out, "config.json"), cfg)
 
-    manifest = {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "counts": counts,
-        "hashes": hashes,
-    }
+    manifest = {"config_hash": cfg.config_hash(), "seed": cfg.seed, "counts": counts, "hashes": hashes}
     atomic_write_text(os.path.join(out, "manifest.json"),
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {counts['in_distribution']} in-distribution samples "
@@ -296,8 +291,7 @@ def cmd_compare(args) -> int:
     lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]
     reports = {}
     for row in COMPARE_ROWS:
-        reps = {s: evaluate(policies[row], data, cfg.reward) for s, data in slices.items()}
-        reports[row] = reps
+        reports[row] = reps = {s: evaluate(policies[row], data, cfg.reward) for s, data in slices.items()}
         cells = [f"{getattr(reps[s], metric + '_score'):.6f}"
                  for metric in COMPARE_METRICS for s in COMPARE_SLICES]
         lines.append(row + "\t" + "\t".join(cells))

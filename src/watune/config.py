@@ -122,9 +122,9 @@ def atomic_write_text(path, text) -> None:
     or any bytes-like object, to `path` (strings as UTF-8, the rest as they
     are) through a temporary file beside it, so that `path` holds either its
     old content or all of the new, with the mode `open()` gives a new file."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".watune-tmp-")
+    d, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".watune-tmp-")
         with os.fdopen(fd, "wb") as fh:
             umask = os.umask(0o077)  # read by setting it; mkstemp made the file 0600
             os.umask(umask)
@@ -132,7 +132,8 @@ def atomic_write_text(path, text) -> None:
             for block in (text,) if isinstance(text, (str, bytes)) else text:
                 fh.write(block.encode() if isinstance(block, str) else block)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # named as `path`, not as the temporary file
+        raise (OSError(exc.errno, exc.strerror, str(path)) if exc.errno else exc) from None
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise

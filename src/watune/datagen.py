@@ -146,23 +146,22 @@ _NUMBERS = {
     "sub": ("sub_battery", {int, float}, "be a number or null"),
     **{k: (key, {int, float}, "hold numbers") for k, key in _VECTORS.items()},
 }
-# Columns, the condition every (finite) entry must meet, given the column
-# and its dataset, and the message: every value rule of a `Dataset`. The
-# reward divides energy by each visible battery, so a visible battery is
-# positive, and a masked one is 0. The scores need no check: `objective`
+# Columns, the condition every (finite) entry must meet, and the message:
+# every value rule of a `Dataset`. A subscriber battery of 0 is hidden, so
+# the reward divides energy only by positive batteries (`_parsed` refuses a
+# record's literal 0). The scores need no check: `objective`
 # keeps the latency scores in [0, 100] and, as an energy from `ENERGY_FLOOR`
 # (%/h) up keeps each battery / energy term within half the largest float,
 # the energy scores finite.
 ENERGY_FLOOR = 2 * 100.0 / float(np.finfo(float).max)
 _CHECKS = (
-    ("step", lambda v, d: v >= 0, "step must be non-negative"),
-    ("pub", lambda v, d: (v > 0) & (v <= 100), "publisher battery must be in (0,100]"),
-    ("sub", lambda v, d: np.where(d.peer, (v > 0) & (v <= 100), v == 0),
-     "subscriber battery must be in (0,100]"),
-    ("lat", lambda v, d: v >= 0, "latency must be finite and non-negative"),
-    ("eng", lambda v, d: v > 0, "energy must be finite and strictly positive"),
-    ("eng", lambda v, d: v >= ENERGY_FLOOR, f"energy must be at least {ENERGY_FLOOR!r} %/h"),
-    ("rewards", lambda v, d: True, "rewards must be finite"),
+    ("step", lambda v: v >= 0, "step must be non-negative"),
+    ("pub", lambda v: (v > 0) & (v <= 100), "publisher battery must be in (0,100]"),
+    ("sub", lambda v: (v >= 0) & (v <= 100), "subscriber battery must be in (0,100]"),
+    ("lat", lambda v: v >= 0, "latency must be finite and non-negative"),
+    ("eng", lambda v: v > 0, "energy must be finite and strictly positive"),
+    ("eng", lambda v: v >= ENERGY_FLOOR, f"energy must be at least {ENERGY_FLOOR!r} %/h"),
+    ("rewards", lambda v: True, "rewards must be finite"),
 )
 
 
@@ -170,9 +169,9 @@ _CHECKS = (
 class Dataset:
     """Struct-of-arrays dataset, one row per decision step.
 
-    The context columns are pub[N] and sub[N] batteries (sub is 0 where
-    peer[N] is False, i.e. masked) and hist[N, W] app codes, oldest first;
-    scenario holds indices into ALL_SCENARIOS, and `time` is read from it.
+    The context columns are pub[N] and sub[N] batteries (sub is 0 where the
+    peer hides it) and hist[N, W] app codes, oldest first; scenario holds
+    indices into ALL_SCENARIOS, and `time` is read from it.
     step is the session step; lat/eng are the (N, 8) per-action latency and
     energy measurements and rewards the (N, 8) per-action objective values
     `objective` derives from them. The latency and energy scores are not
@@ -184,7 +183,6 @@ class Dataset:
 
     pub: np.ndarray
     sub: np.ndarray
-    peer: np.ndarray
     hist: np.ndarray
     step: np.ndarray
     lat: np.ndarray
@@ -199,6 +197,11 @@ class Dataset:
     def time(self) -> np.ndarray:
         """Each row's time-of-day code, that of its scenario."""
         return _SCENARIO_TIME[self.scenario]
+
+    @property
+    def peer(self) -> np.ndarray:
+        """Whether each row shows the subscriber's battery: hidden is 0."""
+        return self.sub > 0
 
     def __getitem__(self, key):
         return Dataset(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
@@ -222,7 +225,7 @@ class Dataset:
 _SCENARIO_TIME = np.array([int(s.time) for s in ALL_SCENARIOS])
 # Each observed column's dtype, as parsed and as cached, in `Dataset` field order.
 _DTYPES = {k: np.dtype(t) for k, t in (
-    ("pub", float), ("sub", float), ("peer", bool), ("hist", int),
+    ("pub", float), ("sub", float), ("hist", int),
     ("step", int), ("lat", float), ("eng", float), ("scenario", int))}
 
 
@@ -243,7 +246,7 @@ def _checked(data: Dataset) -> Dataset:
     for name, cond, message in _CHECKS:
         col = getattr(data, name)
         ok = np.isfinite(col)
-        ok &= cond(col, data)
+        ok &= cond(col)
         bad = ~(ok.all(axis=1) if ok.ndim == 2 else ok)
         if bad.any():
             raise DatasetError(int(np.argmax(bad)), message, name)
@@ -295,14 +298,14 @@ def generate_session(
 
     lat, eng = map(np.array, zip(*[measure(link, scenario, rng) for _ in steps]))
 
-    data = Dataset(pub=None, sub=None, peer=np.ones(n, dtype=bool), hist=hist, step=steps,
-                   lat=lat, eng=eng, rewards=None, scenario=np.full(n, scenario.code))
+    data = Dataset(pub=None, sub=None, hist=hist, step=steps, lat=lat, eng=eng,
+                   rewards=None, scenario=np.full(n, scenario.code))
     drain = np.zeros(n)
     best = None
     while True:
         data = replace(data, pub=_battery_levels(pub_batt, drain),
                        sub=_battery_levels(sub_batt, drain))
-        rewards = objective(data, (lat, eng), reward_cfg)[0]
+        rewards = objective(data, reward_cfg)[0]
         chosen = np.argmax(rewards, axis=1)
         if best is not None and np.array_equal(chosen, best):
             break
@@ -346,7 +349,7 @@ def split(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[
 
 def mask_peer(dataset: Dataset) -> Dataset:
     """Hide subscriber battery from every context; rewards stay untouched."""
-    return replace(dataset, sub=np.zeros_like(dataset.sub), peer=np.zeros_like(dataset.peer))
+    return replace(dataset, sub=np.zeros_like(dataset.sub))
 
 
 # Wire names by code, and codes by wire name; a scenario is named by its
@@ -441,7 +444,7 @@ def _derived(cols: dict, reward_cfg: RewardConfig) -> Dataset:
     """The checked dataset of the observed columns `cols` and their rewards."""
     data = Dataset(**cols, rewards=None)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # `_checked` names it
-        rewards = objective(data, (data.lat, data.eng), reward_cfg)[0]
+        rewards = objective(data, reward_cfg)[0]
     return _checked(replace(data, rewards=rewards))
 
 
@@ -466,7 +469,6 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
                 row = {
                     "pub": rec["pub_battery"],
                     "sub": 0.0 if sub is None else sub,
-                    "peer": sub is not None,
                     "hist": [_APP_CODE[a] for a in hist],
                     "step": rec["step"],
                     "scenario": _SCENARIO_CODE[rec["time"], rec["battery_config"]],
@@ -478,6 +480,8 @@ def _parsed(path) -> tuple[dict, np.ndarray]:
                                  f"{_record_error(rec)}") from None
             except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
                 raise ValueError(f"{path}: line {lineno}: malformed dataset record: {exc}") from None
+            if type(sub) in (int, float) and sub == 0:  # 0 means hidden; a bool is no number
+                raise ValueError(f"{path}: line {lineno}: subscriber battery must be in (0,100]")
             width = len(row["hist"])
             for k, v in row.items():
                 cols[k].append(v)
@@ -541,7 +545,7 @@ def file_hash(path) -> str:
 # count and app-history width. Each column's bytes follow, in `_DTYPES`
 # order, then the CRC-32 of those bytes. A new layout or record format takes
 # a new tag, so no cache stands in for a file the reader would refuse.
-_CACHE_TAG = b"watune-columns-2"
+_CACHE_TAG = b"watune-columns-3"
 _CACHE_HEAD = struct.Struct("<16s32sqq")
 
 

@@ -4,7 +4,7 @@ and qualitative replay transcripts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,8 @@ def evaluate(policy: Policy, dataset: Dataset, reward_cfg: RewardConfig) -> Eval
     chosen = policy.decide(dataset)
     rows = np.arange(len(dataset))
     obj, raw = dataset.rewards[rows, chosen], dataset.eng[rows, chosen]
-    _, lat, eng = objective(dataset, (dataset.lat[rows, chosen][:, None], raw[:, None]), reward_cfg)
+    picked = replace(dataset, lat=dataset.lat[rows, chosen, None], eng=raw[:, None])
+    _, lat, eng = objective(picked, reward_cfg)
     lat, eng = lat.ravel(), eng.ravel()
 
     per_scenario: dict[str, dict] = {}
@@ -93,10 +94,10 @@ def replay_snapshot(dataset: Dataset, policies: list[Policy],
         dataset = dataset[dataset.scenario == scenario.code]
     dataset = dataset[:max_steps]
     chosen = [p.decide(dataset) for p in policies]
-    times = dataset.time
+    times, peer = dataset.time, dataset.peer
     lines = []
     for i in range(len(dataset)):
-        sub = f"{dataset.sub[i]:.0f}%" if dataset.peer[i] else "--"
+        sub = f"{dataset.sub[i]:.0f}%" if peer[i] else "--"
         lines.append(
             f"step {dataset.step[i]:>4}  {TimeOfDay(times[i]).name:<9} "
             f"pub {dataset.pub[i]:.0f}%  sub {sub}  app {AppType(dataset.hist[i, -1]).name}"

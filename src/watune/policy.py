@@ -87,9 +87,7 @@ class HeadPolicy(Policy):
     in 64-row slices (`train.head_choices`)."""
 
     def __init__(self, model, name: str = "head", mask_peer: bool = False):
-        self.model = model
-        self.name = name
-        self.mask_peer = mask_peer
+        self.model, self.name, self.mask_peer = model, name, mask_peer
 
     def decide(self, dataset: Dataset) -> np.ndarray:
         return head_choices(self.model, mask_peer(dataset) if self.mask_peer else dataset)

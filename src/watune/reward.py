@@ -58,12 +58,12 @@ class RewardConfig:
             raise ValueError(f"reward.soft_temp must be finite and positive, not {self.soft_temp!r}")
 
 
-def objective(data, measured, cfg: RewardConfig):
+def objective(data, cfg: RewardConfig):
     """Per-action reward R(p) = w_L * mean_A R_lat - w_P * mean_D E/b.
 
-    `data` is a `datagen.Dataset`, of which only the context columns `pub`,
-    `sub`, `peer` and `hist` are read. `measured` is the (latency, energy)
-    pair of (N, 8) arrays, or of (N, 1) arrays for one action a row, as
+    `data` is a `datagen.Dataset`, of which the context columns `pub`, `sub`
+    (0 where hidden) and `hist` and the measurements `lat` and `eng` are
+    read: (N, 8) arrays, or (N, 1) arrays for one action a row, as
     `evaluate` scores them. The result is the (objective, latency score,
     energy score) triple of arrays that shape: the latency score lies in
     [0, 100] (how well the latency fits each active app's tolerance L_a,
@@ -71,7 +71,7 @@ def objective(data, measured, cfg: RewardConfig):
     visible devices of battery headroom per unit drain, b_d / E(p). It only
     computes: `datagen._checked` refuses a zero visible battery's infinities.
     """
-    lat, eng = measured
+    lat, eng = data.lat, data.eng
     # Each term is built in an output or in `work`, by the operations and in
     # the order of the whole-column formula, so the bits are its bits; the
     # rows are taken a block at a time, so `work` holds one block.
@@ -80,17 +80,16 @@ def objective(data, measured, cfg: RewardConfig):
     work = np.empty((min(len(lat), block), *lat.shape[1:]))
     for start in range(0, len(lat), block):
         rows = slice(start, start + block)
-        _terms(data.hist[rows], data.pub[rows, None], data.sub[rows, None],
-               data.peer[rows, None], lat[rows], eng[rows], cfg,
-               work[:len(lat) - start], *(a[rows] for a in out))
+        _terms(data.hist[rows], data.pub[rows, None], data.sub[rows, None], lat[rows], eng[rows],
+               cfg, work[:len(lat) - start], *(a[rows] for a in out))
     return out
 
 
-def _terms(hist, pub, sub, peer, lat, eng, cfg: RewardConfig, work,
+def _terms(hist, pub, sub, lat, eng, cfg: RewardConfig, work,
            rewards, lat_scores, eng_scores) -> None:
     """Write one block's objective, latency and energy scores into
     `rewards`, `lat_scores` and `eng_scores`; `work` is scratch of their
-    shape, and `pub`, `sub` and `peer` are (rows, 1) columns. The energy
+    shape, and `pub` and `sub` are (rows, 1) columns. The energy
     penalty is built in `rewards`, and the last step makes it the objective."""
     if cfg.reward_mode is RewardMode.naive:
         np.multiply(lat, 100.0, out=lat_scores)
@@ -108,8 +107,9 @@ def _terms(hist, pub, sub, peer, lat, eng, cfg: RewardConfig, work,
             lat_scores += np.maximum(np.subtract(100.0, work, out=work), 0.0, out=work)
         lat_scores /= window
         # Mean over the devices whose battery is visible: the publisher, and
-        # the subscriber unless masked. `work` is zero in masked rows, as
+        # the subscriber unless hidden (0). `work` is zero in hidden rows, as
         # the `where=` divisions leave them, which is `np.where(peer, ., 0.0)`.
+        peer = sub > 0
         devices = 1 + peer
         work.fill(0.0)
         energy_penalty = np.divide(eng, pub, out=rewards)

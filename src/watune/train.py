@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Dataset
-from .domain import NUM_ACTIONS
+from .domain import NUM_ACTIONS, AppType
 from .reward import soft_labels
 
-FEATURE_DIM = 15  # one-hot time (4) | pub batt (1) | sub batt (1) | peer flag (1) | app histogram (8)
+FEATURE_DIM = 7 + len(AppType)  # one-hot time (4) | pub batt | sub batt | peer flag | app histogram
 
 
 class TrainingDiverged(RuntimeError):
@@ -24,7 +24,7 @@ class TrainingDiverged(RuntimeError):
 
 
 def encode_batch(data: Dataset) -> np.ndarray:
-    """(N, 15) features of a dataset's contexts; a masked peer zeroes
+    """(N, FEATURE_DIM) features of a dataset's contexts; a masked peer zeroes
     positions 5 and 6, as its `sub` is 0."""
     n, window = data.hist.shape
     rows = np.arange(n)
@@ -33,7 +33,7 @@ def encode_batch(data: Dataset) -> np.ndarray:
     x[:, 4] = data.pub / 100.0
     x[:, 5] = data.sub / 100.0
     x[:, 6] = data.peer
-    hist = np.zeros((n, NUM_ACTIONS))
+    hist = np.zeros((n, len(AppType)))
     for w in range(window):
         hist[rows, data.hist[:, w]] += 1.0
     x[:, 7:] = hist / window
@@ -362,6 +362,8 @@ def load_checkpoint(path) -> tuple[HeadModel, dict]:
     try:
         with open(path) as fh:
             obj = json.load(fh)
+        if type(obj) is not dict:
+            raise ValueError(f"a checkpoint must be a JSON object, not {obj!r}")
         if obj.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"format {obj.get('format')!r} is not {CHECKPOINT_FORMAT!r}; "
                              "retrain the head")
@@ -384,6 +386,6 @@ def load_checkpoint(path) -> tuple[HeadModel, dict]:
             raise ValueError(f"metadata.no_peer must be true or false, not {metadata['no_peer']!r}")
     except KeyError as exc:
         raise ValueError(f"{path}: not a usable checkpoint: missing key {exc.args[0]}") from None
-    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ValueError(f"{path}: not a usable checkpoint: {exc}") from None
     return model, metadata

@@ -34,18 +34,19 @@ class Context(NamedTuple):
     app_history: tuple[AppType, ...]
 
 
-def dataset_of(*rows: Context, rewards=None) -> Dataset:
+def dataset_of(*rows: Context, rewards=None, measured=None) -> Dataset:
     """The `Dataset` of `rows`, whose app histories share one length: their
-    contexts, unit measurements, scenario (time, bothHigh), and `rewards`
-    (zeros by default) as each row's per-action objective values."""
-    subs = [c.subscriber_battery for c in rows]
+    contexts (a masked peer as `sub` 0), `measured`, the (latency, energy)
+    pair of (N, 8) arrays (unit measurements by default), scenario (time,
+    bothHigh), and `rewards` (zeros by default) as each row's per-action
+    objective values."""
     time = np.array([int(c.time) for c in rows])
     ones = np.ones((len(rows), NUM_ACTIONS))
+    lat, eng = (ones, ones) if measured is None else measured
     return Dataset(pub=np.array([c.publisher_battery for c in rows], dtype=float),
-                   sub=np.array([s or 0.0 for s in subs], dtype=float),
-                   peer=np.array([s is not None for s in subs]),
+                   sub=np.array([c.subscriber_battery or 0.0 for c in rows], dtype=float),
                    hist=np.array([[int(a) for a in c.app_history] for c in rows]),
-                   step=np.arange(len(rows)), lat=ones, eng=ones,
+                   step=np.arange(len(rows)), lat=lat, eng=eng,
                    rewards=ones * 0.0 if rewards is None else np.array(rewards, dtype=float),
                    scenario=time * len(BatteryConfig) + int(BatteryConfig.bothHigh))
 
@@ -54,7 +55,7 @@ def relabel(dataset: Dataset, reward_cfg: RewardConfig) -> Dataset:
     """`dataset` with its rewards recomputed from its measurements under
     `reward_cfg`. Rewards see the stored context, so `dataset` must not be
     peer-masked."""
-    rewards, _, _ = objective(dataset, (dataset.lat, dataset.eng), reward_cfg)
+    rewards, _, _ = objective(dataset, reward_cfg)
     return replace(dataset, rewards=rewards)
 
 

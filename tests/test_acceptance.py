@@ -72,8 +72,9 @@ def full_dataset():
 def _scores(app, latency_ms, battery, energy):
     """(latency score, energy score) of one app, one visible battery and one
     measurement shared by every action."""
-    data = dataset_of(Context(TimeOfDay.morning, battery, None, (app,)))
-    _, lat, eng = objective(data, (np.full((1, 8), latency_ms), np.full((1, 8), energy)), RewardConfig())
+    data = dataset_of(Context(TimeOfDay.morning, battery, None, (app,)),
+                      measured=(np.full((1, 8), latency_ms), np.full((1, 8), energy)))
+    _, lat, eng = objective(data, RewardConfig())
     return lat[0, 0], eng[0, 0]
 
 
@@ -92,7 +93,7 @@ def test_accept_1_reward_golden_values():
         sub = None if rng.random() < 0.25 else float(rng.uniform(5, 100))
         ctx = Context(TimeOfDay(int(rng.integers(0, 4))), float(rng.uniform(5, 100)), sub, apps)
         lat_ms, eng_pct_h = rng.uniform(0, 500, 8), rng.uniform(0.2, 8.0, 8)
-        got = objective(dataset_of(ctx), (lat_ms[None], eng_pct_h[None]), cfg)[0][0]
+        got = objective(dataset_of(ctx, measured=(lat_ms[None], eng_pct_h[None])), cfg)[0][0]
         batts = [ctx.publisher_battery] + ([] if sub is None else [sub])
         ref = np.empty(8)
         for a in range(8):

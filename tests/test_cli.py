@@ -492,6 +492,22 @@ def test_eval_missing_data(tiny_config, tmp_path, capsys):
     assert "run `watune gen` first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "{gen}"],
+    ["eval", "--data", "{gen}", "--policy", "rule"],
+    ["replay", "--data", "{gen}"],
+], ids=lambda c: c[0])
+def test_an_out_path_in_a_missing_directory_is_named(tiny_config, gen_dir, tmp_path, command, capsys):
+    """`--out` in a directory that does not exist is refused in one line
+    naming the path given, not the temporary file written beside it."""
+    out = str(tmp_path / "nodir" / "x.json")
+    argv = [a.format(gen=gen_dir) for a in command] + ["--out", out]
+    assert main(["--config", tiny_config, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {out!r}\n", err
+    assert ".watune-tmp-" not in err and not (tmp_path / "nodir").exists()
+
+
 def test_gen_names_mistyped_config_field(tmp_path, capsys, monkeypatch):
     mistyped, unknown, out_dir, mode, sigma, swapped, layers, weight, seed, split = (
         ExperimentConfig().to_dict() for _ in range(10))

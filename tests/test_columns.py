@@ -82,7 +82,7 @@ def row_choice(name, ctx, rewards):
 def test_columnar_reward_equals_row_objective(batch, mode):
     contexts, (lat, eng) = batch
     cfg = RewardConfig(reward_mode=mode)
-    columns = objective(dataset_of(*contexts), (lat, eng), cfg)
+    columns = objective(dataset_of(*contexts, measured=(lat, eng)), cfg)
     for i, ctx in enumerate(contexts):
         # The reference sums in another order: equal to within float64 rounding.
         for got, want in zip(columns, brute_objective(ctx, (lat[i], eng[i]), cfg)):
@@ -101,7 +101,7 @@ def test_batched_encode_equals_row_encode(batch):
 @settings(max_examples=150, deadline=None)
 def test_baseline_batch_decision_equals_row_decide(batch, name):
     contexts, (lat, eng) = batch
-    rewards, _, _ = objective(dataset_of(*contexts), (lat, eng), RewardConfig())
+    rewards, _, _ = objective(dataset_of(*contexts, measured=(lat, eng)), RewardConfig())
     chosen = make_baseline(name).decide(dataset_of(*contexts, rewards=rewards))
     assert chosen.tolist() == [row_choice(name, ctx, rewards[i]) for i, ctx in enumerate(contexts)]
 

@@ -153,7 +153,7 @@ def test_stream_changes_draws(small_dataset):
 
 def test_reward_annotation_consistency(small_dataset):
     rows = small_dataset[::37]
-    rewards, _, _ = objective(rows, (rows.lat, rows.eng), RewardConfig())
+    rewards, _, _ = objective(rows, RewardConfig())
     np.testing.assert_allclose(rows.rewards, rewards, atol=1e-12)
 
 
@@ -381,7 +381,7 @@ def test_template_rows_equal_json_dumps(monkeypatch, small_dataset):
     edge = np.array([70.0, 1e-05, 1e+16, 0.1, 5e-324, 1.7976931348623157e308, 123456.789, 1.0])
     data = Dataset.concat([small_dataset[:40], replace(
         small_dataset[40:43], step=np.array([0, 10**6, 7]), pub=np.array([70.0, 100.0, 1e-05]),
-        sub=np.array([0.0, 0.0, 5.5]), peer=np.array([False, False, True]),
+        sub=np.array([0.0, 0.0, 5.5]),
         lat=np.array([edge, edge[::-1], np.zeros(8)]), eng=np.array([edge, edge[::-1], edge]),
         scenario=np.full(3, 15))], 43)
     text = jsonl(data)
@@ -405,7 +405,11 @@ def test_load_dataset_rejects_nan_latency(tmp_path, small_dataset):
         ({"pub_battery": -1}, r"publisher battery must be in \(0,100\]$"),
         ({"pub_battery": 150}, r"publisher battery must be in \(0,100\]$"),
         ({"sub_battery": 0}, r"subscriber battery must be in \(0,100\]$"),
+        ({"sub_battery": 0.0}, r"subscriber battery must be in \(0,100\]$"),
+        ({"sub_battery": -0.0}, r"subscriber battery must be in \(0,100\]$"),
+        ({"sub_battery": -1}, r"subscriber battery must be in \(0,100\]$"),
         ({"sub_battery": 150}, r"subscriber battery must be in \(0,100\]$"),
+        ({"sub_battery": False}, r"malformed dataset record: sub_battery must be a number or null, not False$"),
     ):
         lines[1] = json.dumps(dict(rec, **edit))
         p.write_text("\n".join(lines) + "\n")
@@ -433,6 +437,7 @@ def test_load_dataset_blocks_name_their_own_line(monkeypatch, tmp_path, small_da
             ({"pub_battery": -1}, "publisher battery must be in (0,100]"),
             ({"pub_battery": 150}, "publisher battery must be in (0,100]"),
             ({"sub_battery": 150}, "subscriber battery must be in (0,100]"),
+            ({"sub_battery": -0.0}, "subscriber battery must be in (0,100]"),
             ({"app_history": rec["app_history"][1:]},
              "malformed dataset record: app_history length differs from the first record"),
         ):
@@ -528,8 +533,8 @@ def test_cached_columns_equal_the_parsed_ones_in_bits(cached_file):
     # the tag, the digest, the row count and history width, the columns in
     # `_DTYPES` order and their CRC-32
     body = b"".join(getattr(parsed, k).tobytes() for k in datagen._DTYPES)
-    assert list(datagen._DTYPES) == ["pub", "sub", "peer", "hist", "step", "lat", "eng", "scenario"]
-    assert written == (b"watune-columns-2" + bytes.fromhex(digest)
+    assert list(datagen._DTYPES) == ["pub", "sub", "hist", "step", "lat", "eng", "scenario"]
+    assert written == (b"watune-columns-3" + bytes.fromhex(digest)
                        + np.array([len(parsed), parsed.hist.shape[1]], "<i8").tobytes()
                        + body + zlib.crc32(body).to_bytes(4, "little"))
 
@@ -546,7 +551,7 @@ def with_crc_error(digest: str, parsed: Dataset) -> bytes:
     return good[:at] + bytes([good[at] ^ 1]) + good[at + 1:]
 
 
-def with_head(digest: str, parsed: Dataset, tag: bytes = b"watune-columns-2",
+def with_head(digest: str, parsed: Dataset, tag: bytes = b"watune-columns-3",
               rows: int | None = None, width: int | None = None) -> bytes:
     """The cache of `parsed` with its head's tag or numbers replaced."""
     rows = len(parsed) if rows is None else rows
@@ -569,7 +574,7 @@ MISSES = {
     "garbage": lambda d, p: b"\x00garbage" * 100,
     "empty": lambda d, p: b"",
     "crc error": with_crc_error,
-    "another tag": lambda d, p: with_head(d, p, tag=b"watune-columns-1"),
+    "another tag": lambda d, p: with_head(d, p, tag=b"watune-columns-2"),
     # reading as the head claims would allocate 2,265 TiB
     "10**13 rows": lambda d, p: with_head(d, p, rows=10**13),
     "negative rows": lambda d, p: with_head(d, p, rows=-1),
@@ -583,7 +588,6 @@ MISSES = {
     "app code": lambda d, p: edited_cache(d, p, hist=shifted(p.hist, len(AppType))),
     "scenario code": lambda d, p: edited_cache(d, p, scenario=shifted(p.scenario, 99)),
     "failed check": lambda d, p: edited_cache(d, p, lat=shifted(p.lat, np.nan)),
-    "masked battery": lambda d, p: edited_cache(d, p, peer=np.zeros_like(p.peer)),
 }
 
 

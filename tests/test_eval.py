@@ -48,7 +48,7 @@ def assert_scores_are_gathered(dataset, cfg: RewardConfig) -> None:
     """Every policy's latency and energy scores, overall and per scenario,
     have the bits of the means of a gather from the whole-column objective
     outputs, the reference `evaluate` must match."""
-    _, lat_scores, eng_scores = whole_column_objective(dataset, (dataset.lat, dataset.eng), cfg)
+    _, lat_scores, eng_scores = whole_column_objective(dataset, cfg)
     rows = np.arange(len(dataset))
     for policy in every_policy():
         chosen = policy.decide(dataset)
@@ -70,8 +70,8 @@ def test_evaluate_scores_equal_a_gather_of_the_whole_columns_in_bits(batch, mode
     peer's battery, in both reward modes, keep the whole-column bits."""
     rows, (lat, eng) = batch
     cfg = RewardConfig(reward_mode=mode)
-    dataset = replace(dataset_of(*rows), lat=lat, eng=eng)
-    dataset = replace(dataset, rewards=whole_column_objective(dataset, (lat, eng), cfg)[0])
+    dataset = dataset_of(*rows, measured=(lat, eng))
+    dataset = replace(dataset, rewards=whole_column_objective(dataset, cfg)[0])
     assert_scores_are_gathered(dataset, cfg)
 
 
@@ -80,7 +80,7 @@ def test_evaluate_scores_keep_their_bits_across_blocks(small_split, mode):
     """A test split of 320 rows, scored 100 chosen actions to a block."""
     _, test = small_split
     cfg = RewardConfig(reward_mode=mode)
-    test = replace(test, rewards=whole_column_objective(test, (test.lat, test.eng), cfg)[0])
+    test = replace(test, rewards=whole_column_objective(test, cfg)[0])
     with mock.patch.object(reward, "_WORK_ENTRIES", 100):
         assert_scores_are_gathered(test, cfg)
 

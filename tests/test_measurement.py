@@ -165,7 +165,7 @@ def test_log_round_trip(tmp_path):
     lat, eng = map(np.array, zip(*sweeps))
     np.testing.assert_array_equal(lat, parsed.lat)
     np.testing.assert_array_equal(eng, parsed.eng)
-    np.testing.assert_array_equal(objective(dataset_of(*contexts), (lat, eng), RewardConfig())[0],
+    np.testing.assert_array_equal(objective(dataset_of(*contexts, measured=(lat, eng)), RewardConfig())[0],
                                   parsed.rewards)
 
 

@@ -67,7 +67,7 @@ def random_context_and_measured(rng):
 def row_objective(ctx, measured, cfg):
     """`objective` on the one-row batch of `ctx`: its three (8,) rows."""
     lat, eng = measured
-    return [col[0] for col in objective(dataset_of(ctx), (lat[None], eng[None]), cfg)]
+    return [col[0] for col in objective(dataset_of(ctx, measured=(lat[None], eng[None])), cfg)]
 
 
 def scores(app, latency_ms=1.0, battery=50.0, energy=1.0):
@@ -98,9 +98,9 @@ def test_latency_score_clamps_and_errors(tmp_path, small_dataset):
 
 def test_latency_score_non_increasing():
     xs = np.linspace(0, 600, 50)
-    data = dataset_of(*[Context(TimeOfDay.morning, 50.0, None, (AppType.mapSync,))] * len(xs))
-    _, lat_scores, _ = objective(data, (np.repeat(xs[:, None], 8, axis=1), np.ones((50, 8))),
-                                 RewardConfig())
+    data = dataset_of(*[Context(TimeOfDay.morning, 50.0, None, (AppType.mapSync,))] * len(xs),
+                      measured=(np.repeat(xs[:, None], 8, axis=1), np.ones((50, 8))))
+    _, lat_scores, _ = objective(data, RewardConfig())
     ys = lat_scores[:, 0]
     assert all(a >= b for a, b in zip(ys, ys[1:]))
 
@@ -144,10 +144,10 @@ def test_objective_matches_brute_force():
         np.testing.assert_allclose(got, brute_objective(ctx, measured, cfg)[0], rtol=0, atol=1e-12)
 
 
-def whole_column_objective(data, measured, cfg):
+def whole_column_objective(data, cfg):
     """The objective as whole-column expressions, each step its own array:
     the reference `objective`'s in-place form must match bit for bit."""
-    lat, eng = measured
+    lat, eng = data.lat, data.eng
     if cfg.reward_mode is RewardMode.naive:
         lat_scores = np.maximum(100.0 - 100.0 * lat / NAIVE_TOLERANCE_MS, 0.0)
         energy_penalty = eng / NAIVE_BATTERY
@@ -170,7 +170,7 @@ def whole_column_objective(data, measured, cfg):
 
 @st.composite
 def batches(draw):
-    """A dataset, some rows peer-masked (sub 0), and its (N, 8) measurements."""
+    """A dataset with (N, 8) measurements, some rows peer-masked (sub 0)."""
     n = draw(st.integers(0, 12))
     window = draw(st.integers(1, 10))
     battery = st.floats(1e-3, 100.0)
@@ -181,30 +181,28 @@ def batches(draw):
     hist = draw(hnp.arrays(int, (n, window), elements=st.integers(0, 7)))
     lat = draw(hnp.arrays(float, (n, 8), elements=st.floats(0.0, 1e6)))
     eng = draw(hnp.arrays(float, (n, 8), elements=st.floats(1e-6, 1e3)))
-    return Dataset(pub=pub, sub=sub, peer=peer, hist=hist, step=np.arange(n), lat=lat, eng=eng,
-                   rewards=None, scenario=time * len(BatteryConfig)), (lat, eng)
+    return Dataset(pub=pub, sub=sub, hist=hist, step=np.arange(n), lat=lat, eng=eng,
+                   rewards=None, scenario=time * len(BatteryConfig))
 
 
 @given(batches(), st.sampled_from(RewardMode), st.floats(0.0, 10.0), st.floats(0.01, 10.0))
 @settings(max_examples=200, deadline=None)
-def test_objective_equals_the_whole_column_formula_in_bits(batch, mode, w_l, w_p):
-    data, measured = batch
+def test_objective_equals_the_whole_column_formula_in_bits(data, mode, w_l, w_p):
     cfg = RewardConfig(w_l=w_l, w_p=w_p, reward_mode=mode)
-    got, want = objective(data, measured, cfg), whole_column_objective(data, measured, cfg)
+    got, want = objective(data, cfg), whole_column_objective(data, cfg)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @given(batches(), st.sampled_from(RewardMode), st.integers(1, 100))
 @settings(max_examples=100, deadline=None)
-def test_objective_bits_do_not_depend_on_the_block(batch, mode, entries):
+def test_objective_bits_do_not_depend_on_the_block(data, mode, entries):
     """`objective` works through its rows a block of `_WORK_ENTRIES`
     entries at a time; blocks of a row or a few give the whole-column bits."""
-    data, measured = batch
     cfg = RewardConfig(reward_mode=mode)
-    want = whole_column_objective(data, measured, cfg)
+    want = whole_column_objective(data, cfg)
     with mock.patch.object(reward, "_WORK_ENTRIES", entries):
-        got = objective(data, measured, cfg)
+        got = objective(data, cfg)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
@@ -218,11 +216,10 @@ def test_objective_holds_no_whole_split_temporary(mode):
     data = generate_dataset(IN_DISTRIBUTION_PROFILE, LinkModelConfig(),
                             DatasetConfig(logs_per_session=200), RewardConfig(), 1)
     assert len(data) == 3200
-    data = replace(data, peer=np.arange(len(data)) % 3 > 0)  # a third masked
-    data = replace(data, sub=np.where(data.peer, data.sub, 0.0))
+    data = replace(data, sub=np.where(np.arange(len(data)) % 3 > 0, data.sub, 0.0))  # a third masked
     tracemalloc.start()
     try:
-        out = objective(data, (data.lat, data.eng), RewardConfig(reward_mode=mode))
+        out = objective(data, RewardConfig(reward_mode=mode))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -122,8 +122,7 @@ def tiled(dataset, n):
     """`n` rows of `dataset`, repeated, every third masked."""
     reps = -(-n // len(dataset))
     data = Dataset.concat([dataset] * reps, reps * len(dataset))[:n]
-    peer = data.peer & (np.arange(n) % 3 > 0)
-    return replace(data, sub=np.where(peer, data.sub, 0.0), peer=peer)
+    return replace(data, sub=np.where(np.arange(n) % 3 > 0, data.sub, 0.0))
 
 
 def test_head_choices_encode_in_chunks_with_the_same_bits(small_dataset):
@@ -523,7 +522,8 @@ def _params(obj, edit):
     (lambda o: _params(o, lambda v: np.where(np.arange(v.size) == 5, np.nan, v)),
      "non-finite parameters"),
     (lambda o: {k: v for k, v in o.items() if k != "shapes"}, "not a usable checkpoint: missing key shapes"),
-], ids=["v1", "bad-base64", "one-short", "one-long", "shape-chain", "nan", "no-shapes"])
+    (lambda o: [o], "not a usable checkpoint: a checkpoint must be a JSON object, not [{"),
+], ids=["v1", "bad-base64", "one-short", "one-long", "shape-chain", "nan", "no-shapes", "list"])
 def test_load_checkpoint_refuses_with_file_name(tmp_path, corrupt, message):
     p = tmp_path / "head-kl.ckpt.json"
     save_checkpoint(p, init_head(1, seed=0), {"loss": "kl"})
