@@ -35,7 +35,7 @@ from .domain import BatteryConfig, Scenario, TimeOfDay
 from .policy import BASELINE_NAMES, HeadPolicy, make_baseline
 from .reward import RewardMode
 from .train import TrainingDiverged, load_checkpoint, save_checkpoint
-from .evaluate import cooperative_slice, evaluate, flat_table, replay_snapshot, train_head
+from .evaluate import COMPARE_METRICS, cooperative_slice, evaluate, flat_table, replay_snapshot, train_head
 
 OOD_STREAM = 1
 
@@ -216,9 +216,6 @@ def _emit(path: str | None, text: str, what: str) -> int:
 # The comparison table's head rows: each one's loss, and whether it hides the subscriber battery.
 HEAD_ROWS = {"head-ce": ("ce", False), "head-kl": ("kl", False),
              "head-kl+dpo": ("dpo", False), "head-kl-no-peer": ("kl", True)}
-COMPARE_ROWS = BASELINE_NAMES + tuple(HEAD_ROWS)
-COMPARE_SLICES = ("aggregate", "coop", "ood")
-COMPARE_METRICS = ("objective", "latency", "energy")
 
 
 def _check_config(what: str, found: str | None, chash: str) -> None:
@@ -288,12 +285,11 @@ def cmd_compare(args) -> int:
 
     test_set, ood_set = (_load_records(paths[k], cfg, hashes.get(k)) for k in ("test", "ood"))
     slices = {"aggregate": test_set, "coop": _coop_records(paths["test"], test_set), "ood": ood_set}
-    lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in COMPARE_SLICES)]
+    lines = ["policy\t" + "\t".join(f"{m}/{s}" for m in COMPARE_METRICS for s in slices)]
     reports = {}
-    for row in COMPARE_ROWS:
-        reports[row] = reps = {s: evaluate(policies[row], data, cfg.reward) for s, data in slices.items()}
-        cells = [f"{getattr(reps[s], metric + '_score'):.6f}"
-                 for metric in COMPARE_METRICS for s in COMPARE_SLICES]
+    for row, policy in policies.items():
+        reports[row] = reps = {s: evaluate(policy, data, cfg.reward) for s, data in slices.items()}
+        cells = [f"{getattr(reps[s], metric + '_score'):.6f}" for metric in COMPARE_METRICS for s in slices]
         lines.append(row + "\t" + "\t".join(cells))
     table = f"# config_hash: {chash}\n" + "\n".join(lines) + "\n"
     table_path = os.path.join(out, "compare.tsv")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .datagen import Dataset, mask_peer
 from .domain import ALL_SCENARIOS, AppType, BatteryConfig, Scenario, TimeOfDay, action_from_index
-from .policy import HeadPolicy, Policy
+from .policy import HeadPolicy
 from .reward import RewardConfig, objective
 from .train import HeadModel, TrainConfig, init_head, train
 
@@ -29,18 +29,17 @@ class EvalReport:
     per_scenario: dict = field(default_factory=dict)
 
 
-def evaluate(policy: Policy, dataset: Dataset, reward_cfg: RewardConfig) -> EvalReport:
-    """Score one policy on the actions it chooses: the objective from the
-    dataset's stored rewards, and the latency and energy scores `objective`
-    gives those actions alone under `reward_cfg`, the config the rewards
-    were derived under. Both see the dataset's contexts (both devices),
-    regardless of what the policy was allowed to see."""
+def evaluate(policy, dataset: Dataset, reward_cfg: RewardConfig) -> EvalReport:
+    """Score one policy on the actions it chooses, by one `objective` call
+    under `reward_cfg`. Every reward operation is element-wise, so the
+    objective has the stored rewards' bits wherever those were derived under
+    `reward_cfg`, as every CLI path derives them. The scores see the
+    dataset's contexts (both devices), whatever the policy was allowed to see."""
     chosen = policy.decide(dataset)
     rows = np.arange(len(dataset))
-    obj, raw = dataset.rewards[rows, chosen], dataset.eng[rows, chosen]
+    raw = dataset.eng[rows, chosen]
     picked = replace(dataset, lat=dataset.lat[rows, chosen, None], eng=raw[:, None])
-    _, lat, eng = objective(picked, reward_cfg)
-    lat, eng = lat.ravel(), eng.ravel()
+    obj, lat, eng = (a.ravel() for a in objective(picked, reward_cfg))
 
     per_scenario: dict[str, dict] = {}
     for code in np.flatnonzero(np.bincount(dataset.scenario)):  # (time, battery config) order
@@ -86,7 +85,7 @@ def train_head(train_set: Dataset, cfg: TrainConfig, seed: int, soft_temp: float
     return HeadPolicy(model, name=name, mask_peer=masked), report
 
 
-def replay_snapshot(dataset: Dataset, policies: list[Policy],
+def replay_snapshot(dataset: Dataset, policies: list,
                     scenario: Scenario | None, max_steps: int) -> str:
     """Human-readable transcript of context, each policy's decision, and the
     per-decision objective."""
@@ -109,13 +108,17 @@ def replay_snapshot(dataset: Dataset, policies: list[Policy],
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# The metrics of the comparison tables, each scored per sample and per scenario.
+COMPARE_METRICS = ("objective", "latency", "energy")
+
+
 def flat_table(reports: dict[str, dict[str, EvalReport]]) -> str:
     """One row per policy x slice x metric, both averaging conventions."""
     header = "policy\tslice\tmetric\tper_sample_mean\tper_scenario_mean"
     rows = [header]
     for policy_name in reports:
         for slice_name, rep in reports[policy_name].items():
-            for metric in ("objective", "latency", "energy"):
+            for metric in COMPARE_METRICS:
                 rows.append(f"{policy_name}\t{slice_name}\t{metric}\t{getattr(rep, metric + '_score')!r}"
                             f"\t{getattr(rep, 'scenario_mean_' + metric)!r}")
     return "\n".join(rows) + "\n"

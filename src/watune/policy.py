@@ -1,5 +1,6 @@
 """Decision policies: oracle, rule-based heuristic, fixed tuples, and the
-trained-head wrapper."""
+trained-head wrapper. Each is a `name` and a `decide(dataset)` that returns
+every row's action index. The oracle reads the rewards, the others contexts only."""
 
 from __future__ import annotations
 
@@ -49,32 +50,21 @@ def rule_choices(hist: np.ndarray) -> np.ndarray:
     return choices
 
 
-class Policy:
-    """Base interface: decide(dataset) -> the action index of every row.
-
-    The oracle reads the dataset's ground-truth objective values; every
-    other policy reads its contexts only.
-    """
-
-    def decide(self, dataset: Dataset) -> np.ndarray:
-        raise NotImplementedError
-
-
-class OraclePolicy(Policy):
+class OraclePolicy:
     name = "oracle"
 
     def decide(self, dataset: Dataset) -> np.ndarray:
         return np.argmax(dataset.rewards, axis=1)  # ties break to the lowest index
 
 
-class RulePolicy(Policy):
+class RulePolicy:
     name = "rule"
 
     def decide(self, dataset: Dataset) -> np.ndarray:
         return rule_choices(dataset.hist)
 
 
-class FixedPolicy(Policy):
+class FixedPolicy:
     def __init__(self, name: str):
         self.name, self.action = name, FIXED_ACTIONS[name]
 
@@ -82,7 +72,7 @@ class FixedPolicy(Policy):
         return np.full(len(dataset), self.action.index)
 
 
-class HeadPolicy(Policy):
+class HeadPolicy:
     """Trained classification head; argmax of its logits per row, computed
     in 64-row slices (`train.head_choices`)."""
 
@@ -98,7 +88,7 @@ BASELINES = {"oracle": OraclePolicy, "rule": RulePolicy,
 BASELINE_NAMES = tuple(BASELINES)
 
 
-def make_baseline(name: str) -> Policy:
+def make_baseline(name: str):
     if name not in BASELINES:
         raise ValueError(f"unknown policy {name!r}; valid: {', '.join(BASELINE_NAMES + ('head',))}")
     return BASELINES[name]()

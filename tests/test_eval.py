@@ -47,20 +47,24 @@ def bits(x) -> bytes:
 def assert_scores_are_gathered(dataset, cfg: RewardConfig) -> None:
     """Every policy's latency and energy scores, overall and per scenario,
     have the bits of the means of a gather from the whole-column objective
-    outputs, the reference `evaluate` must match."""
+    outputs, the reference `evaluate` must match; its objective scores have
+    the bits of the means of a gather from the dataset's stored rewards."""
     _, lat_scores, eng_scores = whole_column_objective(dataset, cfg)
     rows = np.arange(len(dataset))
     for policy in every_policy():
         chosen = policy.decide(dataset)
+        obj = dataset.rewards[rows, chosen]
         lat, eng = lat_scores[rows, chosen], eng_scores[rows, chosen]
         rep = evaluate(policy, dataset, cfg)
         assert (bits(rep.latency_score), bits(rep.energy_score)) == (
             bits(lat.mean()), bits(eng.mean())), policy.name
+        assert bits(rep.objective_score) == bits(obj.mean()), policy.name
         for code in np.flatnonzero(np.bincount(dataset.scenario)):
             idx = dataset.scenario == code
             got = rep.per_scenario[ALL_SCENARIOS[code].key()]
             assert (bits(got["latency"]), bits(got["energy"])) == (
                 bits(lat[idx].mean()), bits(eng[idx].mean())), (policy.name, code)
+            assert bits(got["objective"]) == bits(obj[idx].mean()), (policy.name, code)
 
 
 @given(context_batches(), st.sampled_from(RewardMode))

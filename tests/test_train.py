@@ -106,6 +106,17 @@ def test_forward_single_layer_is_affine():
     np.testing.assert_allclose(forward(m, x), x @ m.weights[0].T + m.biases[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_training_forward_is_the_one_chain(layers):
+    """A training step's forward is `forward` itself: the same logits, bit
+    for bit, and the input of each layer, the first being the features."""
+    m = init_head(layers, 16, seed=layers)
+    x = np.random.default_rng(layers).normal(size=(70, FEATURE_DIM))
+    logits, acts = watune.train._forward_cached(m, x)
+    assert logits.tobytes() == forward(m, x).tobytes()
+    assert len(acts) == m.n_layers and acts[0] is x
+
+
 def test_forward_zero_model():
     m = HeadModel([np.zeros((8, FEATURE_DIM))], [np.zeros(8)])
     assert np.all(forward(m, np.ones((1, FEATURE_DIM))) == 0.0)
@@ -357,10 +368,10 @@ def forward_rows(monkeypatch, ref):
     they are made. A trained head is a copy, so it is never `ref`."""
     rows = []
 
-    def recording_forward(model, x):
+    def recording_forward(model, x, acts=None):
         if model is ref:
             rows.append(len(x))
-        return forward(model, x)
+        return forward(model, x, acts)
 
     monkeypatch.setattr(watune.train, "forward", recording_forward)
     return rows
